@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .dist import (
     DiscreteDistribution,
     PrivacySpec,
@@ -258,12 +260,16 @@ def _no_noise_result(mechanism: str, log_target: float) -> CalibrationResult:
 def _solve_transport_functional(
     plan: Coupling,
     spec: PrivacySpec,
-    exponent: Callable[[float, float], float],
+    exponent: Callable[[np.ndarray, float], np.ndarray],
     bracket: tuple[float, float],
     mechanism: str,
     rel_tol: float,
 ) -> CalibrationResult:
-    """Solve log sum pi_k exp(exponent(d_k, param)) = (alpha - 1) epsilon for param."""
+    """Solve log sum pi_k exp(exponent(d_k, param)) = (alpha - 1) epsilon for param.
+
+    exponent maps the plan's displacement array and a parameter to the
+    per-entry exponents.
+    """
     log_target = (spec.alpha - 1.0) * spec.epsilon
 
     def log_functional(param: float) -> float:
@@ -421,11 +427,11 @@ def calibrate_exponential(
         return _no_noise_result("exponential", log_target)
     hi = _invert_rate(rate, rate_inverse, log_target / (spec.alpha * sup_cost))
     lo = _invert_rate(rate, rate_inverse, (log_target + _LN2) / (spec.alpha * sup_cost))
-    cost_by_displacement = dict(zip(plan.displacements(), costs))
+    cost_array = np.array(costs)
     return _solve_transport_functional(
         plan,
         spec,
-        lambda d, theta: spec.alpha * rate(theta) * cost_by_displacement[d],
+        lambda d, theta: spec.alpha * rate(theta) * cost_array,
         (min(lo, hi), max(lo, hi)),
         "exponential",
         rel_tol,

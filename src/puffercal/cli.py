@@ -161,6 +161,7 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
     except (OSError, json.JSONDecodeError) as exc:
         raise _ConfigError(f"could not read scenario file {path}: {exc}") from exc
     pairs: list[cal.ScenarioPair] = []
+    tables: dict[tuple, ingest.Table] = {}
     for k, entry in enumerate(obj.get("pairs", [])):
         try:
             p, _ = ingest.distribution_from_json(entry["p"])
@@ -188,8 +189,11 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
         if not dataset.is_absolute():
             candidate = path.parent / dataset
             dataset = candidate if candidate.exists() else data_dir / dataset
-        table = ingest.load_table(dataset, cfg.column_names, cfg.delimiter)
-        pairs.append(ingest.scenario_pair_from_table(table, cfg))
+        # Several pairs usually come from one table: load each file once.
+        key = (dataset, cfg.column_names, cfg.delimiter)
+        if key not in tables:
+            tables[key] = ingest.load_table(dataset, cfg.column_names, cfg.delimiter)
+        pairs.append(ingest.scenario_pair_from_table(tables[key], cfg))
     if not pairs:
         raise _ConfigError(f"scenario file {path} defines no pairs")
     return cal.ScenarioSet(pairs=tuple(pairs))

@@ -15,7 +15,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 from .errors import EmptySample, InvalidValue, NonNormalizable
 
@@ -238,17 +237,33 @@ def noise_log_density(mech: MechanismParams, z: float) -> float:
 
 def noise_log_density_many(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
     """Vectorized noise_log_density."""
-    z = np.asarray(z, dtype=float)
+    return _noise_log_density_into(mech, np.array(z, dtype=float))
+
+
+def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
+    """noise_log_density_many computed in place: overwrites and returns the float array z.
+
+    Each step repeats the scalar formula's operation order, so the values
+    are the ones the scalar code produces.
+    """
     if isinstance(mech, LaplaceParams):
-        return -np.abs(z) / mech.scale - math.log(2.0 * mech.scale)
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        z /= mech.scale
+        z -= math.log(2.0 * mech.scale)
+        return z
     if isinstance(mech, GaussianParams):
-        return (
-            -0.5 * (z / mech.sigma) ** 2
-            - 0.5 * math.log(2.0 * math.pi)
-            - math.log(mech.sigma)
-        )
+        z /= mech.sigma
+        np.square(z, out=z)
+        z *= -0.5
+        z -= 0.5 * math.log(2.0 * math.pi)
+        z -= math.log(mech.sigma)
+        return z
     log_norm, _, _, _ = _exponential_norm(mech)
-    return -mech.rate(mech.scale) * _cost_on_grid(mech.cost, z) - log_norm
+    costs = _cost_on_grid(mech.cost, z)
+    costs *= -mech.rate(mech.scale)
+    costs -= log_norm
+    return costs
 
 
 def truncation_halfwidth(mech: MechanismParams) -> float:
@@ -296,24 +311,57 @@ def posterior_log_density(
 def posterior_log_density_many(
     mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray, chunk: int = 131072
 ) -> np.ndarray:
-    """Vectorized posterior_log_density, chunked to bound peak memory."""
+    """Vectorized posterior_log_density, chunked to bound peak memory.
+
+    Each chunk's (points x atoms) matrix is built and reduced in place.
+    """
     ys = np.asarray(ys, dtype=float)
     out = np.empty_like(ys)
     log_masses = np.log(np.asarray(prior.masses))
     atoms = np.asarray(prior.atoms)
     for start in range(0, ys.size, chunk):
         block = ys[start : start + chunk]
-        lp = noise_log_density_many(mech, block[:, None] - atoms[None, :])
-        out[start : start + chunk] = logsumexp(lp + log_masses[None, :], axis=1)
+        lp = _noise_log_density_into(mech, block[:, None] - atoms[None, :])
+        lp += log_masses[None, :]
+        out[start : start + chunk] = log_sum_exp(lp)
     return out
 
 
+def log_sum_exp(a: np.ndarray):
+    """log(sum(exp(a))) along the last axis of a 1-D or 2-D array; a is overwritten.
+
+    This is scipy.special.logsumexp's arithmetic (the shifted algorithm of
+    Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021) without
+    its array-API wrapper, so results are bit-identical: count the m
+    entries equal to the maximum, sum exp(a - max) over the others, and
+    return log1p(s / m) + log(m) + max. 1-D input gives a scalar, 2-D input
+    one value per row.
+    """
+    peak = np.max(a, axis=-1, keepdims=True)
+    at_peak = a == peak
+    count = np.sum(at_peak, axis=-1, dtype=float)
+    # An all -inf row has peak -inf and subtracts to nan; masking it to 0
+    # leaves s = 0 and the row's result -inf, as in scipy.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.subtract(a, peak, out=a)
+        np.exp(a, out=a)
+        np.copyto(a, 0.0, where=at_peak)
+        s = np.sum(a, axis=-1)
+        return np.log1p(s / count) + np.log(count) + peak[..., 0]
+
+
 def noise_variance(mech: MechanismParams) -> float:
-    """Variance of the noise: 2 scale^2 (Laplace), sigma^2 (Gaussian), numeric otherwise."""
-    if isinstance(mech, LaplaceParams):
-        return 2.0 * mech.scale**2
+    """Variance of the noise: 2 scale^2 (Laplace), sigma^2 (Gaussian), numeric otherwise.
+
+    The default exponential mechanism (cost |z|, rate 1/scale) is Laplace
+    noise and takes the closed form; only custom costs are integrated.
+    """
     if isinstance(mech, GaussianParams):
         return mech.sigma**2
+    if isinstance(mech, LaplaceParams) or (
+        mech.cost is absolute_cost and mech.rate is reciprocal_rate
+    ):
+        return 2.0 * mech.scale**2
     _, _, grid, pdf = _exponential_norm(mech)
     mean = float(simpson(grid * pdf, x=grid))
     return float(simpson((grid - mean) ** 2 * pdf, x=grid))

@@ -7,11 +7,12 @@ calibration functionals in this package are evaluated on that single plan.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
-from scipy.special import logsumexp
+import numpy as np
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, log_sum_exp
 from .errors import FunctionalOverflow, InvalidValue
 
 _MASS_TOL = 1e-12
@@ -48,8 +49,16 @@ class Coupling:
     def displacements(self) -> list[float]:
         return [abs(x - x2) for x, x2, _ in self.entries]
 
+    @cached_property
+    def displacement_array(self) -> np.ndarray:
+        return np.array(self.displacements())
+
+    @cached_property
+    def log_masses(self) -> np.ndarray:
+        return np.array([math.log(m) for _, _, m in self.entries])
+
     def max_displacement(self) -> float:
-        return max(self.displacements())
+        return float(self.displacement_array.max())
 
     def marginals(self) -> tuple[dict[float, float], dict[float, float]]:
         """Accumulated (row, column) marginals, keyed by atom."""
@@ -61,12 +70,14 @@ class Coupling:
         return first, second
 
 
+@lru_cache(maxsize=64)
 def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupling:
     """Quantile-aligned coupling of two sorted discrete distributions.
 
     Sweeps both cumulative-mass ladders once, pairing the mass between
     consecutive cumulative levels. Optimal for every convex cost of the
     displacement |x - x'|; ties in cumulative levels advance both sides.
+    Memoized: a grid over one pair builds its plan once.
     """
     cum_p = []
     acc = 0.0
@@ -116,16 +127,14 @@ def coupling_expectation(plan: Coupling, g: Callable[[float], float]) -> float:
     return total
 
 
-def coupling_log_expectation(plan: Coupling, log_g: Callable[[float], float]) -> float:
+def coupling_log_expectation(plan: Coupling, log_g: Callable[[np.ndarray], np.ndarray]) -> float:
     """log E[exp(log_g(|x - x'|))] under the plan, computed by log-sum-exp.
 
-    Safe replacement for coupling_expectation when the integrand is a large
-    exponential (e.g. extreme divergence orders).
+    log_g maps the plan's displacement array to the per-entry log
+    integrand. Safe replacement for coupling_expectation when the
+    integrand is a large exponential (e.g. extreme divergence orders).
     """
-    logs = [
-        math.log(mass) + log_g(abs(x - x2)) for x, x2, mass in plan.entries
-    ]
-    return float(logsumexp(logs))
+    return float(log_sum_exp(plan.log_masses + log_g(plan.displacement_array)))
 
 
 def w_infinity(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,37 @@ class TestCalibrateCommand:
         rows = parse_csv(out)
         assert rows[0]["pair"] == "toy"
         assert float(rows[0]["parameter"]) > 0.0
+
+    def test_dataset_blocks_load_each_table_once(self, capsys, tmp_path, monkeypatch):
+        from puffercal import ingest
+
+        (tmp_path / "toy.csv").write_text("x,s\n1,a\n2,a\n3,b\n4,c\n", encoding="utf-8")
+        (tmp_path / "other.csv").write_text("x,s\n5,a\n7,b\n", encoding="utf-8")
+        block = {"x_attribute": "x", "secret_attribute": "s", "value_i": "a"}
+        payload = {
+            "datasets": [
+                {**block, "dataset_path": "toy.csv", "value_j": "b", "label": "ab"},
+                {**block, "dataset_path": "toy.csv", "value_j": "c", "label": "ac"},
+                {**block, "dataset_path": "other.csv", "value_j": "b", "label": "other"},
+            ]
+        }
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = []
+        real_load = ingest.load_table
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_table", counting_load)
+        code, out, _ = run_cli(
+            capsys, "calibrate", "--scenario", str(scenario),
+            "--alpha", "2", "--epsilon", "1",
+        )
+        assert code == 0
+        assert [r["pair"] for r in parse_csv(out)] == ["ab", "ac", "other"]
+        assert sorted(loaded) == ["other.csv", "toy.csv"]
 
     def test_mixed_grid_syntax(self, capsys):
         code, out, _ = run_cli(

@@ -283,3 +283,108 @@ class TestPrivacySpec:
             PrivacySpec(alpha=2.0, epsilon=0.0)
         with pytest.raises(InvalidValue):
             PrivacySpec(alpha=2.0, epsilon=-1.0)
+
+
+class TestLogSumExp:
+    """log_sum_exp must reproduce scipy.special.logsumexp bit for bit."""
+
+    CASES = (
+        [0.3],
+        [-1.5, 2.0, 0.25],
+        [2.0, 2.0, -1.0, 2.0],  # ties at the max
+        [-math.inf, 0.5, -math.inf, -3.0],
+        [-math.inf, -math.inf],
+        [1.0, math.inf, -2.0],
+        [-745.0, -740.0, -800.0],
+        [700.0, 709.0, 650.0],
+    )
+
+    @staticmethod
+    def _same(got, want):
+        return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
+
+    def test_one_dimensional_cases(self):
+        from scipy.special import logsumexp
+
+        from puffercal.dist import log_sum_exp
+
+        for case in self.CASES:
+            a = np.asarray(case, dtype=float)
+            assert self._same(log_sum_exp(a.copy()), logsumexp(a)), case
+
+    def test_one_dimensional_random(self, rng):
+        from scipy.special import logsumexp
+
+        from puffercal.dist import log_sum_exp
+
+        for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000):
+            for _ in range(20):
+                a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)
+                assert log_sum_exp(a.copy()) == logsumexp(a)
+
+    def test_rows(self, rng):
+        from scipy.special import logsumexp
+
+        from puffercal.dist import log_sum_exp
+
+        for rows, cols in ((1, 1), (5, 1), (40, 3), (17, 200)):
+            a = rng.normal(0.0, 30.0, (rows, cols))
+            a[0, 0] = -math.inf
+            if cols > 1:
+                a[-1, :2] = a[-1].max()
+            got = log_sum_exp(a.copy())
+            assert got.shape == (rows,)
+            assert self._same(got, logsumexp(a, axis=1))
+
+    def test_rows_with_infinite_entries(self):
+        from scipy.special import logsumexp
+
+        from puffercal.dist import log_sum_exp
+
+        a = np.array([
+            [-math.inf, -math.inf, -math.inf],
+            [0.0, math.inf, 1.0],
+            [2.0, 2.0, 2.0],
+            [-math.inf, 3.0, -math.inf],
+        ])
+        assert self._same(log_sum_exp(a.copy()), logsumexp(a, axis=1))
+
+    @pytest.mark.parametrize(
+        "mech",
+        [LaplaceParams(scale=0.8), GaussianParams(sigma=1.3), ExponentialParams(scale=0.6)],
+    )
+    def test_posterior_many_matches_scipy_reduction(self, rng, mech):
+        from scipy.special import logsumexp
+
+        from puffercal.dist import noise_log_density_many, posterior_log_density_many
+
+        prior = DiscreteDistribution(atoms=(-2.0, 0.1, 0.7, 3.5), masses=(0.1, 0.2, 0.3, 0.4))
+        ys = rng.uniform(-40.0, 40.0, 1001)
+        atoms = np.asarray(prior.atoms)
+        log_masses = np.log(np.asarray(prior.masses))
+        want = logsumexp(
+            noise_log_density_many(mech, ys[:, None] - atoms[None, :]) + log_masses[None, :],
+            axis=1,
+        )
+        got = posterior_log_density_many(mech, prior, ys, chunk=256)
+        assert np.array_equal(got, want)
+
+
+class TestClosedFormExponentialVariance:
+    def test_default_mechanism_is_exact_laplace_variance(self):
+        from puffercal.dist import _exponential_norm
+
+        _exponential_norm.cache_clear()
+        for theta in (0.37, 1.0, 1.3, 25.0):
+            assert noise_variance(ExponentialParams(scale=theta)) == 2.0 * theta**2
+        assert _exponential_norm.cache_info().currsize == 0
+
+    def test_custom_cost_still_integrated(self):
+        from puffercal.dist import _exponential_norm
+
+        _exponential_norm.cache_clear()
+        theta = 1.7
+        mech = ExponentialParams(scale=theta, cost=lambda z: 2.0 * abs(z), cost_name="2abs")
+        # exp(-2|z|/theta) is Laplace noise of scale theta/2.
+        assert noise_variance(mech) == pytest.approx(theta**2 / 2.0, rel=1e-9)
+        assert _exponential_norm.cache_info().currsize == 1

@@ -1,0 +1,57 @@
+"""Golden `calibrate` output: the CLI bytes on a fixed scenario must not move.
+
+`data/golden_scenario.json` holds three pairs built by the conftest
+helpers: `benchmark_regime_pair()`, `random_pair(np.random.default_rng(20260810),
+max_atoms=12)` and the builtin point-mass pair (0 vs 1). The checked-in
+CSVs are the output of the scalar-list calibrator on that scenario. Every
+cell must match byte for byte, except the `variance` of `exponential`
+rows: that was a Simpson integral and is now the closed form 2 theta^2,
+so it is compared within 1e-12 relative.
+"""
+
+import csv
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from puffercal.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+ALL_KINDS = ("laplace", "gaussian", "exponential", "winf", "baseline-laplace", "baseline-gaussian")
+
+GRIDS = {
+    "finite": (ALL_KINDS, "1.5,2,4", "0.5,1,2"),
+    "inf": (("laplace", "exponential", "winf"), "inf", "0.5,1"),
+    "sub_unit": (("laplace",), "0.5", "0.5,1"),
+}
+
+
+def _rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_calibrate_matches_golden(capsys, grid):
+    kinds, alphas, epsilons = GRIDS[grid]
+    argv = ["calibrate", "--scenario", str(DATA / "golden_scenario.json"),
+            "--alpha", alphas, "--epsilon", epsilons]
+    for kind in kinds:
+        argv += ["--mechanism", kind]
+    assert main(argv) == 0
+    got = _rows(capsys.readouterr().out)
+    want = _rows((DATA / f"golden_calibrate_{grid}.csv").read_text(encoding="utf-8"))
+
+    assert len(got) == len(want)
+    header = want[0]
+    assert got[0] == header
+    variance = header.index("variance")
+    for got_row, want_row in zip(got[1:], want[1:]):
+        if want_row[0] == "exponential":
+            assert math.isclose(
+                float(got_row[variance]), float(want_row[variance]), rel_tol=1e-12
+            ), (got_row, want_row)
+            got_row = got_row[:variance] + got_row[variance + 1:]
+            want_row = want_row[:variance] + want_row[variance + 1:]
+        assert got_row == want_row
