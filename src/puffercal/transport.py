@@ -16,6 +16,10 @@ from .dist import DiscreteDistribution, log_sum_exp
 from .errors import FunctionalOverflow, InvalidValue
 
 _MASS_TOL = 1e-12
+# Rounding bound per term of a float cumulative-mass ladder, relative to a
+# level of at most 1: one rounding for the mass itself, one for the partial
+# sum (twice the unit roundoff 2^-53 each).
+_LADDER_ULP = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,10 @@ def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupl
     Sweeps both cumulative-mass ladders once, pairing the mass between
     consecutive cumulative levels. Optimal for every convex cost of the
     displacement |x - x'|; ties in cumulative levels advance both sides.
-    Memoized: a grid over one pair builds its plan once.
+    Levels closer than the two ladders' accumulated rounding bound count
+    as ties, so a float residue never pairs far-apart atoms; no entry with
+    more mass than that bound is dropped. Memoized: a grid over one pair
+    builds its plan once.
     """
     cum_p = []
     acc = 0.0
@@ -94,14 +101,16 @@ def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupl
     i = j = 0
     level_prev = 0.0
     while i < len(cum_p) and j < len(cum_q):
+        # cum_p[i] sums i + 1 rounded masses and cum_q[j] sums j + 1.
+        tie = abs(cum_p[i] - cum_q[j]) <= (i + j + 2) * _LADDER_ULP
         level = min(cum_p[i], cum_q[j])
         mass = level - level_prev
         if mass > 0.0:
             entries.append((P.atoms[i], Q.atoms[j], mass))
         level_prev = level
-        if cum_p[i] <= level:
+        if tie or cum_p[i] <= level:
             i += 1
-        if cum_q[j] <= level:
+        if tie or cum_q[j] <= level:
             j += 1
     return Coupling(entries=tuple(entries))
 

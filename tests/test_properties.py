@@ -1,6 +1,8 @@
 """Property-based checks for the structural invariants."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,3 +86,41 @@ def test_cdf_monotone_and_normalized(p):
     grid = [lo + k * (hi - lo) / 25 for k in range(26)]
     values = [p.cdf(x) for x in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def _exact_w_infinity(xs, ys):
+    """W_inf of the quantile coupling on exact rational cumulative ladders."""
+
+    def ladder(samples):
+        counts = Counter(samples)
+        atoms = sorted(counts)
+        levels, acc = [], Fraction(0)
+        for atom in atoms:
+            acc += Fraction(counts[atom], len(samples))
+            levels.append(acc)
+        return atoms, levels
+
+    atoms_p, cum_p = ladder(xs)
+    atoms_q, cum_q = ladder(ys)
+    i = j = 0
+    worst = 0
+    while i < len(cum_p) and j < len(cum_q):
+        worst = max(worst, abs(atoms_p[i] - atoms_q[j]))
+        level = min(cum_p[i], cum_q[j])
+        if cum_p[i] == level:
+            i += 1
+        if cum_q[j] == level:
+            j += 1
+    return worst
+
+
+count_samples = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_samples, count_samples)
+def test_w_infinity_matches_exact_ladder(xs, ys):
+    """Float cumulative sums must not leave rounding slivers in the coupling."""
+    p = build_empirical([float(x) for x in xs])
+    q = build_empirical([float(y) for y in ys])
+    assert w_infinity(p, q) == _exact_w_infinity(xs, ys)

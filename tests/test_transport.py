@@ -165,3 +165,30 @@ class TestWassersteinProperties:
         P, Q = point_mass(0.0), point_mass(3.0)
         w1 = coupling_expectation(monotone_coupling(P, Q), lambda u: u)
         assert w_infinity(P, Q) == w1 == 3.0
+
+
+class TestRoundingSlivers:
+    def test_sliver_does_not_pair_far_atoms(self):
+        # 0.1 + 0.2 rounds to 0.30000000000000004 while the other ladder
+        # reads 0.3: the 5.55e-17 gap must not couple atom 1 with atom 100.
+        from puffercal import PrivacySpec
+        from puffercal.calibrate import calibrate_laplace, calibrate_winf_laplace
+
+        P = DiscreteDistribution(atoms=(0.0, 1.0, 100.0), masses=(0.1, 0.2, 0.7))
+        Q = DiscreteDistribution(atoms=(0.0, 100.0), masses=(0.3, 0.7))
+        plan = monotone_coupling(P, Q)
+        assert [(x, x2) for x, x2, _ in plan.entries] == [(0.0, 0.0), (1.0, 0.0), (100.0, 100.0)]
+        assert w_infinity(P, Q) == 1.0
+        assert calibrate_winf_laplace((P, Q), 1.0).parameter == 1.0
+        # Displacement 1 carries mass 0.2: 0.8 + 0.2 exp(2 / b) = e at alpha = 2.
+        b = calibrate_laplace((P, Q), PrivacySpec(alpha=2.0, epsilon=1.0)).parameter
+        assert b == pytest.approx(2.0 / math.log((math.e - 0.8) / 0.2), rel=1e-8)
+        assert b == pytest.approx(0.8846, abs=1e-4)
+
+    def test_real_small_mass_is_kept(self):
+        # A genuine 1e-9 step is far above the rounding bound and stays paired.
+        P = DiscreteDistribution(atoms=(0.0, 5.0), masses=(0.5 + 1e-9, 0.5 - 1e-9))
+        Q = DiscreteDistribution(atoms=(0.0, 5.0), masses=(0.5, 0.5))
+        plan = monotone_coupling(P, Q)
+        assert (0.0, 5.0) in [(x, x2) for x, x2, _ in plan.entries]
+        assert w_infinity(P, Q) == 5.0
