@@ -337,16 +337,16 @@ def log_sum_exp(a: np.ndarray):
     return log1p(s / m) + log(m) + max. 1-D input gives a scalar, 2-D input
     one value per row.
     """
-    peak = np.max(a, axis=-1, keepdims=True)
+    peak = a.max(axis=-1, keepdims=True)
     at_peak = a == peak
-    count = np.sum(at_peak, axis=-1, dtype=float)
+    count = at_peak.sum(axis=-1, dtype=float)
     # An all -inf row has peak -inf and subtracts to nan; masking it to 0
     # leaves s = 0 and the row's result -inf, as in scipy.
     with np.errstate(invalid="ignore", divide="ignore"):
         np.subtract(a, peak, out=a)
         np.exp(a, out=a)
         np.copyto(a, 0.0, where=at_peak)
-        s = np.sum(a, axis=-1)
+        s = a.sum(axis=-1)
         return np.log1p(s / count) + np.log(count) + peak[..., 0]
 
 

@@ -16,9 +16,9 @@ from .dist import DiscreteDistribution, log_sum_exp
 from .errors import FunctionalOverflow, InvalidValue
 
 _MASS_TOL = 1e-12
-# Rounding bound per term of a float cumulative-mass ladder, relative to a
-# level of at most 1: one rounding for the mass itself, one for the partial
-# sum (twice the unit roundoff 2^-53 each).
+# Rounding bound per term of a float cumulative-mass ladder whose levels are
+# at most 1: the term's own mass rounding plus its partial sum's rounding,
+# each at most the unit roundoff 2^-53.
 _LADDER_ULP = 2.0**-52
 
 
