@@ -17,10 +17,11 @@ from .calibrate import (
     calibrate_laplace,
     calibrate_over_scenarios,
     calibrate_pair,
+    calibrate_scenarios,
     calibrate_winf_laplace,
     feasible_b_sub_unit_alpha,
     laplace_pair_divergence,
-    rdp_gaussian_closed_form,
+    noise_for,
     scenario_set,
     solve_decreasing,
 )
@@ -46,7 +47,7 @@ from .ingest import (
     save_distribution,
     scenario_pair_from_table,
 )
-from .transport import Coupling, coupling_expectation, monotone_coupling, w_infinity
+from .transport import Coupling, monotone_coupling, w_infinity
 from .verify import (
     VerificationReport,
     chernoff_breach_bound,
@@ -81,20 +82,20 @@ __all__ = [
     "calibrate_laplace",
     "calibrate_over_scenarios",
     "calibrate_pair",
+    "calibrate_scenarios",
     "calibrate_winf_laplace",
     "chernoff_breach_bound",
     "conditional_distribution",
-    "coupling_expectation",
     "feasible_b_sub_unit_alpha",
     "laplace_pair_divergence",
     "load_distribution",
     "load_table",
     "monotone_coupling",
     "monte_carlo_breach",
+    "noise_for",
     "noise_log_density",
     "noise_variance",
     "posterior_log_density",
-    "rdp_gaussian_closed_form",
     "renyi_divergence_discrete",
     "renyi_divergence_numeric",
     "save_distribution",

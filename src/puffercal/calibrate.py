@@ -12,12 +12,16 @@ the natural-scale values overflow doubles.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dist import (
     DiscreteDistribution,
+    GaussianParams,
+    LaplaceParams,
+    MechanismParams,
     PrivacySpec,
     absolute_cost,
     check_cost_axioms,
@@ -60,6 +64,10 @@ class ScenarioSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def label(self, index: int) -> str:
+        """The pair's label, or pair-<index> when it has none."""
+        return self.pairs[index].label or f"pair-{index}"
 
 
 def scenario_set(pairs: Sequence[tuple[DiscreteDistribution, DiscreteDistribution] | ScenarioPair]) -> ScenarioSet:
@@ -227,11 +235,11 @@ def solve_decreasing(
     return _solve_decreasing(f, target, bracket_hint, rel_tol).value
 
 
-def _as_pair(pair) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+def _coupling(pair) -> Coupling:
     if isinstance(pair, ScenarioPair):
-        return pair.p_i, pair.p_j
+        return monotone_coupling(pair.p_i, pair.p_j)
     p, q = pair
-    return p, q
+    return monotone_coupling(p, q)
 
 
 def _require_order_above_one(spec: PrivacySpec, *, allow_inf: bool) -> None:
@@ -241,40 +249,52 @@ def _require_order_above_one(spec: PrivacySpec, *, allow_inf: bool) -> None:
         raise InvalidValue("this mechanism requires a finite alpha")
 
 
-def _no_noise_result(mechanism: str, log_target: float) -> CalibrationResult:
-    # Diagonal coupling: the functional is identically 1, any parameter works.
+def _no_noise_result(
+    mechanism: str, log_target: float, functional: float = 1.0, experimental: bool = False
+) -> CalibrationResult:
+    # The condition holds in the zero-noise limit; on a diagonal coupling
+    # the functional is identically 1 and any parameter works.
     return CalibrationResult(
         parameter=0.0,
         mechanism=mechanism,
-        functional_value=1.0,
-        log_functional_value=0.0,
+        functional_value=functional,
+        log_functional_value=math.log(functional),
         target_value=_safe_exp(log_target),
         log_target=log_target,
         iterations=0,
         bracket=(0.0, 0.0),
         guarantee_side=True,
         no_noise_needed=True,
+        experimental=experimental,
     )
 
 
-def _solve_transport_functional(
+def _solve_transport(
     plan: Coupling,
     spec: PrivacySpec,
-    exponent: Callable[[np.ndarray, float], np.ndarray],
-    bracket: tuple[float, float],
-    mechanism: str,
     rel_tol: float,
+    mechanism: str,
+    size: float,
+    exponent: Callable[[np.ndarray, float], np.ndarray],
+    seed: Callable[[float], float],
 ) -> CalibrationResult:
     """Solve log sum pi_k exp(exponent(d_k, param)) = (alpha - 1) epsilon for param.
 
     exponent maps the plan's displacement array and a parameter to the
-    per-entry exponents.
+    per-entry exponents. size is the largest displacement (or cost) on the
+    plan; at 0 the coupling is diagonal and no noise is needed. seed(level)
+    is the parameter at which a point mass at distance size has log
+    functional level: seed(log_target) is feasible, since no entry exceeds
+    size, and seed(log_target + ln 2) seeds the other bracket end.
     """
     log_target = (spec.alpha - 1.0) * spec.epsilon
+    if size == 0.0:
+        return _no_noise_result(mechanism, log_target)
 
     def log_functional(param: float) -> float:
         return coupling_log_expectation(plan, lambda d: exponent(d, param))
 
+    bracket = (seed(log_target + _LN2), seed(log_target))
     solve = _solve_decreasing(log_functional, log_target, bracket, rel_tol)
     log_value = log_functional(solve.value)
     return CalibrationResult(
@@ -290,6 +310,32 @@ def _solve_transport_functional(
     )
 
 
+def _budget_result(
+    mechanism: str,
+    epsilon: float,
+    parameter: float = 0.0,
+    value: float = 0.0,
+    solve: _RootSolve | None = None,
+) -> CalibrationResult:
+    """Result of a worst-case rule whose condition reads value <= epsilon.
+
+    The defaults are the zero-displacement case, where no noise is needed;
+    closed forms pass no solve and report a zero-iteration point bracket.
+    """
+    return CalibrationResult(
+        parameter=parameter,
+        mechanism=mechanism,
+        functional_value=value,
+        log_functional_value=math.log(value) if value > 0.0 else -math.inf,
+        target_value=epsilon,
+        log_target=math.log(epsilon),
+        iterations=solve.iterations if solve else 0,
+        bracket=solve.bracket if solve else (parameter, parameter),
+        guarantee_side=value <= epsilon * (1.0 + _GUARANTEE_TOL),
+        no_noise_needed=parameter == 0.0,
+    )
+
+
 def calibrate_laplace(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
     """Laplace scale achieving the order-alpha condition on the optimal coupling.
 
@@ -298,26 +344,15 @@ def calibrate_laplace(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibra
     no-noise-needed flag. alpha = inf dispatches to the closed-form
     worst-case-displacement rule b = W_inf / epsilon.
     """
-    p_i, p_j = _as_pair(pair)
     _require_order_above_one(spec, allow_inf=True)
     if math.isinf(spec.alpha):
         return calibrate_winf_laplace(pair, spec.epsilon)
-    plan = monotone_coupling(p_i, p_j)
+    plan = _coupling(pair)
     w_max = plan.max_displacement()
-    log_target = (spec.alpha - 1.0) * spec.epsilon
-    if w_max == 0.0:
-        return _no_noise_result("laplace", log_target)
-    # The point-mass analytic solution alpha*W/((alpha-1)*eps) is feasible
-    # (all displacements <= W), so it seeds the upper bracket endpoint.
-    hi = spec.alpha * w_max / log_target
-    lo = spec.alpha * w_max / (log_target + _LN2)
-    return _solve_transport_functional(
-        plan,
-        spec,
+    return _solve_transport(
+        plan, spec, rel_tol, "laplace", w_max,
         lambda d, b: spec.alpha * d / b,
-        (lo, hi),
-        "laplace",
-        rel_tol,
+        lambda level: spec.alpha * w_max / level,
     )
 
 
@@ -327,23 +362,14 @@ def calibrate_gaussian(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibr
     Solves sum pi_k exp(alpha (alpha - 1) d_k^2 / (2 sigma^2)) =
     exp((alpha - 1) epsilon); valid for finite alpha > 1 only.
     """
-    p_i, p_j = _as_pair(pair)
     _require_order_above_one(spec, allow_inf=False)
-    plan = monotone_coupling(p_i, p_j)
+    plan = _coupling(pair)
     w_max = plan.max_displacement()
-    log_target = (spec.alpha - 1.0) * spec.epsilon
-    if w_max == 0.0:
-        return _no_noise_result("gaussian", log_target)
     coeff = spec.alpha * (spec.alpha - 1.0) * w_max**2 / 2.0
-    hi = math.sqrt(coeff / log_target)
-    lo = math.sqrt(coeff / (log_target + _LN2))
-    return _solve_transport_functional(
-        plan,
-        spec,
+    return _solve_transport(
+        plan, spec, rel_tol, "gaussian", w_max,
         lambda d, sigma: spec.alpha * (spec.alpha - 1.0) * d**2 / (2.0 * sigma**2),
-        (lo, hi),
-        "gaussian",
-        rel_tol,
+        lambda level: math.sqrt(coeff / level),
     )
 
 
@@ -392,49 +418,25 @@ def calibrate_exponential(
     The privacy guarantee additionally needs c to satisfy the triangle
     inequality; the solver itself only requires symmetric nonnegative c.
     """
-    p_i, p_j = _as_pair(pair)
     _require_order_above_one(spec, allow_inf=True)
     check_cost_axioms(cost, require_triangle=False)
     _check_rate_map(rate)
     if rate_inverse is None and rate is reciprocal_rate:
         rate_inverse = reciprocal_rate_inverse
 
-    plan = monotone_coupling(p_i, p_j)
+    plan = _coupling(pair)
     costs = [cost(d) for d in plan.displacements()]
     sup_cost = max(costs)
     if math.isinf(spec.alpha):
         if sup_cost == 0.0:
-            result = _no_noise_result("exponential", math.log(spec.epsilon))
-            return replace(result, functional_value=0.0,
-                           log_functional_value=-math.inf,
-                           target_value=spec.epsilon)
+            return _budget_result("exponential", spec.epsilon)
         theta = _invert_rate(rate, rate_inverse, spec.epsilon / sup_cost)
-        bound = rate(theta) * sup_cost
-        return CalibrationResult(
-            parameter=theta,
-            mechanism="exponential",
-            functional_value=bound,
-            log_functional_value=math.log(bound),
-            target_value=spec.epsilon,
-            log_target=math.log(spec.epsilon),
-            iterations=0,
-            bracket=(theta, theta),
-            guarantee_side=bound <= spec.epsilon * (1.0 + _GUARANTEE_TOL),
-        )
-
-    log_target = (spec.alpha - 1.0) * spec.epsilon
-    if sup_cost == 0.0:
-        return _no_noise_result("exponential", log_target)
-    hi = _invert_rate(rate, rate_inverse, log_target / (spec.alpha * sup_cost))
-    lo = _invert_rate(rate, rate_inverse, (log_target + _LN2) / (spec.alpha * sup_cost))
+        return _budget_result("exponential", spec.epsilon, theta, rate(theta) * sup_cost)
     cost_array = np.array(costs)
-    return _solve_transport_functional(
-        plan,
-        spec,
+    return _solve_transport(
+        plan, spec, rel_tol, "exponential", sup_cost,
         lambda d, theta: spec.alpha * rate(theta) * cost_array,
-        (min(lo, hi), max(lo, hi)),
-        "exponential",
-        rel_tol,
+        lambda level: _invert_rate(rate, rate_inverse, level / (spec.alpha * sup_cost)),
     )
 
 
@@ -442,25 +444,11 @@ def calibrate_winf_laplace(pair, epsilon: float) -> CalibrationResult:
     """Worst-case-displacement Laplace rule: scale = W_inf / epsilon (closed form)."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidValue(f"epsilon must be strictly positive, got {epsilon!r}")
-    p_i, p_j = _as_pair(pair)
-    plan = monotone_coupling(p_i, p_j)
-    w_max = plan.max_displacement()
+    w_max = _coupling(pair).max_displacement()
     if w_max == 0.0:
-        result = _no_noise_result("winf-laplace", math.log(epsilon))
-        return replace(result, functional_value=0.0, log_functional_value=-math.inf,
-                       target_value=epsilon)
+        return _budget_result("winf-laplace", epsilon)
     b = w_max / epsilon
-    return CalibrationResult(
-        parameter=b,
-        mechanism="winf-laplace",
-        functional_value=w_max / b,
-        log_functional_value=math.log(w_max / b),
-        target_value=epsilon,
-        log_target=math.log(epsilon),
-        iterations=0,
-        bracket=(b, b),
-        guarantee_side=w_max / b <= epsilon * (1.0 + _GUARANTEE_TOL),
-    )
+    return _budget_result("winf-laplace", epsilon, b, w_max / b)
 
 
 def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
@@ -470,14 +458,10 @@ def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Cali
     Solves (1/(alpha-1)) log( a/(2a-1) e^{(a-1)W/b} + (a-1)/(2a-1) e^{-aW/b} )
     = epsilon for b, where W is the worst-case displacement and a = alpha.
     """
-    p_i, p_j = _as_pair(pair)
     _require_order_above_one(spec, allow_inf=False)
-    plan = monotone_coupling(p_i, p_j)
-    w_max = plan.max_displacement()
+    w_max = _coupling(pair).max_displacement()
     if w_max == 0.0:
-        result = _no_noise_result("baseline-laplace", math.log(spec.epsilon))
-        return replace(result, functional_value=0.0, log_functional_value=-math.inf,
-                       target_value=spec.epsilon)
+        return _budget_result("baseline-laplace", spec.epsilon)
     alpha = spec.alpha
 
     def divergence(b: float) -> float:
@@ -488,17 +472,8 @@ def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Cali
     hi = w_max / spec.epsilon
     lo = w_max / (spec.epsilon + _LN2 / (alpha - 1.0))
     solve = _solve_decreasing(divergence, spec.epsilon, (lo, hi), rel_tol)
-    value = divergence(solve.value)
-    return CalibrationResult(
-        parameter=solve.value,
-        mechanism="baseline-laplace",
-        functional_value=value,
-        log_functional_value=math.log(value) if value > 0.0 else -math.inf,
-        target_value=spec.epsilon,
-        log_target=math.log(spec.epsilon),
-        iterations=solve.iterations,
-        bracket=solve.bracket,
-        guarantee_side=value <= spec.epsilon * (1.0 + _GUARANTEE_TOL),
+    return _budget_result(
+        "baseline-laplace", spec.epsilon, solve.value, divergence(solve.value), solve
     )
 
 
@@ -523,35 +498,13 @@ def _log_add(logx: float, logy: float) -> float:
 
 def baseline_gaussian_rpp(pair, spec: PrivacySpec) -> CalibrationResult:
     """Prior-work Gaussian baseline: sigma = sqrt(alpha W^2 / (2 epsilon)), closed form."""
-    p_i, p_j = _as_pair(pair)
     _require_order_above_one(spec, allow_inf=False)
-    plan = monotone_coupling(p_i, p_j)
-    w_max = plan.max_displacement()
+    w_max = _coupling(pair).max_displacement()
     if w_max == 0.0:
-        result = _no_noise_result("baseline-gaussian", math.log(spec.epsilon))
-        return replace(result, functional_value=0.0, log_functional_value=-math.inf,
-                       target_value=spec.epsilon)
+        return _budget_result("baseline-gaussian", spec.epsilon)
     sigma = math.sqrt(spec.alpha * w_max**2 / (2.0 * spec.epsilon))
     value = spec.alpha * w_max**2 / (2.0 * sigma**2)
-    return CalibrationResult(
-        parameter=sigma,
-        mechanism="baseline-gaussian",
-        functional_value=value,
-        log_functional_value=math.log(value),
-        target_value=spec.epsilon,
-        log_target=math.log(spec.epsilon),
-        iterations=0,
-        bracket=(sigma, sigma),
-        guarantee_side=value <= spec.epsilon * (1.0 + _GUARANTEE_TOL),
-    )
-
-
-def rdp_gaussian_closed_form(delta_sensitivity: float, spec: PrivacySpec) -> float:
-    """Point-mass (deterministic data) Gaussian rule sigma = sqrt(alpha D^2 / (2 eps))."""
-    if not (math.isfinite(delta_sensitivity) and delta_sensitivity >= 0.0):
-        raise InvalidValue(f"sensitivity must be nonnegative, got {delta_sensitivity!r}")
-    _require_order_above_one(spec, allow_inf=False)
-    return math.sqrt(spec.alpha * delta_sensitivity**2 / (2.0 * spec.epsilon))
+    return _budget_result("baseline-gaussian", spec.epsilon, sigma, value)
 
 
 def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
@@ -562,10 +515,9 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
     while the right side is below 1. The result is flagged experimental:
     the operational meaning of sub-unit orders is an open question.
     """
-    p_i, p_j = _as_pair(pair)
     if not 0.0 < spec.alpha < 1.0:
         raise InvalidValue(f"this mechanism requires alpha in (0,1), got {spec.alpha!r}")
-    plan = monotone_coupling(p_i, p_j)
+    plan = _coupling(pair)
     w_max = plan.max_displacement()
     log_target = (spec.alpha - 1.0) * spec.epsilon
     if log_target >= 0.0:
@@ -578,13 +530,7 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
     if w_max == 0.0 or (diagonal_mass > 0.0 and math.log(diagonal_mass) >= log_target):
         # The condition already holds in the zero-noise limit b -> 0.
         functional = 1.0 if w_max == 0.0 else diagonal_mass
-        result = _no_noise_result("laplace-sub-unit", log_target)
-        return replace(
-            result,
-            experimental=True,
-            functional_value=functional,
-            log_functional_value=math.log(functional),
-        )
+        return _no_noise_result("laplace-sub-unit", log_target, functional, experimental=True)
 
     def negative_log_condition(b: float) -> float:
         return -coupling_log_expectation(plan, lambda d: -spec.alpha * d / b)
@@ -607,14 +553,47 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
     )
 
 
-MECHANISM_KINDS = (
-    "laplace",
-    "gaussian",
-    "exponential",
-    "winf",
-    "baseline-laplace",
-    "baseline-gaussian",
-)
+def _laplace_any_order(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
+    if spec.is_sub_unit:
+        return feasible_b_sub_unit_alpha(pair, spec, rel_tol)
+    return calibrate_laplace(pair, spec, rel_tol)
+
+
+class _Mechanism(NamedTuple):
+    # solve(pair, spec, rel_tol=...) and the noise its parameter stands for.
+    solve: Callable[..., CalibrationResult]
+    noise: Callable[[float], MechanismParams]
+
+
+_MECHANISMS = {
+    "laplace": _Mechanism(_laplace_any_order, LaplaceParams),
+    "gaussian": _Mechanism(calibrate_gaussian, GaussianParams),
+    # With its default cost |z| and rate 1/theta the exponential mechanism
+    # is Laplace(theta) noise.
+    "exponential": _Mechanism(calibrate_exponential, LaplaceParams),
+    "winf": _Mechanism(
+        lambda pair, spec, rel_tol: calibrate_winf_laplace(pair, spec.epsilon), LaplaceParams
+    ),
+    "baseline-laplace": _Mechanism(baseline_laplace_rpp, LaplaceParams),
+    "baseline-gaussian": _Mechanism(
+        lambda pair, spec, rel_tol: baseline_gaussian_rpp(pair, spec), GaussianParams
+    ),
+}
+
+MECHANISM_KINDS = tuple(_MECHANISMS)
+
+
+def _mechanism(kind: str) -> _Mechanism:
+    try:
+        return _MECHANISMS[kind]
+    except KeyError:
+        raise InvalidValue(f"unknown mechanism kind {kind!r}") from None
+
+
+def noise_for(kind: str, parameter: float) -> MechanismParams | None:
+    """The noise a calibrated parameter of this kind stands for; None at parameter 0."""
+    noise = _mechanism(kind).noise
+    return None if parameter == 0.0 else noise(parameter)
 
 
 def calibrate_pair(
@@ -626,22 +605,46 @@ def calibrate_pair(
     rate: Callable[[float], float] = reciprocal_rate,
     rate_inverse: Callable[[float], float] | None = None,
 ) -> CalibrationResult:
-    """Dispatch one secret pair to the solver for the requested mechanism kind."""
-    if mechanism_kind == "laplace":
-        if spec.is_sub_unit:
-            return feasible_b_sub_unit_alpha(pair, spec, rel_tol)
-        return calibrate_laplace(pair, spec, rel_tol)
-    if mechanism_kind == "gaussian":
-        return calibrate_gaussian(pair, spec, rel_tol)
+    """Dispatch one secret pair to the solver for the requested mechanism kind.
+
+    cost, rate and rate_inverse reach the exponential mechanism only.
+    """
+    solve = _mechanism(mechanism_kind).solve
     if mechanism_kind == "exponential":
-        return calibrate_exponential(pair, spec, cost, rate, rate_inverse, rel_tol)
-    if mechanism_kind == "winf":
-        return calibrate_winf_laplace(pair, spec.epsilon)
-    if mechanism_kind == "baseline-laplace":
-        return baseline_laplace_rpp(pair, spec, rel_tol)
-    if mechanism_kind == "baseline-gaussian":
-        return baseline_gaussian_rpp(pair, spec)
-    raise InvalidValue(f"unknown mechanism kind {mechanism_kind!r}")
+        solve = partial(solve, cost=cost, rate=rate, rate_inverse=rate_inverse)
+    return solve(pair, spec, rel_tol=rel_tol)
+
+
+def calibrate_scenarios(
+    scenarios: ScenarioSet,
+    mechanism_kind: str,
+    spec: PrivacySpec,
+    rel_tol: float = 1e-9,
+    cost: Callable[[float], float] = absolute_cost,
+    rate: Callable[[float], float] = reciprocal_rate,
+    rate_inverse: Callable[[float], float] | None = None,
+) -> list[CalibrationResult]:
+    """Calibrate every pair; each result names the binding pair.
+
+    The binding pair has the largest parameter, ties breaking toward the
+    lowest index; every result carries its index and label. Per-pair
+    errors are re-raised with the pair label prepended.
+    """
+    results = []
+    for index, pair in enumerate(scenarios.pairs):
+        try:
+            results.append(
+                calibrate_pair(pair, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse)
+            )
+        except PuffercalError as exc:
+            raise type(exc)(f"pair '{scenarios.label(index)}': {exc}") from exc
+    # max() keeps the first maximum.
+    binding = max(range(len(results)), key=lambda k: results[k].parameter)
+    label = scenarios.label(binding)
+    return [
+        replace(result, binding_pair_index=binding, binding_pair_label=label)
+        for result in results
+    ]
 
 
 def calibrate_over_scenarios(
@@ -653,27 +656,8 @@ def calibrate_over_scenarios(
     rate: Callable[[float], float] = reciprocal_rate,
     rate_inverse: Callable[[float], float] | None = None,
 ) -> CalibrationResult:
-    """Calibrate every pair and keep the maximum parameter (the binding pair).
-
-    Ties break toward the lowest pair index; per-pair solver errors are
-    re-raised with the pair label prepended.
-    """
-    best: CalibrationResult | None = None
-    best_index = 0
-    for index, pair in enumerate(scenarios.pairs):
-        try:
-            result = calibrate_pair(
-                pair, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse
-            )
-        except PuffercalError as exc:
-            label = pair.label or f"pair-{index}"
-            raise type(exc)(f"pair '{label}': {exc}") from exc
-        if best is None or result.parameter > best.parameter:
-            best = result
-            best_index = index
-    assert best is not None
-    return replace(
-        best,
-        binding_pair_index=best_index,
-        binding_pair_label=scenarios.pairs[best_index].label or f"pair-{best_index}",
+    """The binding pair's result from calibrate_scenarios (the maximum parameter)."""
+    results = calibrate_scenarios(
+        scenarios, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse
     )
+    return results[results[0].binding_pair_index]

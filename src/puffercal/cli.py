@@ -14,23 +14,16 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import calibrate as cal
 from . import ingest
 from . import verify as ver
-from .dist import (
-    DiscreteDistribution,
-    ExponentialParams,
-    GaussianParams,
-    LaplaceParams,
-    PrivacySpec,
-    noise_variance,
-)
+from .dist import DiscreteDistribution, PrivacySpec, noise_variance
 from .errors import (
     EmptyConditional,
     EmptySample,
-    FunctionalOverflow,
     InfeasibleEvenAtInfinity,
     IntegrationFailure,
     InvalidValue,
@@ -61,14 +54,10 @@ _SOLVER_ERRORS = (
     NoRoot,
     NotMonotone,
     NonInvertibleRate,
-    FunctionalOverflow,
     IntegrationFailure,
     NonNormalizable,
     InfeasibleEvenAtInfinity,
 )
-
-_GAUSSIAN_KINDS = {"gaussian", "baseline-gaussian"}
-_LAPLACE_KINDS = {"laplace", "winf", "baseline-laplace"}
 
 CALIBRATE_COLUMNS = (
     "mechanism", "alpha", "epsilon", "pair", "parameter", "variance",
@@ -199,27 +188,6 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
     return cal.ScenarioSet(pairs=tuple(pairs))
 
 
-def _mechanism_instance(kind: str, parameter: float):
-    """Noise-mechanism object for a calibrated parameter; None when parameter is 0."""
-    if parameter == 0.0:
-        return None
-    if kind in _GAUSSIAN_KINDS:
-        return GaussianParams(sigma=parameter)
-    if kind == "exponential":
-        return ExponentialParams(scale=parameter)
-    return LaplaceParams(scale=parameter)
-
-
-def _variance(kind: str, parameter: float) -> float:
-    if parameter == 0.0:
-        return 0.0
-    if kind in _GAUSSIAN_KINDS:
-        return parameter**2
-    if kind == "exponential":
-        return noise_variance(ExponentialParams(scale=parameter))
-    return 2.0 * parameter**2
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -272,40 +240,52 @@ def _emit(args, command: str, columns, rows, filename: str | None = None,
         (out_dir / name).write_text(text, encoding="utf-8")
 
 
+@contextmanager
+def _naming_cell(kind, alpha, epsilon):
+    """Re-raise solver errors with the grid cell they came from."""
+    try:
+        yield
+    except _SOLVER_ERRORS as exc:
+        raise _SolverCellError(
+            f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r}: {exc}"
+        ) from exc
+
+
 def _calibrate_cell(scenarios, kind, alpha, epsilon, tol):
     """All per-pair rows for one grid cell, with the binding pair flagged."""
-    spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-    results = []
-    for index, pair in enumerate(scenarios.pairs):
-        label = pair.label or f"pair-{index}"
-        try:
-            result = cal.calibrate_pair(pair, kind, spec, tol)
-        except _SOLVER_ERRORS as exc:
-            raise _SolverCellError(
-                f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r} "
-                f"pair={label}: {exc}"
-            ) from exc
-        results.append((label, result))
-    # max() keeps the first maximum, i.e. the lowest-index tie-break.
-    binding_index = max(range(len(results)), key=lambda k: results[k][1].parameter)
+    with _naming_cell(kind, alpha, epsilon):
+        results = cal.calibrate_scenarios(
+            scenarios, kind, PrivacySpec(alpha=alpha, epsilon=epsilon), tol
+        )
     rows = []
-    for index, (label, result) in enumerate(results):
+    for index, result in enumerate(results):
+        noise = cal.noise_for(kind, result.parameter)
         rows.append(
             {
                 "mechanism": kind,
                 "alpha": alpha,
                 "epsilon": epsilon,
-                "pair": label,
+                "pair": scenarios.label(index),
                 "parameter": result.parameter,
-                "variance": _variance(kind, result.parameter),
+                "variance": 0.0 if noise is None else noise_variance(noise),
                 "functional_value": result.functional_value,
                 "log_functional_value": result.log_functional_value,
-                "binding": index == binding_index,
+                "binding": index == result.binding_pair_index,
                 "no_noise_needed": result.no_noise_needed,
                 "experimental": result.experimental,
             }
         )
     return rows
+
+
+def _cell_parameter(args, scenarios, kind, alpha, epsilon):
+    """--parameter when given, else the binding parameter calibrated in-run."""
+    if args.parameter is not None:
+        return args.parameter
+    with _naming_cell(kind, alpha, epsilon):
+        return cal.calibrate_over_scenarios(
+            scenarios, kind, PrivacySpec(alpha=alpha, epsilon=epsilon), args.tol
+        ).parameter
 
 
 def _map_cells(cells, worker, jobs: int):
@@ -315,55 +295,53 @@ def _map_cells(cells, worker, jobs: int):
         return list(pool.map(worker, cells))
 
 
+def _raw_report(scenarios, index, spec):
+    """Zero noise: compare the raw conditional distributions directly."""
+    pair = scenarios.pairs[index]
+    div_ij = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, spec.alpha)
+    div_ji = ver.renyi_divergence_discrete(pair.p_j, pair.p_i, spec.alpha)
+    worst = max(div_ij, div_ji)
+    return ver.VerificationReport(
+        pair_index=index,
+        pair_label=scenarios.label(index),
+        alpha=spec.alpha,
+        epsilon_target=spec.epsilon,
+        divergence_ij=div_ij,
+        divergence_ji=div_ji,
+        slack=spec.epsilon - worst,
+        passed=worst <= spec.epsilon + ver.PASS_SLACK,
+        chernoff_bound=(
+            ver.chernoff_breach_bound(worst, spec)
+            if 1.0 < spec.alpha < math.inf and math.isfinite(worst)
+            else None
+        ),
+    )
+
+
 def _verify_cell_rows(scenarios, kind, alpha, epsilon, parameter):
     """Verification rows for one (mechanism, alpha, epsilon, parameter) cell."""
     spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-    mech = _mechanism_instance(kind, parameter)
-    rows = []
+    mech = cal.noise_for(kind, parameter)
     if mech is None:
-        # Zero noise: compare the raw conditional distributions directly.
-        for index, pair in enumerate(scenarios.pairs):
-            div_ij = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
-            div_ji = ver.renyi_divergence_discrete(pair.p_j, pair.p_i, alpha)
-            worst = max(div_ij, div_ji)
-            chernoff = (
-                ver.chernoff_breach_bound(worst, spec)
-                if 1.0 < alpha < math.inf and math.isfinite(worst)
-                else None
-            )
-            rows.append(
-                {
-                    "mechanism": kind,
-                    "alpha": alpha,
-                    "epsilon": epsilon,
-                    "pair": pair.label or f"pair-{index}",
-                    "parameter": parameter,
-                    "divergence_ij": div_ij,
-                    "divergence_ji": div_ji,
-                    "slack": epsilon - worst,
-                    "passed": worst <= epsilon + ver.PASS_SLACK,
-                    "inconclusive": False,
-                    "chernoff_bound": chernoff,
-                }
-            )
-        return rows
-    for report in ver.verify_rpp(scenarios, mech, spec):
-        rows.append(
-            {
-                "mechanism": kind,
-                "alpha": alpha,
-                "epsilon": epsilon,
-                "pair": report.pair_label,
-                "parameter": parameter,
-                "divergence_ij": report.divergence_ij,
-                "divergence_ji": report.divergence_ji,
-                "slack": report.slack,
-                "passed": report.passed,
-                "inconclusive": report.inconclusive,
-                "chernoff_bound": report.chernoff_bound,
-            }
-        )
-    return rows
+        reports = [_raw_report(scenarios, index, spec) for index in range(len(scenarios))]
+    else:
+        reports = ver.verify_rpp(scenarios, mech, spec)
+    return [
+        {
+            "mechanism": kind,
+            "alpha": alpha,
+            "epsilon": epsilon,
+            "pair": report.pair_label,
+            "parameter": parameter,
+            "divergence_ij": report.divergence_ij,
+            "divergence_ji": report.divergence_ji,
+            "slack": report.slack,
+            "passed": report.passed,
+            "inconclusive": report.inconclusive,
+            "chernoff_bound": report.chernoff_bound,
+        }
+        for report in reports
+    ]
 
 
 def cmd_calibrate(args) -> int:
@@ -410,18 +388,7 @@ def cmd_verify(args) -> int:
     rows = []
     for alpha in alphas:
         for epsilon in epsilons:
-            if args.parameter is not None:
-                parameter = args.parameter
-            else:
-                spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-                try:
-                    parameter = cal.calibrate_over_scenarios(
-                        scenarios, kind, spec, args.tol
-                    ).parameter
-                except _SOLVER_ERRORS as exc:
-                    raise _SolverCellError(
-                        f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r}: {exc}"
-                    ) from exc
+            parameter = _cell_parameter(args, scenarios, kind, alpha, epsilon)
             rows.extend(_verify_cell_rows(scenarios, kind, alpha, epsilon, parameter))
     _emit(args, "verify", VERIFY_COLUMNS, rows)
     if any(row["passed"] is not True for row in rows):
@@ -482,18 +449,8 @@ def cmd_breach(args) -> int:
     for alpha in alphas:
         for epsilon in epsilons:
             spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-            if args.parameter is not None:
-                parameter = args.parameter
-            else:
-                try:
-                    parameter = cal.calibrate_over_scenarios(
-                        scenarios, kind, spec, args.tol
-                    ).parameter
-                except _SOLVER_ERRORS as exc:
-                    raise _SolverCellError(
-                        f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r}: {exc}"
-                    ) from exc
-            mech = _mechanism_instance(kind, parameter)
+            parameter = _cell_parameter(args, scenarios, kind, alpha, epsilon)
+            mech = cal.noise_for(kind, parameter)
             if mech is None:
                 raise _ConfigError(
                     "breach estimation needs a strictly positive parameter"
@@ -514,7 +471,7 @@ def cmd_breach(args) -> int:
                         "mechanism": kind,
                         "alpha": alpha,
                         "epsilon": epsilon,
-                        "pair": pair.label or f"pair-{index}",
+                        "pair": scenarios.label(index),
                         "parameter": parameter,
                         "mc_breach_estimate": estimate,
                         "mc_half_width": half_width,

@@ -53,15 +53,6 @@ class DiscreteDistribution:
         if abs(total - 1.0) > _MASS_TOL:
             raise InvalidValue(f"masses sum to {total!r}, expected 1")
 
-    def cdf(self, x: float) -> float:
-        """Right-continuous step CDF: total mass on atoms <= x."""
-        total = 0.0
-        for atom, mass in zip(self.atoms, self.masses):
-            if atom > x:
-                break
-            total += mass
-        return min(total, 1.0)
-
     @property
     def min_atom(self) -> float:
         return self.atoms[0]
@@ -166,7 +157,6 @@ class ExponentialParams:
     cost: Callable[[float], float] = absolute_cost
     rate: Callable[[float], float] = reciprocal_rate
     rate_inverse: Union[Callable[[float], float], None] = reciprocal_rate_inverse
-    cost_name: str = "abs"
 
     def __post_init__(self):
         _check_positive_scale(self.scale, "exponential-mechanism scale")
@@ -278,16 +268,6 @@ def truncation_halfwidth(mech: MechanismParams) -> float:
         return 12.0 * mech.sigma
     _, halfwidth, _, _ = _exponential_norm(mech)
     return halfwidth
-
-
-def truncation_window(mech: MechanismParams, *dists: DiscreteDistribution) -> tuple[float, float]:
-    """Integration window covering every atom plus the noise truncation pad."""
-    if not dists:
-        raise InvalidValue("truncation_window needs at least one distribution")
-    pad = truncation_halfwidth(mech)
-    lo = min(d.min_atom for d in dists) - pad
-    hi = max(d.max_atom for d in dists) + pad
-    return lo, hi
 
 
 def posterior_log_density(

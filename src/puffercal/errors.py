@@ -17,10 +17,6 @@ class NonNormalizable(PuffercalError):
     """An exponential-mechanism cost whose density cannot be normalized."""
 
 
-class FunctionalOverflow(PuffercalError):
-    """A transport functional overflowed; retry with a larger noise parameter."""
-
-
 class NoRoot(PuffercalError):
     """Bracket expansion failed to enclose a root."""
 

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import DiscreteDistribution, log_sum_exp
-from .errors import FunctionalOverflow, InvalidValue
+from .errors import InvalidValue
 
 _MASS_TOL = 1e-12
 # Rounding bound per term of a float cumulative-mass ladder whose levels are
@@ -64,15 +64,6 @@ class Coupling:
     def max_displacement(self) -> float:
         return float(self.displacement_array.max())
 
-    def marginals(self) -> tuple[dict[float, float], dict[float, float]]:
-        """Accumulated (row, column) marginals, keyed by atom."""
-        first: dict[float, float] = {}
-        second: dict[float, float] = {}
-        for x, x2, m in self.entries:
-            first[x] = first.get(x, 0.0) + m
-            second[x2] = second.get(x2, 0.0) + m
-        return first, second
-
 
 @lru_cache(maxsize=64)
 def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupling:
@@ -115,33 +106,12 @@ def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupl
     return Coupling(entries=tuple(entries))
 
 
-def coupling_expectation(plan: Coupling, g: Callable[[float], float]) -> float:
-    """Expectation of g(|x - x'|) under the plan, with compensated summation.
-
-    Raises FunctionalOverflow when g overflows; the caller should retry
-    with a larger noise parameter (which shrinks the exponent).
-    """
-    terms = []
-    for x, x2, mass in plan.entries:
-        try:
-            value = g(abs(x - x2))
-        except OverflowError as exc:
-            raise FunctionalOverflow(f"g overflowed at displacement {abs(x - x2)!r}") from exc
-        if not math.isfinite(value):
-            raise FunctionalOverflow(f"g({abs(x - x2)!r}) = {value!r}")
-        terms.append(value * mass)
-    total = math.fsum(terms)
-    if not math.isfinite(total):
-        raise FunctionalOverflow("transport functional overflowed")
-    return total
-
-
 def coupling_log_expectation(plan: Coupling, log_g: Callable[[np.ndarray], np.ndarray]) -> float:
     """log E[exp(log_g(|x - x'|))] under the plan, computed by log-sum-exp.
 
     log_g maps the plan's displacement array to the per-entry log
-    integrand. Safe replacement for coupling_expectation when the
-    integrand is a large exponential (e.g. extreme divergence orders).
+    integrand. Working in log space keeps large exponentials (e.g. at
+    extreme divergence orders) from overflowing.
     """
     return float(log_sum_exp(plan.log_masses + log_g(plan.displacement_array)))
 

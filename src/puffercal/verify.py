@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .calibrate import ScenarioSet
 from .dist import (
@@ -24,6 +23,7 @@ from .dist import (
     MechanismParams,
     PrivacySpec,
     absolute_cost,
+    log_sum_exp,
     posterior_log_density_many,
     sample_noise,
     truncation_halfwidth,
@@ -152,10 +152,12 @@ def renyi_divergence_numeric(
     integral = out[0]
     if not (math.isfinite(integral) and integral > 0.0):
         raise IntegrationFailure(f"quadrature returned {integral!r}")
-    value = math.log(integral) / (alpha - 1.0)
-    if _NEGATIVE_FLOOR < value < 0.0:
-        return 0.0
-    return value
+    return _floor_rounding(math.log(integral) / (alpha - 1.0))
+
+
+def _floor_rounding(value: float) -> float:
+    """Divergences are nonnegative: a rounding residue just below 0 reads as 0."""
+    return 0.0 if _NEGATIVE_FLOOR < value < 0.0 else value
 
 
 def _tail_log_ratio_limits(
@@ -183,7 +185,7 @@ def _tail_log_ratio_limits(
     if isinstance(mech, LaplaceParams):
         rate = 1.0 / mech.scale
     elif isinstance(mech, ExponentialParams) and (
-        mech.cost is absolute_cost or mech.cost is abs or mech.cost_name == "abs"
+        mech.cost is absolute_cost or mech.cost is abs
     ):
         rate = mech.rate(mech.scale)
     else:
@@ -192,8 +194,8 @@ def _tail_log_ratio_limits(
     log_mj = np.log(np.asarray(p_j.masses))
     atoms_i = np.asarray(p_i.atoms)
     atoms_j = np.asarray(p_j.atoms)
-    right = float(logsumexp(log_mi + rate * atoms_i) - logsumexp(log_mj + rate * atoms_j))
-    left = float(logsumexp(log_mi - rate * atoms_i) - logsumexp(log_mj - rate * atoms_j))
+    right = float(log_sum_exp(log_mi + rate * atoms_i) - log_sum_exp(log_mj + rate * atoms_j))
+    left = float(log_sum_exp(log_mi - rate * atoms_i) - log_sum_exp(log_mj - rate * atoms_j))
     return [right, left]
 
 
@@ -272,7 +274,6 @@ def renyi_divergence_discrete(
             if other == 0.0:
                 return math.inf
             logs.append(alpha * math.log(mass) - (alpha - 1.0) * math.log(other))
-        value = float(logsumexp(logs)) / (alpha - 1.0)
     else:
         logs = [
             alpha * math.log(mass) + (1.0 - alpha) * math.log(masses_j[atom])
@@ -281,10 +282,7 @@ def renyi_divergence_discrete(
         ]
         if not logs:
             return math.inf
-        value = float(logsumexp(logs)) / (alpha - 1.0)
-    if _NEGATIVE_FLOOR < value < 0.0:
-        return 0.0
-    return value
+    return _floor_rounding(float(log_sum_exp(np.array(logs))) / (alpha - 1.0))
 
 
 def chernoff_breach_bound(divergence: float, spec: PrivacySpec) -> float:
@@ -313,7 +311,7 @@ def verify_rpp(
     """
     reports = []
     for index, pair in enumerate(scenarios.pairs):
-        label = pair.label or f"pair-{index}"
+        label = scenarios.label(index)
         try:
             div_ij = renyi_divergence_numeric(pair.p_i, pair.p_j, mech, spec.alpha)
             div_ji = renyi_divergence_numeric(pair.p_j, pair.p_i, mech, spec.alpha)

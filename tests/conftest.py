@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def benchmark_regime_pair():
     p = DiscreteDistribution(atoms, (0.2, 0.015, 0.385, 0.2, 0.2))
     q = DiscreteDistribution(atoms, (0.17, 0.015, 0.415, 0.2, 0.2))
     return p, q
+
+
+def plan_expectation(plan, g):
+    """E[g(|x - x'|)] under a transport plan, summed in natural scale."""
+    return math.fsum(g(abs(x - x2)) * m for x, x2, m in plan.entries)
+
+
+def plan_marginals(plan):
+    """A transport plan's accumulated (row, column) marginals, keyed by atom."""
+    first, second = {}, {}
+    for x, x2, m in plan.entries:
+        first[x] = first.get(x, 0.0) + m
+        second[x2] = second.get(x2, 0.0) + m
+    return first, second
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from puffercal import (
     PrivacySpec,
 )
 
-from conftest import benchmark_regime_pair, point_mass, random_pair
+from conftest import benchmark_regime_pair, plan_expectation, point_mass, random_pair
 from test_transport import lp_transport_cost
 
 DATA_DIR = Path(
@@ -245,7 +245,7 @@ def test_criterion_7_transport_lp_equivalence():
         pair = random_pair(rng, max_atoms=6, min_atoms=1, span=3.0)
         plan = pc.monotone_coupling(*pair)
         for cost in (lambda u: u, lambda u: u * u):
-            mono = pc.coupling_expectation(plan, cost)
+            mono = plan_expectation(plan, cost)
             exact = lp_transport_cost(*pair, cost)
             worst = max(worst, abs(mono - exact))
     report(

@@ -5,6 +5,8 @@ import pytest
 
 from puffercal import (
     DiscreteDistribution,
+    GaussianParams,
+    LaplaceParams,
     PrivacySpec,
     ScenarioPair,
     ScenarioSet,
@@ -14,14 +16,17 @@ from puffercal import (
     calibrate_gaussian,
     calibrate_laplace,
     calibrate_over_scenarios,
+    calibrate_pair,
+    calibrate_scenarios,
     calibrate_winf_laplace,
     feasible_b_sub_unit_alpha,
     monotone_coupling,
-    rdp_gaussian_closed_form,
+    noise_for,
     scenario_set,
     solve_decreasing,
     w_infinity,
 )
+from puffercal.calibrate import MECHANISM_KINDS
 from puffercal.errors import (
     InvalidValue,
     NonInvertibleRate,
@@ -149,8 +154,9 @@ class TestCalibrateGaussian:
                 spec = PrivacySpec(alpha=alpha, epsilon=eps)
                 pair = (point_mass(0.0), point_mass(1.7))
                 sigma = calibrate_gaussian(pair, spec).parameter
+                # Point-mass rule sigma = sqrt(alpha D^2 / (2 eps)).
                 assert sigma == pytest.approx(
-                    rdp_gaussian_closed_form(1.7, spec), rel=1e-9
+                    math.sqrt(alpha * 1.7**2 / (2.0 * eps)), rel=1e-9
                 )
 
     def test_alpha_inf_rejected(self):
@@ -213,6 +219,25 @@ class TestCalibrateExponential:
             )
 
 
+class TestGuaranteeTolerance:
+    """guarantee_side admits a relative excess of _GUARANTEE_TOL and no more."""
+
+    @pytest.mark.parametrize("excess, holds", [(0.5, True), (2.0, False)])
+    def test_budget_scale_boundary(self, excess, holds):
+        # An inverse rate that undershoots theta by `excess` tolerances makes
+        # the alpha = inf bound exceed epsilon by about that much.
+        from puffercal.calibrate import _GUARANTEE_TOL
+
+        shrink = 1.0 + excess * _GUARANTEE_TOL
+        result = calibrate_exponential(
+            (point_mass(0.0), point_mass(1.0)),
+            PrivacySpec(alpha=math.inf, epsilon=1.0),
+            rate_inverse=lambda value: 1.0 / value / shrink,
+        )
+        assert result.functional_value == pytest.approx(shrink, rel=1e-15)
+        assert result.guarantee_side is holds
+
+
 class TestWinfLaplace:
     def test_point_mass(self):
         result = calibrate_winf_laplace((point_mass(0.0), point_mass(2.0)), 0.5)
@@ -248,18 +273,11 @@ class TestBaselines:
 
 
 class TestRdpGaussianClosedForm:
-    def test_unit_case(self):
-        assert rdp_gaussian_closed_form(1.0, PrivacySpec(alpha=2.0, epsilon=1.0)) == 1.0
-
-    def test_zero_sensitivity(self):
-        assert rdp_gaussian_closed_form(0.0, PrivacySpec(alpha=2.0, epsilon=1.0)) == 0.0
-
     def test_sqrt_three_case(self):
+        # sqrt(alpha D^2 / (2 eps)) = sqrt(3) at D = 1, alpha = 3, eps = 0.5.
         spec = PrivacySpec(alpha=3.0, epsilon=0.5)
-        sigma = rdp_gaussian_closed_form(1.0, spec)
-        assert sigma == pytest.approx(math.sqrt(3.0), rel=1e-12)
         solved = calibrate_gaussian((point_mass(0.0), point_mass(1.0)), spec)
-        assert solved.parameter == pytest.approx(sigma, rel=1e-9)
+        assert solved.parameter == pytest.approx(math.sqrt(3.0), rel=1e-9)
 
 
 class TestSubUnitAlpha:
@@ -362,6 +380,73 @@ class TestScenarioAggregation:
         scenarios = scenario_set([(point_mass(0.0), point_mass(1.0))])
         with pytest.raises(InvalidValue):
             calibrate_over_scenarios(scenarios, "noise-o-matic", PrivacySpec(2.0, 1.0))
+
+    @pytest.mark.parametrize("kind", MECHANISM_KINDS)
+    @pytest.mark.parametrize("alpha", [2.0, math.inf])
+    def test_every_result_names_the_binding_pair(self, kind, alpha):
+        # "a" and "b" tie on the largest parameter; "same" needs no noise.
+        P = point_mass(0.0)
+        scenarios = ScenarioSet(
+            pairs=(
+                ScenarioPair(p_i=P, p_j=P, label="same"),
+                ScenarioPair(p_i=P, p_j=point_mass(1.0), label="a"),
+                ScenarioPair(p_i=point_mass(5.0), p_j=point_mass(6.0), label="b"),
+                ScenarioPair(p_i=P, p_j=point_mass(0.5), label="near"),
+            )
+        )
+        spec = PrivacySpec(alpha=alpha, epsilon=1.0)
+        if math.isinf(alpha) and kind in ("gaussian", "baseline-laplace", "baseline-gaussian"):
+            with pytest.raises(InvalidValue, match="pair 'same'"):
+                calibrate_scenarios(scenarios, kind, spec)
+            return
+        results = calibrate_scenarios(scenarios, kind, spec)
+        binding = calibrate_over_scenarios(scenarios, kind, spec)
+        assert len(results) == 4
+        assert results[0].no_noise_needed
+        assert results[1].parameter == results[2].parameter > results[3].parameter
+        for result in results:
+            assert result.binding_pair_index == binding.binding_pair_index == 1
+            assert result.binding_pair_label == binding.binding_pair_label == "a"
+        assert binding == results[1]
+
+
+class TestMechanismTable:
+    @pytest.mark.parametrize("kind", MECHANISM_KINDS)
+    def test_zero_parameter_needs_no_noise(self, kind):
+        assert noise_for(kind, 0.0) is None
+
+    @pytest.mark.parametrize(
+        "kind, noise",
+        [
+            ("laplace", LaplaceParams(1.5)),
+            ("gaussian", GaussianParams(1.5)),
+            # The default exponential mechanism (cost |z|, rate 1/theta) is Laplace noise.
+            ("exponential", LaplaceParams(1.5)),
+            ("winf", LaplaceParams(1.5)),
+            ("baseline-laplace", LaplaceParams(1.5)),
+            ("baseline-gaussian", GaussianParams(1.5)),
+        ],
+    )
+    def test_noise_class(self, kind, noise):
+        assert noise_for(kind, 1.5) == noise
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidValue, match="noise-o-matic"):
+            noise_for("noise-o-matic", 1.0)
+
+    def test_custom_cost_reaches_only_the_exponential_mechanism(self):
+        pair = (point_mass(0.0), point_mass(1.0))
+        spec = PrivacySpec(alpha=2.0, epsilon=1.0)
+
+        def half(z):
+            return 0.5 * abs(z)
+
+        # Halving the cost halves the parameter the exponential mechanism needs.
+        scaled = calibrate_pair(pair, "exponential", spec, cost=half)
+        assert scaled.parameter == pytest.approx(1.0, rel=1e-8)
+        assert calibrate_pair(pair, "laplace", spec, cost=half).parameter == pytest.approx(
+            2.0, rel=1e-9
+        )
 
 
 class TestCalibrationProperties:

@@ -285,6 +285,34 @@ class TestCalibrateCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_solver_failure_names_cell_and_pair(self, capsys, monkeypatch, pair_scenario_file):
+        from puffercal import calibrate as cal
+        from puffercal.errors import NoRoot
+
+        def no_root(*args, **kwargs):
+            raise NoRoot("bracket never closed")
+
+        # "same" needs no noise and never reaches the solver; "gap" does.
+        monkeypatch.setattr(cal, "_solve_decreasing", no_root)
+        code, out, err = run_cli(
+            capsys, "calibrate", "--scenario", pair_scenario_file,
+            "--mechanism", "laplace", "--alpha", "2", "--epsilon", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "solver failure: mechanism=laplace alpha=2.0 epsilon=1.0: "
+            "pair 'gap': bracket never closed\n"
+        )
+
+    def test_config_error_names_pair(self, capsys, pair_scenario_file):
+        code, _, err = run_cli(
+            capsys, "calibrate", "--scenario", pair_scenario_file,
+            "--mechanism", "gaussian", "--alpha", "inf", "--epsilon", "1",
+        )
+        assert code == 2
+        assert err.startswith("configuration error: pair 'same': ")
+
 
 class TestVerifyCommand:
     def test_calibrated_run_passes(self, capsys):
@@ -306,6 +334,22 @@ class TestVerifyCommand:
         assert code == 4
         rows = parse_csv(out)
         assert rows[0]["passed"] == "false"
+
+    def test_exponential_rows_are_laplace_rows(self, capsys, pair_scenario_file):
+        # The CLI's exponential mechanism (cost |z|, rate 1/theta) is Laplace noise.
+        tables = {}
+        for kind in ("laplace", "exponential"):
+            code, out, _ = run_cli(
+                capsys, "verify", "--scenario", pair_scenario_file,
+                "--mechanism", kind, "--alpha", "2,inf", "--epsilon", "1",
+                "--parameter", "4.0",
+            )
+            assert code == 0
+            tables[kind] = parse_csv(out)
+        assert len(tables["laplace"]) == 4
+        for lap, exp in zip(tables["laplace"], tables["exponential"]):
+            assert (lap.pop("mechanism"), exp.pop("mechanism")) == ("laplace", "exponential")
+            assert lap == exp
 
     def test_identical_pair_zero_parameter(self, capsys, tmp_path):
         payload = {

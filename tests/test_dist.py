@@ -17,7 +17,7 @@ from puffercal import (
 from puffercal.dist import (
     noise_variance,
     sample_noise,
-    truncation_window,
+    truncation_halfwidth,
 )
 from puffercal.errors import EmptySample, InvalidValue, NonNormalizable
 
@@ -47,18 +47,6 @@ class TestDiscreteDistribution:
     def test_non_finite_atom_rejected(self):
         with pytest.raises(InvalidValue):
             DiscreteDistribution(atoms=(math.inf,), masses=(1.0,))
-
-    def test_cdf_point_mass(self):
-        d = point_mass(5.0)
-        assert d.cdf(4.0) == 0.0
-        assert d.cdf(5.0) == 1.0
-        assert d.cdf(6.0) == 1.0
-
-    def test_cdf_partial_sum(self):
-        d = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.25, 0.75))
-        assert d.cdf(0.0) == 0.25
-        assert d.cdf(0.5) == 0.25
-        assert d.cdf(1.0) == 1.0
 
     def test_sample_deterministic(self):
         d = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.2, 0.3, 0.5))
@@ -108,11 +96,11 @@ class TestMechanismParams:
     def test_cost_must_be_metric(self):
         # The squared cost violates the triangle inequality.
         with pytest.raises(InvalidValue):
-            ExponentialParams(scale=1.0, cost=lambda z: z * z, cost_name="z2")
+            ExponentialParams(scale=1.0, cost=lambda z: z * z)
 
     def test_asymmetric_cost_rejected(self):
         with pytest.raises(InvalidValue):
-            ExponentialParams(scale=1.0, cost=lambda z: abs(z) + z, cost_name="bad")
+            ExponentialParams(scale=1.0, cost=lambda z: abs(z) + z)
 
 
 class TestNoiseLogDensity:
@@ -140,7 +128,7 @@ class TestNoiseLogDensity:
             )
 
     def test_non_integrable_cost_rejected(self):
-        mech = ExponentialParams(scale=1.0, cost=lambda z: 0.0, cost_name="flat")
+        mech = ExponentialParams(scale=1.0, cost=lambda z: 0.0)
         with pytest.raises(NonNormalizable):
             noise_log_density(mech, 0.0)
 
@@ -150,18 +138,15 @@ class TestNoiseLogDensity:
             LaplaceParams(scale=2.0),
             GaussianParams(sigma=1.5),
             ExponentialParams(scale=1.3),
-            ExponentialParams(
-                scale=1.0, cost=lambda z: 2.0 * abs(z), cost_name="scaled-abs"
-            ),
+            ExponentialParams(scale=1.0, cost=lambda z: 2.0 * abs(z)),
         ],
     )
     def test_density_integrates_to_one(self, mech):
-        anchor = point_mass(0.0)
-        lo, hi = truncation_window(mech, anchor)
+        pad = truncation_halfwidth(mech)
         total, _ = quad(
             lambda z: math.exp(noise_log_density(mech, z)),
-            lo,
-            hi,
+            -pad,
+            pad,
             points=[0.0],
             limit=200,
         )
@@ -204,11 +189,11 @@ class TestPosterior:
     )
     def test_posterior_integrates_to_one(self, mech):
         prior = DiscreteDistribution(atoms=(-1.0, 0.5, 2.0), masses=(0.3, 0.45, 0.25))
-        lo, hi = truncation_window(mech, prior)
+        pad = truncation_halfwidth(mech)
         total, _ = quad(
             lambda y: math.exp(posterior_log_density(mech, prior, y)),
-            lo,
-            hi,
+            prior.min_atom - pad,
+            prior.max_atom + pad,
             points=list(prior.atoms),
             limit=300,
         )
@@ -218,9 +203,7 @@ class TestPosterior:
 class TestVectorizedDensities:
     def test_scalar_only_cost_on_matrix(self):
         # math.sqrt rejects arrays, forcing the element-wise fallback.
-        mech = ExponentialParams(
-            scale=1.0, cost=lambda z: math.sqrt(z * z), cost_name="scalar-abs"
-        )
+        mech = ExponentialParams(scale=1.0, cost=lambda z: math.sqrt(z * z))
         from puffercal.dist import noise_log_density_many
 
         grid = np.array([[-1.0, 0.0], [0.5, 2.0]])
@@ -384,7 +367,7 @@ class TestClosedFormExponentialVariance:
 
         _exponential_norm.cache_clear()
         theta = 1.7
-        mech = ExponentialParams(scale=theta, cost=lambda z: 2.0 * abs(z), cost_name="2abs")
+        mech = ExponentialParams(scale=theta, cost=lambda z: 2.0 * abs(z))
         # exp(-2|z|/theta) is Laplace noise of scale theta/2.
         assert noise_variance(mech) == pytest.approx(theta**2 / 2.0, rel=1e-9)
         assert _exponential_norm.cache_info().currsize == 1

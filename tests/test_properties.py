@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from puffercal import (
     build_empirical,
-    coupling_expectation,
     monotone_coupling,
     w_infinity,
 )
 from puffercal.dist import DiscreteDistribution
+
+from conftest import plan_expectation, plan_marginals
 
 finite_samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -59,7 +60,7 @@ def test_build_empirical_invariants(samples):
 @given(distributions(), distributions())
 def test_monotone_coupling_marginals_and_shape(p, q):
     plan = monotone_coupling(p, q)
-    first, second = plan.marginals()
+    first, second = plan_marginals(plan)
     for atom, mass in zip(p.atoms, p.masses):
         assert abs(first[atom] - mass) <= 1e-12
     for atom, mass in zip(q.atoms, q.masses):
@@ -73,19 +74,8 @@ def test_monotone_coupling_marginals_and_shape(p, q):
 @settings(deadline=None)
 @given(distributions(), distributions())
 def test_w_infinity_dominates_mean_displacement(p, q):
-    w1 = coupling_expectation(monotone_coupling(p, q), lambda u: u)
+    w1 = plan_expectation(monotone_coupling(p, q), lambda u: u)
     assert w_infinity(p, q) >= w1 - 1e-12
-
-
-@given(distributions())
-def test_cdf_monotone_and_normalized(p):
-    lo = p.min_atom - 1.0
-    hi = p.max_atom + 1.0
-    assert p.cdf(lo) == 0.0
-    assert p.cdf(hi) == pytest.approx(1.0, abs=1e-12)
-    grid = [lo + k * (hi - lo) / 25 for k in range(26)]
-    values = [p.cdf(x) for x in grid]
-    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def _exact_w_infinity(xs, ys):

@@ -21,6 +21,7 @@ from puffercal import (
     verify_rpp,
 )
 from puffercal.errors import IntegrationFailure, InvalidValue
+from puffercal.verify import _NEGATIVE_FLOOR, PASS_SLACK, _floor_rounding
 
 from conftest import point_mass, random_pair
 
@@ -138,6 +139,34 @@ class TestRenyiDivergenceNumeric:
                 point_mass(0.0), point_mass(30.0), LaplaceParams(scale=0.01), 5.0
             )
 
+    def test_integrand_guard_boundary(self):
+        # For point masses at 0 and 1 under Laplace(1) noise the integrand's
+        # log peaks at y = 0 with value alpha - 1 - ln 2. Quadrature samples
+        # within 0.1 of the peak, so a peak 0.1 below the 700 guard
+        # integrates and one 0.1 above it raises.
+        pair = (point_mass(0.0), point_mass(1.0))
+        mech = LaplaceParams(scale=1.0)
+        below = 1.0 + 700.0 + math.log(2.0) - 0.1
+        assert renyi_divergence_numeric(*pair, mech, below) == pytest.approx(
+            laplace_pair_divergence(1.0, 1.0, below), rel=1e-9
+        )
+        with pytest.raises(IntegrationFailure, match="overflow"):
+            renyi_divergence_numeric(*pair, mech, 1.0 + 700.0 + math.log(2.0) + 0.1)
+
+    def test_custom_cost_keeps_its_own_tail_limits(self):
+        # Regression: a custom exponential cost whose label was left at the
+        # default "abs" took the |z| tail limits and read 10, twice the truth.
+        pair = (point_mass(-5.0), point_mass(5.0))
+        mech = ExponentialParams(scale=1.0, cost=lambda z: 0.5 * abs(z))
+        assert renyi_divergence_numeric(*pair, mech, math.inf) == pytest.approx(5.0, rel=1e-9)
+
+    def test_negative_floor_boundary(self):
+        # A rounding residue just above the floor reads as zero; a larger
+        # negative value is reported as it is.
+        assert _floor_rounding(0.5 * _NEGATIVE_FLOOR) == 0.0
+        assert _floor_rounding(2.0 * _NEGATIVE_FLOOR) == 2.0 * _NEGATIVE_FLOOR
+        assert _floor_rounding(1e-300) == 1e-300
+
 
 class TestRenyiDivergenceDiscrete:
     def test_identical(self):
@@ -199,6 +228,18 @@ class TestVerifyRpp:
         reports = verify_rpp(scenario_set([(P, P)]), LaplaceParams(1.0), spec)
         assert reports[0].passed
         assert reports[0].divergence_ij == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
+    def test_pass_slack_boundary(self, excess, passed):
+        # epsilon set `excess` slacks below the measured divergence.
+        pair = (point_mass(0.0), point_mass(1.0))
+        mech = LaplaceParams(scale=1.0)
+        worst = max(
+            renyi_divergence_numeric(*pair, mech, 2.0),
+            renyi_divergence_numeric(*reversed(pair), mech, 2.0),
+        )
+        spec = PrivacySpec(alpha=2.0, epsilon=worst - excess * PASS_SLACK)
+        assert verify_rpp(scenario_set([pair]), mech, spec)[0].passed is passed
 
     def test_both_directions_checked(self):
         p = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.9, 0.1))
