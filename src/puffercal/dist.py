@@ -8,6 +8,7 @@ construction and safe to share across workers.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +53,11 @@ class DiscreteDistribution:
         total = math.fsum(self.masses)
         if abs(total - 1.0) > _MASS_TOL:
             raise InvalidValue(f"masses sum to {total!r}, expected 1")
+        # Distributions key memoized couplings; hash the two tuples once.
+        object.__setattr__(self, "_hash", hash((self.atoms, self.masses)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def min_atom(self) -> float:
@@ -169,6 +175,25 @@ class ExponentialParams:
 MechanismParams = Union[LaplaceParams, GaussianParams, ExponentialParams]
 
 
+def laplace_scale(mech: MechanismParams) -> float | None:
+    """The scale b when the noise is Laplace(b), else None.
+
+    Besides LaplaceParams, the exponential mechanism with its default cost
+    |z| and rate 1/scale has the density exp(-|z|/scale) / (2*scale). Every
+    Laplace closed form and kernel reads this, so that mechanism never
+    builds a numeric normalizer.
+    """
+    if isinstance(mech, LaplaceParams):
+        return mech.scale
+    if (
+        isinstance(mech, ExponentialParams)
+        and mech.cost is absolute_cost
+        and mech.rate is reciprocal_rate
+    ):
+        return mech.scale
+    return None
+
+
 def _cost_on_grid(cost: Callable[[float], float], grid: np.ndarray) -> np.ndarray:
     """Evaluate a scalar cost on an array, vectorizing when the callable allows."""
     try:
@@ -213,8 +238,9 @@ def _exponential_norm(mech: ExponentialParams):
 
 def noise_log_density(mech: MechanismParams, z: float) -> float:
     """Log density of the noise variable at z."""
-    if isinstance(mech, LaplaceParams):
-        return -abs(z) / mech.scale - math.log(2.0 * mech.scale)
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return -abs(z) / scale - math.log(2.0 * scale)
     if isinstance(mech, GaussianParams):
         return (
             -0.5 * (z / mech.sigma) ** 2
@@ -236,11 +262,12 @@ def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
     Each step repeats the scalar formula's operation order, so the values
     are the ones the scalar code produces.
     """
-    if isinstance(mech, LaplaceParams):
+    scale = laplace_scale(mech)
+    if scale is not None:
         np.abs(z, out=z)
         np.negative(z, out=z)
-        z /= mech.scale
-        z -= math.log(2.0 * mech.scale)
+        z /= scale
+        z -= math.log(2.0 * scale)
         return z
     if isinstance(mech, GaussianParams):
         z /= mech.sigma
@@ -259,41 +286,113 @@ def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
 def truncation_halfwidth(mech: MechanismParams) -> float:
     """Half-width beyond the atom range where the noise tail mass is negligible.
 
-    Laplace uses 40 scales, Gaussian 12 sigmas (tail mass < 1e-15 in both
-    cases); the exponential mechanism reuses its normalization window.
+    Laplace noise uses 40 scales, Gaussian 12 sigmas (tail mass < 1e-15 in
+    both cases); an exponential mechanism with a custom cost or rate reuses
+    its normalization window.
     """
-    if isinstance(mech, LaplaceParams):
-        return 40.0 * mech.scale
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return 40.0 * scale
     if isinstance(mech, GaussianParams):
         return 12.0 * mech.sigma
     _, halfwidth, _, _ = _exponential_norm(mech)
     return halfwidth
 
 
+class LaplacePosterior:
+    """Exact log density of Y = X + N for a discrete prior X and Laplace(b) noise N.
+
+    The density at y is sum_i m_i exp(-|y - a_i|/b) / 2b. Two sums anchored
+    at the atoms a_0 < ... < a_{n-1} are built once, in O(n):
+
+        left[k]  = sum_{i<=k} m_i exp(-(a_k - a_i)/b)
+                 = left[k-1] exp(-(a_k - a_{k-1})/b) + m_k,
+        right[k] = sum_{i>=k} m_i exp(-(a_i - a_k)/b), the mirror image.
+
+    A point a_k <= y < a_{k+1} then costs one binary search:
+
+        log p(y) = logaddexp(log left[k] - (y - a_k)/b,
+                             log right[k+1] - (a_{k+1} - y)/b) - log 2b,
+
+    with the left term absent below a_0 and the right one above a_{n-1}.
+    Every exponent is at most 0 and each anchored sum lies in [m_k, 1], so
+    there is no overflow and no cancellation however large |a|/b is (a
+    plain prefix sum of m_i exp(a_i/b) has both).
+    """
+
+    def __init__(self, prior: DiscreteDistribution, scale: float):
+        masses = prior.masses
+        decay = np.exp(-np.diff(np.asarray(prior.atoms)) / scale).tolist()
+        left = [masses[0]]
+        for d, m in zip(decay, masses[1:]):
+            left.append(left[-1] * d + m)
+        right = [masses[-1]]
+        for d, m in zip(reversed(decay), reversed(masses[:-1])):
+            right.append(right[-1] * d + m)
+        right.reverse()
+        # Index j = bisect_right(atoms, y) selects left[j - 1] and right[j];
+        # the padding makes the missing term -inf at either end.
+        self.scale = scale
+        self.atoms = prior.atoms
+        self.log_norm = math.log(2.0 * scale)
+        self.left_atoms = (prior.atoms[0], *prior.atoms)
+        self.right_atoms = (*prior.atoms, prior.atoms[-1])
+        self.log_left = (-math.inf, *(math.log(v) for v in left))
+        self.log_right = (*(math.log(v) for v in right), -math.inf)
+
+    def log_density_many(self, ys: np.ndarray) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        j = np.searchsorted(np.asarray(self.atoms), ys, side="right")
+        from_left = np.asarray(self.left_atoms)[j] - ys
+        from_left /= self.scale
+        from_left += np.asarray(self.log_left)[j]
+        from_right = ys - np.asarray(self.right_atoms)[j]
+        from_right /= self.scale
+        from_right += np.asarray(self.log_right)[j]
+        out = np.logaddexp(from_left, from_right, out=from_left)
+        out -= self.log_norm
+        return out
+
+    def log_density(self, y: float) -> float:
+        """One point, in pure Python: the hot path of scalar quadrature."""
+        j = bisect_right(self.atoms, y)
+        hi = self.log_left[j] + (self.left_atoms[j] - y) / self.scale
+        lo = self.log_right[j] + (y - self.right_atoms[j]) / self.scale
+        if hi < lo:
+            hi, lo = lo, hi
+        return hi + math.log1p(math.exp(lo - hi)) - self.log_norm
+
+
 def posterior_log_density(
     mech: MechanismParams, prior: DiscreteDistribution, y: float
 ) -> float:
-    """Log density of Y = X + N at y: log sum_x P_N(y - x) P_X(x).
-
-    Computed in log space with a max shift so far-tail evaluations do not
-    underflow to -inf prematurely.
-    """
-    terms = [
-        math.log(mass) + noise_log_density(mech, y - atom)
-        for atom, mass in zip(prior.atoms, prior.masses)
-    ]
-    peak = max(terms)
-    if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+    """Log density of Y = X + N at one point y; see posterior_log_density_many."""
+    return float(posterior_log_density_many(mech, prior, np.array([y], dtype=float))[0])
 
 
 def posterior_log_density_many(
+    mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray
+) -> np.ndarray:
+    """Log density of Y = X + N at each point of ys: log sum_x P_N(y - x) P_X(x).
+
+    Laplace noise (see laplace_scale) takes the exact LaplacePosterior
+    kernel, O((N + n) log n) for N points and n atoms; other noise takes
+    the dense reduction posterior_log_density_dense.
+    """
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return LaplacePosterior(prior, scale).log_density_many(ys)
+    return posterior_log_density_dense(mech, prior, ys)
+
+
+def posterior_log_density_dense(
     mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray, chunk: int = 131072
 ) -> np.ndarray:
-    """Vectorized posterior_log_density, chunked to bound peak memory.
+    """posterior_log_density_many as a (points x atoms) log-sum-exp, for any noise.
 
-    Each chunk's (points x atoms) matrix is built and reduced in place.
+    Chunked to bound peak memory; each chunk's matrix is built and reduced
+    in place. Gaussian noise and custom exponential costs use it, and the
+    tests use it as the reference for the Laplace kernel.
     """
     ys = np.asarray(ys, dtype=float)
     out = np.empty_like(ys)
@@ -338,19 +437,19 @@ def noise_variance(mech: MechanismParams) -> float:
     """
     if isinstance(mech, GaussianParams):
         return mech.sigma**2
-    if isinstance(mech, LaplaceParams) or (
-        mech.cost is absolute_cost and mech.rate is reciprocal_rate
-    ):
-        return 2.0 * mech.scale**2
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return 2.0 * scale**2
     _, _, grid, pdf = _exponential_norm(mech)
     mean = float(simpson(grid * pdf, x=grid))
     return float(simpson((grid - mean) ** 2 * pdf, x=grid))
 
 
 def sample_noise(mech: MechanismParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n noise values; exponential mechanisms use numeric inverse-CDF sampling."""
-    if isinstance(mech, LaplaceParams):
-        return rng.laplace(0.0, mech.scale, size=n)
+    """Draw n noise values; custom exponential costs use numeric inverse-CDF sampling."""
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return rng.laplace(0.0, scale, size=n)
     if isinstance(mech, GaussianParams):
         return rng.normal(0.0, mech.sigma, size=n)
     _, _, grid, pdf = _exponential_norm(mech)

@@ -19,10 +19,11 @@ from .dist import (
     DiscreteDistribution,
     ExponentialParams,
     GaussianParams,
-    LaplaceParams,
+    LaplacePosterior,
     MechanismParams,
     PrivacySpec,
     absolute_cost,
+    laplace_scale,
     log_sum_exp,
     posterior_log_density_many,
     sample_noise,
@@ -58,18 +59,19 @@ class VerificationReport:
 def _posterior_logpdf_fn(
     mech: MechanismParams, dist: DiscreteDistribution
 ) -> Callable[[float], float]:
-    """Fast scalar closure for the posterior log density (hot quadrature path)."""
+    """Fast scalar closure for the posterior log density (hot quadrature path).
+
+    Laplace noise looks up the anchored sums of LaplacePosterior, O(log n)
+    per point; other noise sums over every atom, O(n).
+    """
+    scale = laplace_scale(mech)
+    if scale is not None:
+        return LaplacePosterior(dist, scale).log_density
+
     atoms = dist.atoms
     log_masses = tuple(math.log(m) for m in dist.masses)
 
-    if isinstance(mech, LaplaceParams):
-        inv_scale = 1.0 / mech.scale
-        const = -math.log(2.0 * mech.scale)
-
-        def log_exponents(y: float) -> list[float]:
-            return [lm - abs(y - a) * inv_scale for lm, a in zip(log_masses, atoms)]
-
-    elif isinstance(mech, GaussianParams):
+    if isinstance(mech, GaussianParams):
         inv_two_var = 0.5 / mech.sigma**2
         const = -0.5 * math.log(2.0 * math.pi) - math.log(mech.sigma)
 
@@ -114,8 +116,7 @@ def renyi_divergence_numeric(
     integrand has kinks there for Laplace-type noise); the window is the
     union atom range padded by the noise truncation width plus the
     order-driven shift of the integrand's tail mode. alpha = inf takes
-    the supremum of the log ratio over a dense grid with a local
-    refinement step plus closed-form tail-ratio limits.
+    the supremum of the log ratio (see _sup_log_ratio).
     """
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
@@ -182,8 +183,9 @@ def _tail_log_ratio_limits(
         elif p_i.min_atom == p_j.min_atom:
             limits.append(math.log(p_i.masses[0]) - math.log(p_j.masses[0]))
         return limits
-    if isinstance(mech, LaplaceParams):
-        rate = 1.0 / mech.scale
+    scale = laplace_scale(mech)
+    if scale is not None:
+        rate = 1.0 / scale
     elif isinstance(mech, ExponentialParams) and (
         mech.cost is absolute_cost or mech.cost is abs
     ):
@@ -202,8 +204,57 @@ def _tail_log_ratio_limits(
 def _sup_log_ratio(
     p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
 ) -> float:
-    """sup_y of log p(y) - log q(y): dense grid + local refinement + tail limits."""
+    """sup_y of log p(y) - log q(y), floored at 0.
+
+    For Laplace noise the supremum is attained at an atom of either prior
+    or in a tail, so it is the largest of the ratios at the atoms and the
+    closed-form tail limits: between adjacent atoms each posterior density
+    is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
+    the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there. Other noise
+    takes the maximum over a dense grid with a local refinement, plus the
+    tail limits or, without a closed form, far probes.
+    """
     knots = sorted(set(p_i.atoms) | set(p_j.atoms))
+    if laplace_scale(mech) is not None:
+        ys = np.asarray(knots)
+        best = float(
+            np.max(
+                posterior_log_density_many(mech, p_i, ys)
+                - posterior_log_density_many(mech, p_j, ys)
+            )
+        )
+    else:
+        best = _grid_max_log_ratio(p_i, p_j, mech, knots)
+
+    limits = _tail_log_ratio_limits(p_i, p_j, mech)
+    if limits is None:
+        # No closed-form tails for this mechanism: probe geometrically far out.
+        pad = truncation_halfwidth(mech)
+        probes = []
+        for k in range(8):
+            offset = pad * (2.0**k)
+            probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
+        probe_vals = posterior_log_density_many(
+            mech, p_i, np.asarray(probes)
+        ) - posterior_log_density_many(mech, p_j, np.asarray(probes))
+        best = max(best, float(np.max(probe_vals)))
+    else:
+        for limit in limits:
+            best = max(best, limit)
+    return max(best, 0.0)
+
+
+def _grid_max_log_ratio(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    knots: list[float],
+) -> float:
+    """Max of log p(y) - log q(y) over a dense grid on the padded knot range.
+
+    The grid has _GRID_PER_GAP points per gap between knots; the best grid
+    point is then refined by a bounded scalar search between its neighbours.
+    """
     pad = truncation_halfwidth(mech)
     edges = [knots[0] - pad, *knots, knots[-1] + pad]
     segments = [
@@ -229,22 +280,7 @@ def _sup_log_ratio(
             options={"xatol": 1e-12 * max(1.0, abs(best))},
         )
         best = max(best, float(-refined.fun))
-
-    limits = _tail_log_ratio_limits(p_i, p_j, mech)
-    if limits is None:
-        # No closed-form tails for this mechanism: probe geometrically far out.
-        probes = []
-        for k in range(8):
-            offset = pad * (2.0**k)
-            probes.extend((edges[0] - offset, edges[-1] + offset))
-        probe_vals = posterior_log_density_many(
-            mech, p_i, np.asarray(probes)
-        ) - posterior_log_density_many(mech, p_j, np.asarray(probes))
-        best = max(best, float(np.max(probe_vals)))
-    else:
-        for limit in limits:
-            best = max(best, limit)
-    return max(best, 0.0)
+    return best
 
 
 def renyi_divergence_discrete(

@@ -160,6 +160,34 @@ class TestRenyiDivergenceNumeric:
         mech = ExponentialParams(scale=1.0, cost=lambda z: 0.5 * abs(z))
         assert renyi_divergence_numeric(*pair, mech, math.inf) == pytest.approx(5.0, rel=1e-9)
 
+    @pytest.mark.parametrize("mech", [LaplaceParams(scale=0.7), ExponentialParams(scale=0.7)])
+    def test_laplace_infinite_order_needs_no_search(self, monkeypatch, mech):
+        # Laplace alpha = inf is the largest ratio at the atoms and the tail
+        # limits: no grid, no bounded scalar search.
+        import puffercal.verify as verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimize_scalar called for Laplace alpha = inf")
+
+        monkeypatch.setattr(verify, "minimize_scalar", forbidden)
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        for pair in ((p, q), (q, p), (point_mass(0.0), point_mass(1.0))):
+            assert renyi_divergence_numeric(*pair, mech, math.inf) > 0.0
+
+    def test_default_exponential_builds_no_normalizer(self):
+        from puffercal.dist import _exponential_norm
+
+        _exponential_norm.cache_clear()
+        pair = (point_mass(0.0), point_mass(1.0))
+        mech = ExponentialParams(scale=1.0)
+        for alpha in (0.5, 2.0, math.inf):
+            assert renyi_divergence_numeric(*pair, mech, alpha) == pytest.approx(
+                renyi_divergence_numeric(*pair, LaplaceParams(1.0), alpha), rel=1e-12
+            )
+        monte_carlo_breach(*pair, mech, 0.3, 5_000, 9)
+        assert _exponential_norm.cache_info().currsize == 0
+
     def test_negative_floor_boundary(self):
         # A rounding residue just above the floor reads as zero; a larger
         # negative value is reported as it is.
@@ -348,6 +376,26 @@ class TestMonteCarloBreach:
         a = monte_carlo_breach(*pair, LaplaceParams(1.0), 0.3, 5_000, 9)
         b = monte_carlo_breach(*pair, LaplaceParams(1.0), 0.3, 5_000, 9)
         assert a == b
+
+    def test_counts_match_dense_path(self, monkeypatch):
+        # The Laplace kernel moves log ratios by ~1e-15 at most, which must
+        # not move a count on fixed seeds.
+        import puffercal.verify as verify
+        from puffercal.dist import posterior_log_density_dense
+
+        rng = np.random.default_rng(31)
+        cases = []
+        for seed in range(6):
+            pair = random_pair(rng, max_atoms=8, min_atoms=1, span=3.0)
+            mech = LaplaceParams(float(rng.uniform(0.3, 2.0)))
+            cases.append((pair, mech, float(rng.uniform(0.2, 1.5)), seed))
+        kernel = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
+                  for pair, mech, eps, seed in cases]
+        monkeypatch.setattr(verify, "posterior_log_density_many", posterior_log_density_dense)
+        dense = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
+                 for pair, mech, eps, seed in cases]
+        assert kernel == dense
+        assert any(estimate > 0.0 for estimate, _ in kernel)
 
     def test_minimum_sample_count(self):
         with pytest.raises(InvalidValue):
