@@ -8,7 +8,6 @@ construction and safe to share across workers.
 """
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,6 +19,9 @@ from scipy.integrate import simpson
 from .errors import EmptySample, InvalidValue, NonNormalizable
 
 _MASS_TOL = 1e-12
+
+# Bound on points x atoms in one dense log-sum-exp matrix (16 MB of float64).
+_DENSE_CHUNK_ELEMENTS = 2**21
 
 # Deterministic probe points used to spot-check cost-function axioms.
 _COST_PROBES = (-3.7, -2.0, -1.3, -0.5, 0.0, 0.4, 1.0, 1.8, 2.6, 4.1)
@@ -162,7 +164,6 @@ class ExponentialParams:
     scale: float
     cost: Callable[[float], float] = absolute_cost
     rate: Callable[[float], float] = reciprocal_rate
-    rate_inverse: Union[Callable[[float], float], None] = reciprocal_rate_inverse
 
     def __post_init__(self):
         _check_positive_scale(self.scale, "exponential-mechanism scale")
@@ -237,18 +238,8 @@ def _exponential_norm(mech: ExponentialParams):
 
 
 def noise_log_density(mech: MechanismParams, z: float) -> float:
-    """Log density of the noise variable at z."""
-    scale = laplace_scale(mech)
-    if scale is not None:
-        return -abs(z) / scale - math.log(2.0 * scale)
-    if isinstance(mech, GaussianParams):
-        return (
-            -0.5 * (z / mech.sigma) ** 2
-            - 0.5 * math.log(2.0 * math.pi)
-            - math.log(mech.sigma)
-        )
-    log_norm, _, _, _ = _exponential_norm(mech)
-    return -mech.rate(mech.scale) * mech.cost(z) - log_norm
+    """Log density of the noise variable at z; the one-point call of noise_log_density_many."""
+    return float(_noise_log_density_into(mech, np.array([z], dtype=float))[0])
 
 
 def noise_log_density_many(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
@@ -257,11 +248,7 @@ def noise_log_density_many(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
 
 
 def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
-    """noise_log_density_many computed in place: overwrites and returns the float array z.
-
-    Each step repeats the scalar formula's operation order, so the values
-    are the ones the scalar code produces.
-    """
+    """noise_log_density_many computed in place: overwrites and returns the float array z."""
     scale = laplace_scale(mech)
     if scale is not None:
         np.abs(z, out=z)
@@ -330,37 +317,29 @@ class LaplacePosterior:
         for d, m in zip(reversed(decay), reversed(masses[:-1])):
             right.append(right[-1] * d + m)
         right.reverse()
-        # Index j = bisect_right(atoms, y) selects left[j - 1] and right[j];
-        # the padding makes the missing term -inf at either end.
+        # Index j = searchsorted(atoms, y, side="right") selects left[j - 1]
+        # and right[j]; the padding makes the missing term -inf at either end.
+        atoms = np.asarray(prior.atoms)
         self.scale = scale
-        self.atoms = prior.atoms
+        self.atoms = atoms
         self.log_norm = math.log(2.0 * scale)
-        self.left_atoms = (prior.atoms[0], *prior.atoms)
-        self.right_atoms = (*prior.atoms, prior.atoms[-1])
-        self.log_left = (-math.inf, *(math.log(v) for v in left))
-        self.log_right = (*(math.log(v) for v in right), -math.inf)
+        self.left_atoms = np.concatenate((atoms[:1], atoms))
+        self.right_atoms = np.concatenate((atoms, atoms[-1:]))
+        self.log_left = np.array([-math.inf, *(math.log(v) for v in left)])
+        self.log_right = np.array([*(math.log(v) for v in right), -math.inf])
 
     def log_density_many(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
-        j = np.searchsorted(np.asarray(self.atoms), ys, side="right")
-        from_left = np.asarray(self.left_atoms)[j] - ys
+        j = np.searchsorted(self.atoms, ys, side="right")
+        from_left = self.left_atoms[j] - ys
         from_left /= self.scale
-        from_left += np.asarray(self.log_left)[j]
-        from_right = ys - np.asarray(self.right_atoms)[j]
+        from_left += self.log_left[j]
+        from_right = ys - self.right_atoms[j]
         from_right /= self.scale
-        from_right += np.asarray(self.log_right)[j]
+        from_right += self.log_right[j]
         out = np.logaddexp(from_left, from_right, out=from_left)
         out -= self.log_norm
         return out
-
-    def log_density(self, y: float) -> float:
-        """One point, in pure Python: the hot path of scalar quadrature."""
-        j = bisect_right(self.atoms, y)
-        hi = self.log_left[j] + (self.left_atoms[j] - y) / self.scale
-        lo = self.log_right[j] + (y - self.right_atoms[j]) / self.scale
-        if hi < lo:
-            hi, lo = lo, hi
-        return hi + math.log1p(math.exp(lo - hi)) - self.log_norm
 
 
 def posterior_log_density(
@@ -386,23 +365,27 @@ def posterior_log_density_many(
 
 
 def posterior_log_density_dense(
-    mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray, chunk: int = 131072
+    mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray
 ) -> np.ndarray:
     """posterior_log_density_many as a (points x atoms) log-sum-exp, for any noise.
 
-    Chunked to bound peak memory; each chunk's matrix is built and reduced
-    in place. Gaussian noise and custom exponential costs use it, and the
-    tests use it as the reference for the Laplace kernel.
+    Chunked so that no matrix holds more than _DENSE_CHUNK_ELEMENTS
+    entries; each chunk's matrix is built and reduced in place, and freed
+    before the next one is built. Gaussian noise and custom exponential
+    costs use it, and the tests use it as the reference for the Laplace
+    kernel.
     """
     ys = np.asarray(ys, dtype=float)
     out = np.empty_like(ys)
     log_masses = np.log(np.asarray(prior.masses))
     atoms = np.asarray(prior.atoms)
+    chunk = max(1, _DENSE_CHUNK_ELEMENTS // atoms.size)
     for start in range(0, ys.size, chunk):
         block = ys[start : start + chunk]
         lp = _noise_log_density_into(mech, block[:, None] - atoms[None, :])
         lp += log_masses[None, :]
         out[start : start + chunk] = log_sum_exp(lp)
+        del lp
     return out
 
 

@@ -3,7 +3,9 @@
 Calibration upper-bounds the order-alpha divergence via a transport
 functional; this module recomputes the divergence itself by adaptive
 quadrature of the noised posterior densities, so a passing check confirms
-the calibration sufficiency with no shared code path.
+the calibration sufficiency with no shared code path. Every posterior
+density here comes from dist.posterior_log_density_many, which the
+quadrature (a vectorized Gauss-Legendre bisection) calls on arrays.
 """
 
 import math
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .calibrate import ScenarioSet
@@ -19,7 +20,6 @@ from .dist import (
     DiscreteDistribution,
     ExponentialParams,
     GaussianParams,
-    LaplacePosterior,
     MechanismParams,
     PrivacySpec,
     absolute_cost,
@@ -34,6 +34,23 @@ from .errors import IntegrationFailure, InvalidValue
 PASS_SLACK = 1e-6
 _GRID_PER_GAP = 4096
 _NEGATIVE_FLOOR = -1e-8
+_MAX_ROUNDS = 60
+
+# The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
+# .leggauss(12) returns it; a literal table, because computing it at import
+# makes a LAPACK call that costs every command about 1 MB of peak memory.
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 
 
 @dataclass(frozen=True)
@@ -56,47 +73,6 @@ class VerificationReport:
     seed: Optional[int] = None
 
 
-def _posterior_logpdf_fn(
-    mech: MechanismParams, dist: DiscreteDistribution
-) -> Callable[[float], float]:
-    """Fast scalar closure for the posterior log density (hot quadrature path).
-
-    Laplace noise looks up the anchored sums of LaplacePosterior, O(log n)
-    per point; other noise sums over every atom, O(n).
-    """
-    scale = laplace_scale(mech)
-    if scale is not None:
-        return LaplacePosterior(dist, scale).log_density
-
-    atoms = dist.atoms
-    log_masses = tuple(math.log(m) for m in dist.masses)
-
-    if isinstance(mech, GaussianParams):
-        inv_two_var = 0.5 / mech.sigma**2
-        const = -0.5 * math.log(2.0 * math.pi) - math.log(mech.sigma)
-
-        def log_exponents(y: float) -> list[float]:
-            return [lm - (y - a) ** 2 * inv_two_var for lm, a in zip(log_masses, atoms)]
-
-    else:
-        from .dist import _exponential_norm
-
-        log_norm, _, _, _ = _exponential_norm(mech)
-        rate = mech.rate(mech.scale)
-        cost = mech.cost
-        const = -log_norm
-
-        def log_exponents(y: float) -> list[float]:
-            return [lm - rate * cost(y - a) for lm, a in zip(log_masses, atoms)]
-
-    def logpdf(y: float) -> float:
-        terms = log_exponents(y)
-        peak = max(terms)
-        return peak + math.log(math.fsum(math.exp(t - peak) for t in terms)) + const
-
-    return logpdf
-
-
 def _cross_span(p_i: DiscreteDistribution, p_j: DiscreteDistribution) -> float:
     return max(
         abs(p_i.max_atom - p_j.min_atom), abs(p_j.max_atom - p_i.min_atom)
@@ -111,49 +87,91 @@ def renyi_divergence_numeric(
 ) -> float:
     """Order-alpha divergence between the noised posteriors of two priors.
 
-    Finite orders integrate exp(alpha log p - (alpha - 1) log q) by
-    adaptive quadrature with subdivision points at the atoms (the
-    integrand has kinks there for Laplace-type noise); the window is the
-    union atom range padded by the noise truncation width plus the
-    order-driven shift of the integrand's tail mode. alpha = inf takes
-    the supremum of the log ratio (see _sup_log_ratio).
+    Finite orders integrate exp(alpha log p - (alpha - 1) log q) over a
+    window, the union atom range padded by the noise truncation width plus
+    the order-driven shift of the integrand's tail mode. The window is cut
+    at every atom of either prior (the integrand has kinks there for
+    Laplace-type noise) and integrated by _bisect_quadrature to
+    max(1e-14, 1e-10 |integral|). alpha = inf takes the supremum of the
+    log ratio (see _sup_log_ratio). Raises IntegrationFailure when the
+    integrand overflows or the quadrature does not converge.
     """
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
     if math.isinf(alpha):
         return _sup_log_ratio(p_i, p_j, mech)
 
-    log_p = _posterior_logpdf_fn(mech, p_i)
-    log_q = _posterior_logpdf_fn(mech, p_j)
     pad = truncation_halfwidth(mech) + abs(alpha - 1.0) * _cross_span(p_i, p_j)
     lo = min(p_i.min_atom, p_j.min_atom) - pad
     hi = max(p_i.max_atom, p_j.max_atom) + pad
 
-    def integrand(y: float) -> float:
-        exponent = alpha * log_p(y) - (alpha - 1.0) * log_q(y)
-        if exponent > 700.0:
+    def integrand(ys: np.ndarray) -> np.ndarray:
+        exponent = alpha * posterior_log_density_many(mech, p_i, ys)
+        exponent -= (alpha - 1.0) * posterior_log_density_many(mech, p_j, ys)
+        over = exponent > 700.0
+        if over.any():
+            y = float(ys[np.argmax(over)])
             raise IntegrationFailure(
                 f"integrand overflow at y = {y!r}; the density ratio is too extreme"
             )
-        return math.exp(exponent)
+        return np.exp(exponent, out=exponent)
 
     points = sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi})
-    out = quad(
-        integrand,
-        lo,
-        hi,
-        points=points,
-        limit=max(250, 20 * (len(points) + 2)),
-        epsabs=1e-14,
-        epsrel=1e-10,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise IntegrationFailure(f"quadrature did not converge: {out[3]}")
-    integral = out[0]
+    integral = _bisect_quadrature(integrand, np.array([lo, *points, hi]))
     if not (math.isfinite(integral) and integral > 0.0):
         raise IntegrationFailure(f"quadrature returned {integral!r}")
     return _floor_rounding(math.log(integral) / (alpha - 1.0))
+
+
+def _gauss_legendre(
+    integrand: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The 12-point Gauss-Legendre estimate on each segment [a[k], b[k]], in one call."""
+    half = 0.5 * (b - a)
+    ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    return half * (integrand(ys.ravel()).reshape(ys.shape) @ _GL_WEIGHTS)
+
+
+def _bisect_quadrature(
+    integrand: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
+) -> float:
+    """Integral over [edges[0], edges[-1]] of a vectorized integrand, by bisection.
+
+    The segments start as the gaps between consecutive edges. Each round
+    applies the 12-point rule to both halves of every open segment, in one
+    integrand call, and takes err = |left + right - whole| per segment. It
+    stops once the errors, closed segments' included, sum to at most
+    tol = max(1e-14, 1e-10 |I|); otherwise it closes each segment whose
+    err is at most tol * length / (hi - lo) and at most half its own value
+    left + right, and halves the rest. After _MAX_ROUNDS rounds it raises
+    IntegrationFailure. The integrand must be nonnegative.
+
+    The second closing condition keeps unresolved segments open: a wide
+    segment whose nodes all miss a sharp peak at its end can show an err
+    within its share of tol that is nearly its whole value.
+    """
+    a, b = edges[:-1], edges[1:]
+    span = edges[-1] - edges[0]
+    whole = _gauss_legendre(integrand, a, b)
+    closed = closed_err = 0.0
+    for _ in range(_MAX_ROUNDS):
+        mid = 0.5 * (a + b)
+        halves = _gauss_legendre(integrand, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[: a.size], halves[a.size :]
+        both = left + right
+        err = np.abs(both - whole)
+        total = closed + float(both.sum())
+        tol = max(1e-14, 1e-10 * abs(total))
+        if closed_err + float(err.sum()) <= tol:
+            return total
+        done = (err <= tol * (b - a) / span) & (err <= 0.5 * both)
+        closed += float(both[done].sum())
+        closed_err += float(err[done].sum())
+        split = ~done
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        whole = np.concatenate((left[split], right[split]))
+    raise IntegrationFailure(f"quadrature did not converge in {_MAX_ROUNDS} rounds")
 
 
 def _floor_rounding(value: float) -> float:
@@ -161,14 +179,21 @@ def _floor_rounding(value: float) -> float:
     return 0.0 if _NEGATIVE_FLOOR < value < 0.0 else value
 
 
+def _log_ratio(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams, ys: np.ndarray
+) -> np.ndarray:
+    """log p(y) - log q(y) at each point of ys."""
+    return posterior_log_density_many(mech, p_i, ys) - posterior_log_density_many(mech, p_j, ys)
+
+
 def _tail_log_ratio_limits(
     p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
 ) -> Optional[list[float]]:
     """Limits of log p(y) - log q(y) as y -> +/- inf, where available in closed form.
 
-    Returns None when no closed form applies (exponential mechanisms with
-    a custom cost); limits tending to -inf are omitted since they never
-    attain the supremum.
+    Gaussian noise and exponential mechanisms with cost |z| have them;
+    others return None. Limits tending to -inf are omitted since they
+    never attain the supremum.
     """
     if isinstance(mech, GaussianParams):
         # Each tail is dominated by the extreme atom; a strictly larger
@@ -183,15 +208,12 @@ def _tail_log_ratio_limits(
         elif p_i.min_atom == p_j.min_atom:
             limits.append(math.log(p_i.masses[0]) - math.log(p_j.masses[0]))
         return limits
-    scale = laplace_scale(mech)
-    if scale is not None:
-        rate = 1.0 / scale
-    elif isinstance(mech, ExponentialParams) and (
-        mech.cost is absolute_cost or mech.cost is abs
+    if not (
+        isinstance(mech, ExponentialParams)
+        and (mech.cost is absolute_cost or mech.cost is abs)
     ):
-        rate = mech.rate(mech.scale)
-    else:
         return None
+    rate = mech.rate(mech.scale)
     log_mi = np.log(np.asarray(p_i.masses))
     log_mj = np.log(np.asarray(p_j.masses))
     atoms_i = np.asarray(p_i.atoms)
@@ -206,26 +228,19 @@ def _sup_log_ratio(
 ) -> float:
     """sup_y of log p(y) - log q(y), floored at 0.
 
-    For Laplace noise the supremum is attained at an atom of either prior
-    or in a tail, so it is the largest of the ratios at the atoms and the
-    closed-form tail limits: between adjacent atoms each posterior density
+    For Laplace noise the supremum is the largest of the ratios at the
+    atoms of either prior: between adjacent atoms each posterior density
     is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
-    the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there. Other noise
-    takes the maximum over a dense grid with a local refinement, plus the
-    tail limits or, without a closed form, far probes.
+    the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there, and beyond the
+    extreme atoms it is constant. Other noise takes the maximum over a
+    dense grid with a local refinement, plus the tail limits or, without a
+    closed form, far probes.
     """
     knots = sorted(set(p_i.atoms) | set(p_j.atoms))
     if laplace_scale(mech) is not None:
-        ys = np.asarray(knots)
-        best = float(
-            np.max(
-                posterior_log_density_many(mech, p_i, ys)
-                - posterior_log_density_many(mech, p_j, ys)
-            )
-        )
-    else:
-        best = _grid_max_log_ratio(p_i, p_j, mech, knots)
+        return max(float(np.max(_log_ratio(p_i, p_j, mech, np.asarray(knots)))), 0.0)
 
+    best = _grid_max_log_ratio(p_i, p_j, mech, knots)
     limits = _tail_log_ratio_limits(p_i, p_j, mech)
     if limits is None:
         # No closed-form tails for this mechanism: probe geometrically far out.
@@ -234,10 +249,7 @@ def _sup_log_ratio(
         for k in range(8):
             offset = pad * (2.0**k)
             probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
-        probe_vals = posterior_log_density_many(
-            mech, p_i, np.asarray(probes)
-        ) - posterior_log_density_many(mech, p_j, np.asarray(probes))
-        best = max(best, float(np.max(probe_vals)))
+        best = max(best, float(np.max(_log_ratio(p_i, p_j, mech, np.asarray(probes)))))
     else:
         for limit in limits:
             best = max(best, limit)
@@ -253,7 +265,8 @@ def _grid_max_log_ratio(
     """Max of log p(y) - log q(y) over a dense grid on the padded knot range.
 
     The grid has _GRID_PER_GAP points per gap between knots; the best grid
-    point is then refined by a bounded scalar search between its neighbours.
+    point is then refined by a bounded scalar search between its neighbours,
+    which evaluates the same density kernel on one-point arrays.
     """
     pad = truncation_halfwidth(mech)
     edges = [knots[0] - pad, *knots, knots[-1] + pad]
@@ -262,19 +275,15 @@ def _grid_max_log_ratio(
         for a, b in zip(edges, edges[1:])
     ]
     ys = np.concatenate(segments + [np.asarray([edges[-1]])])
-    diffs = posterior_log_density_many(mech, p_i, ys) - posterior_log_density_many(
-        mech, p_j, ys
-    )
+    diffs = _log_ratio(p_i, p_j, mech, ys)
     best_idx = int(np.argmax(diffs))
     best = float(diffs[best_idx])
 
-    log_p = _posterior_logpdf_fn(mech, p_i)
-    log_q = _posterior_logpdf_fn(mech, p_j)
     left = float(ys[max(0, best_idx - 1)])
     right = float(ys[min(ys.size - 1, best_idx + 1)])
     if right > left:
         refined = minimize_scalar(
-            lambda y: -(log_p(y) - log_q(y)),
+            lambda y: -float(_log_ratio(p_i, p_j, mech, np.array([y]))[0]),
             bounds=(left, right),
             method="bounded",
             options={"xatol": 1e-12 * max(1.0, abs(best))},
@@ -406,9 +415,7 @@ def monte_carlo_breach(
     rng = np.random.default_rng(seed)
     xs = p_i.sample(rng, n)
     ys = xs + sample_noise(mech, rng, n)
-    log_ratio = posterior_log_density_many(mech, p_i, ys) - posterior_log_density_many(
-        mech, p_j, ys
-    )
+    log_ratio = _log_ratio(p_i, p_j, mech, ys)
     estimate = float(np.count_nonzero(log_ratio > epsilon)) / n
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / n)
     return estimate, half_width

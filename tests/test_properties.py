@@ -124,28 +124,31 @@ def test_w_infinity_matches_exact_ladder(xs, ys):
     st.floats(min_value=0.05, max_value=20.0),
 )
 def test_laplace_infinite_order_matches_grid_search(p, q, scale):
-    # The closed form (ratios at the atoms plus tail limits) against the
-    # grid + bounded search it replaced, run on dense-path densities: it
-    # agrees to 1e-12 and never reads below the grid's own maximum, so the
-    # verifier cannot under-report.
+    # The closed form (the largest ratio at the atoms) against the grid +
+    # bounded search it replaced, run on dense-path densities, with the
+    # tails read off a dense grid beyond the extreme atoms: it agrees to
+    # 1e-12 and never reads below the grid's own maximum, so the verifier
+    # cannot under-report.
     import puffercal.verify as verify
 
     mech = LaplaceParams(scale)
     closed = verify.renyi_divergence_numeric(p, q, mech, math.inf)
     knots = sorted(set(p.atoms) | set(q.atoms))
+
+    def dense_ratios(ys):
+        return posterior_log_density_dense(mech, p, ys) - posterior_log_density_dense(
+            mech, q, ys
+        )
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "posterior_log_density_many", posterior_log_density_dense)
-        patch.setattr(
-            verify,
-            "_posterior_logpdf_fn",
-            lambda m, d: lambda y: float(posterior_log_density_dense(m, d, np.array([y]))[0]),
-        )
         searched = verify._grid_max_log_ratio(p, q, mech, knots)
-        grid = np.linspace(knots[0] - 40.0 * scale, knots[-1] + 40.0 * scale, 20001)
-        ratios = posterior_log_density_dense(mech, p, grid) - posterior_log_density_dense(
-            mech, q, grid
-        )
-        grid_max = float(np.max(ratios))
-    old = max(searched, *verify._tail_log_ratio_limits(p, q, mech), 0.0)
+    grid = np.linspace(knots[0] - 40.0 * scale, knots[-1] + 40.0 * scale, 20001)
+    grid_max = float(np.max(dense_ratios(grid)))
+    tails = np.concatenate([
+        np.linspace(knots[0] - 40.0 * scale, knots[0], 201),
+        np.linspace(knots[-1], knots[-1] + 40.0 * scale, 201),
+    ])
+    old = max(searched, float(np.max(dense_ratios(tails))), 0.0)
     assert closed == pytest.approx(old, rel=1e-12, abs=1e-12)
     assert closed >= grid_max - 1e-12 * max(1.0, abs(grid_max))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from puffercal import (
     DiscreteDistribution,
@@ -19,6 +20,11 @@ from puffercal import (
     renyi_divergence_numeric,
     scenario_set,
     verify_rpp,
+)
+from puffercal.dist import (
+    posterior_log_density_dense,
+    posterior_log_density_many,
+    truncation_halfwidth,
 )
 from puffercal.errors import IntegrationFailure, InvalidValue
 from puffercal.verify import _NEGATIVE_FLOOR, PASS_SLACK, _floor_rounding
@@ -160,10 +166,34 @@ class TestRenyiDivergenceNumeric:
         mech = ExponentialParams(scale=1.0, cost=lambda z: 0.5 * abs(z))
         assert renyi_divergence_numeric(*pair, mech, math.inf) == pytest.approx(5.0, rel=1e-9)
 
+    def test_laplace_infinite_order_is_the_largest_knot_ratio(self, rng):
+        # Regression: the Laplace tail limits, summed without anchoring at
+        # the atoms, read up to 4e-12 above the exact ratios at the extreme
+        # atoms (which they equal) for atoms near 1e4 with b = 0.5, and the
+        # supremum took the larger value.
+        mech = LaplaceParams(scale=0.5)
+
+        def prior():
+            n = int(rng.integers(1, 41))
+            atoms = np.sort(rng.choice(np.arange(10000, 10040), n, replace=False))
+            masses = rng.dirichlet(np.ones(n))
+            return DiscreteDistribution(
+                atoms=tuple(float(a) for a in atoms), masses=tuple(float(m) for m in masses)
+            )
+
+        for _ in range(50):
+            p, q = prior(), prior()
+            knots = np.asarray(sorted(set(p.atoms) | set(q.atoms)))
+            ratios = posterior_log_density_many(mech, p, knots) - posterior_log_density_many(
+                mech, q, knots
+            )
+            want = max(float(np.max(ratios)), 0.0)
+            assert renyi_divergence_numeric(p, q, mech, math.inf) == want
+
     @pytest.mark.parametrize("mech", [LaplaceParams(scale=0.7), ExponentialParams(scale=0.7)])
     def test_laplace_infinite_order_needs_no_search(self, monkeypatch, mech):
-        # Laplace alpha = inf is the largest ratio at the atoms and the tail
-        # limits: no grid, no bounded scalar search.
+        # Laplace alpha = inf is the largest ratio at the atoms: no grid, no
+        # bounded scalar search.
         import puffercal.verify as verify
 
         def forbidden(*args, **kwargs):
@@ -194,6 +224,98 @@ class TestRenyiDivergenceNumeric:
         assert _floor_rounding(0.5 * _NEGATIVE_FLOOR) == 0.0
         assert _floor_rounding(2.0 * _NEGATIVE_FLOOR) == 2.0 * _NEGATIVE_FLOOR
         assert _floor_rounding(1e-300) == 1e-300
+
+
+class TestBisectQuadrature:
+    """The Gauss-Legendre bisection in renyi_divergence_numeric.
+
+    The oracle is QUADPACK (scipy's quad) over the one-point dense
+    density, on the same window and breakpoints, at epsrel = 1e-12.
+    Tolerance: 1e-10 relative on the divergence. Measured on these pairs:
+    at most 1.9e-13 (Laplace), 3.7e-13 (Gaussian) and 1.4e-12 (custom
+    cost); the worst seen on wider random trials was 6.7e-12 (Gaussian,
+    alpha = 50), where quadrature's own 1e-10 on the integral allows
+    1e-10 / (alpha - 1).
+    """
+
+    @staticmethod
+    def _quadpack(p, q, mech, alpha):
+        span = max(abs(p.max_atom - q.min_atom), abs(q.max_atom - p.min_atom))
+        pad = truncation_halfwidth(mech) + abs(alpha - 1.0) * span
+        lo = min(p.min_atom, q.min_atom) - pad
+        hi = max(p.max_atom, q.max_atom) + pad
+
+        def log_density(prior, y):
+            return float(posterior_log_density_dense(mech, prior, np.array([y]))[0])
+
+        def integrand(y):
+            return math.exp(alpha * log_density(p, y) - (alpha - 1.0) * log_density(q, y))
+
+        points = sorted({a for a in (*p.atoms, *q.atoms) if lo < a < hi})
+        value, _ = quad(
+            integrand, lo, hi, points=points, limit=max(250, 20 * (len(points) + 2)),
+            epsabs=1e-14, epsrel=1e-12,
+        )
+        return math.log(value) / (alpha - 1.0)
+
+    @pytest.mark.parametrize(
+        "make_mech",
+        [
+            lambda b: LaplaceParams(scale=b),
+            lambda b: GaussianParams(sigma=1.5 * b),
+            lambda b: ExponentialParams(scale=b, cost=lambda z: 0.5 * abs(z)),
+        ],
+        ids=["laplace", "gaussian", "custom-cost"],
+    )
+    def test_matches_quadpack(self, rng, make_mech):
+        for _ in range(3):
+            p, q = random_pair(rng, max_atoms=6, span=1.0)
+            mech = make_mech(float(rng.uniform(1.0, 2.0)))
+            for alpha in (1.2, 2.0, 5.0, 50.0):
+                assert renyi_divergence_numeric(p, q, mech, alpha) == pytest.approx(
+                    self._quadpack(p, q, mech, alpha), rel=1e-10, abs=0.0
+                )
+
+    def test_round_cap_raises_and_marks_pair_inconclusive(self, monkeypatch):
+        import puffercal.verify as verify
+
+        monkeypatch.setattr(verify, "_MAX_ROUNDS", 1)
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        mech = LaplaceParams(scale=0.7)
+        with pytest.raises(IntegrationFailure, match="did not converge"):
+            renyi_divergence_numeric(p, q, mech, 2.0)
+        (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(2.0, 1.0))
+        assert report.inconclusive and report.passed is None
+
+    def test_node_table_is_leggauss(self):
+        import puffercal.verify as verify
+
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        np.testing.assert_allclose(verify._GL_NODES, nodes, rtol=0.0, atol=2e-16)
+        np.testing.assert_allclose(verify._GL_WEIGHTS, weights, rtol=0.0, atol=2e-16)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            LaplaceParams(scale=0.9),
+            GaussianParams(sigma=1.1),
+            ExponentialParams(scale=0.9, cost=lambda z: 0.5 * abs(z)),
+        ],
+        ids=["laplace", "gaussian", "custom-cost"],
+    )
+    def test_finite_orders_take_only_the_vector_kernel(self, monkeypatch, mech):
+        import puffercal.dist as dist
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar posterior density called")
+
+        monkeypatch.setattr(dist, "posterior_log_density", forbidden)
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        for alpha in (0.5, 2.0):
+            (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(alpha, 1.0))
+            assert not report.inconclusive
 
 
 class TestRenyiDivergenceDiscrete:
