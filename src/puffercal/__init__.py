@@ -8,8 +8,6 @@ numerical divergence computation.
 
 from .calibrate import (
     CalibrationResult,
-    ScenarioPair,
-    ScenarioSet,
     baseline_gaussian_rpp,
     baseline_laplace_rpp,
     calibrate_exponential,
@@ -22,7 +20,6 @@ from .calibrate import (
     feasible_b_sub_unit_alpha,
     laplace_pair_divergence,
     noise_for,
-    scenario_set,
     solve_decreasing,
 )
 from .dist import (
@@ -32,10 +29,13 @@ from .dist import (
     LaplaceParams,
     MechanismParams,
     PrivacySpec,
+    ScenarioPair,
+    ScenarioSet,
     build_empirical,
     noise_log_density,
     noise_variance,
     posterior_log_density,
+    scenario_set,
 )
 from .ingest import (
     ScenarioConfig,

@@ -13,7 +13,7 @@ the natural-scale values overflow doubles.
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,10 +23,13 @@ from .dist import (
     LaplaceParams,
     MechanismParams,
     PrivacySpec,
+    ScenarioPair,
+    ScenarioSet,
     absolute_cost,
     check_cost_axioms,
     reciprocal_rate,
     reciprocal_rate_inverse,
+    scenario_set,  # re-exported: the scenario model lives in dist
 )
 from .errors import (
     InfeasibleEvenAtInfinity,
@@ -41,45 +44,6 @@ from .transport import Coupling, coupling_log_expectation, monotone_coupling
 _LN2 = math.log(2.0)
 _EPS = 2.220446049250313e-16
 _GUARANTEE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScenarioPair:
-    """Conditional data distributions for one secret pair under one prior belief."""
-
-    p_i: DiscreteDistribution
-    p_j: DiscreteDistribution
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """All secret pairs (one entry per adversarial prior) to protect jointly."""
-
-    pairs: tuple[ScenarioPair, ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise InvalidValue("scenario set must contain at least one pair")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def label(self, index: int) -> str:
-        """The pair's label, or pair-<index> when it has none."""
-        return self.pairs[index].label or f"pair-{index}"
-
-
-def scenario_set(pairs: Sequence[tuple[DiscreteDistribution, DiscreteDistribution] | ScenarioPair]) -> ScenarioSet:
-    """Build a ScenarioSet from ScenarioPair objects or bare (P, Q) tuples."""
-    built = []
-    for k, pair in enumerate(pairs):
-        if isinstance(pair, ScenarioPair):
-            built.append(pair)
-        else:
-            p, q = pair
-            built.append(ScenarioPair(p_i=p, p_j=q, label=f"pair-{k}"))
-    return ScenarioSet(pairs=tuple(built))
 
 
 @dataclass(frozen=True)

@@ -295,37 +295,10 @@ def _map_cells(cells, worker, jobs: int):
         return list(pool.map(worker, cells))
 
 
-def _raw_report(scenarios, index, spec):
-    """Zero noise: compare the raw conditional distributions directly."""
-    pair = scenarios.pairs[index]
-    div_ij = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, spec.alpha)
-    div_ji = ver.renyi_divergence_discrete(pair.p_j, pair.p_i, spec.alpha)
-    worst = max(div_ij, div_ji)
-    return ver.VerificationReport(
-        pair_index=index,
-        pair_label=scenarios.label(index),
-        alpha=spec.alpha,
-        epsilon_target=spec.epsilon,
-        divergence_ij=div_ij,
-        divergence_ji=div_ji,
-        slack=spec.epsilon - worst,
-        passed=worst <= spec.epsilon + ver.PASS_SLACK,
-        chernoff_bound=(
-            ver.chernoff_breach_bound(worst, spec)
-            if 1.0 < spec.alpha < math.inf and math.isfinite(worst)
-            else None
-        ),
-    )
-
-
 def _verify_cell_rows(scenarios, kind, alpha, epsilon, parameter):
     """Verification rows for one (mechanism, alpha, epsilon, parameter) cell."""
     spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-    mech = cal.noise_for(kind, parameter)
-    if mech is None:
-        reports = [_raw_report(scenarios, index, spec) for index in range(len(scenarios))]
-    else:
-        reports = ver.verify_rpp(scenarios, mech, spec)
+    reports = ver.verify_rpp(scenarios, cal.noise_for(kind, parameter), spec)
     return [
         {
             "mechanism": kind,
@@ -356,28 +329,24 @@ def cmd_calibrate(args) -> int:
     rows = [row for block in row_blocks for row in block]
     _emit(args, "calibrate", CALIBRATE_COLUMNS, rows)
     if args.verify:
-        failures = _verify_emitted(scenarios, rows, args)
-        if failures:
-            sys.stderr.write(f"{failures} cells failed re-verification\n")
-            return EXIT_VERIFY
+        return _reverify(scenarios, [row for row in rows if row["binding"]])
     return EXIT_OK
 
 
-def _verify_emitted(scenarios, calibration_rows, args) -> int:
-    failures = 0
-    seen = set()
-    for row in calibration_rows:
-        if not row["binding"]:
-            continue
-        key = (row["mechanism"], row["alpha"], row["epsilon"])
-        if key in seen:
-            continue
-        seen.add(key)
+def _reverify(scenarios, binding_rows) -> int:
+    """Verify each cell's binding parameter on every pair; one stderr line per failing cell."""
+    status = EXIT_OK
+    for row in binding_rows:
         reports = _verify_cell_rows(
             scenarios, row["mechanism"], row["alpha"], row["epsilon"], row["parameter"]
         )
-        failures += sum(1 for r in reports if r["passed"] is not True)
-    return failures
+        if any(r["passed"] is not True for r in reports):
+            sys.stderr.write(
+                f"verification failed: mechanism={row['mechanism']} "
+                f"alpha={row['alpha']!r} epsilon={row['epsilon']!r}\n"
+            )
+            status = EXIT_VERIFY
+    return status
 
 
 def cmd_verify(args) -> int:
@@ -407,36 +376,15 @@ def cmd_sweep(args) -> int:
         row_blocks = _map_cells(
             cells, lambda cell: _calibrate_cell(scenarios, *cell, args.tol), args.jobs
         )
-        rows = []
-        for block in row_blocks:
-            binding = next(row for row in block if row["binding"])
-            rows.append(
-                {
-                    "alpha": binding["alpha"],
-                    "epsilon": binding["epsilon"],
-                    "mechanism": kind,
-                    "pair": binding["pair"],
-                    "parameter": binding["parameter"],
-                    "variance": binding["variance"],
-                }
-            )
+        rows = [row for block in row_blocks for row in block if row["binding"]]
         # The JSON form adds the binding pair label required by the schema.
         _emit(
             args, "sweep", SWEEP_COLUMNS, rows,
             filename=f"sweep_{kind}",
             json_columns=(*SWEEP_COLUMNS, "pair"),
         )
-        if args.verify:
-            for row in rows:
-                reports = _verify_cell_rows(
-                    scenarios, kind, row["alpha"], row["epsilon"], row["parameter"]
-                )
-                if any(r["passed"] is not True for r in reports):
-                    sys.stderr.write(
-                        f"verification failed: mechanism={kind} "
-                        f"alpha={row['alpha']!r} epsilon={row['epsilon']!r}\n"
-                    )
-                    status = EXIT_VERIFY
+        if args.verify and _reverify(scenarios, rows) != EXIT_OK:
+            status = EXIT_VERIFY
     return status
 
 
@@ -557,10 +505,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _SolverCellError as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return EXIT_SOLVER
-    except _SOLVER_ERRORS as exc:
+    except (_SolverCellError, *_SOLVER_ERRORS) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
     except (_ConfigError, *_CONFIG_ERRORS) as exc:

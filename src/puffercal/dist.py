@@ -2,9 +2,10 @@
 
 The data model is deliberately small: a discrete distribution is a sorted
 list of atoms with positive masses, a noise mechanism is one of three
-additive-noise families (Laplace, Gaussian, exponential-mechanism), and a
-privacy spec is an (order, budget) pair. Everything is immutable after
-construction and safe to share across workers.
+additive-noise families (Laplace, Gaussian, exponential-mechanism), a
+scenario set is the secret pairs to protect jointly, and a privacy spec is
+an (order, budget) pair. Everything is immutable after construction and
+safe to share across workers.
 """
 
 import math
@@ -92,6 +93,45 @@ def build_empirical(samples: Sequence[float]) -> DiscreteDistribution:
     return DiscreteDistribution(atoms=atoms, masses=masses)
 
 
+@dataclass(frozen=True)
+class ScenarioPair:
+    """Conditional data distributions for one secret pair under one prior belief."""
+
+    p_i: DiscreteDistribution
+    p_j: DiscreteDistribution
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class ScenarioSet:
+    """All secret pairs (one entry per adversarial prior) to protect jointly."""
+
+    pairs: tuple[ScenarioPair, ...]
+
+    def __post_init__(self):
+        if not self.pairs:
+            raise InvalidValue("scenario set must contain at least one pair")
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def label(self, index: int) -> str:
+        """The pair's label, or pair-<index> when it has none."""
+        return self.pairs[index].label or f"pair-{index}"
+
+
+def scenario_set(pairs: Sequence[tuple[DiscreteDistribution, DiscreteDistribution] | ScenarioPair]) -> ScenarioSet:
+    """Build a ScenarioSet from ScenarioPair objects or bare (P, Q) tuples."""
+    built = []
+    for k, pair in enumerate(pairs):
+        if isinstance(pair, ScenarioPair):
+            built.append(pair)
+        else:
+            p, q = pair
+            built.append(ScenarioPair(p_i=p, p_j=q, label=f"pair-{k}"))
+    return ScenarioSet(pairs=tuple(built))
+
+
 def _check_positive_scale(value: float, name: str) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidValue(f"{name} must be strictly positive, got {value!r}")
@@ -156,7 +196,7 @@ def check_cost_axioms(cost: Callable[[float], float], *, require_triangle: bool 
 class ExponentialParams:
     """Exponential-mechanism noise with density proportional to exp(-rate(scale) * cost(z)).
 
-    The default cost |z| with rate 1/scale reproduces Laplace noise. The
+    Cost |z| with rate r is Laplace(1/r) noise (see laplace_scale). The
     cost must be a metric (nonnegative, symmetric, triangle inequality);
     the axioms are spot-checked on a fixed probe grid at construction.
     """
@@ -179,19 +219,19 @@ MechanismParams = Union[LaplaceParams, GaussianParams, ExponentialParams]
 def laplace_scale(mech: MechanismParams) -> float | None:
     """The scale b when the noise is Laplace(b), else None.
 
-    Besides LaplaceParams, the exponential mechanism with its default cost
-    |z| and rate 1/scale has the density exp(-|z|/scale) / (2*scale). Every
-    Laplace closed form and kernel reads this, so that mechanism never
-    builds a numeric normalizer.
+    Besides LaplaceParams, an exponential mechanism with cost |z|
+    (absolute_cost or the builtin abs) has the density exp(-r|z|) r/2 with
+    r = rate(scale), which is Laplace(1/r); with the default rate 1/scale
+    that is Laplace(scale), taken as is so that 1/(1/scale) need not round
+    trip. Every Laplace closed form and kernel reads this, so these
+    mechanisms never build a numeric normalizer.
     """
     if isinstance(mech, LaplaceParams):
         return mech.scale
-    if (
-        isinstance(mech, ExponentialParams)
-        and mech.cost is absolute_cost
-        and mech.rate is reciprocal_rate
-    ):
-        return mech.scale
+    if isinstance(mech, ExponentialParams) and (mech.cost is absolute_cost or mech.cost is abs):
+        if mech.rate is reciprocal_rate:
+            return mech.scale
+        return 1.0 / mech.rate(mech.scale)
     return None
 
 
@@ -274,7 +314,7 @@ def truncation_halfwidth(mech: MechanismParams) -> float:
     """Half-width beyond the atom range where the noise tail mass is negligible.
 
     Laplace noise uses 40 scales, Gaussian 12 sigmas (tail mass < 1e-15 in
-    both cases); an exponential mechanism with a custom cost or rate reuses
+    both cases); an exponential mechanism with a cost other than |z| reuses
     its normalization window.
     """
     scale = laplace_scale(mech)
@@ -415,8 +455,8 @@ def log_sum_exp(a: np.ndarray):
 def noise_variance(mech: MechanismParams) -> float:
     """Variance of the noise: 2 scale^2 (Laplace), sigma^2 (Gaussian), numeric otherwise.
 
-    The default exponential mechanism (cost |z|, rate 1/scale) is Laplace
-    noise and takes the closed form; only custom costs are integrated.
+    An exponential mechanism with cost |z| is Laplace noise and takes the
+    closed form; only other costs are integrated.
     """
     if isinstance(mech, GaussianParams):
         return mech.sigma**2

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .calibrate import ScenarioPair
-from .dist import DiscreteDistribution, build_empirical
+from .dist import DiscreteDistribution, ScenarioPair, build_empirical
 from .errors import (
     EmptyConditional,
     InvalidValue,

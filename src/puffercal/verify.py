@@ -15,14 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .calibrate import ScenarioSet
 from .dist import (
     DiscreteDistribution,
-    ExponentialParams,
     GaussianParams,
     MechanismParams,
     PrivacySpec,
-    absolute_cost,
+    ScenarioSet,
     laplace_scale,
     log_sum_exp,
     posterior_log_density_many,
@@ -67,10 +65,6 @@ class VerificationReport:
     passed: Optional[bool]
     inconclusive: bool = False
     chernoff_bound: Optional[float] = None
-    mc_breach_estimate: Optional[float] = None
-    mc_half_width: Optional[float] = None
-    sample_count: int = 0
-    seed: Optional[int] = None
 
 
 def _cross_span(p_i: DiscreteDistribution, p_j: DiscreteDistribution) -> float:
@@ -189,38 +183,25 @@ def _log_ratio(
 def _tail_log_ratio_limits(
     p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
 ) -> Optional[list[float]]:
-    """Limits of log p(y) - log q(y) as y -> +/- inf, where available in closed form.
+    """Limits of log p(y) - log q(y) as y -> +/- inf for Gaussian noise, else None.
 
-    Gaussian noise and exponential mechanisms with cost |z| have them;
-    others return None. Limits tending to -inf are omitted since they
-    never attain the supremum.
+    Each tail is dominated by the extreme atom; a strictly larger reach
+    makes the ratio diverge. Limits tending to -inf are omitted since they
+    never attain the supremum. (Laplace noise, every |z|-cost exponential
+    mechanism included, never gets here: see _sup_log_ratio.)
     """
-    if isinstance(mech, GaussianParams):
-        # Each tail is dominated by the extreme atom; a strictly larger
-        # reach makes the ratio diverge.
-        limits = []
-        if p_i.max_atom > p_j.max_atom:
-            limits.append(math.inf)
-        elif p_i.max_atom == p_j.max_atom:
-            limits.append(math.log(p_i.masses[-1]) - math.log(p_j.masses[-1]))
-        if p_i.min_atom < p_j.min_atom:
-            limits.append(math.inf)
-        elif p_i.min_atom == p_j.min_atom:
-            limits.append(math.log(p_i.masses[0]) - math.log(p_j.masses[0]))
-        return limits
-    if not (
-        isinstance(mech, ExponentialParams)
-        and (mech.cost is absolute_cost or mech.cost is abs)
-    ):
+    if not isinstance(mech, GaussianParams):
         return None
-    rate = mech.rate(mech.scale)
-    log_mi = np.log(np.asarray(p_i.masses))
-    log_mj = np.log(np.asarray(p_j.masses))
-    atoms_i = np.asarray(p_i.atoms)
-    atoms_j = np.asarray(p_j.atoms)
-    right = float(log_sum_exp(log_mi + rate * atoms_i) - log_sum_exp(log_mj + rate * atoms_j))
-    left = float(log_sum_exp(log_mi - rate * atoms_i) - log_sum_exp(log_mj - rate * atoms_j))
-    return [right, left]
+    limits = []
+    if p_i.max_atom > p_j.max_atom:
+        limits.append(math.inf)
+    elif p_i.max_atom == p_j.max_atom:
+        limits.append(math.log(p_i.masses[-1]) - math.log(p_j.masses[-1]))
+    if p_i.min_atom < p_j.min_atom:
+        limits.append(math.inf)
+    elif p_i.min_atom == p_j.min_atom:
+        limits.append(math.log(p_i.masses[0]) - math.log(p_j.masses[0]))
+    return limits
 
 
 def _sup_log_ratio(
@@ -346,50 +327,49 @@ def chernoff_breach_bound(divergence: float, spec: PrivacySpec) -> float:
 
 
 def verify_rpp(
-    scenarios: ScenarioSet, mech: MechanismParams, spec: PrivacySpec
+    scenarios: ScenarioSet, mech: Optional[MechanismParams], spec: PrivacySpec
 ) -> list[VerificationReport]:
     """Check the divergence bound in both directions for every pair.
 
     The privacy definition quantifies over ordered pairs; the scenario set
     is treated as unordered and checked both ways. A pair passes when the
     larger direction stays within epsilon plus a 1e-6 numerical slack.
+    mech=None is the zero-noise mechanism, whose divergences are those of
+    the raw distributions (renyi_divergence_discrete). A pair whose
+    quadrature fails is inconclusive: nan divergences and passed=None. The
+    breach bound is given for 1 < alpha < inf when the larger direction is
+    finite.
     """
     reports = []
     for index, pair in enumerate(scenarios.pairs):
-        label = scenarios.label(index)
+        inconclusive = False
         try:
-            div_ij = renyi_divergence_numeric(pair.p_i, pair.p_j, mech, spec.alpha)
-            div_ji = renyi_divergence_numeric(pair.p_j, pair.p_i, mech, spec.alpha)
+            if mech is None:
+                div_ij = renyi_divergence_discrete(pair.p_i, pair.p_j, spec.alpha)
+                div_ji = renyi_divergence_discrete(pair.p_j, pair.p_i, spec.alpha)
+            else:
+                div_ij = renyi_divergence_numeric(pair.p_i, pair.p_j, mech, spec.alpha)
+                div_ji = renyi_divergence_numeric(pair.p_j, pair.p_i, mech, spec.alpha)
         except IntegrationFailure:
-            reports.append(
-                VerificationReport(
-                    pair_index=index,
-                    pair_label=label,
-                    alpha=spec.alpha,
-                    epsilon_target=spec.epsilon,
-                    divergence_ij=math.nan,
-                    divergence_ji=math.nan,
-                    slack=math.nan,
-                    passed=None,
-                    inconclusive=True,
-                )
-            )
-            continue
+            div_ij = div_ji = math.nan
+            inconclusive = True
         worst = max(div_ij, div_ji)
-        chernoff = (
-            chernoff_breach_bound(worst, spec) if 1.0 < spec.alpha < math.inf else None
-        )
         reports.append(
             VerificationReport(
                 pair_index=index,
-                pair_label=label,
+                pair_label=scenarios.label(index),
                 alpha=spec.alpha,
                 epsilon_target=spec.epsilon,
                 divergence_ij=div_ij,
                 divergence_ji=div_ji,
                 slack=spec.epsilon - worst,
-                passed=worst <= spec.epsilon + PASS_SLACK,
-                chernoff_bound=chernoff,
+                passed=None if inconclusive else worst <= spec.epsilon + PASS_SLACK,
+                inconclusive=inconclusive,
+                chernoff_bound=(
+                    chernoff_breach_bound(worst, spec)
+                    if 1.0 < spec.alpha < math.inf and math.isfinite(worst)
+                    else None
+                ),
             )
         )
     return reports

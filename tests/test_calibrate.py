@@ -37,6 +37,17 @@ from puffercal.errors import (
 from conftest import benchmark_regime_pair, point_mass, random_pair
 
 
+def test_scenario_model_names_resolve_from_every_module():
+    import puffercal
+    import puffercal.calibrate
+    import puffercal.dist
+
+    for name in ("ScenarioPair", "ScenarioSet", "scenario_set"):
+        model = getattr(puffercal.dist, name)
+        assert getattr(puffercal, name) is model
+        assert getattr(puffercal.calibrate, name) is model
+
+
 def bisection_root_decreasing(f, target, lo, hi, steps=200):
     """Plain bisection oracle for a decreasing f, independent of the solver."""
     assert f(lo) >= target >= f(hi)

@@ -155,6 +155,24 @@ class TestCalibrateCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["calibrate", "sweep"])
+    def test_failed_reverify_names_each_cell_once(self, capsys, monkeypatch,
+                                                  pair_scenario_file, command):
+        # A slack of -1 fails both pairs of every cell; each failing cell is
+        # one stderr line, not one per failing pair.
+        import puffercal.verify
+
+        monkeypatch.setattr(puffercal.verify, "PASS_SLACK", -1.0)
+        code, _, err = run_cli(
+            capsys, command, "--scenario", pair_scenario_file,
+            "--mechanism", "laplace", "--alpha", "2,3", "--epsilon", "0.5", "--verify",
+        )
+        assert code == 4
+        assert err.splitlines() == [
+            "verification failed: mechanism=laplace alpha=2.0 epsilon=0.5",
+            "verification failed: mechanism=laplace alpha=3.0 epsilon=0.5",
+        ]
+
     def test_sub_unit_alpha_flagged_experimental(self, capsys):
         code, out, _ = run_cli(
             capsys, "calibrate", "--scenario", "point-mass",
@@ -372,6 +390,19 @@ class TestVerifyCommand:
         rows = parse_csv(out)
         assert rows[0]["passed"] == "true"
         assert float(rows[0]["divergence_ij"]) == 0.0
+
+    def test_disjoint_pair_zero_parameter_fails(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "point-mass",
+            "--mechanism", "laplace", "--alpha", "2", "--epsilon", "1",
+            "--parameter", "0",
+        )
+        assert code == 4
+        (row,) = parse_csv(out)
+        assert row["passed"] == "false"
+        assert row["inconclusive"] == "false"
+        assert row["divergence_ij"] == row["divergence_ji"] == "inf"
+        assert row["chernoff_bound"] == ""
 
 
 @pytest.fixture

@@ -304,13 +304,45 @@ class TestLaplacePosteriorKernel:
         [
             GaussianParams(sigma=1.0),
             ExponentialParams(scale=1.0, cost=lambda z: abs(z)),
-            ExponentialParams(scale=1.0, rate=lambda t: 2.0 / t),
         ],
     )
     def test_other_noise_has_no_laplace_scale(self, mech):
         from puffercal.dist import laplace_scale
 
         assert laplace_scale(mech) is None
+
+    def test_custom_rate_abs_cost_is_laplace_noise(self):
+        # Cost |z| with any rate r is Laplace(1/r) noise: verify and breach
+        # read it exactly as LaplaceParams, and build no numeric normalizer.
+        # Atoms near 1e4 are where sums not anchored at the atoms lose digits.
+        from puffercal import monte_carlo_breach, scenario_set, verify_rpp
+        from puffercal.dist import _exponential_norm, laplace_scale
+
+        _exponential_norm.cache_clear()
+        custom = ExponentialParams(1.0, rate=lambda t: 2.0 / t)
+        laplace = LaplaceParams(0.5)
+        assert laplace_scale(custom) == 0.5
+        assert laplace_scale(ExponentialParams(1.3, cost=abs)) == 1.3
+        rng = np.random.default_rng(411)
+
+        def prior():
+            n = int(rng.integers(2, 12))
+            atoms = np.sort(rng.choice(np.arange(10000.0, 10040.0), n, replace=False))
+            masses = rng.dirichlet(np.ones(n))
+            return DiscreteDistribution(
+                tuple(atoms.tolist()), tuple((masses / masses.sum()).tolist())
+            )
+
+        scenarios = scenario_set([(prior(), prior()) for _ in range(10)])
+        for alpha in (2.0, math.inf):
+            spec = PrivacySpec(alpha=alpha, epsilon=1.0)
+            assert verify_rpp(scenarios, custom, spec) == verify_rpp(scenarios, laplace, spec)
+        for pair in scenarios.pairs:
+            assert monte_carlo_breach(pair.p_i, pair.p_j, custom, 1.0, 2000, 5) == (
+                monte_carlo_breach(pair.p_i, pair.p_j, laplace, 1.0, 2000, 5)
+            )
+        assert noise_variance(custom) == noise_variance(laplace)
+        assert _exponential_norm.cache_info().currsize == 0
 
 
 class TestNoiseVarianceAndSampling:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,23 @@ from puffercal.errors import IntegrationFailure, InvalidValue
 from puffercal.verify import _NEGATIVE_FLOOR, PASS_SLACK, _floor_rounding
 
 from conftest import point_mass, random_pair
+
+
+def test_verifier_does_not_import_the_calibrator():
+    # The verifier must stay a code path independent of the calibrator.
+    import ast
+
+    import puffercal.verify
+
+    tree = ast.parse(Path(puffercal.verify.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {".calibrate", "calibrate", "puffercal.calibrate"} & imported, imported
 
 
 class TestRenyiDivergenceNumeric:
@@ -287,6 +305,7 @@ class TestBisectQuadrature:
             renyi_divergence_numeric(p, q, mech, 2.0)
         (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(2.0, 1.0))
         assert report.inconclusive and report.passed is None
+        assert report.chernoff_bound is None
 
     def test_node_table_is_leggauss(self):
         import puffercal.verify as verify
@@ -339,6 +358,26 @@ class TestRenyiDivergenceDiscrete:
 
 
 class TestVerifyRpp:
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, math.inf])
+    def test_zero_noise_compares_raw_distributions(self, alpha):
+        same = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
+        spec = PrivacySpec(alpha=alpha, epsilon=1.0)
+        equal, disjoint = verify_rpp(
+            scenario_set([(same, same), (point_mass(0.0), point_mass(1.0))]), None, spec
+        )
+        assert equal.divergence_ij == equal.divergence_ji == 0.0
+        assert equal.divergence_ij == renyi_divergence_discrete(same, same, alpha)
+        assert equal.passed is True and not equal.inconclusive
+        expected_bound = chernoff_breach_bound(0.0, spec) if alpha == 2.0 else None
+        assert equal.chernoff_bound == expected_bound
+        assert disjoint.divergence_ij == disjoint.divergence_ji == math.inf
+        assert disjoint.divergence_ij == renyi_divergence_discrete(
+            point_mass(0.0), point_mass(1.0), alpha
+        )
+        assert disjoint.passed is False and not disjoint.inconclusive
+        assert disjoint.slack == -math.inf
+        assert disjoint.chernoff_bound is None
+
     def test_calibrated_laplace_passes(self, rng):
         pair = random_pair(rng, max_atoms=8, min_atoms=2, span=2.0)
         spec = PrivacySpec(alpha=2.0, epsilon=0.5)
