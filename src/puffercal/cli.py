@@ -399,10 +399,6 @@ def cmd_breach(args) -> int:
             spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
             parameter = _cell_parameter(args, scenarios, kind, alpha, epsilon)
             mech = cal.noise_for(kind, parameter)
-            if mech is None:
-                raise _ConfigError(
-                    "breach estimation needs a strictly positive parameter"
-                )
             for index, pair in enumerate(scenarios.pairs):
                 pair_seed = args.seed + index
                 estimate, half_width = ver.monte_carlo_breach(
@@ -410,10 +406,14 @@ def cmd_breach(args) -> int:
                 )
                 chernoff = None
                 if 1.0 < alpha < math.inf:
-                    divergence = ver.renyi_divergence_numeric(
-                        pair.p_i, pair.p_j, mech, alpha
-                    )
-                    chernoff = ver.chernoff_breach_bound(divergence, spec)
+                    if mech is None:
+                        divergence = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
+                    else:
+                        divergence = ver.renyi_divergence_numeric(
+                            pair.p_i, pair.p_j, mech, alpha
+                        )
+                    if math.isfinite(divergence):
+                        chernoff = ver.chernoff_breach_bound(divergence, spec)
                 rows.append(
                     {
                         "mechanism": kind,

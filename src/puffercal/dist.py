@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import EmptySample, InvalidValue, NonNormalizable
 
@@ -258,6 +257,10 @@ def _exponential_norm(mech: ExponentialParams):
     computed by composite Simpson on a 100001-point grid. Costs whose
     density never decays are rejected as non-normalizable.
     """
+    # Imported here: only costs other than |z| integrate, and scipy.integrate
+    # would otherwise be most of every command's import time and memory.
+    from scipy.integrate import simpson
+
     rate = mech.rate(mech.scale)
     halfwidth = 1.0
     for _ in range(80):
@@ -367,6 +370,8 @@ class LaplacePosterior:
         self.right_atoms = np.concatenate((atoms, atoms[-1:]))
         self.log_left = np.array([-math.inf, *(math.log(v) for v in left)])
         self.log_right = np.array([*(math.log(v) for v in right), -math.inf])
+        for array in (atoms, self.left_atoms, self.right_atoms, self.log_left, self.log_right):
+            array.flags.writeable = False
 
     def log_density_many(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
@@ -400,8 +405,19 @@ def posterior_log_density_many(
     """
     scale = laplace_scale(mech)
     if scale is not None:
-        return LaplacePosterior(prior, scale).log_density_many(ys)
+        return laplace_posterior(prior, scale).log_density_many(ys)
     return posterior_log_density_dense(mech, prior, ys)
+
+
+@lru_cache(maxsize=64)
+def laplace_posterior(prior: DiscreteDistribution, scale: float) -> LaplacePosterior:
+    """The LaplacePosterior of (prior, scale), built once and shared.
+
+    A divergence's quadrature asks for the same two kernels in every round;
+    DiscreteDistribution caches its hash, so a lookup costs one tuple
+    comparison on a hit. The kernel's arrays are read-only.
+    """
+    return LaplacePosterior(prior, scale)
 
 
 def posterior_log_density_dense(
@@ -427,6 +443,43 @@ def posterior_log_density_dense(
         out[start : start + chunk] = log_sum_exp(lp)
         del lp
     return out
+
+
+def gaussian_tilted_log_sum(
+    prior: DiscreteDistribution, sigma: float, centers: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian posterior's log-sum-exp tilted about each center, and its slope there.
+
+    For Y = X + N(0, sigma^2) and a center c, write y = c + t. Then
+
+        log p(y) = G_c(t) - t^2 / 2 sigma^2 - log(sigma sqrt(2 pi)),
+        G_c(t) = log sum_i m_i exp(-(a_i - c)^2 / 2 sigma^2 + t (a_i - c) / sigma^2),
+
+    and G_c is a log-sum-exp of functions affine in t, so it is convex
+    (Boyd & Vandenberghe 2004, 3.1.5). Two priors under the same noise
+    share the other two terms, so log p - log q = G^p_c - G^q_c for every t.
+    The exponents hold (a_i - c)/sigma, never y a_i / sigma^2, so atoms far
+    from 0 lose no digits. Returns G_c(offsets[k, j]) about centers[k],
+    shape (K, J), and the slope G_c'(0), the tilted mean of a_i - c over
+    sigma^2, shape (K,). Chunked like posterior_log_density_dense.
+    """
+    atoms = np.asarray(prior.atoms)
+    log_masses = np.log(np.asarray(prior.masses))
+    values = np.empty(offsets.shape)
+    slopes = np.empty(centers.shape)
+    chunk = max(1, _DENSE_CHUNK_ELEMENTS // (atoms.size * offsets.shape[1]))
+    for start in range(0, centers.size, chunk):
+        rows = slice(start, start + chunk)
+        reach = atoms[None, :] - centers[rows, None]
+        reach /= sigma
+        base = np.square(reach)
+        base *= -0.5
+        base += log_masses[None, :]
+        weights = np.exp(base - base.max(axis=1, keepdims=True))
+        slopes[rows] = (weights * reach).sum(axis=1) / (sigma * weights.sum(axis=1))
+        tilted = base[:, None, :] + (offsets[rows] / sigma)[:, :, None] * reach[:, None, :]
+        values[rows] = log_sum_exp(tilted.reshape(-1, atoms.size)).reshape(-1, offsets.shape[1])
+    return values, slopes
 
 
 def log_sum_exp(a: np.ndarray):
@@ -463,6 +516,8 @@ def noise_variance(mech: MechanismParams) -> float:
     scale = laplace_scale(mech)
     if scale is not None:
         return 2.0 * scale**2
+    from scipy.integrate import simpson
+
     _, _, grid, pdf = _exponential_norm(mech)
     mean = float(simpson(grid * pdf, x=grid))
     return float(simpson((grid - mean) ** 2 * pdf, x=grid))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dist import (
     DiscreteDistribution,
@@ -21,6 +20,7 @@ from .dist import (
     MechanismParams,
     PrivacySpec,
     ScenarioSet,
+    gaussian_tilted_log_sum,
     laplace_scale,
     log_sum_exp,
     posterior_log_density_many,
@@ -33,6 +33,10 @@ PASS_SLACK = 1e-6
 _GRID_PER_GAP = 4096
 _NEGATIVE_FLOOR = -1e-8
 _MAX_ROUNDS = 60
+# Monte Carlo breach classification (see _breach_intervals).
+_CLASSIFY_ROUNDS = 64
+_MIN_WIDTH = 2.0**-30
+_MARGIN_ULPS = 64.0
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
 # .leggauss(12) returns it; a literal table, because computing it at import
@@ -263,6 +267,9 @@ def _grid_max_log_ratio(
     left = float(ys[max(0, best_idx - 1)])
     right = float(ys[min(ys.size - 1, best_idx + 1)])
     if right > left:
+        # Imported here: only Gaussian and custom-cost alpha = inf refine.
+        from scipy.optimize import minimize_scalar
+
         refined = minimize_scalar(
             lambda y: -float(_log_ratio(p_i, p_j, mech, np.array([y]))[0]),
             bounds=(left, right),
@@ -378,7 +385,7 @@ def verify_rpp(
 def monte_carlo_breach(
     p_i: DiscreteDistribution,
     p_j: DiscreteDistribution,
-    mech: MechanismParams,
+    mech: Optional[MechanismParams],
     epsilon: float,
     n: int,
     seed: int,
@@ -386,16 +393,191 @@ def monte_carlo_breach(
     """Empirical frequency of posterior likelihood ratios exceeding exp(epsilon).
 
     Draws X from the first prior, adds mechanism noise, and counts how
-    often the posterior log-density ratio exceeds epsilon. Returns the
-    estimate with a 95% normal-approximation half-width; deterministic for
-    a fixed seed.
+    often the posterior log-density ratio log p(y) - log q(y) exceeds
+    epsilon. Returns the estimate with a 95% normal-approximation
+    half-width; deterministic for a fixed seed. mech=None is zero noise:
+    a draw x breaches when log m_i(x) - log m_j(x) > epsilon, and an atom
+    missing from the second prior always breaches.
+
+    The count is the one that evaluating the log ratio at every draw
+    gives, but for Laplace and Gaussian noise the ratio is evaluated only
+    where interval bounds cannot decide (see _breach_intervals): the draws
+    are sorted once, and those strictly inside an interval certified above
+    or below epsilon are counted by a binary search of its edges. Draws in
+    undecided intervals, draws exactly on an interval edge, and every draw
+    of a custom-cost mechanism take the log ratio itself.
     """
     if n < 1000:
         raise InvalidValue(f"need at least 1000 samples for a stable estimate, got {n}")
     rng = np.random.default_rng(seed)
     xs = p_i.sample(rng, n)
-    ys = xs + sample_noise(mech, rng, n)
-    log_ratio = _log_ratio(p_i, p_j, mech, ys)
-    estimate = float(np.count_nonzero(log_ratio > epsilon)) / n
+    if mech is None:
+        count = _count_raw_breaches(p_i, p_j, epsilon, xs)
+    else:
+        count = _count_breaches(p_i, p_j, mech, epsilon, xs + sample_noise(mech, rng, n))
+    estimate = float(count) / n
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / n)
     return estimate, half_width
+
+
+def _count_raw_breaches(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, epsilon: float, xs: np.ndarray
+) -> int:
+    """Zero-noise breaches: draws x of p_i with log m_i(x) - log m_j(x) > epsilon."""
+    masses_j = dict(zip(p_j.atoms, p_j.masses))
+    breaches = np.array([
+        atom not in masses_j or math.log(mass) - math.log(masses_j[atom]) > epsilon
+        for atom, mass in zip(p_i.atoms, p_i.masses)
+    ])
+    return int(np.count_nonzero(breaches[np.searchsorted(np.asarray(p_i.atoms), xs)]))
+
+
+def _count_breaches(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    epsilon: float,
+    ys: np.ndarray,
+) -> int:
+    """The number of draws ys with _log_ratio(ys) > epsilon, by interval classification.
+
+    The draws are sorted once; a certified interval's draws strictly
+    inside it are a slice found by binary search of its edges, and every
+    other draw (on an edge, or outside the certified intervals) takes
+    _log_ratio.
+    """
+    if laplace_scale(mech) is None and not isinstance(mech, GaussianParams):
+        return int(np.count_nonzero(_log_ratio(p_i, p_j, mech, ys) > epsilon))
+    ys = np.sort(ys)
+    starts, ends, above = _breach_intervals(p_i, p_j, mech, epsilon, ys)
+    first = np.searchsorted(ys, starts, side="right")
+    last = np.searchsorted(ys, ends, side="left")
+    certain = int(np.sum(last - first, where=above))
+    rest = np.concatenate([
+        ys[i:j] for i, j in zip((0, *last.tolist()), (*first.tolist(), ys.size))
+    ])
+    return certain + int(np.count_nonzero(_log_ratio(p_i, p_j, mech, rest) > epsilon))
+
+
+def _breach_intervals(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    epsilon: float,
+    ys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint intervals of the draw range where log p - log q is certified against epsilon.
+
+    A branch and bound on r(y) = log p(y) - log q(y) for Laplace or
+    Gaussian noise; ys are the sorted draws. The draw range is first cut
+    at every atom of either prior. Each round drops the intervals with no
+    draw strictly inside, bounds r on the others (_log_ratio_bounds), and
+        - certifies an interval above epsilon when the lower bound exceeds
+          epsilon + margin, and below when the upper bound is under
+          epsilon - margin;
+        - leaves it undecided when both bounds lie within the margin of
+          epsilon, where no narrower interval can decide either (a Laplace
+          tail constant at epsilon is one), or when it is narrower than
+          2^-30 max(1, |y|);
+        - halves it otherwise.
+    After _CLASSIFY_ROUNDS rounds, or once more than four times the
+    initial intervals plus 64 are open, the open ones stay undecided. The
+    margin covers the rounding of both the bound and _log_ratio, so a draw
+    in a certified interval has _log_ratio > epsilon exactly when the
+    interval is certified above. Returns (starts, ends, above) sorted by
+    start; undecided intervals are not returned.
+
+    For Gaussian noise, r - epsilon has at most as many zeros as the
+    coefficients m_k - e^epsilon m'_k along the merged atoms have sign
+    changes (Laguerre's rule of signs, Polya & Szego, Part V, problem 77),
+    so only the intervals near those few crossings stay open for long.
+    """
+    knots = np.array(sorted(set(p_i.atoms) | set(p_j.atoms)))
+    lo, hi = float(ys[0]), float(ys[-1])
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    a, b = edges[:-1], edges[1:]
+    most_open = 4 * a.size + 64
+    starts, ends, above = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
+    for _ in range(_CLASSIFY_ROUNDS):
+        occupied = np.searchsorted(ys, b, side="left") > np.searchsorted(ys, a, side="right")
+        a, b = a[occupied], b[occupied]
+        if a.size == 0 or a.size > most_open:
+            break
+        lower, upper, margin = _log_ratio_bounds(p_i, p_j, mech, a, b)
+        high = lower > epsilon + margin
+        certified = high | (upper < epsilon - margin)
+        starts.append(a[certified])
+        ends.append(b[certified])
+        above.append(high[certified])
+        banded = (lower >= epsilon - margin) & (upper <= epsilon + margin)
+        narrow = b - a <= _MIN_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        split = ~(certified | banded | narrow)
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    starts, ends, above = (np.concatenate(v) for v in (starts, ends, above))
+    order = np.argsort(starts)
+    return starts[order], ends[order], above[order]
+
+
+def _log_ratio_bounds(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper bounds on log p - log q over each [a[k], b[k]], and a rounding margin.
+
+    The intervals hold no atom of either prior inside.
+    - Laplace noise: between adjacent atoms the ratio is monotone, and
+      beyond the extreme atoms constant (see _sup_log_ratio), so the
+      bounds are the smaller and larger of its two endpoint values.
+    - Gaussian noise: log p - log q = G^p_c - G^q_c, convex functions of
+      y tilted about the midpoint c (dist.gaussian_tilted_log_sum). A
+      convex function lies under its chord and above its tangent, so
+      chord(G^p) - tangent(G^q) bounds the ratio from above and
+      tangent(G^p) - chord(G^q) from below; both are affine, so their
+      extremes are at the endpoints.
+
+    The margin is 64 u (M + L + n + |log s| + 3), u = 2^-53, where M is the
+    largest exponent magnitude on the interval, D/s for Laplace(s) noise
+    and (D/s)^2 for Gaussian(s), with D the largest distance from a point
+    of the interval to an atom of either prior; L = max(-log mass) and n
+    the two priors' atom count together. Each term bounds a rounding: of
+    the exponents, of the logged masses and anchored sums, of the n-term
+    sums, and of the noise's normalizer. Gaussian margins are further
+    scaled by 1 + w D / s^2 for an interval of width w, since a rounding
+    of the tangent's slope grows with the distance from c.
+    """
+    reach = np.maximum(
+        b - min(p_i.min_atom, p_j.min_atom), max(p_i.max_atom, p_j.max_atom) - a
+    )
+    scale = laplace_scale(mech)
+    if scale is not None:
+        values = _log_ratio(p_i, p_j, mech, np.concatenate((a, b)))
+        at_a, at_b = values[: a.size], values[a.size :]
+        lower, upper = np.minimum(at_a, at_b), np.maximum(at_a, at_b)
+        exponent = reach / scale
+        spread = 1.0
+    else:
+        scale = mech.sigma
+        c = 0.5 * (a + b)
+        offsets = np.stack((a - c, np.zeros_like(c), b - c), axis=1)
+        gp, slope_p = gaussian_tilted_log_sum(p_i, scale, c, offsets)
+        gq, slope_q = gaussian_tilted_log_sum(p_j, scale, c, offsets)
+        t_a, t_b = offsets[:, 0], offsets[:, 2]
+        upper = np.maximum(
+            gp[:, 0] - (gq[:, 1] + slope_q * t_a), gp[:, 2] - (gq[:, 1] + slope_q * t_b)
+        )
+        lower = np.minimum(
+            gp[:, 1] + slope_p * t_a - gq[:, 0], gp[:, 1] + slope_p * t_b - gq[:, 2]
+        )
+        exponent = np.square(reach / scale)
+        spread = 1.0 + (b - a) * reach / scale**2
+    fixed = (
+        3.0 - math.log(min(p_i.masses + p_j.masses))
+        + len(p_i.atoms) + len(p_j.atoms) + abs(math.log(scale))
+    )
+    margin = _MARGIN_ULPS * 2.0**-53 * (fixed + exponent) * spread
+    return lower, upper, margin

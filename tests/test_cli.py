@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves custom exponential costs and Gaussian alpha = inf only;
+    # the commands import it when those run, not at startup.
+    import puffercal
+
+    src = str(Path(puffercal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, puffercal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def parse_csv(text):
@@ -572,21 +593,45 @@ class TestBreachCommand:
         assert code == 0
         jsonschema.validate(json.loads((tmp_path / "breach.json").read_text()), schema)
 
-    def test_breach_needs_positive_parameter(self, capsys, tmp_path):
+    @staticmethod
+    def _one_pair_file(tmp_path, q_atoms):
         payload = {
             "pairs": [
                 {
-                    "label": "same",
-                    "p": {"atoms": [0.0], "masses": [1.0]},
-                    "q": {"atoms": [0.0], "masses": [1.0]},
+                    "label": "zero",
+                    "p": {"atoms": [0.0, 1.0], "masses": [0.5, 0.5]},
+                    "q": {"atoms": q_atoms, "masses": [0.5, 0.5]},
                 }
             ]
         }
-        path = tmp_path / "same.json"
+        path = tmp_path / "zero.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, _, err = run_cli(
+        return path
+
+    def test_breach_on_calibrated_zero_parameter(self, capsys, tmp_path):
+        # An identical pair calibrates to 0: zero noise never breaches, and
+        # the bound is exp((alpha - 1)(0 - epsilon)).
+        path = self._one_pair_file(tmp_path, [0.0, 1.0])
+        code, out, err = run_cli(
             capsys, "breach", "--scenario", str(path),
-            "--mechanism", "laplace", "--alpha", "2", "--epsilon", "0.5",
+            "--mechanism", "laplace", "--alpha", "2", "--epsilon", "0.5", "--n", "2000",
         )
-        assert code == 2
-        assert "positive" in err
+        assert code == 0, err
+        (row,) = parse_csv(out)
+        assert float(row["parameter"]) == 0.0
+        assert float(row["mc_breach_estimate"]) == 0.0
+        assert float(row["chernoff_bound"]) == pytest.approx(math.exp(-0.5), rel=1e-15)
+
+    def test_breach_zero_parameter_disjoint_supports(self, capsys, tmp_path):
+        # Every draw is an atom the other side lacks: estimate 1, and the
+        # divergence is infinite, so there is no bound.
+        path = self._one_pair_file(tmp_path, [2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", str(path), "--parameter", "0",
+            "--mechanism", "gaussian", "--alpha", "2", "--epsilon", "0.5", "--n", "2000",
+        )
+        assert code == 0, err
+        (row,) = parse_csv(out)
+        assert float(row["mc_breach_estimate"]) == 1.0
+        assert float(row["mc_half_width"]) == 0.0
+        assert row["chernoff_bound"] == ""

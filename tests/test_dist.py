@@ -260,6 +260,33 @@ class TestLaplacePosteriorKernel:
         ys = np.linspace(-30.0, 30.0, 601)
         self._check(point_mass(1.7), 0.9, ys)
 
+    def test_kernel_built_once_per_prior(self, monkeypatch, rng):
+        # A whole alpha = 2 divergence builds each prior's kernel once, and
+        # the shared kernel gives the values a fresh build per call gives.
+        from puffercal import dist
+        from puffercal.verify import renyi_divergence_numeric
+
+        p = self._prior(np.arange(70.0), rng)
+        q = self._prior(np.arange(3.0, 73.0), rng)
+        mech = LaplaceParams(2.0)
+        monkeypatch.setattr(dist, "laplace_posterior", dist.LaplacePosterior)
+        fresh = renyi_divergence_numeric(p, q, mech, 2.0)
+        monkeypatch.undo()
+
+        builds = []
+        init = dist.LaplacePosterior.__init__
+
+        def counting(self, prior, scale):
+            builds.append(prior)
+            init(self, prior, scale)
+
+        monkeypatch.setattr(dist.LaplacePosterior, "__init__", counting)
+        dist.laplace_posterior.cache_clear()
+        assert renyi_divergence_numeric(p, q, mech, 2.0) == fresh
+        assert builds == [p, q]
+        assert renyi_divergence_numeric(p, q, mech, 2.0) == fresh
+        assert builds == [p, q]
+
     def test_points_on_atoms_and_beyond_both_ends(self, rng):
         prior = self._prior(np.sort(rng.uniform(-5.0, 5.0, 12)), rng)
         ys = [*prior.atoms, prior.min_atom - 1e3, prior.min_atom - 0.5,

@@ -215,9 +215,9 @@ class TestRenyiDivergenceNumeric:
         import puffercal.verify as verify
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("minimize_scalar called for Laplace alpha = inf")
+            raise AssertionError("grid search called for Laplace alpha = inf")
 
-        monkeypatch.setattr(verify, "minimize_scalar", forbidden)
+        monkeypatch.setattr(verify, "_grid_max_log_ratio", forbidden)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         for pair in ((p, q), (q, p), (point_mass(0.0), point_mass(1.0))):
@@ -579,3 +579,164 @@ class TestMonteCarloBreach:
             bound = chernoff_breach_bound(divergence, spec)
             standard_error = half_width / 1.96
             assert estimate <= bound + 3.0 * standard_error
+
+    def test_zero_noise_compares_raw_masses(self):
+        # log(0.5/0.2) > 0.5 breaches, log(0.3/0.8) < 0 does not, and the
+        # atom 2 that q lacks always breaches.
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.2, 0.8))
+        estimate, _ = monte_carlo_breach(p, q, None, 0.5, 100_000, 5)
+        xs = p.sample(np.random.default_rng(5), 100_000)
+        assert estimate == np.count_nonzero(xs != 1.0) / 100_000
+        assert monte_carlo_breach(p, p, None, 0.5, 1000, 5) == (0.0, 0.0)
+
+
+def _count_every_draw(p_i, p_j, mech, epsilon, ys):
+    """The count monte_carlo_breach made before interval classification."""
+    import puffercal.verify as verify
+
+    return int(np.count_nonzero(verify._log_ratio(p_i, p_j, mech, ys) > epsilon))
+
+
+def _sorted_draws(p_i, mech, n, seed):
+    """The draws monte_carlo_breach makes for (p_i, mech, n, seed), sorted."""
+    from puffercal.dist import sample_noise
+
+    rng = np.random.default_rng(seed)
+    xs = p_i.sample(rng, n)
+    return np.sort(xs + sample_noise(mech, rng, n))
+
+
+class TestBreachClassification:
+    """The interval classifier must count exactly what the log ratio at every draw counts."""
+
+    @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, ExponentialParams])
+    def test_counts_match_log_ratio_path(self, monkeypatch, noise):
+        import puffercal.verify as verify
+
+        rng = np.random.default_rng(41)
+        cases = []
+        for seed in range(6):
+            pair = random_pair(rng, max_atoms=12, min_atoms=1, span=4.0)
+            mech = noise(float(rng.uniform(0.3, 2.0)))
+            cases.append((pair, mech, float(rng.uniform(0.1, 1.0)), seed))
+        classified = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
+                      for pair, mech, eps, seed in cases]
+        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        every = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
+                 for pair, mech, eps, seed in cases]
+        assert classified == every
+        assert sum(estimate > 0.0 for estimate, _ in classified) >= 3
+
+    def test_gaussian_oracle_over_certified_intervals(self):
+        # P(Y in [A, B]) for Y = X + N(0, sigma^2), X ~ p, is
+        # sum_i m_i [Phi((B - a_i)/sigma) - Phi((A - a_i)/sigma)].
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        mech, eps, n, seed = GaussianParams(0.8), 0.4, 400_000, 3
+        estimate, half_width = monte_carlo_breach(p, q, mech, eps, n, seed)
+        starts, ends, above = verify._breach_intervals(
+            p, q, mech, eps, _sorted_draws(p, mech, n, seed)
+        )
+
+        def phi(z):
+            return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+        exact = math.fsum(
+            m * (phi((b - atom) / 0.8) - phi((a - atom) / 0.8))
+            for a, b in zip(starts[above], ends[above])
+            for atom, m in zip(p.atoms, p.masses)
+        )
+        assert 0.1 < exact < 0.9
+        assert abs(estimate - exact) <= 4.0 * half_width / 1.96
+
+    def test_breach_runs_within_laguerre_bound(self, rng):
+        # p(y) - e^eps q(y) is, after dividing out exp(-y^2 / 2 sigma^2), an
+        # exponential sum whose coefficients have the signs of
+        # m_k - e^eps m'_k along the merged atoms; it has at most as many
+        # real zeros as those signs change. Runs of intervals certified
+        # above, separated by one certified below, need two zeros apiece.
+        import puffercal.verify as verify
+
+        most = 0
+        for _ in range(20):
+            p, q = random_pair(rng, max_atoms=6, min_atoms=2, span=3.0)
+            mech = GaussianParams(float(rng.uniform(0.15, 0.6)))
+            eps = float(rng.uniform(0.1, 1.0))
+            _, _, above = verify._breach_intervals(
+                p, q, mech, eps, _sorted_draws(p, mech, 100_000, 0)
+            )
+            runs = int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[:1].sum())
+            masses_p, masses_q = dict(zip(p.atoms, p.masses)), dict(zip(q.atoms, q.masses))
+            signs = [
+                masses_p.get(a, 0.0) > math.exp(eps) * masses_q.get(a, 0.0)
+                for a in sorted(set(p.atoms) | set(q.atoms))
+            ]
+            changes = sum(s != t for s, t in zip(signs, signs[1:]))
+            assert runs <= changes
+            most = max(most, runs)
+        assert most >= 2
+
+    @pytest.mark.parametrize("noise", [GaussianParams, LaplaceParams])
+    def test_atoms_near_ten_thousand_with_small_noise(self, monkeypatch, noise):
+        # Conditioning regression: exponents tilted about the interval
+        # midpoint hold (a - c)/sigma; untilted ones would hold
+        # y a / sigma^2 ~ 1e12 and lose every digit of the bound.
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution(
+            atoms=tuple(10000.0 + d for d in (0.0, 0.013, 0.05, 0.07)),
+            masses=(0.1, 0.4, 0.3, 0.2),
+        )
+        q = DiscreteDistribution(
+            atoms=tuple(10000.0 + d for d in (0.0, 0.02, 0.05, 0.09)),
+            masses=(0.3, 0.2, 0.3, 0.2),
+        )
+        mech = noise(0.01)
+        classified = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
+        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        every = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
+        assert classified == every
+        assert all(estimate > 0.0 for estimate, _ in classified)
+
+    def test_laplace_tail_constant_at_epsilon(self, monkeypatch):
+        # For point masses at 0 and 1 under Laplace(2), log p - log q is 1/2
+        # on all of y < 0, and the log ratio rounds to a few values next to
+        # it there. With epsilon at each of them, no interval of the tail
+        # can be certified, and its draws take the log ratio.
+        import puffercal.verify as verify
+
+        pair, mech, n, seed = (point_mass(0.0), point_mass(1.0)), LaplaceParams(2.0), 100_000, 4
+        ys = _sorted_draws(pair[0], mech, n, seed)
+        tail = np.unique(verify._log_ratio(*pair, mech, ys[ys < 0.0]))
+        assert tail.size > 1 and np.all(np.abs(tail - 0.5) < 1e-14)
+        rounds = []
+        bounds = verify._log_ratio_bounds
+
+        def counted(*args):
+            rounds.append(args[3].size)
+            return bounds(*args)
+
+        for eps in tail.tolist():
+            rounds.clear()
+            monkeypatch.setattr(verify, "_log_ratio_bounds", counted)
+            classified = monte_carlo_breach(*pair, mech, eps, n, seed)
+            assert 0 < len(rounds) <= verify._CLASSIFY_ROUNDS
+            starts, _, _ = verify._breach_intervals(*pair, mech, eps, ys)
+            assert not np.any(starts < 0.0)
+            monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+            assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
+            monkeypatch.undo()
+
+    def test_custom_cost_takes_the_log_ratio_path(self, monkeypatch):
+        import puffercal.verify as verify
+
+        def forbidden(*args):
+            raise AssertionError("custom cost classified by intervals")
+
+        monkeypatch.setattr(verify, "_breach_intervals", forbidden)
+        mech = ExponentialParams(1.0, cost=lambda z: 2.0 * abs(z))
+        estimate, _ = monte_carlo_breach(point_mass(0.0), point_mass(1.0), mech, 0.5, 2000, 3)
+        assert 0.0 < estimate < 1.0
