@@ -23,6 +23,10 @@ _MASS_TOL = 1e-12
 # Bound on points x atoms in one dense log-sum-exp matrix (16 MB of float64).
 _DENSE_CHUNK_ELEMENTS = 2**21
 
+# Guide-table buckets in DiscreteDistribution.sample: a power of two that
+# fits np.uint16.
+_GUIDE_BUCKETS = 4096
+
 # Deterministic probe points used to spot-check cost-function axioms.
 _COST_PROBES = (-3.7, -2.0, -1.3, -0.5, 0.0, 0.4, 1.0, 1.8, 2.6, 4.1)
 
@@ -70,8 +74,34 @@ class DiscreteDistribution:
         return self.atoms[-1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n iid values; deterministic for a fixed generator state."""
-        return rng.choice(np.asarray(self.atoms), size=n, p=np.asarray(self.masses))
+        """Draw n iid values; deterministic for a fixed generator state.
+
+        Bit for bit what rng.choice(atoms, size=n, p=masses) returns, with
+        the generator left in the same state: the same n uniforms u and
+        the same inverse-CDF lookup searchsorted(cdf, u, "right"), found by
+        a guide table of K = _GUIDE_BUCKETS buckets (Chen & Asau 1974;
+        Devroye 1986, III.2.4). Bucket t holds the u in [t/K, (t+1)/K).
+        The lookup is non-decreasing in u, so a bucket whose two ends look
+        up the same atom gives it to every u inside; only draws in the
+        other buckets are searched. Scaling by K, a power of two, is exact
+        both ways.
+        """
+        atoms = np.asarray(self.atoms)
+        cdf = np.cumsum(self.masses)
+        cdf /= cdf[-1]
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        lo = cdf.searchsorted(edges[:-1], "right")
+        ambiguous = lo != cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
+        first = atoms[lo]
+        u = rng.random(n)
+        u *= _GUIDE_BUCKETS
+        bucket = u.astype(np.uint16)
+        fix = np.flatnonzero(ambiguous[bucket])
+        u_fix = u[fix] / _GUIDE_BUCKETS
+        del u
+        draws = first[bucket]
+        draws[fix] = atoms[cdf.searchsorted(u_fix, "right")]
+        return draws
 
 
 def build_empirical(samples: Sequence[float]) -> DiscreteDistribution:

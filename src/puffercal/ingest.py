@@ -60,15 +60,14 @@ def load_table(
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             raw_rows = [
-                tuple(cell.strip() for cell in row)
-                for row in csv.reader(handle, delimiter=delimiter)
+                tuple(map(str.strip, row)) for row in csv.reader(handle, delimiter=delimiter)
             ]
     except OSError as exc:
         raise IoError(f"could not read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
 
-    raw_rows = [row for row in raw_rows if any(cell for cell in row)]
+    raw_rows = [row for row in raw_rows if any(row)]
     if not raw_rows:
         raise ParseError(f"{path} contains no rows")
 

@@ -414,7 +414,10 @@ def monte_carlo_breach(
     if mech is None:
         count = _count_raw_breaches(p_i, p_j, epsilon, xs)
     else:
-        count = _count_breaches(p_i, p_j, mech, epsilon, xs + sample_noise(mech, rng, n))
+        ys = sample_noise(mech, rng, n)
+        ys += xs
+        del xs
+        count = _count_breaches(p_i, p_j, mech, epsilon, ys)
     estimate = float(count) / n
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / n)
     return estimate, half_width
@@ -441,14 +444,14 @@ def _count_breaches(
 ) -> int:
     """The number of draws ys with _log_ratio(ys) > epsilon, by interval classification.
 
-    The draws are sorted once; a certified interval's draws strictly
-    inside it are a slice found by binary search of its edges, and every
-    other draw (on an edge, or outside the certified intervals) takes
-    _log_ratio.
+    The draws are sorted once, in place; a certified interval's draws
+    strictly inside it are a slice found by binary search of its edges,
+    and every other draw (on an edge, or outside the certified intervals)
+    takes _log_ratio.
     """
     if laplace_scale(mech) is None and not isinstance(mech, GaussianParams):
         return int(np.count_nonzero(_log_ratio(p_i, p_j, mech, ys) > epsilon))
-    ys = np.sort(ys)
+    ys.sort()
     starts, ends, above = _breach_intervals(p_i, p_j, mech, epsilon, ys)
     first = np.searchsorted(ys, starts, side="right")
     last = np.searchsorted(ys, ends, side="left")

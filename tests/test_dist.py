@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from puffercal import (
@@ -61,6 +62,72 @@ class TestDiscreteDistribution:
         b = d.sample(np.random.default_rng(3), 100)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0.0, 1.0, 3.0}
+
+
+def _assert_sample_is_choice(dist, n, seed):
+    """sample equals rng.choice bit for bit and leaves the generator where it does."""
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = dist.sample(ours, n)
+    expected = reference.choice(np.asarray(dist.atoms), size=n, p=np.asarray(dist.masses))
+    assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+    assert drawn.tobytes() == expected.tobytes()
+    assert ours.random() == reference.random()
+    return drawn
+
+
+class TestGuideTableSample:
+    """DiscreteDistribution.sample must return exactly what rng.choice returns."""
+
+    def test_cdf_on_bucket_edges(self):
+        # Masses are multiples of 2^-12, so every cumulative mass is a
+        # bucket edge t/4096, and the searchsorted side decides which atom
+        # a bucket starting there gets. The 1/4096 atoms own one bucket.
+        counts = (1, 1023, 1024, 1, 2047)
+        dist = DiscreteDistribution(
+            atoms=tuple(float(i) for i in range(len(counts))),
+            masses=tuple(c / 4096 for c in counts),
+        )
+        drawn = _assert_sample_is_choice(dist, 400_000, 12)
+        assert set(np.unique(drawn)) == set(dist.atoms)
+
+    def test_one_atom(self):
+        drawn = _assert_sample_is_choice(point_mass(-2.5), 5000, 3)
+        assert np.all(drawn == -2.5)
+
+    def test_many_atoms_below_a_bucket(self):
+        # 5000 atoms, each under 1/4096: nearly every bucket is searched.
+        rng = np.random.default_rng(8)
+        masses = rng.uniform(0.9, 1.1, 5000)
+        masses /= masses.sum()
+        assert masses.max() < 1 / 4096
+        dist = DiscreteDistribution(
+            atoms=tuple(np.arange(5000.0)), masses=tuple(float(m) for m in masses)
+        )
+        _assert_sample_is_choice(dist, 200_000, 9)
+
+    @pytest.mark.parametrize("offset", [1e-13, -1e-13])
+    def test_masses_not_summing_to_one(self, offset):
+        masses = (0.1, 0.2, 0.3, 0.4 + offset)
+        assert abs(math.fsum(masses) - 1.0) > 5e-14
+        dist = DiscreteDistribution(atoms=(-1.0, 0.0, 2.0, 5.0), masses=masses)
+        _assert_sample_is_choice(dist, 100_000, 4)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.integers(1, 64).map(float)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_masses(self, weights, seed):
+        total = math.fsum(weights)
+        dist = DiscreteDistribution(
+            atoms=tuple(float(i) for i in range(len(weights))),
+            masses=tuple(w / total for w in weights),
+        )
+        _assert_sample_is_choice(dist, 5000, seed)
 
 
 class TestBuildEmpirical:

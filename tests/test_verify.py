@@ -590,6 +590,41 @@ class TestMonteCarloBreach:
         assert estimate == np.count_nonzero(xs != 1.0) / 100_000
         assert monte_carlo_breach(p, p, None, 0.5, 1000, 5) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, None])
+    def test_matches_inline_reference_draws(self, noise):
+        # The draws come from rng.choice and sample_noise, not from
+        # DiscreteDistribution.sample, and each is counted on its own, so a
+        # change in what sample draws shows here.
+        import puffercal.verify as verify
+        from puffercal.dist import sample_noise
+
+        rng, n = np.random.default_rng(57), 100_000
+        estimates = []
+        for seed in range(4):
+            p, q = random_pair(rng, max_atoms=10, min_atoms=1, span=3.0)
+            eps = float(rng.uniform(0.1, 1.0))
+            draws = np.random.default_rng(seed)
+            xs = draws.choice(np.asarray(p.atoms), size=n, p=np.asarray(p.masses))
+            if noise is None:
+                # Shared atoms, so that mass ratios decide; q lacks p's last atom.
+                mech, kept = None, p.atoms[:-1] or p.atoms
+                weights = rng.dirichlet(np.ones(len(kept)))
+                q = DiscreteDistribution(kept, tuple(float(w) for w in weights / weights.sum()))
+                masses_q = dict(zip(q.atoms, q.masses))
+                log_ratio = {
+                    atom: math.log(mass) - math.log(masses_q[atom]) if atom in masses_q else math.inf
+                    for atom, mass in zip(p.atoms, p.masses)
+                }
+                ratios = np.array([log_ratio[x] for x in xs.tolist()])
+            else:
+                mech = noise(float(rng.uniform(0.3, 2.0)))
+                ratios = verify._log_ratio(p, q, mech, xs + sample_noise(mech, draws, n))
+            expected = np.count_nonzero(ratios > eps) / n
+            estimate, _ = monte_carlo_breach(p, q, mech, eps, n, seed)
+            assert estimate == expected
+            estimates.append(estimate)
+        assert any(0.0 < estimate < 1.0 for estimate in estimates)
+
 
 def _count_every_draw(p_i, p_j, mech, epsilon, ys):
     """The count monte_carlo_breach made before interval classification."""
