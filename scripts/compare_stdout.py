@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare the CLI's stdout between two source trees, command by command.
+
+Usage:
+    python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13
+
+For every seed the benchmark inputs (bench/workloads.py of this
+repository: the synthetic census table and each workload's scenario) are
+written to a temporary directory. Every benchmark workload's commands,
+plus EXTRA_COMMANDS on the verify-grid scenario, then run through
+`python -m puffercal.cli` once with each tree's `src/` on PYTHONPATH.
+One line per command gives the sha256 of stdout and the exit code under
+each tree. The script exits 1 when any command's stdout or exit code
+differs between the trees, 0 when all match.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH_DIR))
+
+from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
+
+# Commands beyond the benchmark's, run on the verify-grid scenario: orders
+# from 0.5 to 20 and inf, fixed parameters where calibration needs a
+# finite order above one, the --verify re-check paths, JSON output and
+# small Monte Carlo runs.
+EXTRA_COMMANDS = (
+    ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "0.5,inf", "--epsilon", "0.5,1,2"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "0.5,2,inf", "--epsilon", "1", "--parameter", "3.0"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",
+     "--alpha", "1.5,3,20,inf", "--epsilon", "1"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",
+     "--alpha", "0.5,2", "--epsilon", "1", "--parameter", "2.5"),
+    ("verify", "--scenario", "{scenario}", "--mechanism", "baseline-laplace",
+     "--alpha", "2,4", "--epsilon", "1", "--format", "json"),
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--mechanism", "gaussian", "--mechanism", "exponential",
+     "--alpha", "1.5,2,4", "--epsilon", "0.5,1", "--verify"),
+    ("sweep", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--mechanism", "winf", "--alpha", "2,inf", "--epsilon", "1", "--verify"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "2,inf", "--epsilon", "1", "--n", "20000", "--seed", "{seed}"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "2", "--epsilon", "0.5,1", "--n", "20000", "--seed", "{seed}"),
+)
+
+
+def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[str, int]:
+    """sha256 of the stdout of `python -m puffercal.cli argv` on tree/src, and the exit code."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PUFFERCAL_JOBS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "puffercal.cli", *argv],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
+    )
+    return hashlib.sha256(done.stdout).hexdigest(), done.returncode
+
+
+def commands(seed: int, directory: Path):
+    """(label, argv) for every command at one seed, inputs written under directory."""
+    for workload in WORKLOADS.values():
+        scenario = write_inputs(workload, seed, directory / workload.name)
+        extra = EXTRA_COMMANDS if workload.name == "verify-grid" else ()
+        for index, command in enumerate((*workload.commands, *extra)):
+            argv = command_argv(command, scenario, seed)
+            kind = "bench" if index < len(workload.commands) else "extra"
+            shown = " ".join(argv[:1] + argv[3:])  # without the --scenario path
+            yield f"seed {seed} {workload.name} {kind} {index}: {shown}", argv
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="source tree holding src/puffercal")
+    parser.add_argument("change", type=Path, help="source tree holding src/puffercal")
+    parser.add_argument("--seeds", default="11,13", help="comma-separated input seeds")
+    args = parser.parse_args()
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "puffercal").is_dir():
+            parser.error(f"{tree} has no src/puffercal")
+
+    mismatches = total = 0
+    with tempfile.TemporaryDirectory(prefix="compare_stdout_") as scratch:
+        for seed in (int(token) for token in args.seeds.split(",")):
+            for label, argv in commands(seed, Path(scratch) / str(seed)):
+                before = run_cli(args.parent, argv, Path(scratch))
+                after = run_cli(args.change, argv, Path(scratch))
+                total += 1
+                same = before == after
+                mismatches += not same
+                print(f"{'same' if same else 'DIFF'} {label}")
+                print(f"    parent {before[0]} exit {before[1]}")
+                if not same:
+                    print(f"    change {after[0]} exit {after[1]}")
+                sys.stdout.flush()
+    print(f"{total - mismatches} of {total} commands identical")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

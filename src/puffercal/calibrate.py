@@ -85,6 +85,8 @@ class _RootSolve:
     value: float
     iterations: int
     bracket: tuple[float, float]
+    # f(value), as the solver evaluated it: callers need not evaluate it again.
+    f_value: float
 
 
 def _solve_decreasing(
@@ -102,6 +104,12 @@ def _solve_decreasing(
     (f <= target), so the inequality constraint holds exactly rather
     than approximately.
     """
+    values: dict[float, float] = {}
+
+    def evaluate(x: float) -> float:
+        values[x] = f(x)
+        return values[x]
+
     lo, hi = bracket_hint
     if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0.0 and hi > 0.0):
         raise InvalidValue(f"bracket hint must be positive, got {bracket_hint!r}")
@@ -110,8 +118,8 @@ def _solve_decreasing(
     if lo == hi:
         hi = 2.0 * lo
 
-    f_lo = f(lo)
-    f_hi = f(hi)
+    f_lo = evaluate(lo)
+    f_hi = evaluate(hi)
     if f_lo < f_hi:
         raise NotMonotone(
             f"f({lo!r}) = {f_lo!r} < f({hi!r}) = {f_hi!r}; expected a decreasing function"
@@ -120,14 +128,14 @@ def _solve_decreasing(
         if f_lo >= target:
             break
         lo /= 2.0
-        f_lo = f(lo)
+        f_lo = evaluate(lo)
     else:
         raise NoRoot(f"f never reaches target {target!r} from above (last f = {f_lo!r})")
     for _ in range(max_expand):
         if f_hi <= target:
             break
         hi *= 2.0
-        f_hi = f(hi)
+        f_hi = evaluate(hi)
     else:
         raise NoRoot(f"f never reaches target {target!r} from below (last f = {f_hi!r})")
 
@@ -135,9 +143,9 @@ def _solve_decreasing(
     a, fa = lo, f_lo - target
     b, fb = hi, f_hi - target
     if fa == 0.0:
-        return _RootSolve(value=lo, iterations=0, bracket=(lo, lo))
+        return _RootSolve(value=lo, iterations=0, bracket=(lo, lo), f_value=f_lo)
     if fb == 0.0:
-        return _RootSolve(value=hi, iterations=0, bracket=(hi, hi))
+        return _RootSolve(value=hi, iterations=0, bracket=(hi, hi), f_value=f_hi)
     c, fc = a, fa
     d = e = b - a
     iterations = 0
@@ -180,13 +188,15 @@ def _solve_decreasing(
             b += d
         else:
             b += math.copysign(tol1, xm)
-        fb = f(b) - target
+        fb = evaluate(b) - target
     else:
         raise NoRoot("Brent iteration did not converge")
 
     lo_out, hi_out = (b, c) if b <= c else (c, b)
     feasible = b if fb <= 0.0 else c
-    return _RootSolve(value=feasible, iterations=iterations, bracket=(lo_out, hi_out))
+    return _RootSolve(
+        value=feasible, iterations=iterations, bracket=(lo_out, hi_out), f_value=values[feasible]
+    )
 
 
 def solve_decreasing(
@@ -260,7 +270,7 @@ def _solve_transport(
 
     bracket = (seed(log_target + _LN2), seed(log_target))
     solve = _solve_decreasing(log_functional, log_target, bracket, rel_tol)
-    log_value = log_functional(solve.value)
+    log_value = solve.f_value
     return CalibrationResult(
         parameter=solve.value,
         mechanism=mechanism,
@@ -389,14 +399,17 @@ def calibrate_exponential(
         rate_inverse = reciprocal_rate_inverse
 
     plan = _coupling(pair)
-    costs = [cost(d) for d in plan.displacements()]
-    sup_cost = max(costs)
+    if cost is absolute_cost:
+        # Displacements are |x - x'| already: the same values, without a call each.
+        cost_array, sup_cost = plan.displacement_array, plan.max_displacement()
+    else:
+        costs = [cost(d) for d in plan.displacements()]
+        cost_array, sup_cost = np.array(costs), max(costs)
     if math.isinf(spec.alpha):
         if sup_cost == 0.0:
             return _budget_result("exponential", spec.epsilon)
         theta = _invert_rate(rate, rate_inverse, spec.epsilon / sup_cost)
         return _budget_result("exponential", spec.epsilon, theta, rate(theta) * sup_cost)
-    cost_array = np.array(costs)
     return _solve_transport(
         plan, spec, rel_tol, "exponential", sup_cost,
         lambda d, theta: spec.alpha * rate(theta) * cost_array,
@@ -436,9 +449,7 @@ def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Cali
     hi = w_max / spec.epsilon
     lo = w_max / (spec.epsilon + _LN2 / (alpha - 1.0))
     solve = _solve_decreasing(divergence, spec.epsilon, (lo, hi), rel_tol)
-    return _budget_result(
-        "baseline-laplace", spec.epsilon, solve.value, divergence(solve.value), solve
-    )
+    return _budget_result("baseline-laplace", spec.epsilon, solve.value, solve.f_value, solve)
 
 
 def laplace_pair_divergence(distance: float, scale: float, alpha: float) -> float:
@@ -502,7 +513,7 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
     hi = spec.alpha * w_max / -log_target
     lo = spec.alpha * w_max / (-log_target + _LN2)
     solve = _solve_decreasing(negative_log_condition, -log_target, (lo, hi), rel_tol)
-    log_value = -negative_log_condition(solve.value)
+    log_value = -solve.f_value
     return CalibrationResult(
         parameter=solve.value,
         mechanism="laplace-sub-unit",

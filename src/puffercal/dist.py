@@ -104,10 +104,14 @@ class DiscreteDistribution:
         return draws
 
 
-def build_empirical(samples: Sequence[float]) -> DiscreteDistribution:
+def build_empirical(
+    samples: Sequence[float], counts: Sequence[int] | None = None
+) -> DiscreteDistribution:
     """Build the empirical distribution of a sample (atom = value, mass = count/total).
 
-    Raises EmptySample for an empty input and InvalidValue for non-finite
+    counts[k], when given, is how many times samples[k] occurs; the
+    result is that of the sample with each value repeated. Raises
+    EmptySample for an empty input and InvalidValue for non-finite
     entries. Sample values are kept exactly; no binning.
     """
     if len(samples) == 0:
@@ -115,10 +119,15 @@ def build_empirical(samples: Sequence[float]) -> DiscreteDistribution:
     for value in samples:
         if not math.isfinite(value):
             raise InvalidValue(f"non-finite sample value {value!r}")
-    counts = Counter(float(v) for v in samples)
-    total = len(samples)
-    atoms = tuple(sorted(counts))
-    masses = tuple(counts[a] / total for a in atoms)
+    if counts is None:
+        tally = Counter(map(float, samples))
+    else:
+        tally = {}
+        for value, count in zip(map(float, samples), counts):
+            tally[value] = tally.get(value, 0) + count
+    total = sum(tally.values())
+    atoms = tuple(sorted(tally))
+    masses = tuple(tally[a] / total for a in atoms)
     return DiscreteDistribution(atoms=atoms, masses=masses)
 
 

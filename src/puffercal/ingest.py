@@ -9,6 +9,7 @@ distributions.
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
@@ -121,7 +122,11 @@ def conditional_distribution(
     Rows match on a whitespace-trimmed exact comparison of the secret
     cell. Data cells parse as floats, falling back to numeric_coding;
     missing ("?" or empty) and uncodable cells are dropped when
-    drop_missing is set and raise UnknownCategory otherwise.
+    drop_missing is set and raise UnknownCategory otherwise (at the first
+    such row). The matching rows' data cells are counted in one pass and
+    each distinct cell is parsed once; the count keeps the cells in order
+    of first occurrence, so the first offending distinct cell is the
+    first offending row's.
     """
     if which not in ("i", "j"):
         raise InvalidValue(f"which must be 'i' or 'j', got {which!r}")
@@ -130,11 +135,8 @@ def conditional_distribution(
     s_idx = table.column_index(config.secret_attribute)
     coding = config.numeric_coding or {}
 
-    samples = []
-    for row in table.rows:
-        if row[s_idx] != target:
-            continue
-        cell = row[x_idx]
+    values, counts = [], []
+    for cell, count in Counter([row[x_idx] for row in table.rows if row[s_idx] == target]).items():
         if cell in _MISSING_TOKENS:
             if config.drop_missing:
                 continue
@@ -156,12 +158,13 @@ def conditional_distribution(
                     f"no numeric coding for category {cell!r} in column "
                     f"{config.x_attribute!r}"
                 )
-        samples.append(value)
-    if not samples:
+        values.append(value)
+        counts.append(count)
+    if not values:
         raise EmptyConditional(
             f"no rows with {config.secret_attribute}={target!r} yielded a value"
         )
-    return build_empirical(samples)
+    return build_empirical(values, counts)
 
 
 def scenario_pair_from_table(table: Table, config: ScenarioConfig) -> ScenarioPair:

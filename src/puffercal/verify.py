@@ -5,7 +5,8 @@ functional; this module recomputes the divergence itself by adaptive
 quadrature of the noised posterior densities, so a passing check confirms
 the calibration sufficiency with no shared code path. Every posterior
 density here comes from dist.posterior_log_density_many, which the
-quadrature (a vectorized Gauss-Legendre bisection) calls on arrays.
+quadrature (a vectorized Gauss-Legendre bisection) calls on arrays; the
+two directions of a pair share those calls.
 """
 
 import math
@@ -91,21 +92,58 @@ def renyi_divergence_numeric(
     at every atom of either prior (the integrand has kinks there for
     Laplace-type noise) and integrated by _bisect_quadrature to
     max(1e-14, 1e-10 |integral|). alpha = inf takes the supremum of the
-    log ratio (see _sup_log_ratio). Raises IntegrationFailure when the
+    log ratio (see _sup_log_ratios). Raises IntegrationFailure when the
     integrand overflows or the quadrature does not converge.
     """
+    (divergence,) = _divergences(p_i, p_j, mech, alpha, both=False)
+    return divergence
+
+
+def renyi_divergence_both_ways(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    alpha: float,
+) -> tuple[float, float]:
+    """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
+
+    Bit for bit the two renyi_divergence_numeric calls, at about half the
+    density evaluations: the two directions share the window and the atom
+    cuts (_cross_span is symmetric), so one quadrature integrates both
+    integrands over shared log p_i and log p_j arrays, and alpha = inf
+    reads the second direction's log ratio as the first one's negation.
+    Raises IntegrationFailure when either direction fails.
+    """
+    div_ij, div_ji = _divergences(p_i, p_j, mech, alpha, both=True)
+    return div_ij, div_ji
+
+
+def _divergences(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    alpha: float,
+    both: bool,
+) -> list[float]:
+    """[D(p_i || p_j)], or [D(p_i || p_j), D(p_j || p_i)] when both."""
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
     if math.isinf(alpha):
-        return _sup_log_ratio(p_i, p_j, mech)
+        return _sup_log_ratios(p_i, p_j, mech, both)
 
     pad = truncation_halfwidth(mech) + abs(alpha - 1.0) * _cross_span(p_i, p_j)
     lo = min(p_i.min_atom, p_j.min_atom) - pad
     hi = max(p_i.max_atom, p_j.max_atom) + pad
 
-    def integrand(ys: np.ndarray) -> np.ndarray:
-        exponent = alpha * posterior_log_density_many(mech, p_i, ys)
-        exponent -= (alpha - 1.0) * posterior_log_density_many(mech, p_j, ys)
+    def densities(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            posterior_log_density_many(mech, p_i, ys),
+            posterior_log_density_many(mech, p_j, ys),
+        )
+
+    def integrand_ij(ys: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+        exponent = alpha * log_p
+        exponent -= (alpha - 1.0) * log_q
         over = exponent > 700.0
         if over.any():
             y = float(ys[np.argmax(over)])
@@ -114,61 +152,132 @@ def renyi_divergence_numeric(
             )
         return np.exp(exponent, out=exponent)
 
+    def integrand_ji(ys: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+        return integrand_ij(ys, log_p, log_q)
+
     points = sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi})
-    integral = _bisect_quadrature(integrand, np.array([lo, *points, hi]))
-    if not (math.isfinite(integral) and integral > 0.0):
-        raise IntegrationFailure(f"quadrature returned {integral!r}")
-    return _floor_rounding(math.log(integral) / (alpha - 1.0))
+    integrands = [integrand_ij, integrand_ji] if both else [integrand_ij]
+    divergences = []
+    for integral in _bisect_quadrature(densities, integrands, np.array([lo, *points, hi])):
+        if not (math.isfinite(integral) and integral > 0.0):
+            raise IntegrationFailure(f"quadrature returned {integral!r}")
+        divergences.append(_floor_rounding(math.log(integral) / (alpha - 1.0)))
+    return divergences
+
+
+_Integrand = Callable[..., np.ndarray]
 
 
 def _gauss_legendre(
-    integrand: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """The 12-point Gauss-Legendre estimate on each segment [a[k], b[k]], in one call."""
+    densities: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    integrands: list[_Integrand],
+    segments: list[tuple[np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """The 12-point Gauss-Legendre estimate of each integrand on each of its segments.
+
+    integrands[k] has the segments [a[k], b[k]] of segments[k] and reads
+    the densities at its nodes, integrands[k](ys, *densities(ys)). One
+    densities call serves them all: on the first integrand's nodes when
+    every integrand has the same segments, else on all nodes concatenated,
+    each integrand taking its own part. The densities are elementwise in
+    ys, so either way each integrand sees the values a call on its own
+    nodes gives.
+    """
+    a0, b0 = segments[0]
+    if all(np.array_equal(a, a0) and np.array_equal(b, b0) for a, b in segments[1:]):
+        half, ys = _nodes(a0, b0)
+        parts = [(half, ys, densities(ys))] * len(segments)
+    else:
+        nodes = [_nodes(a, b) for a, b in segments]
+        cuts = np.cumsum([ys.size for _, ys in nodes])[:-1]
+        split = [np.split(d, cuts) for d in densities(np.concatenate([ys for _, ys in nodes]))]
+        parts = [(half, ys, [d[k] for d in split]) for k, (half, ys) in enumerate(nodes)]
+    return [
+        half * (integrand(ys, *dens).reshape(half.size, _GL_NODES.size) @ _GL_WEIGHTS)
+        for integrand, (half, ys, dens) in zip(integrands, parts)
+    ]
+
+
+def _nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-lengths of the segments [a[k], b[k]] and their 12 nodes each, flattened."""
     half = 0.5 * (b - a)
-    ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return half * (integrand(ys.ravel()).reshape(ys.shape) @ _GL_WEIGHTS)
+    return half, ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+
+
+class _Integral:
+    """One integrand's state in _bisect_quadrature: its open segments and what is closed."""
+
+    def __init__(self, integrand: _Integrand, edges: np.ndarray, whole: np.ndarray):
+        self.integrand = integrand
+        self.a, self.b = edges[:-1], edges[1:]
+        self.span = edges[-1] - edges[0]
+        self.whole = whole
+        self.closed = self.closed_err = 0.0
+        self.value: Optional[float] = None
+
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both halves of every open segment, left halves first."""
+        self.mid = 0.5 * (self.a + self.b)
+        return np.concatenate((self.a, self.mid)), np.concatenate((self.mid, self.b))
+
+    def refine(self, halves: np.ndarray) -> None:
+        """Take the estimates on halves(): set value on convergence, else close and split."""
+        a, mid, b = self.a, self.mid, self.b
+        left, right = halves[: a.size], halves[a.size :]
+        both = left + right
+        err = np.abs(both - self.whole)
+        total = self.closed + float(both.sum())
+        tol = max(1e-14, 1e-10 * abs(total))
+        if self.closed_err + float(err.sum()) <= tol:
+            self.value = total
+            return
+        done = (err <= tol * (b - a) / self.span) & (err <= 0.5 * both)
+        self.closed += float(both[done].sum())
+        self.closed_err += float(err[done].sum())
+        split = ~done
+        a, mid, b = a[split], mid[split], b[split]
+        self.a, self.b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        self.whole = np.concatenate((left[split], right[split]))
 
 
 def _bisect_quadrature(
-    integrand: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
-) -> float:
-    """Integral over [edges[0], edges[-1]] of a vectorized integrand, by bisection.
+    densities: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    integrands: list[_Integrand],
+    edges: np.ndarray,
+) -> list[float]:
+    """Integrals over [edges[0], edges[-1]] of vectorized integrands, by bisection.
 
-    The segments start as the gaps between consecutive edges. Each round
-    applies the 12-point rule to both halves of every open segment, in one
-    integrand call, and takes err = |left + right - whole| per segment. It
+    Each integrand f is called as f(ys, *densities(ys)) and keeps its own
+    state (_Integral). Its segments start as the gaps between consecutive
+    edges. Each round applies the 12-point rule to both halves of every
+    open segment, and takes err = |left + right - whole| per segment. It
     stops once the errors, closed segments' included, sum to at most
     tol = max(1e-14, 1e-10 |I|); otherwise it closes each segment whose
     err is at most tol * length / (hi - lo) and at most half its own value
     left + right, and halves the rest. After _MAX_ROUNDS rounds it raises
-    IntegrationFailure. The integrand must be nonnegative.
+    IntegrationFailure. The integrands must be nonnegative.
+
+    A round calls densities once for all integrands still open (see
+    _gauss_legendre), so integrands that read the same densities, like the
+    two directions of a divergence, share them; each integral is the one
+    a quadrature of its integrand alone returns.
 
     The second closing condition keeps unresolved segments open: a wide
     segment whose nodes all miss a sharp peak at its end can show an err
     within its share of tol that is nearly its whole value.
     """
-    a, b = edges[:-1], edges[1:]
-    span = edges[-1] - edges[0]
-    whole = _gauss_legendre(integrand, a, b)
-    closed = closed_err = 0.0
+    segments = [(edges[:-1], edges[1:])] * len(integrands)
+    wholes = _gauss_legendre(densities, integrands, segments)
+    integrals = [_Integral(f, edges, whole) for f, whole in zip(integrands, wholes)]
     for _ in range(_MAX_ROUNDS):
-        mid = 0.5 * (a + b)
-        halves = _gauss_legendre(integrand, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        left, right = halves[: a.size], halves[a.size :]
-        both = left + right
-        err = np.abs(both - whole)
-        total = closed + float(both.sum())
-        tol = max(1e-14, 1e-10 * abs(total))
-        if closed_err + float(err.sum()) <= tol:
-            return total
-        done = (err <= tol * (b - a) / span) & (err <= 0.5 * both)
-        closed += float(both[done].sum())
-        closed_err += float(err[done].sum())
-        split = ~done
-        a, mid, b = a[split], mid[split], b[split]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-        whole = np.concatenate((left[split], right[split]))
+        live = [integral for integral in integrals if integral.value is None]
+        halves = _gauss_legendre(
+            densities, [i.integrand for i in live], [i.halves() for i in live]
+        )
+        for integral, values in zip(live, halves):
+            integral.refine(values)
+        if all(integral.value is not None for integral in integrals):
+            return [integral.value for integral in integrals]
     raise IntegrationFailure(f"quadrature did not converge in {_MAX_ROUNDS} rounds")
 
 
@@ -185,17 +294,15 @@ def _log_ratio(
 
 
 def _tail_log_ratio_limits(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
-) -> Optional[list[float]]:
-    """Limits of log p(y) - log q(y) as y -> +/- inf for Gaussian noise, else None.
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution
+) -> list[float]:
+    """Limits of log p(y) - log q(y) as y -> +/- inf for Gaussian noise.
 
     Each tail is dominated by the extreme atom; a strictly larger reach
     makes the ratio diverge. Limits tending to -inf are omitted since they
     never attain the supremum. (Laplace noise, every |z|-cost exponential
-    mechanism included, never gets here: see _sup_log_ratio.)
+    mechanism included, never gets here: see _sup_log_ratios.)
     """
-    if not isinstance(mech, GaussianParams):
-        return None
     limits = []
     if p_i.max_atom > p_j.max_atom:
         limits.append(math.inf)
@@ -208,59 +315,72 @@ def _tail_log_ratio_limits(
     return limits
 
 
-def _sup_log_ratio(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
-) -> float:
-    """sup_y of log p(y) - log q(y), floored at 0.
+def _sup_log_ratios(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams, both: bool
+) -> list[float]:
+    """sup_y of log p(y) - log q(y), floored at 0, for (p, q) = (p_i, p_j), then (p_j, p_i) if both.
 
     For Laplace noise the supremum is the largest of the ratios at the
     atoms of either prior: between adjacent atoms each posterior density
     is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
     the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there, and beyond the
     extreme atoms it is constant. Other noise takes the maximum over a
-    dense grid with a local refinement, plus the tail limits or, without a
-    closed form, far probes.
+    dense grid with a local refinement, plus the tail limits (Gaussian
+    noise) or, without a closed form, far probes.
+
+    The directions share one log-ratio array on the knots, the grid and
+    the probes: the second direction's is the first one's negation, which
+    is exact, since fl(x - y) = -fl(y - x). The refinement and the tail
+    limits are per direction.
     """
     knots = sorted(set(p_i.atoms) | set(p_j.atoms))
+    directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
     if laplace_scale(mech) is not None:
-        return max(float(np.max(_log_ratio(p_i, p_j, mech, np.asarray(knots)))), 0.0)
+        ratios = _log_ratio(p_i, p_j, mech, np.asarray(knots))
+        return [max(float(np.max(sign * ratios)), 0.0) for _, _, sign in directions]
 
-    best = _grid_max_log_ratio(p_i, p_j, mech, knots)
-    limits = _tail_log_ratio_limits(p_i, p_j, mech)
-    if limits is None:
+    grid = _dense_grid(mech, knots)
+    ratios = _log_ratio(p_i, p_j, mech, grid)
+    gaussian = isinstance(mech, GaussianParams)
+    if not gaussian:
         # No closed-form tails for this mechanism: probe geometrically far out.
         pad = truncation_halfwidth(mech)
         probes = []
         for k in range(8):
             offset = pad * (2.0**k)
             probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
-        best = max(best, float(np.max(_log_ratio(p_i, p_j, mech, np.asarray(probes)))))
-    else:
-        for limit in limits:
-            best = max(best, limit)
-    return max(best, 0.0)
+        probe_ratios = _log_ratio(p_i, p_j, mech, np.asarray(probes))
+    sups = []
+    for p, q, sign in directions:
+        best = _grid_max_log_ratio(p, q, mech, grid, sign * ratios)
+        tails = _tail_log_ratio_limits(p, q) if gaussian else [float(np.max(sign * probe_ratios))]
+        sups.append(max(best, *tails, 0.0))
+    return sups
 
 
-def _grid_max_log_ratio(
-    p_i: DiscreteDistribution,
-    p_j: DiscreteDistribution,
-    mech: MechanismParams,
-    knots: list[float],
-) -> float:
-    """Max of log p(y) - log q(y) over a dense grid on the padded knot range.
-
-    The grid has _GRID_PER_GAP points per gap between knots; the best grid
-    point is then refined by a bounded scalar search between its neighbours,
-    which evaluates the same density kernel on one-point arrays.
-    """
+def _dense_grid(mech: MechanismParams, knots: list[float]) -> np.ndarray:
+    """_GRID_PER_GAP points per gap between knots, on the knot range padded by the noise width."""
     pad = truncation_halfwidth(mech)
     edges = [knots[0] - pad, *knots, knots[-1] + pad]
     segments = [
         np.linspace(a, b, _GRID_PER_GAP, endpoint=False)
         for a, b in zip(edges, edges[1:])
     ]
-    ys = np.concatenate(segments + [np.asarray([edges[-1]])])
-    diffs = _log_ratio(p_i, p_j, mech, ys)
+    return np.concatenate(segments + [np.asarray([edges[-1]])])
+
+
+def _grid_max_log_ratio(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    ys: np.ndarray,
+    diffs: np.ndarray,
+) -> float:
+    """Max of log p(y) - log q(y), given its values diffs on the grid ys (_dense_grid).
+
+    The best grid point is refined by a bounded scalar search between its
+    neighbours, which evaluates the same density kernel on one-point arrays.
+    """
     best_idx = int(np.argmax(diffs))
     best = float(diffs[best_idx])
 
@@ -355,8 +475,7 @@ def verify_rpp(
                 div_ij = renyi_divergence_discrete(pair.p_i, pair.p_j, spec.alpha)
                 div_ji = renyi_divergence_discrete(pair.p_j, pair.p_i, spec.alpha)
             else:
-                div_ij = renyi_divergence_numeric(pair.p_i, pair.p_j, mech, spec.alpha)
-                div_ji = renyi_divergence_numeric(pair.p_j, pair.p_i, mech, spec.alpha)
+                div_ij, div_ji = renyi_divergence_both_ways(pair.p_i, pair.p_j, mech, spec.alpha)
         except IntegrationFailure:
             div_ij = div_ji = math.nan
             inconclusive = True

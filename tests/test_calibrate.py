@@ -106,6 +106,62 @@ class TestSolveDecreasing:
         root = solve_decreasing(f, 4.0, (1.0, 3.0))
         assert f(root) <= 4.0
 
+    def test_reports_its_own_value_at_the_root(self):
+        # f_value is f at the returned endpoint, on every exit: the
+        # Brent loop, and a bracket end that meets the target exactly.
+        from puffercal.calibrate import _solve_decreasing
+
+        f = lambda x: math.exp(1.0 / x) + math.exp(2.0 / x)
+        for f, target, hint in ((f, 4.0, (1.0, 3.0)), (lambda x: 4.0 / x, 2.0, (2.0, 4.0)),
+                                (lambda x: 4.0 / x, 1.0, (2.0, 4.0))):
+            solve = _solve_decreasing(f, target, hint)
+            assert solve.f_value == f(solve.value)
+
+
+class TestSolveEvaluations:
+    """The returned functional is the solver's last evaluation, not one more call."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import puffercal.calibrate as calibrate
+
+        solver, underlying = [], []
+        real_solve, real = calibrate._solve_decreasing, getattr(calibrate, name)
+
+        def counting_solve(f, *args, **kwargs):
+            def counted(x):
+                solver.append(x)
+                return f(x)
+
+            return real_solve(counted, *args, **kwargs)
+
+        def counting(*args):
+            underlying.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calibrate, "_solve_decreasing", counting_solve)
+        monkeypatch.setattr(calibrate, name, counting)
+        return solver, underlying
+
+    @pytest.mark.parametrize(
+        "solve, alpha",
+        [(calibrate_laplace, 2.0), (calibrate_gaussian, 3.0), (calibrate_exponential, 1.5),
+         (feasible_b_sub_unit_alpha, 0.5)],
+        ids=["laplace", "gaussian", "exponential", "sub-unit"],
+    )
+    def test_functional_calls_equal_solver_evaluations(self, monkeypatch, solve, alpha):
+        solver, functional = self._count(monkeypatch, "coupling_log_expectation")
+        pair = random_pair(np.random.default_rng(7), max_atoms=8, min_atoms=3)
+        result = solve(pair, PrivacySpec(alpha=alpha, epsilon=0.7))
+        assert result.iterations > 0
+        assert len(functional) == len(solver)
+
+    def test_baseline_divergence_calls_equal_solver_evaluations(self, monkeypatch):
+        solver, divergence = self._count(monkeypatch, "laplace_pair_divergence")
+        result = baseline_laplace_rpp(benchmark_regime_pair(), PrivacySpec(alpha=2.0, epsilon=0.7))
+        assert result.iterations > 0
+        assert len(divergence) == len(solver)
+
 
 class TestCalibrateLaplace:
     def test_point_mass_analytic(self):

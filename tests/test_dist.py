@@ -157,6 +157,18 @@ class TestBuildEmpirical:
         assert abs(d.masses[0] - 0.5) < 0.05
         assert abs(d.masses[1] - 0.5) < 0.05
 
+    def test_counts_equal_the_repeated_sample(self):
+        # Equal values from different entries merge, the first one's sign
+        # of zero is kept, and the masses are bit for bit the same.
+        values = [2.0, -0.0, 0.5, 2, 0.0, 7.25]
+        counts = [3, 1, 2, 1, 4, 1]
+        repeated = [v for v, c in zip(values, counts) for _ in range(c)]
+        want = build_empirical(repeated)
+        got = build_empirical(values, counts)
+        assert [a.hex() for a in got.atoms] == [a.hex() for a in want.atoms]
+        assert got.atoms[0] == 0.0 and math.copysign(1.0, got.atoms[0]) == -1.0
+        assert got.masses == want.masses
+
 
 class TestMechanismParams:
     def test_positive_scale_required(self):

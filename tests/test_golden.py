@@ -1,12 +1,16 @@
-"""Golden `calibrate` output: the CLI bytes on a fixed scenario must not move.
+"""Golden `calibrate` and `verify` output: the CLI bytes on a fixed scenario must not move.
 
 `data/golden_scenario.json` holds three pairs built by the conftest
 helpers: `benchmark_regime_pair()`, `random_pair(np.random.default_rng(20260810),
 max_atoms=12)` and the builtin point-mass pair (0 vs 1). The checked-in
-CSVs are the output of the scalar-list calibrator on that scenario. Every
-cell must match byte for byte, except the `variance` of `exponential`
-rows: that was a Simpson integral and is now the closed form 2 theta^2,
-so it is compared within 1e-12 relative.
+`golden_calibrate_*.csv` are the output of the scalar-list calibrator on
+that scenario. Every cell must match byte for byte, except the `variance`
+of `exponential` rows: that was a Simpson integral and is now the closed
+form 2 theta^2, so it is compared within 1e-12 relative.
+
+The `golden_verify_*.csv` are `verify` output on the same scenario from
+the code that ran one quadrature per direction of each pair; the stdout
+of each call must match its file byte for byte.
 """
 
 import csv
@@ -55,3 +59,26 @@ def test_calibrate_matches_golden(capsys, grid):
             got_row = got_row[:variance] + got_row[variance + 1:]
             want_row = want_row[:variance] + want_row[variance + 1:]
         assert got_row == want_row
+
+
+FINITE = ["--alpha", "1.5,2,4", "--epsilon", "0.5,1"]
+INF = ["--alpha", "inf", "--epsilon", "1"]
+# name: (argv after the scenario, exit code)
+VERIFY_CALLS = {
+    "laplace_finite": (["--mechanism", "laplace", *FINITE], 0),
+    "gaussian_finite": (["--mechanism", "gaussian", *FINITE], 0),
+    "exponential_finite": (["--mechanism", "exponential", *FINITE], 0),
+    "laplace_inf": (["--mechanism", "laplace", *INF], 0),
+    "exponential_inf": (["--mechanism", "exponential", *INF], 0),
+    # Gaussian calibration needs a finite order: alpha = inf takes a fixed
+    # sigma, under which two pairs fail.
+    "gaussian_inf": (["--mechanism", "gaussian", *INF, "--parameter", "2.0"], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CALLS))
+def test_verify_matches_golden(capsys, name):
+    options, code = VERIFY_CALLS[name]
+    assert main(["verify", "--scenario", str(DATA / "golden_scenario.json"), *options]) == code
+    want = (DATA / f"golden_verify_{name}.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want

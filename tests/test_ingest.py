@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -12,9 +14,11 @@ from puffercal import (
     save_distribution,
     scenario_pair_from_table,
 )
-from puffercal.ingest import distribution_to_json
+from puffercal.dist import build_empirical
+from puffercal.ingest import Table, distribution_to_json
 from puffercal.errors import (
     EmptyConditional,
+    EmptySample,
     InvalidValue,
     IoError,
     ParseError,
@@ -194,6 +198,109 @@ class TestConditionalDistribution:
         assert pair.p_j.atoms == (2.0,)
         assert "a" in pair.label and "b" in pair.label
 
+
+
+def _row_by_row(table, config, which):
+    """conditional_distribution as a walk over every row tuple: the reference."""
+    target = (config.value_i if which == "i" else config.value_j).strip()
+    x_idx = table.column_index(config.x_attribute)
+    s_idx = table.column_index(config.secret_attribute)
+    coding = config.numeric_coding or {}
+    samples = []
+    for row in table.rows:
+        if row[s_idx] != target:
+            continue
+        cell = row[x_idx]
+        if cell in ("", "?"):
+            if config.drop_missing:
+                continue
+            raise UnknownCategory(
+                f"missing {config.x_attribute!r} value in a row with "
+                f"{config.secret_attribute}={target!r}"
+            )
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value):
+            if cell in coding:
+                value = float(coding[cell])
+            elif config.drop_missing:
+                continue
+            else:
+                raise UnknownCategory(
+                    f"no numeric coding for category {cell!r} in column "
+                    f"{config.x_attribute!r}"
+                )
+        samples.append(value)
+    if not samples:
+        raise EmptyConditional(
+            f"no rows with {config.secret_attribute}={target!r} yielded a value"
+        )
+    return build_empirical(samples)
+
+
+def _outcome(build, *args):
+    """The error raised, or the distributions' bits (so 0.0 and -0.0 differ)."""
+    try:
+        built = build(*args)
+    except (UnknownCategory, EmptyConditional, EmptySample, InvalidValue) as exc:
+        return type(exc), str(exc)
+    dists = (built.p_i, built.p_j) if hasattr(built, "p_i") else (built,)
+    return [([a.hex() for a in d.atoms], [m.hex() for m in d.masses]) for d in dists]
+
+
+class TestColumnSelection:
+    """conditional_distribution reads two columns; the outcome is the row walk's."""
+
+    # "2" and "2.0" parse to one atom, as do "0" and "-0" (whichever comes
+    # first is kept); "nan" and "inf" parse but are not finite, so they
+    # take the coding, and a coding to nan fails in build_empirical.
+    CELLS = ("1", "2", "2.0", "2", "3.5", "-0", "0", "?", "", "low", "high", "mystery",
+             "nan", "inf")
+
+    def test_matches_row_by_row_reference(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for trial in range(300):
+            rows = tuple(
+                (rng.choice(self.CELLS), rng.choice(("a", "b", "c")), str(rng.random()))
+                for _ in range(rng.randint(1, 12))
+            )
+            table = Table(columns=("x", "s", "noise"), rows=rows)
+            config = ScenarioConfig(
+                dataset_path="t.csv",
+                x_attribute="x",
+                secret_attribute="s",
+                value_i=" a" if trial % 2 else "a",
+                value_j="b",
+                numeric_coding=(
+                    {"low": 0.0, "high": 9.0, "nan": 4.0, "inf": math.nan if trial % 5 else 5.0}
+                    if trial % 3 else None
+                ),
+                drop_missing=trial % 4 != 0,
+            )
+            wants = [_outcome(_row_by_row, table, config, which) for which in ("i", "j")]
+            for which, want in zip(("i", "j"), wants):
+                assert _outcome(conditional_distribution, table, config, which) == want
+                outcomes.add(want[0] if isinstance(want, tuple) else "distribution")
+            errors = [want for want in wants if isinstance(want, tuple)]
+            want_pair = errors[0] if errors else wants[0] + wants[1]
+            assert _outcome(scenario_pair_from_table, table, config) == want_pair
+        # Every outcome kind was exercised.
+        assert outcomes == {"distribution", UnknownCategory, EmptyConditional, InvalidValue}
+
+    def test_first_offending_row_raises(self):
+        rows = (("1", "a"), ("mystery", "b"), ("?", "a"), ("other", "a"))
+        table = Table(columns=("x", "s"), rows=rows)
+        config = ScenarioConfig(
+            dataset_path="t.csv", x_attribute="x", secret_attribute="s",
+            value_i="a", value_j="b", drop_missing=False,
+        )
+        with pytest.raises(UnknownCategory, match="missing 'x' value"):
+            conditional_distribution(table, config, "i")
+        with pytest.raises(UnknownCategory, match="'mystery'"):
+            conditional_distribution(table, config, "j")
 
 class TestDistributionJson:
     def test_round_trip_exact(self, tmp_path):

@@ -142,7 +142,8 @@ def test_laplace_infinite_order_matches_grid_search(p, q, scale):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "posterior_log_density_many", posterior_log_density_dense)
-        searched = verify._grid_max_log_ratio(p, q, mech, knots)
+        ys = verify._dense_grid(mech, knots)
+        searched = verify._grid_max_log_ratio(p, q, mech, ys, verify._log_ratio(p, q, mech, ys))
     grid = np.linspace(knots[0] - 40.0 * scale, knots[-1] + 40.0 * scale, 20001)
     grid_max = float(np.max(dense_ratios(grid)))
     tails = np.concatenate([

@@ -28,7 +28,13 @@ from puffercal.dist import (
     truncation_halfwidth,
 )
 from puffercal.errors import IntegrationFailure, InvalidValue
-from puffercal.verify import _NEGATIVE_FLOOR, PASS_SLACK, _floor_rounding
+from puffercal.verify import (
+    _NEGATIVE_FLOOR,
+    PASS_SLACK,
+    _bisect_quadrature,
+    _floor_rounding,
+    renyi_divergence_both_ways,
+)
 
 from conftest import point_mass, random_pair
 
@@ -336,6 +342,119 @@ class TestBisectQuadrature:
             (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(alpha, 1.0))
             assert not report.inconclusive
 
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBothWays:
+    """renyi_divergence_both_ways, the two directions from one set of densities."""
+
+    MECHS = {
+        "laplace": LaplaceParams(scale=0.8),
+        "gaussian": GaussianParams(sigma=1.1),
+        "custom-cost": ExponentialParams(scale=0.9, cost=lambda z: abs(z) ** 0.5 + abs(z)),
+    }
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(20261018)
+        wide = DiscreteDistribution(atoms=(-1.0, 0.5, 3.0), masses=(0.2, 0.5, 0.3))
+        return [
+            random_pair(rng, max_atoms=5, span=2.0),
+            random_pair(rng, max_atoms=5, span=2.0),
+            (point_mass(0.5), wide),
+        ]
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("kind", sorted(MECHS))
+    def test_equals_two_one_way_calls_bit_for_bit(self, kind, alpha):
+        mech = self.MECHS[kind]
+        for p, q in self._pairs():
+            want = (
+                renyi_divergence_numeric(p, q, mech, alpha),
+                renyi_divergence_numeric(q, p, mech, alpha),
+            )
+            assert _bits(renyi_divergence_both_ways(p, q, mech, alpha)) == _bits(want)
+
+    @pytest.mark.parametrize("mech", [LaplaceParams(0.1), GaussianParams(1.0)],
+                             ids=["laplace", "gaussian"])
+    def test_only_reverse_direction_overflows(self, mech):
+        # D(P || Q) stays near log 2, while (Q/P)^9 at y near 10 overflows.
+        p = point_mass(0.0)
+        q = DiscreteDistribution(atoms=(0.0, 10.0), masses=(0.5, 0.5))
+        assert renyi_divergence_numeric(p, q, mech, 10.0) == pytest.approx(
+            math.log(2.0), rel=1e-6
+        )
+        with pytest.raises(IntegrationFailure, match="overflow"):
+            renyi_divergence_numeric(q, p, mech, 10.0)
+        with pytest.raises(IntegrationFailure, match="overflow"):
+            renyi_divergence_both_ways(p, q, mech, 10.0)
+        (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(10.0, 1.0))
+        assert report.inconclusive and report.passed is None
+        assert math.isnan(report.divergence_ij) and math.isnan(report.divergence_ji)
+
+    @pytest.mark.parametrize("mech", [LaplaceParams(0.8), GaussianParams(1.1)],
+                             ids=["laplace", "gaussian"])
+    def test_one_density_call_per_prior_and_round(self, monkeypatch, mech):
+        # Both directions take one call per prior while either is open, so
+        # the pair costs what its slower direction costs alone; verify_rpp
+        # on the golden scenario, where the directions converge together,
+        # makes half the calls of two one-way divergences per pair.
+        import puffercal.verify as verify
+        from puffercal.cli import _resolve_scenarios
+
+        calls = []
+        real = verify.posterior_log_density_many
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        def count(run, *args):
+            del calls[:]
+            run(*args)
+            return len(calls)
+
+        monkeypatch.setattr(verify, "posterior_log_density_many", counting)
+        golden = _resolve_scenarios(
+            str(Path(__file__).parent / "data" / "golden_scenario.json"), Path(".")
+        )
+        for alpha in (0.5, 2.0, 4.0):
+            for p, q in [*self._pairs(), *((pair.p_i, pair.p_j) for pair in golden.pairs)]:
+                ij = count(renyi_divergence_numeric, p, q, mech, alpha)
+                ji = count(renyi_divergence_numeric, q, p, mech, alpha)
+                assert count(renyi_divergence_both_ways, p, q, mech, alpha) == max(ij, ji)
+            one_way = sum(
+                count(renyi_divergence_numeric, p, q, mech, alpha)
+                for pair in golden.pairs
+                for p, q in ((pair.p_i, pair.p_j), (pair.p_j, pair.p_i))
+            )
+            assert 2 * count(verify_rpp, golden, mech, PrivacySpec(alpha, 1.0)) == one_way
+
+    def test_integrands_with_different_segments_match_their_own_quadratures(self):
+        # A smooth integrand closes early while a peaked one keeps halving,
+        # so their open segments differ and the densities are taken on the
+        # concatenation of their nodes; each integral is still the one its
+        # own quadrature returns, bit for bit.
+        sizes = []
+
+        def densities(ys):
+            sizes.append(ys.size)
+            return (ys,)
+
+        integrands = [
+            lambda ys, y: 1.0 / (1e-2 + np.square(y + 1.5)),
+            lambda ys, y: 1.0 / (1e-6 + np.square(y - 1.3)),
+        ]
+        edges = np.array([-3.0, 0.0, 3.0])
+        alone = [_bisect_quadrature(densities, [f], edges)[0] for f in integrands]
+        alone_sizes = set(sizes)
+        del sizes[:]
+        together = _bisect_quadrature(densities, integrands, edges)
+        assert _bits(together) == _bits(alone)
+        assert not set(sizes) <= alone_sizes
 
 class TestRenyiDivergenceDiscrete:
     def test_identical(self):
