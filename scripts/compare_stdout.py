@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CLI's stdout between two source trees, command by command.
+"""Compare the CLI's stdout and stderr between two source trees, command by command.
 
 Usage:
     python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13
@@ -9,9 +9,11 @@ repository: the synthetic census table and each workload's scenario) are
 written to a temporary directory. Every benchmark workload's commands,
 plus EXTRA_COMMANDS on the verify-grid scenario, then run through
 `python -m puffercal.cli` once with each tree's `src/` on PYTHONPATH.
-One line per command gives the sha256 of stdout and the exit code under
-each tree. The script exits 1 when any command's stdout or exit code
-differs between the trees, 0 when all match.
+One line per command gives the sha256 of stdout, the sha256 of stderr
+and the exit code under each tree; stderr carries the error message, so
+a failing grid must fail on the same cell and pair. The script exits 1
+when any command's stdout, stderr or exit code differs between the
+trees, 0 when all match.
 """
 
 import argparse
@@ -29,8 +31,9 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 
 # Commands beyond the benchmark's, run on the verify-grid scenario: orders
 # from 0.5 to 20 and inf, fixed parameters where calibration needs a
-# finite order above one, the --verify re-check paths, JSON output and
-# small Monte Carlo runs.
+# finite order above one, the --verify re-check paths, JSON output, small
+# Monte Carlo runs, grids mixing sub-unit, solved and closed-form cells,
+# the ignored --jobs, a tight --tol and two grids that fail part-way.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -55,17 +58,37 @@ EXTRA_COMMANDS = (
      "--alpha", "2,inf", "--epsilon", "1", "--n", "20000", "--seed", "{seed}"),
     ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "2", "--epsilon", "0.5,1", "--n", "20000", "--seed", "{seed}"),
+    # exponential at alpha = 0.5 is a configuration error after laplace solved.
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--mechanism", "exponential", "--mechanism", "winf",
+     "--alpha", "0.5,2,inf", "--epsilon", "0.5,1"),
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--mechanism", "gaussian", "--alpha", "1.5,4", "--epsilon", "0.5,1", "--jobs", "2"),
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "2,inf", "--epsilon", "1"),
+    ("sweep", "--scenario", "{scenario}", "--mechanism", "laplace", "--mechanism", "gaussian",
+     "--mechanism", "exponential", "--mechanism", "winf", "--mechanism", "baseline-laplace",
+     "--mechanism", "baseline-gaussian", "--alpha", "1.5,3", "--epsilon", "0.5,2",
+     "--format", "json"),
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--mechanism", "exponential", "--alpha", "1.5,2,4", "--epsilon", "0.5,1",
+     "--tol", "1e-13"),
 )
 
 
-def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[str, int]:
-    """sha256 of the stdout of `python -m puffercal.cli argv` on tree/src, and the exit code."""
+def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[str, str, int]:
+    """sha256 of the stdout and of the stderr of `python -m puffercal.cli argv` on
+    tree/src, and the exit code."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PUFFERCAL_JOBS="1")
     done = subprocess.run(
         [sys.executable, "-m", "puffercal.cli", *argv],
-        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
     )
-    return hashlib.sha256(done.stdout).hexdigest(), done.returncode
+    return (
+        hashlib.sha256(done.stdout).hexdigest(),
+        hashlib.sha256(done.stderr).hexdigest(),
+        done.returncode,
+    )
 
 
 def commands(seed: int, directory: Path):
@@ -100,9 +123,9 @@ def main() -> int:
                 same = before == after
                 mismatches += not same
                 print(f"{'same' if same else 'DIFF'} {label}")
-                print(f"    parent {before[0]} exit {before[1]}")
+                print(f"    parent out {before[0][:16]} err {before[1][:16]} exit {before[2]}")
                 if not same:
-                    print(f"    change {after[0]} exit {after[1]}")
+                    print(f"    change out {after[0][:16]} err {after[1][:16]} exit {after[2]}")
                 sys.stdout.flush()
     print(f"{total - mismatches} of {total} commands identical")
     return 1 if mismatches else 0

@@ -12,6 +12,7 @@ from .calibrate import (
     baseline_laplace_rpp,
     calibrate_exponential,
     calibrate_gaussian,
+    calibrate_grid,
     calibrate_laplace,
     calibrate_over_scenarios,
     calibrate_pair,
@@ -79,6 +80,7 @@ __all__ = [
     "builtin_scenarios",
     "calibrate_exponential",
     "calibrate_gaussian",
+    "calibrate_grid",
     "calibrate_laplace",
     "calibrate_over_scenarios",
     "calibrate_pair",

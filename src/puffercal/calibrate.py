@@ -5,15 +5,17 @@ transport functional over the quantile-aligned coupling is strictly
 decreasing in the noise parameter, and the calibrated parameter is the
 root of functional = exp((alpha - 1) * epsilon). Roots are found with a
 bracketed Brent solver that returns the endpoint on the feasible side, so
-the privacy inequality holds exactly at the returned parameter. All
-functionals are evaluated in log space; at extreme orders (alpha ~ 1e4)
-the natural-scale values overflow doubles.
+the privacy inequality holds exactly at the returned parameter. The
+solver is a coroutine, so calibrate_grid can advance every (alpha,
+epsilon) cell of one pair together, with one batched functional
+evaluation per round. All functionals are evaluated in log space; at
+extreme orders (alpha ~ 1e4) the natural-scale values overflow doubles.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,27 +91,23 @@ class _RootSolve:
     f_value: float
 
 
-def _solve_decreasing(
-    f: Callable[[float], float],
+def _brent(
     target: float,
     bracket_hint: tuple[float, float],
     rel_tol: float = 1e-9,
     max_expand: int = 200,
-) -> _RootSolve:
-    """Root of f(x) = target for strictly decreasing f on (0, inf).
+) -> Generator[float, float, _RootSolve]:
+    """Root of f(x) = target for strictly decreasing f on (0, inf), as a coroutine.
 
-    The hint bracket is expanded geometrically until
-    f(lo) >= target >= f(hi), then a Brent iteration shrinks it. The
-    returned value is the bracket endpoint on the feasible side
+    Yields each x at which f is needed and is sent f(x) back, so the
+    caller owns the evaluations and can drive many solves together; it
+    returns the _RootSolve. The hint bracket is expanded geometrically
+    until f(lo) >= target >= f(hi), then a Brent iteration shrinks it.
+    The returned value is the bracket endpoint on the feasible side
     (f <= target), so the inequality constraint holds exactly rather
     than approximately.
     """
     values: dict[float, float] = {}
-
-    def evaluate(x: float) -> float:
-        values[x] = f(x)
-        return values[x]
-
     lo, hi = bracket_hint
     if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0.0 and hi > 0.0):
         raise InvalidValue(f"bracket hint must be positive, got {bracket_hint!r}")
@@ -118,8 +116,8 @@ def _solve_decreasing(
     if lo == hi:
         hi = 2.0 * lo
 
-    f_lo = evaluate(lo)
-    f_hi = evaluate(hi)
+    f_lo = values[lo] = yield lo
+    f_hi = values[hi] = yield hi
     if f_lo < f_hi:
         raise NotMonotone(
             f"f({lo!r}) = {f_lo!r} < f({hi!r}) = {f_hi!r}; expected a decreasing function"
@@ -128,14 +126,14 @@ def _solve_decreasing(
         if f_lo >= target:
             break
         lo /= 2.0
-        f_lo = evaluate(lo)
+        f_lo = values[lo] = yield lo
     else:
         raise NoRoot(f"f never reaches target {target!r} from above (last f = {f_lo!r})")
     for _ in range(max_expand):
         if f_hi <= target:
             break
         hi *= 2.0
-        f_hi = evaluate(hi)
+        f_hi = values[hi] = yield hi
     else:
         raise NoRoot(f"f never reaches target {target!r} from below (last f = {f_hi!r})")
 
@@ -188,7 +186,8 @@ def _solve_decreasing(
             b += d
         else:
             b += math.copysign(tol1, xm)
-        fb = evaluate(b) - target
+        values[b] = yield b
+        fb = values[b] - target
     else:
         raise NoRoot("Brent iteration did not converge")
 
@@ -197,6 +196,23 @@ def _solve_decreasing(
     return _RootSolve(
         value=feasible, iterations=iterations, bracket=(lo_out, hi_out), f_value=values[feasible]
     )
+
+
+def _solve_decreasing(
+    f: Callable[[float], float],
+    target: float,
+    bracket_hint: tuple[float, float],
+    rel_tol: float = 1e-9,
+    max_expand: int = 200,
+) -> _RootSolve:
+    """_brent driven on its own: each x it asks for is evaluated by f."""
+    steps = _brent(target, bracket_hint, rel_tol, max_expand)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def solve_decreasing(
@@ -243,37 +259,51 @@ def _no_noise_result(
     )
 
 
-def _solve_transport(
+class _Transport(NamedTuple):
+    """A transport solve set up and not yet run, for the lockstep driver.
+
+    Solves log sum_k pi_k exp(coef * base_k / denom) = log_target for the
+    parameter x, where scale(x) = (coef, denom) and base holds the plan's
+    per-entry displacements, squared displacements or costs.
+    """
+
+    plan: Coupling
+    base: np.ndarray
+    scale: Callable[[float], tuple[float, float]]
+    mechanism: str
+    log_target: float
+    bracket: tuple[float, float]
+
+
+def _transport(
     plan: Coupling,
     spec: PrivacySpec,
-    rel_tol: float,
     mechanism: str,
     size: float,
-    exponent: Callable[[np.ndarray, float], np.ndarray],
+    base: np.ndarray,
+    scale: Callable[[float], tuple[float, float]],
     seed: Callable[[float], float],
-) -> CalibrationResult:
-    """Solve log sum pi_k exp(exponent(d_k, param)) = (alpha - 1) epsilon for param.
+) -> _Transport | CalibrationResult:
+    """The transport solve of one pair at one spec, or its no-noise result.
 
-    exponent maps the plan's displacement array and a parameter to the
-    per-entry exponents. size is the largest displacement (or cost) on the
-    plan; at 0 the coupling is diagonal and no noise is needed. seed(level)
-    is the parameter at which a point mass at distance size has log
-    functional level: seed(log_target) is feasible, since no entry exceeds
-    size, and seed(log_target + ln 2) seeds the other bracket end.
+    size is the largest displacement (or cost) on the plan; at 0 the
+    coupling is diagonal and no noise is needed. seed(level) is the
+    parameter at which a point mass at distance size has log functional
+    level: seed(log_target) is feasible, since no entry exceeds size, and
+    seed(log_target + ln 2) seeds the other bracket end.
     """
     log_target = (spec.alpha - 1.0) * spec.epsilon
     if size == 0.0:
         return _no_noise_result(mechanism, log_target)
-
-    def log_functional(param: float) -> float:
-        return coupling_log_expectation(plan, lambda d: exponent(d, param))
-
     bracket = (seed(log_target + _LN2), seed(log_target))
-    solve = _solve_decreasing(log_functional, log_target, bracket, rel_tol)
-    log_value = solve.f_value
+    return _Transport(plan, base, scale, mechanism, log_target, bracket)
+
+
+def _transport_result(problem: _Transport, solve: _RootSolve) -> CalibrationResult:
+    log_value, log_target = solve.f_value, problem.log_target
     return CalibrationResult(
         parameter=solve.value,
-        mechanism=mechanism,
+        mechanism=problem.mechanism,
         functional_value=_safe_exp(log_value),
         log_functional_value=log_value,
         target_value=_safe_exp(log_target),
@@ -282,6 +312,76 @@ def _solve_transport(
         bracket=solve.bracket,
         guarantee_side=log_value <= log_target + _GUARANTEE_TOL * max(1.0, abs(log_target)),
     )
+
+
+# Most lanes x entries one lockstep round evaluates at once: 8 MB per array.
+_MAX_BLOCK = 1 << 20
+
+
+def _solve_lanes(
+    problems: list[_Transport], rel_tol: float
+) -> list[CalibrationResult | Exception]:
+    """Run transport solves on one plan in lockstep, one _brent lane each.
+
+    Every round evaluates each live lane's pending parameter in one
+    coupling_log_expectation call on a (lanes x entries) exponent block
+    (coef * base) / denom. Row by row this is the arithmetic of a lane
+    solved alone, so each lane ends exactly as it would on its own: with
+    its result, or with the exception it raised. The lanes share the
+    first problem's plan and base.
+    """
+    per_block = max(1, _MAX_BLOCK // len(problems[0].base))
+    if len(problems) > per_block:
+        return [
+            outcome
+            for start in range(0, len(problems), per_block)
+            for outcome in _solve_lanes(problems[start:start + per_block], rel_tol)
+        ]
+    plan, base = problems[0].plan, problems[0].base
+    outcomes: list[CalibrationResult | Exception | None] = [None] * len(problems)
+    pending: dict[int, tuple[Generator, float]] = {}
+
+    def advance(lane: int, steps: Generator, value: float | None) -> None:
+        try:
+            pending[lane] = (steps, steps.send(value))
+        except StopIteration as stop:
+            pending.pop(lane, None)
+            outcomes[lane] = _transport_result(problems[lane], stop.value)
+        except Exception as exc:
+            pending.pop(lane, None)
+            outcomes[lane] = exc
+
+    for lane, problem in enumerate(problems):
+        advance(lane, _brent(problem.log_target, problem.bracket, rel_tol), None)
+    while pending:
+        lanes, coefs, denoms = [], [], []
+        for lane, (_, x) in list(pending.items()):
+            try:
+                coef, denom = problems[lane].scale(x)
+            except Exception as exc:
+                del pending[lane]
+                outcomes[lane] = exc
+                continue
+            lanes.append(lane)
+            coefs.append(coef)
+            denoms.append(denom)
+        if not lanes:
+            break
+        block = (np.array(coefs)[:, None] * base) / np.array(denoms)[:, None]
+        values = coupling_log_expectation(plan, lambda d: block)
+        for lane, value in zip(lanes, values.tolist()):
+            advance(lane, pending[lane][0], value)
+    return outcomes
+
+
+def _solve_one(problem: _Transport | CalibrationResult, rel_tol: float) -> CalibrationResult:
+    """A problem's result: solved as a single lane, or already closed."""
+    if isinstance(problem, CalibrationResult):
+        return problem
+    (outcome,) = _solve_lanes([problem], rel_tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _budget_result(
@@ -321,12 +421,17 @@ def calibrate_laplace(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibra
     _require_order_above_one(spec, allow_inf=True)
     if math.isinf(spec.alpha):
         return calibrate_winf_laplace(pair, spec.epsilon)
+    return _solve_one(_laplace_problem(pair, spec), rel_tol)
+
+
+def _laplace_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
     plan = _coupling(pair)
     w_max = plan.max_displacement()
-    return _solve_transport(
-        plan, spec, rel_tol, "laplace", w_max,
-        lambda d, b: spec.alpha * d / b,
-        lambda level: spec.alpha * w_max / level,
+    alpha = spec.alpha
+    return _transport(
+        plan, spec, "laplace", w_max, plan.displacement_array,
+        lambda b: (alpha, b),
+        lambda level: alpha * w_max / level,
     )
 
 
@@ -337,12 +442,17 @@ def calibrate_gaussian(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibr
     exp((alpha - 1) epsilon); valid for finite alpha > 1 only.
     """
     _require_order_above_one(spec, allow_inf=False)
+    return _solve_one(_gaussian_problem(pair, spec), rel_tol)
+
+
+def _gaussian_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
     plan = _coupling(pair)
     w_max = plan.max_displacement()
-    coeff = spec.alpha * (spec.alpha - 1.0) * w_max**2 / 2.0
-    return _solve_transport(
-        plan, spec, rel_tol, "gaussian", w_max,
-        lambda d, sigma: spec.alpha * (spec.alpha - 1.0) * d**2 / (2.0 * sigma**2),
+    alpha = spec.alpha
+    coeff = alpha * (alpha - 1.0) * w_max**2 / 2.0
+    return _transport(
+        plan, spec, "gaussian", w_max, plan.displacement_array**2,
+        lambda sigma: (alpha * (alpha - 1.0), 2.0 * sigma**2),
         lambda level: math.sqrt(coeff / level),
     )
 
@@ -393,6 +503,16 @@ def calibrate_exponential(
     inequality; the solver itself only requires symmetric nonnegative c.
     """
     _require_order_above_one(spec, allow_inf=True)
+    return _solve_one(_exponential_problem(pair, spec, cost, rate, rate_inverse), rel_tol)
+
+
+def _exponential_problem(
+    pair,
+    spec: PrivacySpec,
+    cost: Callable[[float], float] = absolute_cost,
+    rate: Callable[[float], float] = reciprocal_rate,
+    rate_inverse: Callable[[float], float] | None = None,
+) -> _Transport | CalibrationResult:
     check_cost_axioms(cost, require_triangle=False)
     _check_rate_map(rate)
     if rate_inverse is None and rate is reciprocal_rate:
@@ -405,15 +525,17 @@ def calibrate_exponential(
     else:
         costs = [cost(d) for d in plan.displacements()]
         cost_array, sup_cost = np.array(costs), max(costs)
-    if math.isinf(spec.alpha):
+    alpha = spec.alpha
+    if math.isinf(alpha):
         if sup_cost == 0.0:
             return _budget_result("exponential", spec.epsilon)
         theta = _invert_rate(rate, rate_inverse, spec.epsilon / sup_cost)
         return _budget_result("exponential", spec.epsilon, theta, rate(theta) * sup_cost)
-    return _solve_transport(
-        plan, spec, rel_tol, "exponential", sup_cost,
-        lambda d, theta: spec.alpha * rate(theta) * cost_array,
-        lambda level: _invert_rate(rate, rate_inverse, level / (spec.alpha * sup_cost)),
+    # rate is called on one float at a time: custom rates need not take arrays.
+    return _transport(
+        plan, spec, "exponential", sup_cost, cost_array,
+        lambda theta: (alpha * rate(theta), 1.0),
+        lambda level: _invert_rate(rate, rate_inverse, level / (alpha * sup_cost)),
     )
 
 
@@ -535,17 +657,20 @@ def _laplace_any_order(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibr
 
 
 class _Mechanism(NamedTuple):
-    # solve(pair, spec, rel_tol=...) and the noise its parameter stands for.
+    # solve(pair, spec, rel_tol=...) and the noise its parameter stands for;
+    # for transport kinds, problem(pair, spec) is solve's set-up at orders
+    # 1 < alpha < inf, which calibrate_grid runs in lockstep.
     solve: Callable[..., CalibrationResult]
     noise: Callable[[float], MechanismParams]
+    problem: Callable[..., _Transport | CalibrationResult] | None = None
 
 
 _MECHANISMS = {
-    "laplace": _Mechanism(_laplace_any_order, LaplaceParams),
-    "gaussian": _Mechanism(calibrate_gaussian, GaussianParams),
+    "laplace": _Mechanism(_laplace_any_order, LaplaceParams, _laplace_problem),
+    "gaussian": _Mechanism(calibrate_gaussian, GaussianParams, _gaussian_problem),
     # With its default cost |z| and rate 1/theta the exponential mechanism
     # is Laplace(theta) noise.
-    "exponential": _Mechanism(calibrate_exponential, LaplaceParams),
+    "exponential": _Mechanism(calibrate_exponential, LaplaceParams, _exponential_problem),
     "winf": _Mechanism(
         lambda pair, spec, rel_tol: calibrate_winf_laplace(pair, spec.epsilon), LaplaceParams
     ),
@@ -590,6 +715,76 @@ def calibrate_pair(
     return solve(pair, spec, rel_tol=rel_tol)
 
 
+def calibrate_grid(
+    scenarios: ScenarioSet,
+    mechanism_kind: str,
+    specs: Sequence[PrivacySpec],
+    rel_tol: float = 1e-9,
+    cost: Callable[[float], float] = absolute_cost,
+    rate: Callable[[float], float] = reciprocal_rate,
+    rate_inverse: Callable[[float], float] | None = None,
+) -> list[list[CalibrationResult] | Exception]:
+    """calibrate_scenarios at every spec, each pair's transport solves run in lockstep.
+
+    For each spec the entry is the list calibrate_scenarios returns there,
+    bit for bit. Where it would raise, the entry is the exception instead:
+    the first failing pair's, a PuffercalError labelled with the pair.
+    Nothing is raised, so a caller that meets the entries in order sees
+    failures in the order one call per spec would (specs first, then
+    pairs). Transport solves at orders 1 < alpha < inf share one batched
+    functional evaluation per solver round across the specs; every other
+    cell is one calibrate_pair call.
+    """
+    mechanism = _MECHANISMS.get(mechanism_kind)
+    problem = mechanism.problem if mechanism else None
+    if mechanism_kind == "exponential":
+        problem = partial(problem, cost=cost, rate=rate, rate_inverse=rate_inverse)
+    outcomes = [[None] * len(scenarios.pairs) for _ in specs]
+    for index, pair in enumerate(scenarios.pairs):
+        lanes = []
+        for cell, spec in enumerate(specs):
+            try:
+                if problem is not None and 1.0 < spec.alpha < math.inf:
+                    outcome = problem(pair, spec)
+                else:
+                    outcome = calibrate_pair(
+                        pair, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse
+                    )
+            except Exception as exc:
+                outcome = exc
+            if isinstance(outcome, _Transport):
+                lanes.append((cell, outcome))
+            else:
+                outcomes[cell][index] = outcome
+        if lanes:
+            solved = _solve_lanes([lane for _, lane in lanes], rel_tol)
+            for (cell, _), outcome in zip(lanes, solved):
+                outcomes[cell][index] = outcome
+    return [_bind(scenarios, results) for results in outcomes]
+
+
+def _bind(scenarios: ScenarioSet, results: list) -> list[CalibrationResult] | Exception:
+    """Flag the binding pair on every result, or return the first pair's error.
+
+    The binding pair has the largest parameter, ties breaking toward the
+    lowest index. A PuffercalError comes back with the pair label prepended.
+    """
+    for index, result in enumerate(results):
+        if isinstance(result, PuffercalError):
+            labelled = type(result)(f"pair '{scenarios.label(index)}': {result}")
+            labelled.__cause__ = result
+            return labelled
+        if isinstance(result, Exception):
+            return result
+    # max() keeps the first maximum.
+    binding = max(range(len(results)), key=lambda k: results[k].parameter)
+    label = scenarios.label(binding)
+    return [
+        replace(result, binding_pair_index=binding, binding_pair_label=label)
+        for result in results
+    ]
+
+
 def calibrate_scenarios(
     scenarios: ScenarioSet,
     mechanism_kind: str,
@@ -605,21 +800,12 @@ def calibrate_scenarios(
     lowest index; every result carries its index and label. Per-pair
     errors are re-raised with the pair label prepended.
     """
-    results = []
-    for index, pair in enumerate(scenarios.pairs):
-        try:
-            results.append(
-                calibrate_pair(pair, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse)
-            )
-        except PuffercalError as exc:
-            raise type(exc)(f"pair '{scenarios.label(index)}': {exc}") from exc
-    # max() keeps the first maximum.
-    binding = max(range(len(results)), key=lambda k: results[k].parameter)
-    label = scenarios.label(binding)
-    return [
-        replace(result, binding_pair_index=binding, binding_pair_label=label)
-        for result in results
-    ]
+    (results,) = calibrate_grid(
+        scenarios, mechanism_kind, [spec], rel_tol, cost, rate, rate_inverse
+    )
+    if isinstance(results, Exception):
+        raise results
+    return results
 
 
 def calibrate_over_scenarios(

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -251,48 +250,63 @@ def _naming_cell(kind, alpha, epsilon):
         ) from exc
 
 
-def _calibrate_cell(scenarios, kind, alpha, epsilon, tol):
-    """All per-pair rows for one grid cell, with the binding pair flagged."""
-    with _naming_cell(kind, alpha, epsilon):
-        results = cal.calibrate_scenarios(
-            scenarios, kind, PrivacySpec(alpha=alpha, epsilon=epsilon), tol
-        )
+def _calibrated(scenarios, kind, cells, tol):
+    """Each (alpha, epsilon) cell's per-pair results, solved as one grid.
+
+    Yields the cells in order. A cell whose calibration failed raises its
+    error when it is reached, so failures surface as if each cell were
+    calibrated on its own: the first cell's, and within it the first pair's.
+    """
+    outcomes = [None] * len(cells)
+    specs = {}
+    for index, (alpha, epsilon) in enumerate(cells):
+        try:
+            specs[index] = PrivacySpec(alpha=alpha, epsilon=epsilon)
+        except PuffercalError as exc:
+            outcomes[index] = exc
+    solved = cal.calibrate_grid(scenarios, kind, list(specs.values()), tol)
+    for index, results in zip(specs, solved):
+        outcomes[index] = results
+    for (alpha, epsilon), outcome in zip(cells, outcomes):
+        if isinstance(outcome, Exception):
+            with _naming_cell(kind, alpha, epsilon):
+                raise outcome
+        yield outcome
+
+
+def _calibrate_rows(scenarios, kind, cells, tol):
+    """All per-pair rows of every cell, with each cell's binding pair flagged."""
     rows = []
-    for index, result in enumerate(results):
-        noise = cal.noise_for(kind, result.parameter)
-        rows.append(
-            {
-                "mechanism": kind,
-                "alpha": alpha,
-                "epsilon": epsilon,
-                "pair": scenarios.label(index),
-                "parameter": result.parameter,
-                "variance": 0.0 if noise is None else noise_variance(noise),
-                "functional_value": result.functional_value,
-                "log_functional_value": result.log_functional_value,
-                "binding": index == result.binding_pair_index,
-                "no_noise_needed": result.no_noise_needed,
-                "experimental": result.experimental,
-            }
-        )
+    for (alpha, epsilon), results in zip(cells, _calibrated(scenarios, kind, cells, tol)):
+        for index, result in enumerate(results):
+            noise = cal.noise_for(kind, result.parameter)
+            rows.append(
+                {
+                    "mechanism": kind,
+                    "alpha": alpha,
+                    "epsilon": epsilon,
+                    "pair": scenarios.label(index),
+                    "parameter": result.parameter,
+                    "variance": 0.0 if noise is None else noise_variance(noise),
+                    "functional_value": result.functional_value,
+                    "log_functional_value": result.log_functional_value,
+                    "binding": index == result.binding_pair_index,
+                    "no_noise_needed": result.no_noise_needed,
+                    "experimental": result.experimental,
+                }
+            )
     return rows
 
 
-def _cell_parameter(args, scenarios, kind, alpha, epsilon):
-    """--parameter when given, else the binding parameter calibrated in-run."""
+def _cell_parameters(args, scenarios, kind, cells):
+    """Each cell's noise parameter in order: --parameter when given, else the
+    binding parameter calibrated in-run."""
     if args.parameter is not None:
-        return args.parameter
-    with _naming_cell(kind, alpha, epsilon):
-        return cal.calibrate_over_scenarios(
-            scenarios, kind, PrivacySpec(alpha=alpha, epsilon=epsilon), args.tol
-        ).parameter
-
-
-def _map_cells(cells, worker, jobs: int):
-    if jobs <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cells))
+        return [args.parameter] * len(cells)
+    return (
+        results[results[0].binding_pair_index].parameter
+        for results in _calibrated(scenarios, kind, cells, args.tol)
+    )
 
 
 def _verify_cell_rows(scenarios, kind, alpha, epsilon, parameter):
@@ -321,12 +335,10 @@ def cmd_calibrate(args) -> int:
     scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
     alphas = _parse_grid(args.alpha, "--alpha")
     epsilons = _parse_grid(args.epsilon, "--epsilon")
-    kinds = args.mechanism or ["laplace"]
-    cells = [(k, a, e) for k in kinds for a in alphas for e in epsilons]
-    row_blocks = _map_cells(
-        cells, lambda cell: _calibrate_cell(scenarios, *cell, args.tol), args.jobs
-    )
-    rows = [row for block in row_blocks for row in block]
+    cells = [(a, e) for a in alphas for e in epsilons]
+    rows = []
+    for kind in args.mechanism or ["laplace"]:
+        rows.extend(_calibrate_rows(scenarios, kind, cells, args.tol))
     _emit(args, "calibrate", CALIBRATE_COLUMNS, rows)
     if args.verify:
         return _reverify(scenarios, [row for row in rows if row["binding"]])
@@ -354,11 +366,10 @@ def cmd_verify(args) -> int:
     alphas = _parse_grid(args.alpha, "--alpha")
     epsilons = _parse_grid(args.epsilon, "--epsilon")
     kind = args.mechanism
+    cells = [(a, e) for a in alphas for e in epsilons]
     rows = []
-    for alpha in alphas:
-        for epsilon in epsilons:
-            parameter = _cell_parameter(args, scenarios, kind, alpha, epsilon)
-            rows.extend(_verify_cell_rows(scenarios, kind, alpha, epsilon, parameter))
+    for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
+        rows.extend(_verify_cell_rows(scenarios, kind, alpha, epsilon, parameter))
     _emit(args, "verify", VERIFY_COLUMNS, rows)
     if any(row["passed"] is not True for row in rows):
         return EXIT_VERIFY
@@ -369,14 +380,10 @@ def cmd_sweep(args) -> int:
     scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
     alphas = _parse_grid(args.alpha, "--alpha")
     epsilons = _parse_grid(args.epsilon, "--epsilon")
-    kinds = args.mechanism or ["laplace"]
+    cells = [(a, e) for a in alphas for e in epsilons]
     status = EXIT_OK
-    for kind in kinds:
-        cells = [(kind, a, e) for a in alphas for e in epsilons]
-        row_blocks = _map_cells(
-            cells, lambda cell: _calibrate_cell(scenarios, *cell, args.tol), args.jobs
-        )
-        rows = [row for block in row_blocks for row in block if row["binding"]]
+    for kind in args.mechanism or ["laplace"]:
+        rows = [row for row in _calibrate_rows(scenarios, kind, cells, args.tol) if row["binding"]]
         # The JSON form adds the binding pair label required by the schema.
         _emit(
             args, "sweep", SWEEP_COLUMNS, rows,
@@ -393,41 +400,38 @@ def cmd_breach(args) -> int:
     alphas = _parse_grid(args.alpha, "--alpha")
     epsilons = _parse_grid(args.epsilon, "--epsilon")
     kind = args.mechanism
+    cells = [(a, e) for a in alphas for e in epsilons]
     rows = []
-    for alpha in alphas:
-        for epsilon in epsilons:
-            spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
-            parameter = _cell_parameter(args, scenarios, kind, alpha, epsilon)
-            mech = cal.noise_for(kind, parameter)
-            for index, pair in enumerate(scenarios.pairs):
-                pair_seed = args.seed + index
-                estimate, half_width = ver.monte_carlo_breach(
-                    pair.p_i, pair.p_j, mech, epsilon, args.n, pair_seed
-                )
-                chernoff = None
-                if 1.0 < alpha < math.inf:
-                    if mech is None:
-                        divergence = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
-                    else:
-                        divergence = ver.renyi_divergence_numeric(
-                            pair.p_i, pair.p_j, mech, alpha
-                        )
-                    if math.isfinite(divergence):
-                        chernoff = ver.chernoff_breach_bound(divergence, spec)
-                rows.append(
-                    {
-                        "mechanism": kind,
-                        "alpha": alpha,
-                        "epsilon": epsilon,
-                        "pair": scenarios.label(index),
-                        "parameter": parameter,
-                        "mc_breach_estimate": estimate,
-                        "mc_half_width": half_width,
-                        "chernoff_bound": chernoff,
-                        "sample_count": args.n,
-                        "seed": pair_seed,
-                    }
-                )
+    for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
+        spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
+        mech = cal.noise_for(kind, parameter)
+        for index, pair in enumerate(scenarios.pairs):
+            pair_seed = args.seed + index
+            estimate, half_width = ver.monte_carlo_breach(
+                pair.p_i, pair.p_j, mech, epsilon, args.n, pair_seed
+            )
+            chernoff = None
+            if 1.0 < alpha < math.inf:
+                if mech is None:
+                    divergence = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
+                else:
+                    divergence = ver.renyi_divergence_numeric(pair.p_i, pair.p_j, mech, alpha)
+                if math.isfinite(divergence):
+                    chernoff = ver.chernoff_breach_bound(divergence, spec)
+            rows.append(
+                {
+                    "mechanism": kind,
+                    "alpha": alpha,
+                    "epsilon": epsilon,
+                    "pair": scenarios.label(index),
+                    "parameter": parameter,
+                    "mc_breach_estimate": estimate,
+                    "mc_half_width": half_width,
+                    "chernoff_bound": chernoff,
+                    "sample_count": args.n,
+                    "seed": pair_seed,
+                }
+            )
     _emit(args, "breach", BREACH_COLUMNS, rows)
     return EXIT_OK
 
@@ -460,7 +464,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser, multi_mechanism: bool
         "--jobs",
         type=int,
         default=int(os.environ.get("PUFFERCAL_JOBS", "1")),
-        help="worker pool size for grid evaluation (env PUFFERCAL_JOBS)",
+        help="accepted and ignored: each mechanism's grid is solved in one pass "
+        "(env PUFFERCAL_JOBS)",
     )
     parser.add_argument(
         "--data-dir",
@@ -504,6 +509,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise _ConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
         return args.handler(args)
     except (_SolverCellError, *_SOLVER_ERRORS) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -106,14 +106,18 @@ def monotone_coupling(P: DiscreteDistribution, Q: DiscreteDistribution) -> Coupl
     return Coupling(entries=tuple(entries))
 
 
-def coupling_log_expectation(plan: Coupling, log_g: Callable[[np.ndarray], np.ndarray]) -> float:
+def coupling_log_expectation(plan: Coupling, log_g: Callable[[np.ndarray], np.ndarray]):
     """log E[exp(log_g(|x - x'|))] under the plan, computed by log-sum-exp.
 
     log_g maps the plan's displacement array to the per-entry log
-    integrand. Working in log space keeps large exponentials (e.g. at
-    extreme divergence orders) from overflowing.
+    integrand, or to a (rows x entries) block of them: a float comes back
+    for one integrand and an array of one value per row for a block, each
+    row's value bit-identical to that row's own call. Working in log space
+    keeps large exponentials (e.g. at extreme divergence orders) from
+    overflowing.
     """
-    return float(log_sum_exp(plan.log_masses + log_g(plan.displacement_array)))
+    values = log_sum_exp(plan.log_masses + log_g(plan.displacement_array))
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def w_infinity(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from puffercal import (
     DiscreteDistribution,
@@ -14,6 +16,7 @@ from puffercal import (
     baseline_laplace_rpp,
     calibrate_exponential,
     calibrate_gaussian,
+    calibrate_grid,
     calibrate_laplace,
     calibrate_over_scenarios,
     calibrate_pair,
@@ -26,13 +29,16 @@ from puffercal import (
     solve_decreasing,
     w_infinity,
 )
+import puffercal.calibrate as calibrate
 from puffercal.calibrate import MECHANISM_KINDS
 from puffercal.errors import (
     InvalidValue,
     NonInvertibleRate,
     NoRoot,
     NotMonotone,
+    PuffercalError,
 )
+from puffercal.transport import coupling_log_expectation
 
 from conftest import benchmark_regime_pair, point_mass, random_pair
 
@@ -122,24 +128,31 @@ class TestSolveEvaluations:
     """The returned functional is the solver's last evaluation, not one more call."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, rows=lambda args, result: 1):
+        """Record every x the Brent coroutine asks for, and the rows the patched
+        function evaluates (rows(args, result) per call)."""
         import puffercal.calibrate as calibrate
 
         solver, underlying = [], []
-        real_solve, real = calibrate._solve_decreasing, getattr(calibrate, name)
+        real_brent, real = calibrate._brent, getattr(calibrate, name)
 
-        def counting_solve(f, *args, **kwargs):
-            def counted(x):
+        def counting_brent(*args, **kwargs):
+            steps = real_brent(*args, **kwargs)
+            value = None
+            while True:
+                try:
+                    x = steps.send(value)
+                except StopIteration as stop:
+                    return stop.value
                 solver.append(x)
-                return f(x)
-
-            return real_solve(counted, *args, **kwargs)
+                value = yield x
 
         def counting(*args):
-            underlying.append(args)
-            return real(*args)
+            result = real(*args)
+            underlying.extend([args] * rows(args, result))
+            return result
 
-        monkeypatch.setattr(calibrate, "_solve_decreasing", counting_solve)
+        monkeypatch.setattr(calibrate, "_brent", counting_brent)
         monkeypatch.setattr(calibrate, name, counting)
         return solver, underlying
 
@@ -150,10 +163,23 @@ class TestSolveEvaluations:
         ids=["laplace", "gaussian", "exponential", "sub-unit"],
     )
     def test_functional_calls_equal_solver_evaluations(self, monkeypatch, solve, alpha):
-        solver, functional = self._count(monkeypatch, "coupling_log_expectation")
+        # A lockstep call evaluates one row per lane; a one-lane solve's is a 1-row block.
+        solver, functional = self._count(
+            monkeypatch, "coupling_log_expectation", lambda args, result: np.size(result)
+        )
         pair = random_pair(np.random.default_rng(7), max_atoms=8, min_atoms=3)
         result = solve(pair, PrivacySpec(alpha=alpha, epsilon=0.7))
         assert result.iterations > 0
+        assert len(functional) == len(solver)
+
+    def test_grid_rows_equal_solver_evaluations(self, monkeypatch):
+        solver, functional = self._count(
+            monkeypatch, "coupling_log_expectation", lambda args, result: np.size(result)
+        )
+        scenarios = scenario_set([random_pair(np.random.default_rng(7), max_atoms=8, min_atoms=3)])
+        specs = [PrivacySpec(alpha=a, epsilon=e) for a in (1.5, 3.0, 8.0) for e in (0.5, 2.0)]
+        grid = calibrate_grid(scenarios, "laplace", specs)
+        assert all(results[0].iterations > 0 for results in grid)
         assert len(functional) == len(solver)
 
     def test_baseline_divergence_calls_equal_solver_evaluations(self, monkeypatch):
@@ -585,3 +611,150 @@ class TestCalibrationProperties:
                 b = calibrate_laplace(pair, spec).parameter
                 b_base = baseline_laplace_rpp(pair, spec).parameter
                 assert b < b_base
+
+
+def _bits(outcome):
+    """A result's every field with floats by repr (exact, -0.0 and nan kept), or an
+    error's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return repr(dataclasses.astuple(outcome))
+
+
+def _one_spec(scenarios, kind, spec, **kwargs):
+    try:
+        return calibrate_scenarios(scenarios, kind, spec, **kwargs)
+    except PuffercalError as exc:
+        return exc
+
+
+@st.composite
+def _distributions(draw, max_atoms=8):
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
+    atoms = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    return DiscreteDistribution(tuple(sorted(atoms)), tuple(w / total for w in weights))
+
+
+# Orders in (0, 1), in (1, inf) and inf, so a grid mixes sub-unit, lockstep
+# and closed-form cells.
+_orders = st.one_of(
+    st.floats(0.05, 0.95), st.floats(1.05, 40.0), st.just(math.inf)
+)
+_specs = st.lists(
+    st.builds(PrivacySpec, alpha=_orders, epsilon=st.floats(0.05, 5.0)), min_size=1, max_size=6
+)
+
+
+class TestCalibrateGrid:
+    """calibrate_grid runs one pair's transport solves in lockstep; every cell must
+    end exactly as a one-spec call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=_distributions(), q=_distributions(), specs=_specs)
+    def test_grid_equals_one_spec_calls(self, p, q, specs):
+        scenarios = scenario_set(
+            [(p, q), (point_mass(0.0), point_mass(1.0)), (p, p)]
+        )
+        for kind in MECHANISM_KINDS:
+            grid = calibrate_grid(scenarios, kind, specs)
+            assert len(grid) == len(specs)
+            for spec, cell in zip(specs, grid):
+                want = _one_spec(scenarios, kind, spec)
+                if isinstance(want, Exception):
+                    assert _bits(cell) == _bits(want), (kind, spec)
+                else:
+                    assert [_bits(r) for r in cell] == [_bits(r) for r in want], (kind, spec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=_distributions(), q=_distributions(), specs=_specs)
+    def test_custom_cost_and_rate(self, p, q, specs):
+        kwargs = dict(cost=lambda z: z * z + abs(z), rate=lambda t: 2.0 / t**0.5)
+        scenarios = scenario_set([(p, q), (point_mass(-1.0), point_mass(2.0))])
+        grid = calibrate_grid(scenarios, "exponential", specs, **kwargs)
+        for spec, cell in zip(specs, grid):
+            want = _one_spec(scenarios, "exponential", spec, **kwargs)
+            if isinstance(want, Exception):
+                assert _bits(cell) == _bits(want)
+            else:
+                assert [_bits(r) for r in cell] == [_bits(r) for r in want]
+
+    @pytest.mark.parametrize("kind", ["laplace", "gaussian", "exponential"])
+    def test_lanes_match_the_scalar_functional(self, kind):
+        # The solve as it ran before lanes: a scalar Brent on a 1-D functional
+        # with the exponent written out per mechanism.
+        def exponent(spec, d, x):
+            if kind == "laplace":
+                return spec.alpha * d / x
+            if kind == "gaussian":
+                return spec.alpha * (spec.alpha - 1.0) * d**2 / (2.0 * x**2)
+            return spec.alpha * calibrate.reciprocal_rate(x) * d
+
+        rng = np.random.default_rng(11)
+        pairs = [random_pair(rng, max_atoms=40, min_atoms=2) for _ in range(3)]
+        specs = [PrivacySpec(alpha=a, epsilon=e) for a in (1.2, 2.0, 7.5, 300.0)
+                 for e in (0.1, 1.0, 4.0)]
+        grid = calibrate_grid(scenario_set(pairs), kind, specs)
+        for spec, cell in zip(specs, grid):
+            for pair, result in zip(pairs, cell):
+                problem = calibrate._MECHANISMS[kind].problem(pair, spec)
+                solve = calibrate._solve_decreasing(
+                    lambda x: coupling_log_expectation(
+                        problem.plan, lambda d: exponent(spec, d, x)
+                    ),
+                    problem.log_target, problem.bracket,
+                )
+                assert (result.parameter, result.iterations, result.bracket,
+                        result.log_functional_value) == (
+                    solve.value, solve.iterations, solve.bracket, solve.f_value
+                )
+
+    def test_lanes_split_into_bounded_blocks(self, monkeypatch):
+        specs = [PrivacySpec(alpha=1.0 + k / 4.0, epsilon=0.5) for k in range(1, 12)]
+        scenarios = scenario_set([random_pair(np.random.default_rng(5), max_atoms=12)])
+        whole = calibrate_grid(scenarios, "gaussian", specs)
+        monkeypatch.setattr(calibrate, "_MAX_BLOCK", 40)
+        split = calibrate_grid(scenarios, "gaussian", specs)
+        assert [[_bits(r) for r in cell] for cell in split] == [
+            [_bits(r) for r in cell] for cell in whole
+        ]
+
+    def test_first_error_in_cell_then_pair_order(self, monkeypatch):
+        # Cell 0 fails on pair "b" in its fourth round; cell 1 fails on pair
+        # "a" in its first. Pairs are solved one after the other, so cell 1's
+        # error happens first, yet each cell keeps its own first error.
+        real = calibrate._MECHANISMS["laplace"]
+        failures = {("b", 2.0): 3, ("a", 3.0): 0}
+        happened = []
+
+        def failing_problem(pair, spec):
+            problem = real.problem(pair, spec)
+            after = failures.get((pair.label, spec.alpha))
+            if after is None:
+                return problem
+            rounds = iter(range(after + 1))
+
+            def scale(x):
+                if next(rounds) == after:
+                    happened.append((pair.label, spec.alpha))
+                    raise NoRoot(f"injected at alpha={spec.alpha}")
+                return problem.scale(x)
+
+            return problem._replace(scale=scale)
+
+        monkeypatch.setitem(calibrate._MECHANISMS, "laplace", real._replace(problem=failing_problem))
+        slow = benchmark_regime_pair()  # takes Brent iterations, unlike a point mass
+        scenarios = ScenarioSet(pairs=(
+            ScenarioPair(p_i=point_mass(0.0), p_j=point_mass(1.0), label="a"),
+            ScenarioPair(p_i=slow[0], p_j=slow[1], label="b"),
+        ))
+        specs = [PrivacySpec(alpha=2.0, epsilon=1.0), PrivacySpec(alpha=3.0, epsilon=1.0),
+                 PrivacySpec(alpha=4.0, epsilon=1.0)]
+        grid = calibrate_grid(scenarios, "laplace", specs)
+        assert happened == [("a", 3.0), ("b", 2.0)]
+        assert _bits(grid[0]) == (NoRoot, "pair 'b': injected at alpha=2.0")
+        assert _bits(grid[1]) == (NoRoot, "pair 'a': injected at alpha=3.0")
+        assert [r.binding_pair_label for r in grid[2]] == ["a", "a"]
+        with pytest.raises(NoRoot, match=r"pair 'b': injected at alpha=2\.0"):
+            calibrate_scenarios(scenarios, "laplace", specs[0])

@@ -330,9 +330,10 @@ class TestCalibrateCommand:
 
         def no_root(*args, **kwargs):
             raise NoRoot("bracket never closed")
+            yield  # a generator, like the Brent coroutine it replaces
 
         # "same" needs no noise and never reaches the solver; "gap" does.
-        monkeypatch.setattr(cal, "_solve_decreasing", no_root)
+        monkeypatch.setattr(cal, "_brent", no_root)
         code, out, err = run_cli(
             capsys, "calibrate", "--scenario", pair_scenario_file,
             "--mechanism", "laplace", "--alpha", "2", "--epsilon", "1",
@@ -351,6 +352,62 @@ class TestCalibrateCommand:
         )
         assert code == 2
         assert err.startswith("configuration error: pair 'same': ")
+
+    @pytest.mark.parametrize("command", ["calibrate", "verify", "sweep", "breach"])
+    def test_earlier_solver_error_beats_later_failures(
+        self, capsys, monkeypatch, pair_scenario_file, command
+    ):
+        # alpha = 2 fails in its third Brent round, alpha = 3 in its first;
+        # alpha = inf is a configuration error for gaussian. The grid solves
+        # the cells together, yet the first cell's error is the one reported.
+        from puffercal import calibrate as cal
+        from puffercal.errors import NoRoot
+
+        real = cal._brent
+        fail_after = {1.0: 2, 2.0: 0}  # by log target (alpha - 1) * epsilon
+
+        def failing(target, *args, **kwargs):
+            steps = real(target, *args, **kwargs)
+            value = None
+            for _ in range(fail_after.get(target, 10**6)):
+                try:
+                    value = yield steps.send(value)
+                except StopIteration as stop:
+                    return stop.value
+            raise NoRoot(f"injected at target {target!r}")
+
+        monkeypatch.setattr(cal, "_brent", failing)
+        code, out, err = run_cli(
+            capsys, command, "--scenario", pair_scenario_file,
+            "--mechanism", "gaussian", "--alpha", "2,3,inf", "--epsilon", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "solver failure: mechanism=gaussian alpha=2.0 epsilon=1.0: "
+            "pair 'gap': injected at target 1.0\n"
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tol_rejected_before_any_solve(self, capsys, monkeypatch, tol):
+        from puffercal import calibrate as cal
+
+        def never(*args, **kwargs):
+            raise AssertionError("solver reached")
+            yield
+
+        monkeypatch.setattr(cal, "_brent", never)
+        code, out, err = run_cli(
+            capsys, "calibrate", "--scenario", "point-mass", "--alpha", "2", f"--tol={tol}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: --tol must be finite and non-negative, got {float(tol)!r}\n"
+
+    def test_zero_tol_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "calibrate", "--scenario", "point-mass", "--alpha", "2,3", "--tol", "0",
+        )
+        assert code == 0
+        assert len(parse_csv(out)) == 2
 
 
 class TestVerifyCommand:
@@ -547,6 +604,17 @@ class TestSweepCommand:
 
 
 class TestBreachCommand:
+    def test_earlier_cell_error_beats_later_calibration_error(self, capsys):
+        # The grid is calibrated before any Monte Carlo runs, yet the first
+        # cell's rejected --n is reported, not the second cell's calibration
+        # error (Gaussian calibration needs a finite order).
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", "point-mass", "--mechanism", "gaussian",
+            "--alpha", "2,inf", "--n", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == "configuration error: need at least 1000 samples for a stable estimate, got 10\n"
+
     def test_breach_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "breach", "--scenario", "point-mass",

@@ -11,6 +11,11 @@ form 2 theta^2, so it is compared within 1e-12 relative.
 The `golden_verify_*.csv` are `verify` output on the same scenario from
 the code that ran one quadrature per direction of each pair; the stdout
 of each call must match its file byte for byte.
+
+The `golden_sweep_*` files are `sweep` output on the same scenario from
+the code that solved each (mechanism, alpha, epsilon, pair) on its own,
+before a pair's grid was solved in lockstep; they too must match byte
+for byte.
 """
 
 import csv
@@ -81,4 +86,22 @@ def test_verify_matches_golden(capsys, name):
     options, code = VERIFY_CALLS[name]
     assert main(["verify", "--scenario", str(DATA / "golden_scenario.json"), *options]) == code
     want = (DATA / f"golden_verify_{name}.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+# name: sweep options after the scenario. Generated by the code that solved
+# one (mechanism, alpha, epsilon, pair) at a time.
+SWEEP_CALLS = {
+    "all.csv": [*(f"--mechanism={kind}" for kind in ALL_KINDS), *FINITE],
+    "all.json": [*(f"--mechanism={kind}" for kind in ALL_KINDS), *FINITE, "--format", "json"],
+    # Sub-unit, lockstep and closed-form cells in one grid.
+    "laplace_mixed.csv": ["--mechanism", "laplace", "--alpha", "0.5,2,inf", "--epsilon", "0.5,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CALLS))
+def test_sweep_matches_golden(capsys, name):
+    argv = ["sweep", "--scenario", str(DATA / "golden_scenario.json"), *SWEEP_CALLS[name]]
+    assert main(argv) == 0
+    want = (DATA / f"golden_sweep_{name}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
