@@ -2,7 +2,7 @@
 """Compare the CLI's stdout and stderr between two source trees, command by command.
 
 Usage:
-    python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13
+    python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13 [--rel-tol X]
 
 For every seed the benchmark inputs (bench/workloads.py of this
 repository: the synthetic census table and each workload's scenario) are
@@ -14,10 +14,23 @@ and the exit code under each tree; stderr carries the error message, so
 a failing grid must fail on the same cell and pair. The script exits 1
 when any command's stdout, stderr or exit code differs between the
 trees, 0 when all match.
+
+With --rel-tol X, a command whose stdout differs while its stderr and
+exit code match has both stdouts parsed as rows (CSV with a header, or
+the JSON document's "rows"). Every field that is a number under both
+trees is a numeric column; the largest relative drift
+|change - parent| / |parent| of each such column that moved is printed.
+Every other field (text, flags, empty cells), the row count, the header
+and the JSON keys must match exactly. The script then exits 0 when every
+command matches or differs only by numeric drifts within X.
 """
 
 import argparse
+import csv
 import hashlib
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -76,19 +89,81 @@ EXTRA_COMMANDS = (
 )
 
 
-def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[str, str, int]:
-    """sha256 of the stdout and of the stderr of `python -m puffercal.cli argv` on
-    tree/src, and the exit code."""
+def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
+    """The stdout and stderr of `python -m puffercal.cli argv` on tree/src, and the exit code."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PUFFERCAL_JOBS="1")
     done = subprocess.run(
         [sys.executable, "-m", "puffercal.cli", *argv],
         cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
     )
-    return (
-        hashlib.sha256(done.stdout).hexdigest(),
-        hashlib.sha256(done.stderr).hexdigest(),
-        done.returncode,
-    )
+    return done.stdout, done.stderr, done.returncode
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _rows(text: str) -> tuple[list, list[list[tuple[str, object]]]]:
+    """(everything but the rows, the rows as (column, value) lists) of one stdout.
+
+    sweep writes one CSV table or JSON document per mechanism: a CSV line
+    equal to the first one is a header again, and the JSON documents are
+    read one after another.
+    """
+    frames, rows = [], []
+    if text.lstrip().startswith("{"):
+        decoder, position = json.JSONDecoder(), 0
+        while text[position:].strip():
+            position += len(text[position:]) - len(text[position:].lstrip())
+            document, position = decoder.raw_decode(text, position)
+            rows.extend(list(row.items()) for row in document.pop("rows"))
+            frames.append(document)
+        return frames, rows
+    lines = list(csv.reader(io.StringIO(text)))
+    for line in lines:
+        if line == lines[0]:
+            frames.append(len(rows))
+        else:
+            rows.append(list(zip(lines[0], line)))
+    return [lines[0], *frames], rows
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def numeric_drifts(before: str, after: str) -> dict[str, float] | None:
+    """Largest relative drift of each numeric column that moved between two stdouts.
+
+    None when the outputs differ in anything but numbers: the header or
+    JSON keys, the row count or columns, or any text or flag field.
+    """
+    try:
+        (frame_a, rows_a), (frame_b, rows_b) = _rows(before), _rows(after)
+    except (ValueError, KeyError, AttributeError):
+        return None
+    if frame_a != frame_b or len(rows_a) != len(rows_b):
+        return None
+    drifts: dict[str, float] = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        if [column for column, _ in row_a] != [column for column, _ in row_b]:
+            return None
+        for (column, a), (_, b) in zip(row_a, row_b):
+            if a == b:
+                continue
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                return None
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            drift = abs(y - x) / abs(x) if x != 0.0 else math.inf
+            drifts[column] = max(drifts.get(column, 0.0), drift)
+    return drifts
 
 
 def commands(seed: int, directory: Path):
@@ -108,12 +183,16 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="source tree holding src/puffercal")
     parser.add_argument("change", type=Path, help="source tree holding src/puffercal")
     parser.add_argument("--seeds", default="11,13", help="comma-separated input seeds")
+    parser.add_argument(
+        "--rel-tol", type=float, default=None,
+        help="accept stdout that differs only by numeric drifts within this relative bound",
+    )
     args = parser.parse_args()
     for tree in (args.parent, args.change):
         if not (tree / "src" / "puffercal").is_dir():
             parser.error(f"{tree} has no src/puffercal")
 
-    mismatches = total = 0
+    mismatches = within = total = 0
     with tempfile.TemporaryDirectory(prefix="compare_stdout_") as scratch:
         for seed in (int(token) for token in args.seeds.split(",")):
             for label, argv in commands(seed, Path(scratch) / str(seed)):
@@ -121,13 +200,25 @@ def main() -> int:
                 after = run_cli(args.change, argv, Path(scratch))
                 total += 1
                 same = before == after
-                mismatches += not same
                 print(f"{'same' if same else 'DIFF'} {label}")
-                print(f"    parent out {before[0][:16]} err {before[1][:16]} exit {before[2]}")
+                print(f"    parent out {_digest(before[0])} err {_digest(before[1])} exit {before[2]}")
                 if not same:
-                    print(f"    change out {after[0][:16]} err {after[1][:16]} exit {after[2]}")
+                    print(f"    change out {_digest(after[0])} err {_digest(after[1])} exit {after[2]}")
+                if not same and args.rel_tol is not None and before[1:] == after[1:]:
+                    drifts = numeric_drifts(before[0].decode(), after[0].decode())
+                    if drifts is None:
+                        print("    non-numeric difference")
+                    else:
+                        for column, drift in sorted(drifts.items()):
+                            print(f"    drift {column} {drift:.3g}")
+                        if all(drift <= args.rel_tol for drift in drifts.values()):
+                            within += 1
+                            same = True
+                mismatches += not same
                 sys.stdout.flush()
-    print(f"{total - mismatches} of {total} commands identical")
+    print(f"{total - mismatches - within} of {total} commands identical")
+    if args.rel_tol is not None:
+        print(f"{within} of {total} commands differ only by numeric drifts within {args.rel_tol:g}")
     return 1 if mismatches else 0
 
 

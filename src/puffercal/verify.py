@@ -88,12 +88,18 @@ def renyi_divergence_numeric(
 
     Finite orders integrate exp(alpha log p - (alpha - 1) log q) over a
     window, the union atom range padded by the noise truncation width plus
-    the order-driven shift of the integrand's tail mode. The window is cut
-    at every atom of either prior (the integrand has kinks there for
-    Laplace-type noise) and integrated by _bisect_quadrature to
-    max(1e-14, 1e-10 |integral|). alpha = inf takes the supremum of the
-    log ratio (see _sup_log_ratios). Raises IntegrationFailure when the
-    integrand overflows or the quadrature does not converge.
+    the order-driven shift of the integrand's tail mode, by
+    _bisect_quadrature to max(1e-14, 1e-10 |integral|). For Laplace-type
+    noise and custom costs the integrand has kinks at the atoms, so the
+    window is cut at every atom of either prior. For Gaussian noise it is
+    analytic, with log-curvature at most about (2 alpha - 1) / sigma^2, so
+    the window is cut by _cuts at the scale h = sigma / sqrt(max(1,
+    2 alpha - 1)): atoms closer together than h share a segment. The
+    divergence then differs from the one on every-atom cuts by at most
+    the quadrature's tolerance carried to D, 1e-10 / |alpha - 1|. alpha =
+    inf takes the supremum of the log ratio (see _sup_log_ratios). Raises
+    IntegrationFailure when the integrand overflows or the quadrature does
+    not converge.
     """
     (divergence,) = _divergences(p_i, p_j, mech, alpha, both=False)
     return divergence
@@ -108,8 +114,8 @@ def renyi_divergence_both_ways(
     """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
 
     Bit for bit the two renyi_divergence_numeric calls, at about half the
-    density evaluations: the two directions share the window and the atom
-    cuts (_cross_span is symmetric), so one quadrature integrates both
+    density evaluations: the two directions share the window and its cuts
+    (_cross_span is symmetric), so one quadrature integrates both
     integrands over shared log p_i and log p_j arrays, and alpha = inf
     reads the second direction's log ratio as the first one's negation.
     Raises IntegrationFailure when either direction fails.
@@ -155,14 +161,38 @@ def _divergences(
     def integrand_ji(ys: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
         return integrand_ij(ys, log_p, log_q)
 
-    points = sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi})
+    points = np.array(sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi}))
+    # Gaussian integrands are analytic; other noise has kinks at the atoms.
+    if isinstance(mech, GaussianParams):
+        width = mech.sigma / math.sqrt(max(1.0, 2.0 * alpha - 1.0))
+    else:
+        width = 0.0
     integrands = [integrand_ij, integrand_ji] if both else [integrand_ij]
     divergences = []
-    for integral in _bisect_quadrature(densities, integrands, np.array([lo, *points, hi])):
+    for integral in _bisect_quadrature(densities, integrands, _cuts(points, lo, hi, width)):
         if not (math.isfinite(integral) and integral > 0.0):
             raise IntegrationFailure(f"quadrature returned {integral!r}")
         divergences.append(_floor_rounding(math.log(integral) / (alpha - 1.0)))
     return divergences
+
+
+def _cuts(knots: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
+    """Edges [lo, *kept knots, hi] that cut the window (lo, hi) at the sorted knots inside it.
+
+    A knot is kept when it lies at least h past the last kept cut (lo at
+    first), or when the next knot (hi after the last) lies at least h past
+    it. A dropped knot is within h of the cut before it and of the one
+    after, so every segment with a knot inside is narrower than 2h; a gap
+    of at least h between knots stays a segment of its own. h = 0 keeps
+    every knot.
+    """
+    wide_after = (np.append(knots[1:], hi) - knots >= h).tolist()
+    kept = [lo]
+    for knot, wide in zip(knots.tolist(), wide_after):
+        if wide or knot - kept[-1] >= h:
+            kept.append(knot)
+    kept.append(hi)
+    return np.array(kept)
 
 
 _Integrand = Callable[..., np.ndarray]
@@ -591,9 +621,12 @@ def _breach_intervals(
     """Disjoint intervals of the draw range where log p - log q is certified against epsilon.
 
     A branch and bound on r(y) = log p(y) - log q(y) for Laplace or
-    Gaussian noise; ys are the sorted draws. The draw range is first cut
-    at every atom of either prior. Each round drops the intervals with no
-    draw strictly inside, bounds r on the others (_log_ratio_bounds), and
+    Gaussian noise; ys are the sorted draws. For Laplace noise, whose
+    bounds need intervals with no atom inside, the draw range is first cut
+    at every atom of either prior; Gaussian bounds hold on any interval,
+    so there it is cut at the noise scale, by _cuts with h = sigma. Each
+    round drops the intervals with no draw strictly inside, bounds r on
+    the others (_log_ratio_bounds), and
         - certifies an interval above epsilon when the lower bound exceeds
           epsilon + margin, and below when the upper bound is under
           epsilon - margin;
@@ -603,7 +636,7 @@ def _breach_intervals(
           2^-30 max(1, |y|);
         - halves it otherwise.
     After _CLASSIFY_ROUNDS rounds, or once more than four times the
-    initial intervals plus 64 are open, the open ones stay undecided. The
+    atom-cut intervals plus 64 are open, the open ones stay undecided. The
     margin covers the rounding of both the bound and _log_ratio, so a draw
     in a certified interval has _log_ratio > epsilon exactly when the
     interval is certified above. Returns (starts, ends, above) sorted by
@@ -616,9 +649,10 @@ def _breach_intervals(
     """
     knots = np.array(sorted(set(p_i.atoms) | set(p_j.atoms)))
     lo, hi = float(ys[0]), float(ys[-1])
-    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    inside = knots[(knots > lo) & (knots < hi)]
+    most_open = 4 * (inside.size + 1) + 64
+    edges = _cuts(inside, lo, hi, mech.sigma if isinstance(mech, GaussianParams) else 0.0)
     a, b = edges[:-1], edges[1:]
-    most_open = 4 * a.size + 64
     starts, ends, above = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
     for _ in range(_CLASSIFY_ROUNDS):
         occupied = np.searchsorted(ys, b, side="left") > np.searchsorted(ys, a, side="right")
@@ -651,8 +685,8 @@ def _log_ratio_bounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower and upper bounds on log p - log q over each [a[k], b[k]], and a rounding margin.
 
-    The intervals hold no atom of either prior inside.
-    - Laplace noise: between adjacent atoms the ratio is monotone, and
+    - Laplace noise (the intervals hold no atom of either prior inside):
+      between adjacent atoms the ratio is monotone, and
       beyond the extreme atoms constant (see _sup_log_ratio), so the
       bounds are the smaller and larger of its two endpoint values.
     - Gaussian noise: log p - log q = G^p_c - G^q_c, convex functions of
@@ -660,7 +694,7 @@ def _log_ratio_bounds(
       convex function lies under its chord and above its tangent, so
       chord(G^p) - tangent(G^q) bounds the ratio from above and
       tangent(G^p) - chord(G^q) from below; both are affine, so their
-      extremes are at the endpoints.
+      extremes are at the endpoints. This holds on any interval.
 
     The margin is 64 u (M + L + n + |log s| + 3), u = 2^-53, where M is the
     largest exponent magnitude on the interval, D/s for Laplace(s) noise

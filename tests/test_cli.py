@@ -213,6 +213,17 @@ class TestCalibrateCommand:
         assert code == 0
         assert len(parse_csv(out)) == 6
 
+    @pytest.mark.parametrize("command", ["calibrate", "verify", "sweep", "breach"])
+    def test_bad_jobs_env_is_a_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("PUFFERCAL_JOBS", "two")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--scenario", "point-mass"])
+        assert exit_info.value.code == 2
+        assert "argument --jobs: invalid int value: 'two'" in capsys.readouterr().err
+        # An explicit --jobs takes precedence over the environment.
+        assert run_cli(capsys, command, "--scenario", "point-mass", "--jobs", "1",
+                       *(("--n", "1000") if command == "breach" else ()))[0] == 0
+
     def test_adult_format_end_to_end(self, capsys, tmp_path):
         # Synthetic rows in the raw adult.data layout: headerless, 15
         # fields, comma-space separators, '?' sentinels elsewhere.

@@ -456,6 +456,135 @@ class TestBothWays:
         assert _bits(together) == _bits(alone)
         assert not set(sizes) <= alone_sizes
 
+
+def _shared_support_pair(rng, offset):
+    """Two priors on the same 2-8 random atoms near offset, masses at least 0.3 / n."""
+    n = int(rng.integers(2, 9))
+    atoms = tuple(float(offset + a) for a in np.sort(rng.uniform(-1.0, 1.0, n)))
+    priors = []
+    for _ in range(2):
+        masses = rng.dirichlet(np.ones(n)) + 0.3 / n
+        priors.append(DiscreteDistribution(atoms, tuple((masses / masses.sum()).tolist())))
+    return tuple(priors)
+
+
+class TestCuts:
+    """verify._cuts: Gaussian windows are cut at the noise scale, other noise at every atom."""
+
+    @staticmethod
+    def _assert_cut_rule(knots, lo, hi, h, edges):
+        assert edges[0] == lo and edges[-1] == hi
+        assert np.all(np.diff(edges) > 0.0)
+        assert set(edges[1:-1].tolist()) <= set(knots.tolist())
+        for a, b in zip(edges, edges[1:]):
+            if np.any((knots > a) & (knots < b)):
+                assert b - a < 2.0 * h, (a, b, h)
+        for a, b in zip(knots, knots[1:]):
+            if b - a >= h:
+                k = int(np.searchsorted(edges, a))
+                assert edges[k] == a and edges[k + 1] == b, (a, b, h)
+
+    def test_clustered_atoms_before_a_wide_gap(self, rng):
+        from puffercal.verify import _cuts
+
+        knots = np.concatenate((np.linspace(0.0, 1.0, 41), [6.0, 6.1, 9.0]))
+        edges = _cuts(knots, -5.0, 15.0, 0.3)
+        self._assert_cut_rule(knots, -5.0, 15.0, 0.3, edges)
+        assert edges.size < knots.size / 2
+        assert {1.0, 6.0, 9.0} <= set(edges.tolist())
+        for _ in range(200):
+            clusters = rng.uniform(-10.0, 10.0, int(rng.integers(1, 5)))
+            knots = np.unique(np.concatenate(
+                [c + rng.exponential(0.05, int(rng.integers(1, 30))).cumsum() for c in clusters]
+            ))
+            lo = knots[0] - float(rng.uniform(0.0, 2.0)) - 1e-3
+            hi = knots[-1] + float(rng.uniform(0.0, 2.0)) + 1e-3
+            h = float(rng.choice([0.01, 0.1, 0.5, 3.0]))
+            self._assert_cut_rule(knots, lo, hi, h, _cuts(knots, lo, hi, h))
+
+    def test_every_atom_when_h_is_within_the_smallest_gap(self, monkeypatch):
+        import puffercal.verify as verify
+
+        knots = np.array([0.0, 0.5, 1.0, 2.5, 2.75])
+        for h in (0.0, 0.1, 0.25):
+            assert verify._cuts(knots, -1.0, 4.0, h).tolist() == [-1.0, *knots.tolist(), 4.0]
+        # Atoms 0.5 apart under sigma = 0.45: every cell's cuts are every
+        # atom, so its divergences are those of all-atom cuts bit for bit.
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        mech = GaussianParams(sigma=0.45)
+        widths = []
+        real = verify._cuts
+
+        def recorded(knots, lo, hi, h):
+            widths.append(h)
+            return real(knots, lo, hi, h)
+
+        monkeypatch.setattr(verify, "_cuts", recorded)
+        alphas = (0.5, 1.2, 2.0, 5.0)
+        cut = [renyi_divergence_both_ways(p, q, mech, alpha) for alpha in alphas]
+        assert 0.0 < min(widths) and max(widths) == 0.45
+        monkeypatch.setattr(verify, "_cuts", lambda knots, lo, hi, h: real(knots, lo, hi, 0.0))
+        every = [renyi_divergence_both_ways(p, q, mech, alpha) for alpha in alphas]
+        assert [_bits(d) for d in cut] == [_bits(d) for d in every]
+
+    @pytest.mark.parametrize(
+        "mech",
+        [LaplaceParams(scale=0.5), ExponentialParams(scale=0.5, cost=lambda z: 0.5 * abs(z))],
+        ids=["laplace", "custom-cost"],
+    )
+    def test_kinked_noise_keeps_every_atom(self, monkeypatch, mech):
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution(atoms=(0.0, 0.01, 0.02, 0.03), masses=(0.4, 0.3, 0.2, 0.1))
+        q = DiscreteDistribution(atoms=(0.005, 0.015, 0.04), masses=(0.2, 0.3, 0.5))
+        knots = sorted({*p.atoms, *q.atoms})
+        edges = []
+        real = verify._bisect_quadrature
+
+        def recorded(densities, integrands, cut):
+            edges.append(cut.tolist())
+            return real(densities, integrands, cut)
+
+        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
+        renyi_divergence_both_ways(p, q, mech, 2.0)
+        renyi_divergence_both_ways(p, q, GaussianParams(sigma=0.5), 2.0)
+        kinked, gaussian = edges
+        assert kinked[1:-1] == knots
+        # The extreme atoms border the padded tails, gaps wider than h.
+        assert gaussian[1:-1] == [knots[0], knots[-1]]
+
+    def test_gaussian_cuts_match_all_atom_edges(self, monkeypatch):
+        # Each quadrature is run again on every atom as an edge, with the
+        # same densities and integrands; both meet 1e-10 |I|, and they
+        # agree within it. Shared supports keep the density ratio bounded,
+        # so no order overflows at the smallest sigma.
+        import puffercal.verify as verify
+
+        real = verify._bisect_quadrature
+        compared = []
+
+        def both(densities, integrands, edges):
+            got = real(densities, integrands, edges)
+            every = real(densities, integrands, np.array([edges[0], *knots, edges[-1]]))
+            compared.append((got, every, edges.size < len(knots) + 2))
+            return got
+
+        monkeypatch.setattr(verify, "_bisect_quadrature", both)
+        rng = np.random.default_rng(20261018)
+        for offset in (0.0, 0.0, 1e4, 1e4):
+            p, q = _shared_support_pair(rng, offset)
+            knots = p.atoms
+            spread = p.max_atom - p.min_atom
+            for factor in (0.01, 0.1, 1.0, 10.0):
+                for alpha in (0.5, 1.2, 2.0, 5.0, 50.0):
+                    renyi_divergence_both_ways(p, q, GaussianParams(factor * spread), alpha)
+        for got, every, _ in compared:
+            for g, e in zip(got, every):
+                assert abs(g - e) <= 1e-10 * abs(e), (g, e)
+        assert sum(coarser for _, _, coarser in compared) >= len(compared) / 4
+
+
 class TestRenyiDivergenceDiscrete:
     def test_identical(self):
         P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.25, 0.75))
@@ -852,6 +981,40 @@ class TestBreachClassification:
         classified = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
         monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
         every = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
+        assert classified == every
+        assert all(estimate > 0.0 for estimate, _ in classified)
+
+    def test_thousand_atom_pair_counts_match_every_draw(self, monkeypatch):
+        # Gaussian classification starts from the draw range cut at the
+        # noise scale (verify._cuts with h = sigma), not at each of the
+        # pair's ~1800 atoms; the counts stay those of the per-draw ratio.
+        import puffercal.verify as verify
+
+        def prior(rng, n, lo, hi):
+            atoms = np.unique(np.round(rng.uniform(lo, hi, n), 4))
+            masses = rng.dirichlet(np.ones(atoms.size)) + 0.5 / atoms.size
+            return DiscreteDistribution(
+                tuple(atoms.tolist()), tuple((masses / masses.sum()).tolist())
+            )
+
+        rng = np.random.default_rng(1000)
+        p, q = prior(rng, 1000, 5.0, 45.0), prior(rng, 800, 7.0, 50.0)
+        first_round = []
+        bounds = verify._log_ratio_bounds
+
+        def recorded(*args):
+            first_round.append(args[3].size)
+            return bounds(*args)
+
+        monkeypatch.setattr(verify, "_log_ratio_bounds", recorded)
+        cases = [(GaussianParams(0.05), 1.0), (GaussianParams(3.0), 0.5)]
+        classified = []
+        for mech, eps in cases:
+            del first_round[:]
+            classified.append(monte_carlo_breach(p, q, mech, eps, 5_000, 9))
+            assert first_round[0] < len(p.atoms)
+        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        every = [monte_carlo_breach(p, q, mech, eps, 5_000, 9) for mech, eps in cases]
         assert classified == every
         assert all(estimate > 0.0 for estimate, _ in classified)
 
