@@ -21,7 +21,6 @@ from .calibrate import (
     feasible_b_sub_unit_alpha,
     laplace_pair_divergence,
     noise_for,
-    solve_decreasing,
 )
 from .dist import (
     DiscreteDistribution,
@@ -103,7 +102,6 @@ __all__ = [
     "save_distribution",
     "scenario_pair_from_table",
     "scenario_set",
-    "solve_decreasing",
     "verify_rpp",
     "w_infinity",
 ]

@@ -215,16 +215,6 @@ def _solve_decreasing(
         return stop.value
 
 
-def solve_decreasing(
-    f: Callable[[float], float],
-    target: float,
-    bracket_hint: tuple[float, float],
-    rel_tol: float = 1e-9,
-) -> float:
-    """Public wrapper around the bracketed decreasing-function solver."""
-    return _solve_decreasing(f, target, bracket_hint, rel_tol).value
-
-
 def _coupling(pair) -> Coupling:
     if isinstance(pair, ScenarioPair):
         return monotone_coupling(pair.p_i, pair.p_j)

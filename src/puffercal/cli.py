@@ -459,7 +459,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser, multi_mechanism: bool
     parser.add_argument("--out", default=None, help="directory for output files")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
     parser.add_argument("--tol", type=float, default=1e-9, help="solver relative tolerance")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="non-negative Monte-Carlo base seed")
     parser.add_argument(
         "--jobs",
         type=int,
@@ -512,6 +512,8 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise _ConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        if args.seed < 0:
+            raise _ConfigError(f"--seed must be non-negative, got {args.seed!r}")
         return args.handler(args)
     except (_SolverCellError, *_SOLVER_ERRORS) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -357,7 +357,11 @@ def truncation_halfwidth(mech: MechanismParams) -> float:
 
     Laplace noise uses 40 scales, Gaussian 12 sigmas (tail mass < 1e-15 in
     both cases); an exponential mechanism with a cost other than |z| reuses
-    its normalization window.
+    its normalization window. The verifier pads its finite-order windows
+    and alpha = inf grids with it for Gaussian noise and custom costs only:
+    Laplace-type divergences integrate the atom hull and add the tails
+    past it in closed form (verify.renyi_divergence_numeric), so the
+    Laplace width serves as the padded window of the tests' oracles.
     """
     scale = laplace_scale(mech)
     if scale is not None:

@@ -58,11 +58,16 @@ class Coupling:
         return np.array(self.displacements())
 
     @cached_property
+    def _max_displacement(self) -> float:
+        return float(self.displacement_array.max())
+
+    @cached_property
     def log_masses(self) -> np.ndarray:
         return np.array([math.log(m) for _, _, m in self.entries])
 
     def max_displacement(self) -> float:
-        return float(self.displacement_array.max())
+        """The largest |x - x'| of the plan, computed once."""
+        return self._max_displacement
 
 
 @lru_cache(maxsize=64)

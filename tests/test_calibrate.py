@@ -26,11 +26,10 @@ from puffercal import (
     monotone_coupling,
     noise_for,
     scenario_set,
-    solve_decreasing,
     w_infinity,
 )
 import puffercal.calibrate as calibrate
-from puffercal.calibrate import MECHANISM_KINDS
+from puffercal.calibrate import MECHANISM_KINDS, _solve_decreasing
 from puffercal.errors import (
     InvalidValue,
     NonInvertibleRate,
@@ -79,44 +78,42 @@ def laplace_log_functional(pair, alpha):
 
 class TestSolveDecreasing:
     def test_reciprocal(self):
-        assert solve_decreasing(lambda x: 1.0 / x, 0.5, (1.0, 3.0)) == pytest.approx(
+        assert _solve_decreasing(lambda x: 1.0 / x, 0.5, (1.0, 3.0)).value == pytest.approx(
             2.0, rel=1e-9
         )
 
     def test_exponential_inverse(self):
-        assert solve_decreasing(
+        assert _solve_decreasing(
             lambda x: math.exp(2.0 / x), math.e, (0.5, 5.0)
-        ) == pytest.approx(2.0, rel=1e-9)
+        ).value == pytest.approx(2.0, rel=1e-9)
 
     def test_two_term_sum_matches_bisection(self):
         f = lambda x: math.exp(1.0 / x) + math.exp(2.0 / x)
         oracle = bisection_root_decreasing(f, 4.0, 0.1, 50.0)
-        assert solve_decreasing(f, 4.0, (1.0, 3.0)) == pytest.approx(oracle, rel=1e-9)
+        assert _solve_decreasing(f, 4.0, (1.0, 3.0)).value == pytest.approx(oracle, rel=1e-9)
 
     def test_bracket_expansion(self):
         # Hint nowhere near the root: expansion must find it anyway.
-        assert solve_decreasing(lambda x: 1.0 / x, 1e-3, (0.01, 0.02)) == pytest.approx(
+        assert _solve_decreasing(lambda x: 1.0 / x, 1e-3, (0.01, 0.02)).value == pytest.approx(
             1000.0, rel=1e-9
         )
 
     def test_not_monotone_detected(self):
         with pytest.raises(NotMonotone):
-            solve_decreasing(lambda x: x, 1.0, (0.5, 2.0))
+            _solve_decreasing(lambda x: x, 1.0, (0.5, 2.0))
 
     def test_no_root_for_flat_function(self):
         with pytest.raises(NoRoot):
-            solve_decreasing(lambda x: 1.0, 2.0, (0.5, 2.0))
+            _solve_decreasing(lambda x: 1.0, 2.0, (0.5, 2.0))
 
     def test_conservative_side(self):
         f = lambda x: math.exp(1.0 / x) + math.exp(2.0 / x)
-        root = solve_decreasing(f, 4.0, (1.0, 3.0))
+        root = _solve_decreasing(f, 4.0, (1.0, 3.0)).value
         assert f(root) <= 4.0
 
     def test_reports_its_own_value_at_the_root(self):
         # f_value is f at the returned endpoint, on every exit: the
         # Brent loop, and a bracket end that meets the target exactly.
-        from puffercal.calibrate import _solve_decreasing
-
         f = lambda x: math.exp(1.0 / x) + math.exp(2.0 / x)
         for f, target, hint in ((f, 4.0, (1.0, 3.0)), (lambda x: 4.0 / x, 2.0, (2.0, 4.0)),
                                 (lambda x: 4.0 / x, 1.0, (2.0, 4.0))):

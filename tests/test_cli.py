@@ -626,6 +626,32 @@ class TestBreachCommand:
         assert (code, out) == (2, "")
         assert err == "configuration error: need at least 1000 samples for a stable estimate, got 10\n"
 
+    def test_negative_seed_rejected_before_any_solve(self, capsys, monkeypatch):
+        # numpy's default_rng rejects negative seeds with a ValueError.
+        from puffercal import calibrate as cal
+        from puffercal import verify as ver
+
+        def never(*args, **kwargs):
+            raise AssertionError("solver reached")
+            yield
+
+        monkeypatch.setattr(cal, "_brent", never)
+        monkeypatch.setattr(ver, "monte_carlo_breach", never)
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", "point-mass", "--alpha", "2", "--n", "1000",
+            "--seed", "-5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "configuration error: --seed must be non-negative, got -5\n"
+
+    def test_zero_seed_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "breach", "--scenario", "point-mass", "--alpha", "2", "--n", "1000",
+            "--seed", "0",
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["seed"] == "0"
+
     def test_breach_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "breach", "--scenario", "point-mass",

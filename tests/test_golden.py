@@ -9,14 +9,16 @@ of `exponential` rows: that was a Simpson integral and is now the closed
 form 2 theta^2, so it is compared within 1e-12 relative.
 
 The `golden_verify_*.csv` are `verify` output on the same scenario from
-the code that ran one quadrature per direction of each pair, with the
+the code that ran one quadrature per direction of each pair, on a padded
 window cut at every atom; the stdout of each call must match its file
-byte for byte, except in `gaussian_finite`. Gaussian windows are now cut
-at the noise scale, so there `divergence_ij`, `divergence_ji` and `slack`
-are compared within the quadrature's 1e-10 |I| bound carried to the
-divergence, 1e-10 / |alpha - 1| absolute, `chernoff_bound`
-= exp((alpha - 1)(D - epsilon)) within 1e-10 relative, and every other
-column exactly.
+byte for byte, except at finite orders. Gaussian windows are now cut at
+the noise scale, and Laplace-type windows (`laplace_finite`,
+`exponential_finite`) end at the atom hull, with the tails past it added
+in closed form. So in those three files `divergence_ij`, `divergence_ji`
+and `slack` are compared within the quadrature's 1e-10 |I| bound
+carried to the divergence, 1e-10 / |alpha - 1| absolute,
+`chernoff_bound` = exp((alpha - 1)(D - epsilon)) within 1e-10 relative,
+and every other column exactly. The files themselves are unchanged.
 
 The `golden_sweep_*` files are `sweep` output on the same scenario from
 the code that solved each (mechanism, alpha, epsilon, pair) on its own,
@@ -115,7 +117,7 @@ def test_verify_matches_golden(capsys, name):
     assert main(["verify", "--scenario", str(DATA / "golden_scenario.json"), *options]) == code
     want = (DATA / f"golden_verify_{name}.csv").read_text(encoding="utf-8")
     got = capsys.readouterr().out
-    if name == "gaussian_finite":
+    if name.endswith("_finite"):
         _assert_within_quadrature_tolerance(_rows(got), _rows(want))
     else:
         assert got == want

@@ -303,7 +303,8 @@ class TestBisectQuadrature:
     def test_round_cap_raises_and_marks_pair_inconclusive(self, monkeypatch):
         import puffercal.verify as verify
 
-        monkeypatch.setattr(verify, "_MAX_ROUNDS", 1)
+        # This pair converges in the first round, so only a cap of 0 forces it.
+        monkeypatch.setattr(verify, "_MAX_ROUNDS", 0)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         mech = LaplaceParams(scale=0.7)
@@ -542,15 +543,19 @@ class TestCuts:
         edges = []
         real = verify._bisect_quadrature
 
-        def recorded(densities, integrands, cut):
+        def recorded(densities, integrands, cut, tail_scale=None):
             edges.append(cut.tolist())
-            return real(densities, integrands, cut)
+            return real(densities, integrands, cut, tail_scale)
 
         monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
         renyi_divergence_both_ways(p, q, mech, 2.0)
         renyi_divergence_both_ways(p, q, GaussianParams(sigma=0.5), 2.0)
         kinked, gaussian = edges
-        assert kinked[1:-1] == knots
+        if isinstance(mech, LaplaceParams):
+            # The window is the atom hull; its tails are exact.
+            assert kinked == knots
+        else:
+            assert kinked[1:-1] == knots
         # The extreme atoms border the padded tails, gaps wider than h.
         assert gaussian[1:-1] == [knots[0], knots[-1]]
 
@@ -564,9 +569,11 @@ class TestCuts:
         real = verify._bisect_quadrature
         compared = []
 
-        def both(densities, integrands, edges):
-            got = real(densities, integrands, edges)
-            every = real(densities, integrands, np.array([edges[0], *knots, edges[-1]]))
+        def both(densities, integrands, edges, tail_scale=None):
+            got = real(densities, integrands, edges, tail_scale)
+            every = real(
+                densities, integrands, np.array([edges[0], *knots, edges[-1]]), tail_scale
+            )
             compared.append((got, every, edges.size < len(knots) + 2))
             return got
 
@@ -583,6 +590,135 @@ class TestCuts:
             for g, e in zip(got, every):
                 assert abs(g - e) <= 1e-10 * abs(e), (g, e)
         assert sum(coarser for _, _, coarser in compared) >= len(compared) / 4
+
+
+LAPLACE_TYPE = {
+    "laplace": LaplaceParams,
+    "exponential-abs": lambda b: ExponentialParams(scale=b),
+}
+
+
+class TestExactTails:
+    """Laplace-type windows end at the atom hull; the tails past it are b f(hull end)."""
+
+    @staticmethod
+    def _counted_calls(monkeypatch):
+        import puffercal.verify as verify
+
+        calls = []
+        real = verify.posterior_log_density_many
+
+        def counting(mech, prior, ys):
+            calls.append(prior)
+            return real(mech, prior, ys)
+
+        monkeypatch.setattr(verify, "posterior_log_density_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
+    def test_one_density_call_per_prior(self, monkeypatch, kind):
+        # 16 integer atoms at b = 2: every unit segment converges in its
+        # first halving, and the hull ends come with the same call. A padded
+        # window takes four rounds here.
+        rng = np.random.default_rng(20261018)
+        atoms = tuple(float(a) for a in range(16))
+        p, q = (
+            DiscreteDistribution(atoms, tuple((m / m.sum()).tolist()))
+            for m in (rng.dirichlet(np.ones(16)) + 0.01 for _ in range(2))
+        )
+        mech = LAPLACE_TYPE[kind](2.0)
+        calls = self._counted_calls(monkeypatch)
+        for alpha in (0.5, 1.5, 2.0, 4.0):
+            del calls[:]
+            renyi_divergence_numeric(p, q, mech, alpha)
+            assert sorted(map(id, calls)) == sorted((id(p), id(q)))
+            del calls[:]
+            renyi_divergence_both_ways(p, q, mech, alpha)
+            assert sorted(map(id, calls)) == sorted((id(p), id(q)))
+
+    @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
+    def test_wide_noise_matches_quadpack_on_the_padded_window(self, kind):
+        # b is 3 to 40 times the atom span, so the tails carry most of I;
+        # the oracle integrates the padded window that the tails replace.
+        # Both integrals agree to rounding (1e-13 relative). D = log I /
+        # (alpha - 1) inherits that as an absolute error, so D itself is
+        # held to 1e-10 relative where (alpha - 1) D is above 1e-5, and at
+        # b = 40 span, where it is not, only I is compared.
+        rng = np.random.default_rng(20261019)
+        for factor in (3.0, 5.0, 40.0):
+            p, q = random_pair(rng, max_atoms=6, min_atoms=2, span=1.0)
+            lo, hi = min(p.min_atom, q.min_atom), max(p.max_atom, q.max_atom)
+            mech = LAPLACE_TYPE[kind](factor * (hi - lo))
+            ends = np.array([lo, hi])
+            for alpha in (0.5, 1.5, 5.0, 50.0):
+                got = renyi_divergence_numeric(p, q, mech, alpha)
+                want = TestBisectQuadrature._quadpack(p, q, mech, alpha)
+                integral = math.exp((alpha - 1.0) * want)
+                f_ends = np.exp(
+                    alpha * posterior_log_density_dense(mech, p, ends)
+                    - (alpha - 1.0) * posterior_log_density_dense(mech, q, ends)
+                )
+                assert factor * (hi - lo) * float(f_ends.sum()) > 0.5 * integral
+                assert math.exp((alpha - 1.0) * got) == pytest.approx(integral, rel=1e-13)
+                if factor < 40.0:
+                    assert abs(alpha - 1.0) * want > 1e-5
+                    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
+    def test_identical_point_masses_give_exactly_zero(self, kind):
+        # Their hull is a single point. Identical priors have identical
+        # posteriors, so D is exactly 0; the tails b (f(A) + f(A)) alone
+        # leave a residue of a few ulps (as did the padded window).
+        p, q = point_mass(3.0), point_mass(3.0)
+        for b in (0.3, 1.0, 7.7):
+            for alpha in (0.5, 1.5, 2.0, 5.0, 50.0):
+                assert renyi_divergence_both_ways(p, q, LAPLACE_TYPE[kind](b), alpha) == (0.0, 0.0)
+                assert renyi_divergence_numeric(p, q, LAPLACE_TYPE[kind](b), alpha) == 0.0
+
+    def test_single_point_hull_is_its_tails(self):
+        # edges [A, A]: the empty interior adds 0, the tails b (f(A) + f(A)).
+        f = lambda ys, y: np.exp(-np.abs(y - 1.0))
+        (value,) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([3.0, 3.0]), 2.5)
+        assert value == pytest.approx(5.0 * math.exp(-2.0), rel=1e-15)
+
+    def test_tails_are_exact_for_one_exponential(self):
+        # exp(-|y|/b) on [-1, 2] with its tails is 2b exactly, to the tolerance.
+        b = 0.7
+        f = lambda ys, y: np.exp(-np.abs(y) / b)
+        (value,) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([-1.0, 0.0, 2.0]), b)
+        assert value == pytest.approx(2.0 * b, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [GaussianParams(sigma=0.8), ExponentialParams(scale=0.9, cost=lambda z: 0.5 * abs(z))],
+        ids=["gaussian", "custom-cost"],
+    )
+    def test_merged_first_round_equals_separate_calls_bit_for_bit(self, mech):
+        # The first round's whole segments and halves share one densities
+        # call, but each is reduced at the shape a call of its own has, so
+        # Gaussian and custom-cost estimates do not move.
+        from puffercal.verify import _gauss_legendre
+
+        rng = np.random.default_rng(20261020)
+        p, q = random_pair(rng, max_atoms=8, span=3.0)
+
+        def densities(ys):
+            return posterior_log_density_many(mech, p, ys), posterior_log_density_many(mech, q, ys)
+
+        integrands = [
+            lambda ys, lp, lq: np.exp(2.5 * lp - 1.5 * lq),
+            lambda ys, lp, lq: np.exp(0.5 * lq + 0.5 * lp),
+        ]
+        for size in (1, 3, 7, 16, 41):
+            a = np.sort(rng.uniform(-8.0, 8.0, size))
+            b = a + rng.uniform(0.01, 3.0, size)
+            mid = 0.5 * (a + b)
+            halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
+            merged = _gauss_legendre(densities, integrands, [[(a, b), halves]] * 2)
+            for k, f in enumerate(integrands):
+                for j, sets in enumerate(((a, b), halves)):
+                    (alone,) = _gauss_legendre(densities, [f], [[sets]])
+                    assert _bits(merged[k][j]) == _bits(alone[0])
 
 
 class TestRenyiDivergenceDiscrete:
