@@ -44,9 +44,11 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 
 # Commands beyond the benchmark's, run on the verify-grid scenario: orders
 # from 0.5 to 20 and inf, fixed parameters where calibration needs a
-# finite order above one, the --verify re-check paths, JSON output, small
-# Monte Carlo runs, grids mixing sub-unit, solved and closed-form cells,
-# the ignored --jobs, a tight --tol and two grids that fail part-way.
+# finite order above one, the --verify re-check paths, JSON output, Monte
+# Carlo runs within one draw chunk and across several (zero noise and the
+# exponential mechanism too), grids mixing sub-unit, solved and
+# closed-form cells, the ignored --jobs, a tight --tol and two grids that
+# fail part-way.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -71,6 +73,21 @@ EXTRA_COMMANDS = (
      "--alpha", "2,inf", "--epsilon", "1", "--n", "20000", "--seed", "{seed}"),
     ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "2", "--epsilon", "0.5,1", "--n", "20000", "--seed", "{seed}"),
+    # Monte Carlo past one 2^16-draw chunk, with a ragged last chunk; the
+    # fixed parameters give breach estimates between 0.05 and 0.75.
+    ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "0.5", "--parameter", "3", "--n", "150001",
+     "--seed", "{seed}"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "3", "--epsilon", "0.5", "--parameter", "4", "--n", "150001",
+     "--seed", "{seed}"),
+    # Zero noise, and the exponential mechanism's Monte Carlo.
+    ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0", "--n", "150001",
+     "--seed", "{seed}"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "exponential",
+     "--alpha", "2", "--epsilon", "0.5", "--parameter", "2.5", "--n", "150001",
+     "--seed", "{seed}"),
     # exponential at alpha = 0.5 is a configuration error after laplace solved.
     ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--mechanism", "exponential", "--mechanism", "winf",

@@ -407,15 +407,21 @@ def cmd_breach(args) -> int:
         mech = cal.noise_for(kind, parameter)
         for index, pair in enumerate(scenarios.pairs):
             pair_seed = args.seed + index
-            estimate, half_width = ver.monte_carlo_breach(
-                pair.p_i, pair.p_j, mech, epsilon, args.n, pair_seed
-            )
+            try:
+                estimate, half_width = ver.monte_carlo_breach(
+                    pair.p_i, pair.p_j, mech, epsilon, args.n, pair_seed
+                )
+            except MemoryError as exc:
+                raise _ConfigError(f"--n {args.n} is too large: {exc}") from exc
             chernoff = None
             if 1.0 < alpha < math.inf:
                 if mech is None:
                     divergence = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
                 else:
-                    divergence = ver.renyi_divergence_numeric(pair.p_i, pair.p_j, mech, alpha)
+                    try:
+                        divergence = ver.renyi_divergence_numeric(pair.p_i, pair.p_j, mech, alpha)
+                    except IntegrationFailure:
+                        divergence = math.nan
                 if math.isfinite(divergence):
                     chernoff = ver.chernoff_breach_bound(divergence, spec)
             rows.append(

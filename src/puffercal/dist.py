@@ -23,9 +23,12 @@ _MASS_TOL = 1e-12
 # Bound on points x atoms in one dense log-sum-exp matrix (16 MB of float64).
 _DENSE_CHUNK_ELEMENTS = 2**21
 
-# Guide-table buckets in DiscreteDistribution.sample: a power of two that
-# fits np.uint16.
+# Guide-table buckets in DiscreteDistribution.sample_indices: a power of
+# two that fits np.uint16.
 _GUIDE_BUCKETS = 4096
+
+# Uniforms drawn at a time by DiscreteDistribution.sample_indices.
+_INDEX_CHUNK = 2**16
 
 # Deterministic probe points used to spot-check cost-function axioms.
 _COST_PROBES = (-3.7, -2.0, -1.3, -0.5, 0.0, 0.4, 1.0, 1.8, 2.6, 4.1)
@@ -77,31 +80,47 @@ class DiscreteDistribution:
         """Draw n iid values; deterministic for a fixed generator state.
 
         Bit for bit what rng.choice(atoms, size=n, p=masses) returns, with
-        the generator left in the same state: the same n uniforms u and
-        the same inverse-CDF lookup searchsorted(cdf, u, "right"), found by
-        a guide table of K = _GUIDE_BUCKETS buckets (Chen & Asau 1974;
-        Devroye 1986, III.2.4). Bucket t holds the u in [t/K, (t+1)/K).
-        The lookup is non-decreasing in u, so a bucket whose two ends look
-        up the same atom gives it to every u inside; only draws in the
-        other buckets are searched. Scaling by K, a power of two, is exact
-        both ways.
+        the generator left in the same state: atoms[sample_indices(rng, n)].
         """
-        atoms = np.asarray(self.atoms)
+        return np.asarray(self.atoms)[self.sample_indices(rng, n)]
+
+    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n iid atom indices, in the smallest unsigned dtype that holds them.
+
+        The indices rng.choice(atoms, size=n, p=masses) picks, with the
+        generator left in the same state: the same n uniforms u, drawn
+        _INDEX_CHUNK at a time (the generator's stream does not depend on
+        how it is split), and the same inverse-CDF lookup
+        searchsorted(cdf, u, "right"), found by a guide table of
+        K = _GUIDE_BUCKETS buckets (Chen & Asau 1974; Devroye 1986,
+        III.2.4). Bucket t holds the u in [t/K, (t+1)/K). The lookup is
+        non-decreasing in u, so a bucket whose two ends look up the same
+        atom gives it to every u inside; only draws in the other buckets
+        are searched. Scaling by K, a power of two, is exact both ways.
+        The table is built once per call; the result takes 1 byte per draw
+        up to 256 atoms, 2 up to 65536, where the float draws take 8.
+        Raises MemoryError when n indices do not fit in memory.
+        """
         cdf = np.cumsum(self.masses)
         cdf /= cdf[-1]
+        dtype = np.min_scalar_type(len(self.atoms) - 1)
+        try:
+            indices = np.empty(n, dtype=dtype)
+        except (MemoryError, ValueError) as exc:
+            raise MemoryError(f"{n} draws do not fit in memory ({exc})") from exc
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         lo = cdf.searchsorted(edges[:-1], "right")
         ambiguous = lo != cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
-        first = atoms[lo]
-        u = rng.random(n)
-        u *= _GUIDE_BUCKETS
-        bucket = u.astype(np.uint16)
-        fix = np.flatnonzero(ambiguous[bucket])
-        u_fix = u[fix] / _GUIDE_BUCKETS
-        del u
-        draws = first[bucket]
-        draws[fix] = atoms[cdf.searchsorted(u_fix, "right")]
-        return draws
+        first = lo.astype(dtype)
+        for start in range(0, n, _INDEX_CHUNK):
+            u = rng.random(min(_INDEX_CHUNK, n - start))
+            u *= _GUIDE_BUCKETS
+            bucket = u.astype(np.uint16)
+            out = indices[start : start + u.size]
+            np.take(first, bucket, out=out)
+            fix = np.flatnonzero(ambiguous[bucket])
+            out[fix] = cdf.searchsorted(u[fix] / _GUIDE_BUCKETS, "right")
+        return indices
 
 
 def build_empirical(
@@ -463,6 +482,20 @@ def laplace_posterior(prior: DiscreteDistribution, scale: float) -> LaplacePoste
     return LaplacePosterior(prior, scale)
 
 
+@lru_cache(maxsize=64)
+def _prior_arrays(prior: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The prior's atoms and log masses as read-only arrays, built once.
+
+    Converting a tuple of 10^3 floats takes about 70 us, which a Monte
+    Carlo chunk's few fallback draws would otherwise pay per call.
+    """
+    atoms = np.asarray(prior.atoms)
+    log_masses = np.log(np.asarray(prior.masses))
+    for array in (atoms, log_masses):
+        array.flags.writeable = False
+    return atoms, log_masses
+
+
 def posterior_log_density_dense(
     mech: MechanismParams, prior: DiscreteDistribution, ys: np.ndarray
 ) -> np.ndarray:
@@ -476,8 +509,7 @@ def posterior_log_density_dense(
     """
     ys = np.asarray(ys, dtype=float)
     out = np.empty_like(ys)
-    log_masses = np.log(np.asarray(prior.masses))
-    atoms = np.asarray(prior.atoms)
+    atoms, log_masses = _prior_arrays(prior)
     chunk = max(1, _DENSE_CHUNK_ELEMENTS // atoms.size)
     for start in range(0, ys.size, chunk):
         block = ys[start : start + chunk]
@@ -506,8 +538,7 @@ def gaussian_tilted_log_sum(
     shape (K, J), and the slope G_c'(0), the tilted mean of a_i - c over
     sigma^2, shape (K,). Chunked like posterior_log_density_dense.
     """
-    atoms = np.asarray(prior.atoms)
-    log_masses = np.log(np.asarray(prior.masses))
+    atoms, log_masses = _prior_arrays(prior)
     values = np.empty(offsets.shape)
     slopes = np.empty(centers.shape)
     chunk = max(1, _DENSE_CHUNK_ELEMENTS // (atoms.size * offsets.shape[1]))
@@ -567,17 +598,28 @@ def noise_variance(mech: MechanismParams) -> float:
 
 
 def sample_noise(mech: MechanismParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n noise values; custom exponential costs use numeric inverse-CDF sampling."""
+    """Draw n noise values; custom exponential costs use numeric inverse-CDF sampling.
+
+    Each value reads the generator on its own, so n draws in consecutive
+    calls of any sizes equal one call's, bit for bit.
+    """
     scale = laplace_scale(mech)
     if scale is not None:
         return rng.laplace(0.0, scale, size=n)
     if isinstance(mech, GaussianParams):
         return rng.normal(0.0, mech.sigma, size=n)
+    cdf, grid = _noise_inverse_cdf(mech)
+    return np.interp(rng.random(n), cdf, grid)
+
+
+@lru_cache(maxsize=8)
+def _noise_inverse_cdf(mech: ExponentialParams) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, grid): the trapezoid CDF of a custom-cost density on its grid, built once."""
     _, _, grid, pdf = _exponential_norm(mech)
     steps = np.diff(grid)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * steps)))
     cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, grid)
+    return cdf, grid
 
 
 @dataclass(frozen=True)

@@ -644,6 +644,15 @@ class TestBreachCommand:
         assert (code, out) == (2, "")
         assert err == "configuration error: --seed must be non-negative, got -5\n"
 
+    @pytest.mark.parametrize("n", ["1000000000000000", "100000000000000000000"])
+    def test_oversized_n_is_a_configuration_error(self, capsys, n):
+        # Both sizes exceed the address space, so the allocation fails at once.
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", "point-mass", "--alpha", "2", "--n", n,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"configuration error: --n {n} is too large: ")
+
     def test_zero_seed_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "breach", "--scenario", "point-mass", "--alpha", "2", "--n", "1000",
@@ -740,3 +749,34 @@ class TestBreachCommand:
         assert float(row["mc_breach_estimate"]) == 1.0
         assert float(row["mc_half_width"]) == 0.0
         assert row["chernoff_bound"] == ""
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("verify", 4), ("breach", 0)],
+)
+def test_nan_integrand_ends_quickly(command, expected):
+    # At sigma = 1e-300 both Gaussian posteriors underflow to 0 off their
+    # atoms, so the integrand's exponent is -inf + inf. The quadrature
+    # stops at the first nan: verify reports the pair inconclusive, and
+    # breach keeps its estimate with an empty bound.
+    import puffercal
+
+    src = str(Path(puffercal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [
+        sys.executable, "-W", "ignore", "-m", "puffercal.cli", command, "--scenario", "point-mass",
+        "--mechanism", "gaussian", "--alpha", "2", "--epsilon", "1", "--parameter", "1e-300",
+    ]
+    if command == "breach":
+        argv += ["--n", "1000"]
+    result = subprocess.run(
+        argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=30
+    )
+    assert result.returncode == expected, result.stderr
+    (row,) = parse_csv(result.stdout)
+    assert row["chernoff_bound"] == ""
+    if command == "verify":
+        assert row["inconclusive"] == "true"
+    else:
+        assert float(row["mc_breach_estimate"]) == 1.0

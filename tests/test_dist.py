@@ -130,6 +130,41 @@ class TestGuideTableSample:
         _assert_sample_is_choice(dist, 5000, seed)
 
 
+class TestSampleIndices:
+    """sample_indices draws rng.choice's indices chunk by chunk, in the smallest unsigned dtype."""
+
+    @pytest.mark.parametrize("atoms, dtype", [(256, np.uint8), (65536, np.uint16)])
+    @pytest.mark.parametrize("n", [1000, 65536, 65537, 150001])
+    def test_indices_are_choice_indices(self, atoms, dtype, n):
+        rng = np.random.default_rng(atoms)
+        masses = rng.uniform(0.5, 1.5, atoms)
+        dist = DiscreteDistribution(
+            atoms=tuple(np.arange(float(atoms))), masses=tuple((masses / masses.sum()).tolist())
+        )
+        ours, reference = np.random.default_rng(n), np.random.default_rng(n)
+        indices = dist.sample_indices(ours, n)
+        expected = reference.choice(atoms, size=n, p=np.asarray(dist.masses))
+        assert indices.dtype == dtype and indices.shape == (n,)
+        assert np.array_equal(indices, expected)
+        assert ours.random() == reference.random()
+
+    def test_too_many_draws_is_a_memory_error(self):
+        # 10^15 one-byte indices exceed the address space, so this fails at once.
+        with pytest.raises(MemoryError, match="1000000000000000 draws"):
+            point_mass(0.0).sample_indices(np.random.default_rng(0), 10**15)
+
+
+@pytest.mark.parametrize("mech", [LaplaceParams(0.7), GaussianParams(1.3)])
+def test_noise_in_chunks_is_one_call(mech):
+    # Each value reads the generator on its own, so a ragged split of n
+    # draws gives the values one call gives, and leaves the same state.
+    whole, parts = np.random.default_rng(5), np.random.default_rng(5)
+    expected = sample_noise(mech, whole, 150001)
+    drawn = np.concatenate([sample_noise(mech, parts, size) for size in (65536, 65536, 18929)])
+    assert drawn.tobytes() == expected.tobytes()
+    assert whole.random() == parts.random()
+
+
 class TestBuildEmpirical:
     def test_counting(self):
         d = build_empirical([1, 1, 2])

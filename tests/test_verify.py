@@ -1010,8 +1010,61 @@ class TestMonteCarloBreach:
         assert any(0.0 < estimate < 1.0 for estimate in estimates)
 
 
-def _count_every_draw(p_i, p_j, mech, epsilon, ys):
-    """The count monte_carlo_breach made before interval classification."""
+class TestStreamedBreach:
+    """monte_carlo_breach streams its draws in chunks without moving a count."""
+
+    @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams])
+    @pytest.mark.parametrize("n", [1000, 65536, 65537, 150001])
+    def test_count_is_the_per_draw_count(self, noise, n):
+        # The reference holds every draw at once, as p.sample then one
+        # sample_noise call make them, and takes the ratio at each.
+        import puffercal.verify as verify
+        from puffercal.dist import sample_noise
+
+        rng = np.random.default_rng(n)
+        p, q = random_pair(rng, max_atoms=12, min_atoms=2, span=3.0)
+        mech, eps = noise(float(rng.uniform(0.3, 1.5))), float(rng.uniform(0.1, 0.8))
+        draws = np.random.default_rng(17)
+        ys = p.sample(draws, n) + sample_noise(mech, draws, n)
+        expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
+        assert monte_carlo_breach(p, q, mech, eps, n, 17)[0] == expected
+
+    @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, None])
+    def test_peak_memory_is_chunked(self, noise):
+        # 10^6 draws held as floats would take 8 MB per array; as indices
+        # they take 1 MB, and each chunk's buffers about 0.5 MB.
+        import tracemalloc
+
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5, 4.0), masses=(0.4, 0.3, 0.2, 0.1))
+        q = DiscreteDistribution(atoms=(0.0, 1.5, 2.5), masses=(0.2, 0.5, 0.3))
+        mech = None if noise is None else noise(0.8)
+        monte_carlo_breach(p, q, mech, 0.5, 1000, 0)  # caches and lazy imports
+        tracemalloc.start()
+        try:
+            estimate, _ = monte_carlo_breach(p, q, mech, 0.5, 1_000_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < estimate < 1.0
+        assert peak < 8 * 2**20
+
+    def test_intervals_need_no_draws_and_join_alike_neighbours(self):
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        for mech in (LaplaceParams(0.6), GaussianParams(0.6)):
+            starts, ends, above = verify._breach_intervals(p, q, mech, 0.4, 10**6)
+            # Disjoint and joined: alike neighbours merge, and neighbours
+            # certified differently cannot share an edge.
+            assert np.all(starts < ends) and np.all(ends[:-1] < starts[1:])
+            pad = truncation_halfwidth(mech)
+            assert starts[0] >= -pad and ends[-1] <= 3.0 + pad
+            assert np.any(above) and not np.all(above)
+
+
+def _count_every_draw(p_i, p_j, mech, epsilon, intervals, ys):
+    """The count monte_carlo_breach made before interval classification; intervals are ignored."""
     import puffercal.verify as verify
 
     return int(np.count_nonzero(verify._log_ratio(p_i, p_j, mech, ys) > epsilon))
@@ -1056,9 +1109,7 @@ class TestBreachClassification:
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         mech, eps, n, seed = GaussianParams(0.8), 0.4, 400_000, 3
         estimate, half_width = monte_carlo_breach(p, q, mech, eps, n, seed)
-        starts, ends, above = verify._breach_intervals(
-            p, q, mech, eps, _sorted_draws(p, mech, n, seed)
-        )
+        starts, ends, above = verify._breach_intervals(p, q, mech, eps, n)
 
         def phi(z):
             return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -1084,9 +1135,7 @@ class TestBreachClassification:
             p, q = random_pair(rng, max_atoms=6, min_atoms=2, span=3.0)
             mech = GaussianParams(float(rng.uniform(0.15, 0.6)))
             eps = float(rng.uniform(0.1, 1.0))
-            _, _, above = verify._breach_intervals(
-                p, q, mech, eps, _sorted_draws(p, mech, 100_000, 0)
-            )
+            _, _, above = verify._breach_intervals(p, q, mech, eps, 100_000)
             runs = int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[:1].sum())
             masses_p, masses_q = dict(zip(p.atoms, p.masses)), dict(zip(q.atoms, q.masses))
             signs = [
@@ -1177,7 +1226,7 @@ class TestBreachClassification:
             monkeypatch.setattr(verify, "_log_ratio_bounds", counted)
             classified = monte_carlo_breach(*pair, mech, eps, n, seed)
             assert 0 < len(rounds) <= verify._CLASSIFY_ROUNDS
-            starts, _, _ = verify._breach_intervals(*pair, mech, eps, ys)
+            starts, _, _ = verify._breach_intervals(*pair, mech, eps, n)
             assert not np.any(starts < 0.0)
             monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
             assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
