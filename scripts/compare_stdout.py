@@ -47,8 +47,9 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # finite order above one, the --verify re-check paths, JSON output, Monte
 # Carlo runs within one draw chunk and across several (zero noise and the
 # exponential mechanism too), grids mixing sub-unit, solved and
-# closed-form cells, the ignored --jobs, a tight --tol and two grids that
-# fail part-way.
+# closed-form cells, the ignored --jobs, a tight --tol, two grids that
+# fail part-way, and two runs on the built-in point-mass scenario whose
+# numpy warnings would show as a stderr diff.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -103,6 +104,12 @@ EXTRA_COMMANDS = (
     ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--mechanism", "exponential", "--alpha", "1.5,2,4", "--epsilon", "0.5,1",
      "--tol", "1e-13"),
+    # A vanishing sigma overflows the Gaussian exponents: verify is
+    # inconclusive and breach certifies no interval.
+    ("verify", "--scenario", "point-mass", "--mechanism", "gaussian",
+     "--alpha", "2", "--epsilon", "1", "--parameter", "1e-300"),
+    ("breach", "--scenario", "point-mass", "--mechanism", "gaussian",
+     "--alpha", "2", "--epsilon", "1", "--parameter", "1e-300", "--n", "1000"),
 )
 
 

@@ -359,7 +359,9 @@ def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
         return z
     if isinstance(mech, GaussianParams):
         z /= mech.sigma
-        np.square(z, out=z)
+        # Far past a tiny sigma the square overflows: the log density is -inf.
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
         z *= -0.5
         z -= 0.5 * math.log(2.0 * math.pi)
         z -= math.log(mech.sigma)
@@ -546,12 +548,16 @@ def gaussian_tilted_log_sum(
         rows = slice(start, start + chunk)
         reach = atoms[None, :] - centers[rows, None]
         reach /= sigma
-        base = np.square(reach)
-        base *= -0.5
-        base += log_masses[None, :]
-        weights = np.exp(base - base.max(axis=1, keepdims=True))
-        slopes[rows] = (weights * reach).sum(axis=1) / (sigma * weights.sum(axis=1))
-        tilted = base[:, None, :] + (offsets[rows] / sigma)[:, :, None] * reach[:, None, :]
+        # At a tiny sigma the squares overflow and the results are inf or
+        # nan; verify._log_ratio_bounds' margin is then inf, so they certify
+        # nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.square(reach)
+            base *= -0.5
+            base += log_masses[None, :]
+            weights = np.exp(base - base.max(axis=1, keepdims=True))
+            slopes[rows] = (weights * reach).sum(axis=1) / (sigma * weights.sum(axis=1))
+            tilted = base[:, None, :] + (offsets[rows] / sigma)[:, :, None] * reach[:, None, :]
         values[rows] = log_sum_exp(tilted.reshape(-1, atoms.size)).reshape(-1, offsets.shape[1])
     return values, slopes
 

@@ -6,7 +6,7 @@ quadrature of the noised posterior densities, so a passing check confirms
 the calibration sufficiency with no shared code path. Every posterior
 density here comes from dist.posterior_log_density_many, which the
 quadrature (a vectorized Gauss-Legendre bisection) calls on arrays; the
-two directions of a pair share those calls.
+two directions of a pair share those calls and one set of segments.
 """
 
 import math
@@ -127,12 +127,16 @@ def renyi_divergence_both_ways(
 ) -> tuple[float, float]:
     """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
 
-    Bit for bit the two renyi_divergence_numeric calls, at about half the
-    density evaluations: the two directions share the window and its cuts
-    (_cross_span is symmetric), so one quadrature integrates both
-    integrands over shared log p_i and log p_j arrays, and alpha = inf
-    reads the second direction's log ratio as the first one's negation.
-    Raises IntegrationFailure when either direction fails.
+    The two directions share the window and its cuts (_cross_span is
+    symmetric), so one quadrature integrates both integrands over shared
+    log p_i and log p_j arrays and one set of open segments, which closes
+    a segment only when both directions' tests pass (_bisect_quadrature).
+    Each direction meets its own tolerance, so it is within 1e-10 /
+    |alpha - 1| of renyi_divergence_numeric, and bit for bit equal to it
+    when the directions close the same segments (as Laplace-type hulls
+    usually do). alpha = inf reads the second direction's log ratio as
+    the first one's negation, bit for bit the two one-way calls. Raises
+    IntegrationFailure when either direction fails.
     """
     div_ij, div_ji = _divergences(p_i, p_j, mech, alpha, both=True)
     return div_ij, div_ji
@@ -170,10 +174,11 @@ def _divergences(
         )
 
     def integrand_ij(ys: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-        exponent = alpha * log_p
-        exponent -= (alpha - 1.0) * log_q
         # A nan exponent (both densities underflowed to 0, so -inf + inf)
-        # would give nan estimates that never converge.
+        # would give nan estimates that never converge; it raises below.
+        with np.errstate(invalid="ignore"):
+            exponent = alpha * log_p
+            exponent -= (alpha - 1.0) * log_q
         bad = ~(exponent <= 700.0)
         if bad.any():
             k = int(np.argmax(bad))
@@ -230,46 +235,34 @@ _Segments = tuple[np.ndarray, np.ndarray]
 def _gauss_legendre(
     densities: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     integrands: list[_Integrand],
-    segments: list[list[_Segments]],
+    segments: list[_Segments],
     points: Optional[np.ndarray] = None,
 ) -> list[list[np.ndarray]]:
-    """The 12-point Gauss-Legendre estimates of each integrand on each of its segment sets.
+    """The 12-point Gauss-Legendre estimates of each integrand on each segment set.
 
-    segments[k] lists the segment sets of integrands[k], each a pair
-    (a, b) of arrays standing for the segments [a[i], b[i]]. The integrand
-    reads the densities at the nodes, integrands[k](ys, *densities(ys)),
-    and gets one array of estimates per set; with points, one more array
-    holds its values there. One densities call serves every set of every
-    integrand: on the first integrand's nodes when every integrand has
-    the same sets, else on all nodes concatenated. The densities are
+    Each set is a pair (a, b) of arrays standing for the segments
+    [a[i], b[i]], and every integrand is estimated on every set. The
+    integrand reads the densities at the nodes, integrands[k](ys,
+    *densities(ys)), and gets one array of estimates per set; with
+    points, one more array holds its values there. One densities call
+    serves every set, on their nodes concatenated. The densities are
     elementwise in ys, and each set is evaluated and reduced on its own,
     at the shape it has alone (a concatenated matmul is not bit for bit
     the same), so each estimate is the one a call on that set's nodes
     alone gives. The integrands are called set by set, in order.
     """
-    first = segments[0]
-    shared = all(sets is first or _same_segments(sets, first) for sets in segments[1:])
-    groups = [[_nodes(a, b) for a, b in sets] for sets in (segments[:1] if shared else segments)]
+    groups = [_nodes(a, b) for a, b in segments]
     if points is not None:
-        for group in groups:
-            group.append((None, points))
-    flat = [ys for group in groups for _, ys in group]
+        groups.append((None, points))
+    flat = [ys for _, ys in groups]
     values = densities(flat[0] if len(flat) == 1 else np.concatenate(flat))
-    parts = []
-    start = 0
-    for group in groups:
-        part = []
-        for half, ys in group:
-            stop = start + ys.size
-            part.append((half, ys, [v[start:stop] for v in values]))
-            start = stop
-        parts.append(part)
-    if shared:
-        parts *= len(integrands)
     estimates: list[list[np.ndarray]] = [[] for _ in integrands]
-    for j in range(len(parts[0])):
-        for integrand, part, out in zip(integrands, parts, estimates):
-            half, ys, dens = part[j]
+    start = 0
+    for half, ys in groups:
+        stop = start + ys.size
+        dens = [v[start:stop] for v in values]
+        start = stop
+        for integrand, out in zip(integrands, estimates):
             f = integrand(ys, *dens)
             if half is not None:
                 f = half * (f.reshape(half.size, _GL_NODES.size) @ _GL_WEIGHTS)
@@ -277,56 +270,10 @@ def _gauss_legendre(
     return estimates
 
 
-def _same_segments(sets: list[_Segments], other: list[_Segments]) -> bool:
-    return len(sets) == len(other) and all(
-        np.array_equal(a, a0) and np.array_equal(b, b0) for (a, b), (a0, b0) in zip(sets, other)
-    )
-
-
 def _nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-lengths of the segments [a[k], b[k]] and their 12 nodes each, flattened."""
     half = 0.5 * (b - a)
     return half, ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
-
-
-class _Integral:
-    """One integrand's state in _bisect_quadrature: its open segments and what is closed."""
-
-    def __init__(self, integrand: _Integrand, edges: np.ndarray):
-        self.integrand = integrand
-        self.a, self.b = edges[:-1], edges[1:]
-        self.span = edges[-1] - edges[0]
-        self.whole: Optional[np.ndarray] = None
-        self.closed = self.closed_err = 0.0
-        self.value: Optional[float] = None
-
-    def segments(self) -> list[_Segments]:
-        """This round's segment sets: both halves of every open segment, left
-        halves first, after the whole segments in the first round."""
-        a, b = self.a, self.b
-        mid = 0.5 * (a + b)
-        halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
-        return [halves] if self.whole is not None else [(a, b), halves]
-
-    def refine(self, halves: np.ndarray) -> None:
-        """Take the estimates on the halves: set value on convergence, else close and split."""
-        a, b = self.a, self.b
-        left, right = halves[: a.size], halves[a.size :]
-        both = left + right
-        err = np.abs(both - self.whole)
-        total = self.closed + float(both.sum())
-        tol = max(1e-14, 1e-10 * abs(total))
-        if self.closed_err + float(err.sum()) <= tol:
-            self.value = total
-            return
-        done = (err <= tol * (b - a) / self.span) & (err <= 0.5 * both)
-        self.closed += float(both[done].sum())
-        self.closed_err += float(err[done].sum())
-        split = ~done
-        a, b = a[split], b[split]
-        mid = 0.5 * (a + b)
-        self.a, self.b = np.concatenate((a, mid)), np.concatenate((mid, b))
-        self.whole = np.concatenate((left[split], right[split]))
 
 
 def _bisect_quadrature(
@@ -337,60 +284,94 @@ def _bisect_quadrature(
 ) -> list[float]:
     """Integrals over [edges[0], edges[-1]] of vectorized integrands, by bisection.
 
-    Each integrand f is called as f(ys, *densities(ys)) and keeps its own
-    state (_Integral). Its segments start as the gaps between consecutive
-    edges. Each round applies the 12-point rule to both halves of every
-    open segment, and takes err = |left + right - whole| per segment. It
-    stops once the errors, closed segments' included, sum to at most
-    tol = max(1e-14, 1e-10 |I|); otherwise it closes each segment whose
-    err is at most tol * length / (edges[-1] - edges[0]) and at most half
-    its own value left + right, and halves the rest. After _MAX_ROUNDS
-    rounds it raises IntegrationFailure. The integrands must be
-    nonnegative.
+    Each integrand f is called as f(ys, *densities(ys)). The integrands
+    share one set of open segments, which starts as the gaps between
+    consecutive edges. Each round applies the 12-point rule to both
+    halves of every open segment, in one densities call for all
+    integrands still open (see _gauss_legendre), and each of them takes
+    err = |left + right - whole| per segment. An integrand stops once its
+    errors, closed segments' included, sum to at most its own tol =
+    max(1e-14, 1e-10 |I|), and is not called again. A segment closes when,
+    for every integrand still open, its err is at most tol * length /
+    (edges[-1] - edges[0]) and at most half its own value left + right;
+    each integrand then adds its estimate and err there to its own closed
+    sums. The other segments are halved. After _MAX_ROUNDS rounds it
+    raises IntegrationFailure. The integrands must be nonnegative.
+
+    Integrands that read the same densities, like the two directions of a
+    divergence, share every densities call. Each meets its own tolerance on
+    segments at least as fine as a quadrature of it alone closes, and its
+    integral is bit for bit the one it gets alone as long as the
+    integrands close the same segments; one integrand alone closes exactly
+    the segments its own test passes.
 
     With tail_scale b, I also holds the tails b (f(edges[0]) +
     f(edges[-1])), which is the exact integral past the edges of an f
     that decays like exp(-|y|/b) there (Laplace-type noise past the atom
     hull); the tolerance is taken on that whole I.
 
-    A round calls densities once for all integrands still open (see
-    _gauss_legendre), so integrands that read the same densities, like the
-    two directions of a divergence, share them; each integral is the one
-    a quadrature of its integrand alone returns. The first round takes
-    the whole segments, their halves and, with tail_scale, the two edges
-    in that one call, each reduced on its own as a separate round would,
-    so the integrals are bit for bit those of a separate first round.
-    Segments that converge in their first halving (as Laplace-type hulls
-    cut at every atom usually do) then cost one density call in all: on
-    the benchmark's verify-grid scenario a Laplace-type divergence makes
-    one density call per prior (four on a padded window with a separate
-    first round), and a Gaussian one 3.1 on average (4.1).
+    The first round takes the whole segments, their halves and, with
+    tail_scale, the two edges in one densities call, each reduced on its
+    own as a separate round would, so the integrals are bit for bit those
+    of a separate first round. Segments that converge in their first
+    halving (as Laplace-type hulls cut at every atom usually do) then cost
+    one density call in all: on the benchmark's verify-grid scenario a
+    Laplace-type divergence makes one density call per prior (four on a
+    padded window with a separate first round), and a Gaussian one 3.1 on
+    average (4.1).
 
     The second closing condition keeps unresolved segments open: a wide
     segment whose nodes all miss a sharp peak at its end can show an err
     within its share of tol that is nearly its whole value.
     """
-    integrals = [_Integral(f, edges) for f in integrands]
+    a, b = edges[:-1], edges[1:]
+    span = edges[-1] - edges[0]
+    closed = [0.0] * len(integrands)
+    closed_err = [0.0] * len(integrands)
+    values: list[Optional[float]] = [None] * len(integrands)
+    wholes: list[np.ndarray] = []
     ends = None if tail_scale is None else edges[[0, -1]]
     for round_index in range(_MAX_ROUNDS):
-        live = [integral for integral in integrals if integral.value is None]
+        live = [k for k, value in enumerate(values) if value is None]
+        mid = 0.5 * (a + b)
+        halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
         first = round_index == 0
-        # Every integral starts on the same segments.
-        segments = [live[0].segments()] * len(live) if first else [i.segments() for i in live]
         estimates = _gauss_legendre(
-            densities, [integral.integrand for integral in live], segments, ends if first else None
+            densities, [integrands[k] for k in live],
+            [(a, b), halves] if first else [halves], ends if first else None,
         )
-        for integral, values in zip(live, estimates):
-            if first:
-                integral.whole, halves, *at_ends = values
-                if at_ends:
-                    f_lo, f_hi = at_ends[0].tolist()
-                    integral.closed = tail_scale * (f_lo + f_hi)
-            else:
-                (halves,) = values
-            integral.refine(halves)
-        if all(integral.value is not None for integral in integrals):
-            return [integral.value for integral in integrals]
+        if first:
+            # Every integrand is live: the whole segments' estimates, then
+            # the tails from the values at the two edges.
+            wholes = [estimate.pop(0) for estimate in estimates]
+            if ends is not None:
+                for k, estimate in enumerate(estimates):
+                    f_lo, f_hi = estimate.pop().tolist()
+                    closed[k] = tail_scale * (f_lo + f_hi)
+        done = np.ones(a.size, dtype=bool)
+        open_parts = []
+        for k, whole, (on_halves,) in zip(live, wholes, estimates):
+            left, right = on_halves[: a.size], on_halves[a.size :]
+            both = left + right
+            err = np.abs(both - whole)
+            total = closed[k] + float(both.sum())
+            tol = max(1e-14, 1e-10 * abs(total))
+            if closed_err[k] + float(err.sum()) <= tol:
+                values[k] = total
+                continue
+            done &= (err <= tol * (b - a) / span) & (err <= 0.5 * both)
+            open_parts.append((k, left, right, both, err))
+        if not open_parts:
+            return values
+        split = ~done
+        wholes = []
+        for k, left, right, both, err in open_parts:
+            closed[k] += float(both[done].sum())
+            closed_err[k] += float(err[done].sum())
+            wholes.append(np.concatenate((left[split], right[split])))
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
     raise IntegrationFailure(f"quadrature did not converge in {_MAX_ROUNDS} rounds")
 
 
@@ -784,7 +765,9 @@ def _breach_intervals(
         above.append(high[certified])
         banded = (lower >= epsilon - margin) & (upper <= epsilon + margin)
         narrow = b - a <= _MIN_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        sparse = log_n + np.log(b - a) + log_density < 0.0
+        with np.errstate(divide="ignore"):
+            # A zero-width interval (narrow already) logs to -inf.
+            sparse = log_n + np.log(b - a) + log_density < 0.0
         split = ~(certified | banded | narrow | sparse)
         a, b = a[split], b[split]
         mid = 0.5 * (a + b)
@@ -808,7 +791,7 @@ def _log_ratio_bounds(
 
     - Laplace noise (the intervals hold no atom of either prior inside):
       between adjacent atoms the ratio is monotone, and
-      beyond the extreme atoms constant (see _sup_log_ratio), so the
+      beyond the extreme atoms constant (see _sup_log_ratios), so the
       bounds are the smaller and larger of its two endpoint values.
     - Gaussian noise: log p - log q = G^p_c - G^q_c, convex functions of
       y tilted about the midpoint c (dist.gaussian_tilted_log_sum). A
@@ -861,8 +844,10 @@ def _log_ratio_bounds(
             gp[:, 1] + slope_p * t_a - gq[:, 0], gp[:, 1] + slope_p * t_b - gq[:, 2]
         )
         log_density = np.maximum(gp[:, 0], gp[:, 2]) - math.log(scale * math.sqrt(2.0 * math.pi))
-        exponent = np.square(reach / scale)
-        spread = 1.0 + (b - a) * reach / scale**2
+        # At a vanishing scale the margin is inf or nan, which certifies nothing.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            exponent = np.square(reach / scale)
+            spread = 1.0 + (b - a) * reach / scale**2
     fixed = (
         3.0 - math.log(min(p_i.masses + p_j.masses))
         + len(p_i.atoms) + len(p_j.atoms) + abs(math.log(scale))

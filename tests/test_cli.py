@@ -494,6 +494,31 @@ class TestVerifyCommand:
         assert row["chernoff_bound"] == ""
 
 
+@pytest.mark.parametrize(
+    "command, tail, exit_code",
+    [("verify", (), 4), ("breach", ("--n", "1000"), 0)],
+    ids=["verify", "breach"],
+)
+def test_extreme_parameter_prints_no_warnings(command, tail, exit_code):
+    # At sigma = 1e-300 the Gaussian exponents overflow: verify reports the
+    # pair inconclusive and every breach draw breaches, with nothing on stderr.
+    import puffercal
+
+    src = str(Path(puffercal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    result = subprocess.run(
+        [sys.executable, "-m", "puffercal.cli", command, "--scenario", "point-mass",
+         "--mechanism", "gaussian", "--alpha", "2", "--epsilon", "1",
+         "--parameter", "1e-300", *tail],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (result.returncode, result.stderr) == (exit_code, "")
+    (row,) = parse_csv(result.stdout)
+    if command == "verify":
+        assert row["inconclusive"] == "true" and row["divergence_ij"] == "nan"
+    else:
+        assert row["mc_breach_estimate"] == "1.0"
+
 @pytest.fixture
 def benchmark_scenario_file(tmp_path):
     """Benchmark-shaped pair: mostly diagonal coupling, tiny worst-gap mass."""
