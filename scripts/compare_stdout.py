@@ -47,9 +47,11 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # finite order above one, the --verify re-check paths, JSON output, Monte
 # Carlo runs within one draw chunk and across several (zero noise and the
 # exponential mechanism too), grids mixing sub-unit, solved and
-# closed-form cells, the ignored --jobs, a tight --tol, two grids that
-# fail part-way, and two runs on the built-in point-mass scenario whose
-# numpy warnings would show as a stderr diff.
+# closed-form cells, a Laplace grid whose sub-unit and solved cells share
+# lockstep rounds, the ignored --jobs, a tight --tol, two grids that fail
+# part-way, two runs on the built-in point-mass scenario whose numpy
+# warnings would show as a stderr diff, and two point-mass calibrations
+# whose noise variance is past the float range.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -94,6 +96,8 @@ EXTRA_COMMANDS = (
      "--mechanism", "exponential", "--mechanism", "winf",
      "--alpha", "0.5,2,inf", "--epsilon", "0.5,1"),
     ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "0.2,0.5,0.9,2,4,inf", "--epsilon", "0.25,1,4", "--format", "json"),
+    ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--mechanism", "gaussian", "--alpha", "1.5,4", "--epsilon", "0.5,1", "--jobs", "2"),
     ("calibrate", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "2,inf", "--epsilon", "1"),
@@ -110,12 +114,16 @@ EXTRA_COMMANDS = (
      "--alpha", "2", "--epsilon", "1", "--parameter", "1e-300"),
     ("breach", "--scenario", "point-mass", "--mechanism", "gaussian",
      "--alpha", "2", "--epsilon", "1", "--parameter", "1e-300", "--n", "1000"),
+    ("calibrate", "--scenario", "point-mass", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "1e-200"),
+    ("calibrate", "--scenario", "point-mass", "--mechanism", "laplace",
+     "--alpha", "0.5", "--epsilon", "1e-300"),
 )
 
 
 def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     """The stdout and stderr of `python -m puffercal.cli argv` on tree/src, and the exit code."""
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PUFFERCAL_JOBS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "puffercal.cli", *argv],
         cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,

@@ -5,16 +5,17 @@ transport functional over the quantile-aligned coupling is strictly
 decreasing in the noise parameter, and the calibrated parameter is the
 root of functional = exp((alpha - 1) * epsilon). Roots are found with a
 bracketed Brent solver that returns the endpoint on the feasible side, so
-the privacy inequality holds exactly at the returned parameter. The
-solver is a coroutine, so calibrate_grid can advance every (alpha,
-epsilon) cell of one pair together, with one batched functional
-evaluation per round. All functionals are evaluated in log space; at
-extreme orders (alpha ~ 1e4) the natural-scale values overflow doubles.
+the privacy inequality holds at the returned parameter for the functional
+as evaluated in floating point. Each mechanism kind has one set-up, which
+either closes a cell or returns a transport lane; the solver is a
+coroutine, so calibrate_grid can advance every lane of one pair together,
+with one batched functional evaluation per round. All functionals are
+evaluated in log space; at extreme orders (alpha ~ 1e4) the natural-scale
+values overflow doubles.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .dist import (
     absolute_cost,
     check_cost_axioms,
     reciprocal_rate,
-    reciprocal_rate_inverse,
     scenario_set,  # re-exported: the scenario model lives in dist
 )
 from .errors import (
@@ -104,8 +104,8 @@ def _brent(
     returns the _RootSolve. The hint bracket is expanded geometrically
     until f(lo) >= target >= f(hi), then a Brent iteration shrinks it.
     The returned value is the bracket endpoint on the feasible side
-    (f <= target), so the inequality constraint holds exactly rather
-    than approximately.
+    (f <= target), so the inequality holds for f as evaluated in floating
+    point; f's own rounding error is not accounted for.
     """
     values: dict[float, float] = {}
     lo, hi = bracket_hint
@@ -254,7 +254,10 @@ class _Transport(NamedTuple):
 
     Solves log sum_k pi_k exp(coef * base_k / denom) = log_target for the
     parameter x, where scale(x) = (coef, denom) and base holds the plan's
-    per-entry displacements, squared displacements or costs.
+    per-entry displacements, squared displacements or costs. With sign 1
+    the functional decreases in x and must end at or below the target;
+    with sign -1 (sub-unit orders) it increases and must end at or above
+    it, and the solver runs on the negated functional and target.
     """
 
     plan: Coupling
@@ -263,6 +266,7 @@ class _Transport(NamedTuple):
     mechanism: str
     log_target: float
     bracket: tuple[float, float]
+    sign: float = 1.0
 
 
 def _transport(
@@ -290,7 +294,8 @@ def _transport(
 
 
 def _transport_result(problem: _Transport, solve: _RootSolve) -> CalibrationResult:
-    log_value, log_target = solve.f_value, problem.log_target
+    sign, log_target = problem.sign, problem.log_target
+    log_value = sign * solve.f_value
     return CalibrationResult(
         parameter=solve.value,
         mechanism=problem.mechanism,
@@ -300,7 +305,9 @@ def _transport_result(problem: _Transport, solve: _RootSolve) -> CalibrationResu
         log_target=log_target,
         iterations=solve.iterations,
         bracket=solve.bracket,
-        guarantee_side=log_value <= log_target + _GUARANTEE_TOL * max(1.0, abs(log_target)),
+        guarantee_side=sign * (log_value - log_target)
+        <= _GUARANTEE_TOL * max(1.0, abs(log_target)),
+        experimental=sign < 0.0,
     )
 
 
@@ -318,7 +325,8 @@ def _solve_lanes(
     (coef * base) / denom. Row by row this is the arithmetic of a lane
     solved alone, so each lane ends exactly as it would on its own: with
     its result, or with the exception it raised. The lanes share the
-    first problem's plan and base.
+    first problem's plan and base. A lane of sign -1 is sent the negated
+    functional and solves for the negated target.
     """
     per_block = max(1, _MAX_BLOCK // len(problems[0].base))
     if len(problems) > per_block:
@@ -342,7 +350,7 @@ def _solve_lanes(
             outcomes[lane] = exc
 
     for lane, problem in enumerate(problems):
-        advance(lane, _brent(problem.log_target, problem.bracket, rel_tol), None)
+        advance(lane, _brent(problem.sign * problem.log_target, problem.bracket, rel_tol), None)
     while pending:
         lanes, coefs, denoms = [], [], []
         for lane, (_, x) in list(pending.items()):
@@ -360,7 +368,7 @@ def _solve_lanes(
         block = (np.array(coefs)[:, None] * base) / np.array(denoms)[:, None]
         values = coupling_log_expectation(plan, lambda d: block)
         for lane, value in zip(lanes, values.tolist()):
-            advance(lane, pending[lane][0], value)
+            advance(lane, pending[lane][0], problems[lane].sign * value)
     return outcomes
 
 
@@ -409,12 +417,14 @@ def calibrate_laplace(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibra
     worst-case-displacement rule b = W_inf / epsilon.
     """
     _require_order_above_one(spec, allow_inf=True)
+    return _solve_one(_laplace_problem(pair, spec, rel_tol), rel_tol)
+
+
+def _laplace_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
+    if spec.is_sub_unit:
+        return _sub_unit_problem(pair, spec)
     if math.isinf(spec.alpha):
         return calibrate_winf_laplace(pair, spec.epsilon)
-    return _solve_one(_laplace_problem(pair, spec), rel_tol)
-
-
-def _laplace_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
     plan = _coupling(pair)
     w_max = plan.max_displacement()
     alpha = spec.alpha
@@ -431,11 +441,11 @@ def calibrate_gaussian(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Calibr
     Solves sum pi_k exp(alpha (alpha - 1) d_k^2 / (2 sigma^2)) =
     exp((alpha - 1) epsilon); valid for finite alpha > 1 only.
     """
+    return _solve_one(_gaussian_problem(pair, spec, rel_tol), rel_tol)
+
+
+def _gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
     _require_order_above_one(spec, allow_inf=False)
-    return _solve_one(_gaussian_problem(pair, spec), rel_tol)
-
-
-def _gaussian_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
     plan = _coupling(pair)
     w_max = plan.max_displacement()
     alpha = spec.alpha
@@ -460,13 +470,10 @@ def _check_rate_map(rate: Callable[[float], float]) -> None:
             raise NonInvertibleRate("rate map must be strictly decreasing in the parameter")
 
 
-def _invert_rate(
-    rate: Callable[[float], float],
-    rate_inverse: Callable[[float], float] | None,
-    value: float,
-) -> float:
-    if rate_inverse is not None:
-        theta = rate_inverse(value)
+def _invert_rate(rate: Callable[[float], float], value: float) -> float:
+    """The theta with rate(theta) = value: exact for reciprocal_rate, else numeric."""
+    if rate is reciprocal_rate:
+        theta = 1.0 / value
         if not (math.isfinite(theta) and theta > 0.0):
             raise NonInvertibleRate(f"rate_inverse({value!r}) = {theta!r}")
         return theta
@@ -481,7 +488,6 @@ def calibrate_exponential(
     spec: PrivacySpec,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
     rel_tol: float = 1e-9,
 ) -> CalibrationResult:
     """Exponential-mechanism parameter for a cost c and strictly decreasing rate map.
@@ -492,21 +498,19 @@ def calibrate_exponential(
     The privacy guarantee additionally needs c to satisfy the triangle
     inequality; the solver itself only requires symmetric nonnegative c.
     """
-    _require_order_above_one(spec, allow_inf=True)
-    return _solve_one(_exponential_problem(pair, spec, cost, rate, rate_inverse), rel_tol)
+    return _solve_one(_exponential_problem(pair, spec, rel_tol, cost, rate), rel_tol)
 
 
 def _exponential_problem(
     pair,
     spec: PrivacySpec,
+    rel_tol: float,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
 ) -> _Transport | CalibrationResult:
+    _require_order_above_one(spec, allow_inf=True)
     check_cost_axioms(cost, require_triangle=False)
     _check_rate_map(rate)
-    if rate_inverse is None and rate is reciprocal_rate:
-        rate_inverse = reciprocal_rate_inverse
 
     plan = _coupling(pair)
     if cost is absolute_cost:
@@ -519,13 +523,13 @@ def _exponential_problem(
     if math.isinf(alpha):
         if sup_cost == 0.0:
             return _budget_result("exponential", spec.epsilon)
-        theta = _invert_rate(rate, rate_inverse, spec.epsilon / sup_cost)
+        theta = _invert_rate(rate, spec.epsilon / sup_cost)
         return _budget_result("exponential", spec.epsilon, theta, rate(theta) * sup_cost)
     # rate is called on one float at a time: custom rates need not take arrays.
     return _transport(
         plan, spec, "exponential", sup_cost, cost_array,
         lambda theta: (alpha * rate(theta), 1.0),
-        lambda level: _invert_rate(rate, rate_inverse, level / (alpha * sup_cost)),
+        lambda level: _invert_rate(rate, level / (alpha * sup_cost)),
     )
 
 
@@ -540,12 +544,18 @@ def calibrate_winf_laplace(pair, epsilon: float) -> CalibrationResult:
     return _budget_result("winf-laplace", epsilon, b, w_max / b)
 
 
+def _winf_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
+    return calibrate_winf_laplace(pair, spec.epsilon)
+
+
 def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
     """Prior-work Laplace baseline: worst-case displacement fed to the
     order-alpha divergence between two equal-scale Laplace densities.
 
     Solves (1/(alpha-1)) log( a/(2a-1) e^{(a-1)W/b} + (a-1)/(2a-1) e^{-aW/b} )
     = epsilon for b, where W is the worst-case displacement and a = alpha.
+    Its divergence is a closed form in W, not a functional on the plan, so
+    it is solved here, one value at a time, rather than as a lane.
     """
     _require_order_above_one(spec, allow_inf=False)
     w_max = _coupling(pair).max_displacement()
@@ -594,6 +604,10 @@ def baseline_gaussian_rpp(pair, spec: PrivacySpec) -> CalibrationResult:
     return _budget_result("baseline-gaussian", spec.epsilon, sigma, value)
 
 
+def _baseline_gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
+    return baseline_gaussian_rpp(pair, spec)
+
+
 def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
     """Smallest Laplace scale meeting the sufficient condition for orders in (0, 1).
 
@@ -602,6 +616,11 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
     while the right side is below 1. The result is flagged experimental:
     the operational meaning of sub-unit orders is an open question.
     """
+    return _solve_one(_sub_unit_problem(pair, spec), rel_tol)
+
+
+def _sub_unit_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
+    """feasible_b_sub_unit_alpha's lane: exponents -alpha d / b, with sign -1."""
     if not 0.0 < spec.alpha < 1.0:
         raise InvalidValue(f"this mechanism requires alpha in (0,1), got {spec.alpha!r}")
     plan = _coupling(pair)
@@ -618,56 +637,32 @@ def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) ->
         # The condition already holds in the zero-noise limit b -> 0.
         functional = 1.0 if w_max == 0.0 else diagonal_mass
         return _no_noise_result("laplace-sub-unit", log_target, functional, experimental=True)
-
-    def negative_log_condition(b: float) -> float:
-        return -coupling_log_expectation(plan, lambda d: -spec.alpha * d / b)
-
-    hi = spec.alpha * w_max / -log_target
-    lo = spec.alpha * w_max / (-log_target + _LN2)
-    solve = _solve_decreasing(negative_log_condition, -log_target, (lo, hi), rel_tol)
-    log_value = -solve.f_value
-    return CalibrationResult(
-        parameter=solve.value,
-        mechanism="laplace-sub-unit",
-        functional_value=_safe_exp(log_value),
-        log_functional_value=log_value,
-        target_value=_safe_exp(log_target),
-        log_target=log_target,
-        iterations=solve.iterations,
-        bracket=solve.bracket,
-        guarantee_side=log_value >= log_target - _GUARANTEE_TOL,
-        experimental=True,
+    alpha = spec.alpha
+    hi = alpha * w_max / -log_target
+    lo = alpha * w_max / (-log_target + _LN2)
+    return _Transport(
+        plan, plan.displacement_array, lambda b: (-alpha, b),
+        "laplace-sub-unit", log_target, (lo, hi), sign=-1.0,
     )
 
 
-def _laplace_any_order(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
-    if spec.is_sub_unit:
-        return feasible_b_sub_unit_alpha(pair, spec, rel_tol)
-    return calibrate_laplace(pair, spec, rel_tol)
-
-
 class _Mechanism(NamedTuple):
-    # solve(pair, spec, rel_tol=...) and the noise its parameter stands for;
-    # for transport kinds, problem(pair, spec) is solve's set-up at orders
-    # 1 < alpha < inf, which calibrate_grid runs in lockstep.
-    solve: Callable[..., CalibrationResult]
+    # problem(pair, spec, rel_tol) is the kind's one set-up, at every order:
+    # it checks the order and returns a transport lane or a finished result.
+    # noise is the noise its parameter stands for.
+    problem: Callable[..., _Transport | CalibrationResult]
     noise: Callable[[float], MechanismParams]
-    problem: Callable[..., _Transport | CalibrationResult] | None = None
 
 
 _MECHANISMS = {
-    "laplace": _Mechanism(_laplace_any_order, LaplaceParams, _laplace_problem),
-    "gaussian": _Mechanism(calibrate_gaussian, GaussianParams, _gaussian_problem),
+    "laplace": _Mechanism(_laplace_problem, LaplaceParams),
+    "gaussian": _Mechanism(_gaussian_problem, GaussianParams),
     # With its default cost |z| and rate 1/theta the exponential mechanism
     # is Laplace(theta) noise.
-    "exponential": _Mechanism(calibrate_exponential, LaplaceParams, _exponential_problem),
-    "winf": _Mechanism(
-        lambda pair, spec, rel_tol: calibrate_winf_laplace(pair, spec.epsilon), LaplaceParams
-    ),
+    "exponential": _Mechanism(_exponential_problem, LaplaceParams),
+    "winf": _Mechanism(_winf_problem, LaplaceParams),
     "baseline-laplace": _Mechanism(baseline_laplace_rpp, LaplaceParams),
-    "baseline-gaussian": _Mechanism(
-        lambda pair, spec, rel_tol: baseline_gaussian_rpp(pair, spec), GaussianParams
-    ),
+    "baseline-gaussian": _Mechanism(_baseline_gaussian_problem, GaussianParams),
 }
 
 MECHANISM_KINDS = tuple(_MECHANISMS)
@@ -686,6 +681,14 @@ def noise_for(kind: str, parameter: float) -> MechanismParams | None:
     return None if parameter == 0.0 else noise(parameter)
 
 
+def _problem(pair, kind: str, spec: PrivacySpec, rel_tol: float, cost, rate):
+    """The kind's set-up of one cell; cost and rate reach the exponential mechanism only."""
+    problem = _mechanism(kind).problem
+    if kind == "exponential":
+        return problem(pair, spec, rel_tol, cost, rate)
+    return problem(pair, spec, rel_tol)
+
+
 def calibrate_pair(
     pair,
     mechanism_kind: str,
@@ -693,16 +696,12 @@ def calibrate_pair(
     rel_tol: float = 1e-9,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
 ) -> CalibrationResult:
-    """Dispatch one secret pair to the solver for the requested mechanism kind.
+    """Solve one secret pair for the requested mechanism kind.
 
-    cost, rate and rate_inverse reach the exponential mechanism only.
+    cost and rate reach the exponential mechanism only.
     """
-    solve = _mechanism(mechanism_kind).solve
-    if mechanism_kind == "exponential":
-        solve = partial(solve, cost=cost, rate=rate, rate_inverse=rate_inverse)
-    return solve(pair, spec, rel_tol=rel_tol)
+    return _solve_one(_problem(pair, mechanism_kind, spec, rel_tol, cost, rate), rel_tol)
 
 
 def calibrate_grid(
@@ -712,7 +711,6 @@ def calibrate_grid(
     rel_tol: float = 1e-9,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
 ) -> list[list[CalibrationResult] | Exception]:
     """calibrate_scenarios at every spec, each pair's transport solves run in lockstep.
 
@@ -721,25 +719,17 @@ def calibrate_grid(
     the first failing pair's, a PuffercalError labelled with the pair.
     Nothing is raised, so a caller that meets the entries in order sees
     failures in the order one call per spec would (specs first, then
-    pairs). Transport solves at orders 1 < alpha < inf share one batched
-    functional evaluation per solver round across the specs; every other
-    cell is one calibrate_pair call.
+    pairs). Every cell goes through its kind's set-up; the lanes it
+    returns (Laplace at finite orders, Gaussian and exponential at
+    1 < alpha < inf) share one batched functional evaluation per solver
+    round across the specs.
     """
-    mechanism = _MECHANISMS.get(mechanism_kind)
-    problem = mechanism.problem if mechanism else None
-    if mechanism_kind == "exponential":
-        problem = partial(problem, cost=cost, rate=rate, rate_inverse=rate_inverse)
     outcomes = [[None] * len(scenarios.pairs) for _ in specs]
     for index, pair in enumerate(scenarios.pairs):
         lanes = []
         for cell, spec in enumerate(specs):
             try:
-                if problem is not None and 1.0 < spec.alpha < math.inf:
-                    outcome = problem(pair, spec)
-                else:
-                    outcome = calibrate_pair(
-                        pair, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse
-                    )
+                outcome = _problem(pair, mechanism_kind, spec, rel_tol, cost, rate)
             except Exception as exc:
                 outcome = exc
             if isinstance(outcome, _Transport):
@@ -782,7 +772,6 @@ def calibrate_scenarios(
     rel_tol: float = 1e-9,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
 ) -> list[CalibrationResult]:
     """Calibrate every pair; each result names the binding pair.
 
@@ -790,9 +779,7 @@ def calibrate_scenarios(
     lowest index; every result carries its index and label. Per-pair
     errors are re-raised with the pair label prepended.
     """
-    (results,) = calibrate_grid(
-        scenarios, mechanism_kind, [spec], rel_tol, cost, rate, rate_inverse
-    )
+    (results,) = calibrate_grid(scenarios, mechanism_kind, [spec], rel_tol, cost, rate)
     if isinstance(results, Exception):
         raise results
     return results
@@ -805,10 +792,7 @@ def calibrate_over_scenarios(
     rel_tol: float = 1e-9,
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
-    rate_inverse: Callable[[float], float] | None = None,
 ) -> CalibrationResult:
     """The binding pair's result from calibrate_scenarios (the maximum parameter)."""
-    results = calibrate_scenarios(
-        scenarios, mechanism_kind, spec, rel_tol, cost, rate, rate_inverse
-    )
+    results = calibrate_scenarios(scenarios, mechanism_kind, spec, rel_tol, cost, rate)
     return results[results[0].binding_pair_index]

@@ -469,10 +469,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser, multi_mechanism: bool
     parser.add_argument(
         "--jobs",
         type=int,
-        # A string default goes through type=int, so a bad value is an argparse error.
-        default=os.environ.get("PUFFERCAL_JOBS", "1"),
-        help="accepted and ignored: each mechanism's grid is solved in one pass "
-        "(env PUFFERCAL_JOBS)",
+        default=1,
+        help="accepted and ignored: each mechanism's grid is solved in one pass",
     )
     parser.add_argument(
         "--data-dir",

@@ -222,10 +222,6 @@ def reciprocal_rate(theta: float) -> float:
     return 1.0 / theta
 
 
-def reciprocal_rate_inverse(rate: float) -> float:
-    return 1.0 / rate
-
-
 def check_cost_axioms(cost: Callable[[float], float], *, require_triangle: bool = True) -> None:
     """Spot-check that a cost is nonnegative, symmetric and (optionally) a metric.
 
@@ -589,13 +585,17 @@ def noise_variance(mech: MechanismParams) -> float:
     """Variance of the noise: 2 scale^2 (Laplace), sigma^2 (Gaussian), numeric otherwise.
 
     An exponential mechanism with cost |z| is Laplace noise and takes the
-    closed form; only other costs are integrated.
+    closed form; only other costs are integrated. A closed form past the
+    float range is inf (a float's ** raises OverflowError there).
     """
-    if isinstance(mech, GaussianParams):
-        return mech.sigma**2
-    scale = laplace_scale(mech)
-    if scale is not None:
-        return 2.0 * scale**2
+    try:
+        if isinstance(mech, GaussianParams):
+            return mech.sigma**2
+        scale = laplace_scale(mech)
+        if scale is not None:
+            return 2.0 * scale**2
+    except OverflowError:
+        return math.inf
     from scipy.integrate import simpson
 
     _, _, grid, pdf = _exponential_norm(mech)

@@ -293,11 +293,7 @@ class TestCalibrateExponential:
         pair = (point_mass(0.0), point_mass(1.0))
         spec = PrivacySpec(alpha=2.0, epsilon=1.0)
         # rate 2/theta: e^{2 alpha / theta} = e^{(alpha-1) eps} => theta = 4.
-        with_inverse = calibrate_exponential(
-            pair, spec, rate=lambda t: 2.0 / t, rate_inverse=lambda u: 2.0 / u
-        )
         numeric = calibrate_exponential(pair, spec, rate=lambda t: 2.0 / t)
-        assert with_inverse.parameter == pytest.approx(4.0, rel=1e-9)
         assert numeric.parameter == pytest.approx(4.0, rel=1e-8)
 
     def test_increasing_rate_rejected(self):
@@ -313,16 +309,17 @@ class TestGuaranteeTolerance:
     """guarantee_side admits a relative excess of _GUARANTEE_TOL and no more."""
 
     @pytest.mark.parametrize("excess, holds", [(0.5, True), (2.0, False)])
-    def test_budget_scale_boundary(self, excess, holds):
+    def test_budget_scale_boundary(self, monkeypatch, excess, holds):
         # An inverse rate that undershoots theta by `excess` tolerances makes
         # the alpha = inf bound exceed epsilon by about that much.
         from puffercal.calibrate import _GUARANTEE_TOL
 
         shrink = 1.0 + excess * _GUARANTEE_TOL
+        monkeypatch.setattr(
+            calibrate, "_invert_rate", lambda rate, value: 1.0 / value / shrink
+        )
         result = calibrate_exponential(
-            (point_mass(0.0), point_mass(1.0)),
-            PrivacySpec(alpha=math.inf, epsilon=1.0),
-            rate_inverse=lambda value: 1.0 / value / shrink,
+            (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=math.inf, epsilon=1.0)
         )
         assert result.functional_value == pytest.approx(shrink, rel=1e-15)
         assert result.guarantee_side is holds
@@ -677,11 +674,19 @@ class TestCalibrateGrid:
             else:
                 assert [_bits(r) for r in cell] == [_bits(r) for r in want]
 
-    @pytest.mark.parametrize("kind", ["laplace", "gaussian", "exponential"])
-    def test_lanes_match_the_scalar_functional(self, kind):
+    @pytest.mark.parametrize(
+        "kind, orders",
+        [("laplace", (1.2, 2.0, 7.5, 300.0)), ("gaussian", (1.2, 2.0, 7.5, 300.0)),
+         ("exponential", (1.2, 2.0, 7.5, 300.0)), ("laplace", (0.2, 0.5, 0.9))],
+        ids=["laplace", "gaussian", "exponential", "sub-unit"],
+    )
+    def test_lanes_match_the_scalar_functional(self, kind, orders):
         # The solve as it ran before lanes: a scalar Brent on a 1-D functional
-        # with the exponent written out per mechanism.
+        # with the exponent written out per mechanism. Sub-unit orders solve
+        # the negated functional for the negated target.
         def exponent(spec, d, x):
+            if spec.alpha < 1.0:
+                return -spec.alpha * d / x
             if kind == "laplace":
                 return spec.alpha * d / x
             if kind == "gaussian":
@@ -690,22 +695,71 @@ class TestCalibrateGrid:
 
         rng = np.random.default_rng(11)
         pairs = [random_pair(rng, max_atoms=40, min_atoms=2) for _ in range(3)]
-        specs = [PrivacySpec(alpha=a, epsilon=e) for a in (1.2, 2.0, 7.5, 300.0)
-                 for e in (0.1, 1.0, 4.0)]
+        specs = [PrivacySpec(alpha=a, epsilon=e) for a in orders for e in (0.1, 1.0, 4.0)]
+        sign = -1.0 if orders[0] < 1.0 else 1.0
         grid = calibrate_grid(scenario_set(pairs), kind, specs)
         for spec, cell in zip(specs, grid):
             for pair, result in zip(pairs, cell):
-                problem = calibrate._MECHANISMS[kind].problem(pair, spec)
+                problem = calibrate._MECHANISMS[kind].problem(pair, spec, 1e-9)
                 solve = calibrate._solve_decreasing(
-                    lambda x: coupling_log_expectation(
+                    lambda x: sign * coupling_log_expectation(
                         problem.plan, lambda d: exponent(spec, d, x)
                     ),
-                    problem.log_target, problem.bracket,
+                    sign * problem.log_target, problem.bracket,
                 )
                 assert (result.parameter, result.iterations, result.bracket,
                         result.log_functional_value) == (
-                    solve.value, solve.iterations, solve.bracket, solve.f_value
+                    solve.value, solve.iterations, solve.bracket, sign * solve.f_value
                 )
+                assert result.experimental is (sign < 0.0)
+                assert result.guarantee_side
+                if sign < 0.0:
+                    # The bracket feasible_b_sub_unit_alpha seeded before lanes.
+                    w, target = problem.plan.max_displacement(), -problem.log_target
+                    assert problem.bracket == (
+                        spec.alpha * w / (target + math.log(2.0)), spec.alpha * w / target
+                    )
+
+    def test_laplace_orders_below_and_above_one_share_rounds(self, monkeypatch):
+        # Sub-unit and alpha > 1 Laplace cells of one pair are lanes of one
+        # lockstep run: no scalar solve, and one functional call per round.
+        def no_scalar_solve(*args, **kwargs):
+            raise AssertionError("a Laplace grid cell took a scalar solve")
+
+        lanes, rows = [], []
+        real_brent, real_functional = calibrate._brent, calibrate.coupling_log_expectation
+
+        def counting_brent(*args):
+            asked = []
+            lanes.append(asked)
+            steps, value = real_brent(*args), None
+            while True:
+                try:
+                    x = steps.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                asked.append(x)
+                value = yield x
+
+        def counting_functional(plan, log_g):
+            values = real_functional(plan, log_g)
+            rows.append(np.size(values))
+            return values
+
+        monkeypatch.setattr(calibrate, "_solve_decreasing", no_scalar_solve)
+        monkeypatch.setattr(calibrate, "_brent", counting_brent)
+        monkeypatch.setattr(calibrate, "coupling_log_expectation", counting_functional)
+        orders = (0.3, 0.5, 2.0, 4.0)
+        specs = [PrivacySpec(alpha=a, epsilon=e) for a in orders for e in (0.5, 2.0)]
+        pair = random_pair(np.random.default_rng(7), max_atoms=8, min_atoms=3)
+        grid = calibrate_grid(scenario_set([pair]), "laplace", specs)
+        assert [cell[0].experimental for cell in grid] == [s.alpha < 1.0 for s in specs]
+        assert all(cell[0].iterations > 0 and cell[0].guarantee_side for cell in grid)
+        assert len(lanes) == len(specs)
+        # Every lane is live in the first round; each round is one call.
+        assert rows[0] == len(specs)
+        assert len(rows) == max(len(asked) for asked in lanes)
+        assert sum(rows) == sum(len(asked) for asked in lanes)
 
     def test_lanes_split_into_bounded_blocks(self, monkeypatch):
         specs = [PrivacySpec(alpha=1.0 + k / 4.0, epsilon=0.5) for k in range(1, 12)]
@@ -725,8 +779,8 @@ class TestCalibrateGrid:
         failures = {("b", 2.0): 3, ("a", 3.0): 0}
         happened = []
 
-        def failing_problem(pair, spec):
-            problem = real.problem(pair, spec)
+        def failing_problem(pair, spec, rel_tol):
+            problem = real.problem(pair, spec, rel_tol)
             after = failures.get((pair.label, spec.alpha))
             if after is None:
                 return problem

@@ -204,25 +204,26 @@ class TestCalibrateCommand:
         assert rows[0]["experimental"] == "true"
         assert float(rows[0]["parameter"]) == pytest.approx(1.0, rel=1e-8)
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("PUFFERCAL_JOBS", "3")
-        code, out, _ = run_cli(
-            capsys, "calibrate", "--scenario", "point-mass",
-            "--alpha", "1.5,2,5", "--epsilon", "0.5,1",
-        )
-        assert code == 0
-        assert len(parse_csv(out)) == 6
-
     @pytest.mark.parametrize("command", ["calibrate", "verify", "sweep", "breach"])
-    def test_bad_jobs_env_is_a_usage_error(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("PUFFERCAL_JOBS", "two")
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, "--scenario", "point-mass"])
-        assert exit_info.value.code == 2
-        assert "argument --jobs: invalid int value: 'two'" in capsys.readouterr().err
-        # An explicit --jobs takes precedence over the environment.
+    def test_explicit_jobs_is_accepted(self, capsys, command):
         assert run_cli(capsys, command, "--scenario", "point-mass", "--jobs", "1",
                        *(("--n", "1000") if command == "breach" else ()))[0] == 0
+
+    @pytest.mark.parametrize(
+        "mechanism, alpha, epsilon",
+        [("laplace", "2", "1e-200"), ("exponential", "2", "1e-200"),
+         ("winf", "2", "1e-200"), ("laplace", "0.5", "1e-300")],
+    )
+    def test_variance_past_float_range_is_inf(self, capsys, mechanism, alpha, epsilon):
+        # A scale near 1e200 squares past the float range.
+        code, out, err = run_cli(
+            capsys, "calibrate", "--scenario", "point-mass", "--mechanism", mechanism,
+            "--alpha", alpha, "--epsilon", epsilon,
+        )
+        assert (code, err) == (0, "")
+        row = parse_csv(out)[0]
+        assert float(row["parameter"]) > 1e199
+        assert row["variance"] == "inf"
 
     def test_adult_format_end_to_end(self, capsys, tmp_path):
         # Synthetic rows in the raw adult.data layout: headerless, 15

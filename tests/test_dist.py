@@ -495,6 +495,14 @@ class TestNoiseVarianceAndSampling:
             2 * 1.3**2, rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "mech",
+        [LaplaceParams(scale=1e200), GaussianParams(sigma=1e200), ExponentialParams(scale=1e200)],
+        ids=["laplace", "gaussian", "exponential"],
+    )
+    def test_variance_past_float_range_is_inf(self, mech):
+        assert noise_variance(mech) == math.inf
+
     def test_sampling_deterministic(self):
         mech = ExponentialParams(scale=1.0)
         a = sample_noise(mech, np.random.default_rng(9), 500)
