@@ -50,8 +50,10 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # closed-form cells, a Laplace grid whose sub-unit and solved cells share
 # lockstep rounds, the ignored --jobs, a tight --tol, two grids that fail
 # part-way, two runs on the built-in point-mass scenario whose numpy
-# warnings would show as a stderr diff, and two point-mass calibrations
-# whose noise variance is past the float range.
+# warnings would show as a stderr diff, two point-mass calibrations
+# whose noise variance is past the float range, and three alpha = inf
+# point-mass calibrations at a subnormal epsilon, whose parameter would
+# overflow.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -83,6 +85,14 @@ EXTRA_COMMANDS = (
      "--seed", "{seed}"),
     ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "3", "--epsilon", "0.5", "--parameter", "4", "--n", "150001",
+     "--seed", "{seed}"),
+    # Narrow noise: 2 to 44 certified intervals per pair, so the draws left
+    # after the widest interval's are sorted and searched in every chunk.
+    ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0.05", "--n", "200000",
+     "--seed", "{seed}"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0.05", "--n", "200000",
      "--seed", "{seed}"),
     # Zero noise, and the exponential mechanism's Monte Carlo.
     ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
@@ -118,6 +128,11 @@ EXTRA_COMMANDS = (
      "--alpha", "2", "--epsilon", "1e-200"),
     ("calibrate", "--scenario", "point-mass", "--mechanism", "laplace",
      "--alpha", "0.5", "--epsilon", "1e-300"),
+    *(
+        ("calibrate", "--scenario", "point-mass", "--mechanism", kind,
+         "--alpha", "inf", "--epsilon", "1e-310")
+        for kind in ("laplace", "winf", "exponential")
+    ),
 )
 
 

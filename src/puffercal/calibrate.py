@@ -473,9 +473,9 @@ def _check_rate_map(rate: Callable[[float], float]) -> None:
 def _invert_rate(rate: Callable[[float], float], value: float) -> float:
     """The theta with rate(theta) = value: exact for reciprocal_rate, else numeric."""
     if rate is reciprocal_rate:
-        theta = 1.0 / value
+        theta = 1.0 / value if value > 0.0 else math.inf
         if not (math.isfinite(theta) and theta > 0.0):
-            raise NonInvertibleRate(f"rate_inverse({value!r}) = {theta!r}")
+            raise NonInvertibleRate(f"no finite theta has rate 1/theta = {value!r}")
         return theta
     try:
         return _solve_decreasing(rate, value, (0.5, 2.0), rel_tol=1e-12).value
@@ -541,6 +541,10 @@ def calibrate_winf_laplace(pair, epsilon: float) -> CalibrationResult:
     if w_max == 0.0:
         return _budget_result("winf-laplace", epsilon)
     b = w_max / epsilon
+    if math.isinf(b):
+        raise NoRoot(
+            f"no finite Laplace scale: W_inf / epsilon = {w_max!r} / {epsilon!r} overflows"
+        )
     return _budget_result("winf-laplace", epsilon, b, w_max / b)
 
 

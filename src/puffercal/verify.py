@@ -38,7 +38,8 @@ _MAX_ROUNDS = 60
 _CLASSIFY_ROUNDS = 64
 _MIN_WIDTH = 2.0**-30
 _MARGIN_ULPS = 64.0
-# Draws per chunk in monte_carlo_breach: its noise, sum and sort buffers.
+# Draws per chunk in monte_carlo_breach: its noise and sum buffers, the
+# settled-interval mask, and the sort buffer of the draws left after it.
 _DRAW_CHUNK = 2**16
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
@@ -617,12 +618,14 @@ def monte_carlo_breach(
     prior draws are kept as atom indices (DiscreteDistribution
     .sample_indices, 1 byte per draw up to 256 atoms), and the noise is
     drawn _DRAW_CHUNK values at a time from the same generator, which
-    gives the same values. Each chunk gets its atoms added, is sorted, and
-    is counted (_count_breaches) against intervals classified once for
-    the pair (_breach_intervals), so the count is the one that evaluating
-    the log ratio at every draw gives. Draws outside the certified
-    intervals' interiors, and every draw of a custom-cost mechanism, take
-    the log ratio itself. Zero noise looks the indices up in a per-atom
+    gives the same values. Each chunk gets its atoms added and is counted
+    (_count_breaches) against intervals classified once for the pair
+    (_breach_intervals): draws inside the widest certified interval by
+    two comparisons, the rest sorted and binary-searched against the
+    other intervals' edges, so the count is the one that evaluating the
+    log ratio at every draw gives. Draws outside the certified intervals'
+    interiors, and every draw of a custom-cost mechanism, take the log
+    ratio itself. Zero noise looks the indices up in a per-atom
     breach table. Raises MemoryError when n indices do not fit in memory.
     """
     if n < 1000:
@@ -671,30 +674,47 @@ def _count_breaches(
 ) -> int:
     """The number of draws ys with _log_ratio(ys) > epsilon, given _breach_intervals' intervals.
 
-    The draws are sorted in place; those strictly inside the certified
-    interval k are the slice [first[k], last[k]) found by binary search
-    of its edges, and every other draw (on an edge, or outside the
+    The draws strictly inside one certified interval, _settled_interval's,
+    are settled by two comparisons each; on the breach-mc pairs that
+    interval usually spans the whole window. The remaining draws are
+    sorted; those strictly inside the certified interval k are the slice
+    [first[k], last[k]) found by binary search of its edges (empty for the
+    settled interval), and every other draw (on an edge, or outside the
     certified intervals) takes _log_ratio. The slices are disjoint and in
     order, so the sorted draws fall into alternating runs, outside and
     inside, whose lengths are the differences of 0, first[0], last[0],
     first[1], ..., ys.size; one mask repeated from those lengths picks the
     leftover draws (a bincount and cumsum depth over the edge indices
-    gives the same mask at about ten times the cost per chunk).
-    intervals=None (custom costs) takes _log_ratio at every draw.
+    gives the same mask at about ten times the cost per chunk). Settling
+    any one interval first leaves the count unchanged, since the intervals'
+    interiors are disjoint. intervals=None (custom costs) takes _log_ratio
+    at every draw.
     """
     if intervals is None:
         return int(np.count_nonzero(_log_ratio(p_i, p_j, mech, ys) > epsilon))
     starts, ends, above = intervals
+    certain = 0
+    if starts.size:
+        k = _settled_interval(starts, ends)
+        outside = (ys <= starts[k]) | (ys >= ends[k])
+        if above[k]:
+            certain = ys.size - int(np.count_nonzero(outside))
+        ys = ys[outside]
     ys.sort()
     first = np.searchsorted(ys, starts, side="right")
     last = np.searchsorted(ys, ends, side="left")
-    certain = int(np.sum(last - first, where=above))
+    certain += int(np.sum(last - first, where=above))
     # Run lengths along the sorted draws: outside, inside interval 0, outside, ..., outside.
     runs = np.diff(np.stack((first, last), axis=1).ravel(), prepend=0, append=ys.size)
     rest = ys[np.repeat(np.arange(runs.size) % 2 == 0, runs)]
     if rest.size == 0:
         return certain
     return certain + int(np.count_nonzero(_log_ratio(p_i, p_j, mech, rest) > epsilon))
+
+
+def _settled_interval(starts: np.ndarray, ends: np.ndarray) -> int:
+    """The certified interval whose draws _count_breaches settles unsorted: the widest."""
+    return int(np.argmax(ends - starts))
 
 
 def _breach_intervals(

@@ -296,6 +296,14 @@ class TestCalibrateExponential:
         numeric = calibrate_exponential(pair, spec, rate=lambda t: 2.0 / t)
         assert numeric.parameter == pytest.approx(4.0, rel=1e-8)
 
+    @pytest.mark.parametrize("epsilon, width", [(1e-310, 1.0), (5e-324, 4.0)])
+    def test_alpha_inf_without_finite_theta(self, epsilon, width):
+        # epsilon / sup cost is subnormal (1/value overflows) or rounds to 0.
+        with pytest.raises(NonInvertibleRate, match="no finite theta has rate 1/theta"):
+            calibrate_exponential(
+                (point_mass(0.0), point_mass(width)), PrivacySpec(alpha=math.inf, epsilon=epsilon)
+            )
+
     def test_increasing_rate_rejected(self):
         with pytest.raises(NonInvertibleRate):
             calibrate_exponential(
@@ -333,6 +341,13 @@ class TestWinfLaplace:
     def test_identical(self):
         P = point_mass(1.0)
         assert calibrate_winf_laplace((P, P), 0.5).parameter == 0.0
+
+    def test_scale_overflow_is_no_root(self):
+        with pytest.raises(NoRoot, match="no finite Laplace scale"):
+            calibrate_winf_laplace((point_mass(0.0), point_mass(1.0)), 1e-310)
+        # An identical pair still needs no noise.
+        P = point_mass(1.0)
+        assert calibrate_winf_laplace((P, P), 1e-310).parameter == 0.0
 
 
 class TestBaselines:

@@ -18,22 +18,51 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import puffercal.cli as cli
+
+def loaded():
+    return ["numpy.random" in sys.modules, "scipy" in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+steps = [loaded()]
+kinds = ["laplace", "gaussian", "exponential", "winf", "baseline-laplace", "baseline-gaussian"]
+run("calibrate", "--scenario", "point-mass", "--alpha", "1.5,2",
+    *[arg for kind in kinds for arg in ("--mechanism", kind)])
+for kind in ("laplace", "exponential", "winf"):
+    run("calibrate", "--scenario", "point-mass", "--mechanism", kind, "--alpha", "inf")
+for kind, alpha in (("laplace", "2"), ("gaussian", "2"), ("exponential", "2"), ("laplace", "inf")):
+    run("verify", "--scenario", "point-mass", "--mechanism", kind, "--alpha", alpha)
+run("sweep", "--scenario", "point-mass")
+steps.append(loaded())
+for kind in ("laplace", "gaussian"):
+    run("breach", "--scenario", "point-mass", "--mechanism", kind, "--n", "1000")
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
 def test_cli_import_leaves_scipy_out():
-    # scipy serves custom exponential costs and Gaussian alpha = inf only;
-    # the commands import it when those run, not at startup.
+    # numpy.random serves breach alone, and scipy custom exponential costs
+    # and Gaussian alpha = inf only: importing the CLI loads neither, the
+    # default-mechanism calibrate, verify and sweep calls load neither,
+    # and breach loads numpy.random when it seeds its generator.
     import puffercal
 
     src = str(Path(puffercal.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = (
-        "import sys, puffercal.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    # [numpy.random loaded, scipy loaded] after import, the
+    # calibrate/verify/sweep calls, and the breach calls.
+    assert json.loads(result.stdout) == [[False, False], [False, False], [True, False]]
 
 
 def parse_csv(text):
@@ -806,3 +835,27 @@ def test_nan_integrand_ends_quickly(command, expected):
         assert row["inconclusive"] == "true"
     else:
         assert float(row["mc_breach_estimate"]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "sweep"])
+@pytest.mark.parametrize(
+    "kind, reason",
+    [
+        ("laplace", "no finite Laplace scale: W_inf / epsilon = 1.0 / 1e-310 overflows"),
+        ("winf", "no finite Laplace scale: W_inf / epsilon = 1.0 / 1e-310 overflows"),
+        ("exponential", "no finite theta has rate 1/theta = 1e-310"),
+    ],
+    ids=["laplace", "winf", "exponential"],
+)
+def test_subnormal_epsilon_at_alpha_inf_is_a_solver_failure(capsys, command, kind, reason):
+    # W_inf / epsilon overflows at a subnormal epsilon: every alpha = inf
+    # rule fails as a solver error that names its cell and pair.
+    code, out, err = run_cli(
+        capsys, command, "--scenario", "point-mass", "--mechanism", kind,
+        "--alpha", "inf", "--epsilon", "1e-310",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"solver failure: mechanism={kind} alpha=inf epsilon=1e-310: "
+        f"pair 'point-mass': {reason}\n"
+    )

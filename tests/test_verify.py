@@ -1252,6 +1252,61 @@ class TestBreachClassification:
             assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
             monkeypatch.undo()
 
+    @staticmethod
+    def _integer_pair():
+        # Alternating mass ratios on shared integer atoms: under Laplace(0.05)
+        # the ratio crosses epsilon between every two atoms.
+        atoms = tuple(float(a) for a in range(40))
+        weights = np.where(np.arange(40) % 2 == 0, 0.5, 1.5)
+        return (
+            DiscreteDistribution(atoms, (1.0 / 40,) * 40),
+            DiscreteDistribution(atoms, tuple((weights / weights.sum()).tolist())),
+        )
+
+    @pytest.mark.parametrize(
+        "case", ["one-below", "one-above", "gaussian-three", "laplace-integers"]
+    )
+    def test_count_is_the_same_whichever_interval_is_settled(self, monkeypatch, case):
+        # Draws on every edge, one ulp to each side, inside each interval and
+        # outside the window: settling any one interval's draws first, by
+        # two comparisons, counts what the log ratio at every draw counts.
+        # With every label flipped, only the draws strictly inside an
+        # interval take its label, and draws on an edge take the log ratio.
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
+        pair, mech, eps, size = {
+            "one-below": ((point_mass(0.0), point_mass(1.0)), LaplaceParams(2.0), 1.0, 1),
+            "one-above": ((point_mass(0.0), point_mass(1.0)), LaplaceParams(2.0), -0.75, 1),
+            "gaussian-three": ((p, q), GaussianParams(0.6), 0.4, 3),
+            "laplace-integers": (self._integer_pair(), LaplaceParams(0.05), 0.3, 40),
+        }[case]
+        starts, ends, above = intervals = verify._breach_intervals(*pair, mech, eps, 10**6)
+        assert starts.size == size
+        edges = np.concatenate((starts, ends))
+        ys = np.concatenate((
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            (starts + ends) / 2.0,
+            starts[:1] - 1.0, ends[-1:] + 1.0, starts[:1] - 1e3, ends[-1:] + 1e3,
+        ))
+        np.random.default_rng(3).shuffle(ys)
+        expected = _count_every_draw(*pair, mech, eps, intervals, ys)
+        inside = (ys[:, None] > starts) & (ys[:, None] < ends)
+        flipped = int(np.count_nonzero(inside[:, ~above])) + _count_every_draw(
+            *pair, mech, eps, None, ys[~inside.any(axis=1)]
+        )
+        widest = verify._settled_interval(starts, ends)
+        assert ends[widest] - starts[widest] == np.max(ends - starts)
+        for k in range(starts.size):
+            monkeypatch.setattr(verify, "_settled_interval", lambda starts, ends: k)
+            assert verify._count_breaches(*pair, mech, eps, intervals, ys.copy()) == expected
+            assert verify._count_breaches(
+                *pair, mech, eps, (starts, ends, ~above), ys.copy()
+            ) == flipped
+
     def test_custom_cost_takes_the_log_ratio_path(self, monkeypatch):
         import puffercal.verify as verify
 
