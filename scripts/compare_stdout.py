@@ -51,9 +51,10 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # lockstep rounds, the ignored --jobs, a tight --tol, two grids that fail
 # part-way, two runs on the built-in point-mass scenario whose numpy
 # warnings would show as a stderr diff, two point-mass calibrations
-# whose noise variance is past the float range, and three alpha = inf
-# point-mass calibrations at a subnormal epsilon, whose parameter would
-# overflow.
+# whose noise variance is past the float range, and point-mass runs at a
+# subnormal epsilon, whose parameter would overflow: three alpha = inf
+# calibrations, the five finite-order kinds' alpha = 2 calibrations, and
+# a Gaussian verify and a Laplace breach that calibrate in-run.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -133,6 +134,16 @@ EXTRA_COMMANDS = (
          "--alpha", "inf", "--epsilon", "1e-310")
         for kind in ("laplace", "winf", "exponential")
     ),
+    *(
+        ("calibrate", "--scenario", "point-mass", "--mechanism", kind,
+         "--alpha", "2", "--epsilon", "1e-310")
+        for kind in ("laplace", "gaussian", "exponential", "baseline-laplace",
+                     "baseline-gaussian")
+    ),
+    ("verify", "--scenario", "point-mass", "--mechanism", "gaussian",
+     "--alpha", "2", "--epsilon", "1e-310"),
+    ("breach", "--scenario", "point-mass", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "1e-310", "--n", "1000"),
 )
 
 

@@ -284,13 +284,21 @@ def _transport(
     coupling is diagonal and no noise is needed. seed(level) is the
     parameter at which a point mass at distance size has log functional
     level: seed(log_target) is feasible, since no entry exceeds size, and
-    seed(log_target + ln 2) seeds the other bracket end.
+    seed(log_target + ln 2) seeds the other bracket end. A seed that
+    overflows (a subnormal log target) raises NoRoot: no finite parameter
+    is known to be feasible.
     """
     log_target = (spec.alpha - 1.0) * spec.epsilon
     if size == 0.0:
         return _no_noise_result(mechanism, log_target)
     bracket = (seed(log_target + _LN2), seed(log_target))
+    _require_finite_bracket(mechanism, bracket)
     return _Transport(plan, base, scale, mechanism, log_target, bracket)
+
+
+def _require_finite_bracket(mechanism: str, bracket: tuple[float, float]) -> None:
+    if math.isinf(bracket[0]) or math.isinf(bracket[1]):
+        raise NoRoot(f"no finite {mechanism} parameter: the seed bracket {bracket!r} overflows")
 
 
 def _transport_result(problem: _Transport, solve: _RootSolve) -> CalibrationResult:
@@ -574,6 +582,7 @@ def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> Cali
     # endpoint subtracts the weight term's worst contribution.
     hi = w_max / spec.epsilon
     lo = w_max / (spec.epsilon + _LN2 / (alpha - 1.0))
+    _require_finite_bracket("baseline-laplace", (lo, hi))
     solve = _solve_decreasing(divergence, spec.epsilon, (lo, hi), rel_tol)
     return _budget_result("baseline-laplace", spec.epsilon, solve.value, solve.f_value, solve)
 
@@ -604,6 +613,11 @@ def baseline_gaussian_rpp(pair, spec: PrivacySpec) -> CalibrationResult:
     if w_max == 0.0:
         return _budget_result("baseline-gaussian", spec.epsilon)
     sigma = math.sqrt(spec.alpha * w_max**2 / (2.0 * spec.epsilon))
+    if math.isinf(sigma):
+        raise NoRoot(
+            f"no finite Gaussian sigma: sqrt(alpha W_inf^2 / (2 epsilon)) with "
+            f"W_inf = {w_max!r}, epsilon = {spec.epsilon!r} overflows"
+        )
     value = spec.alpha * w_max**2 / (2.0 * sigma**2)
     return _budget_result("baseline-gaussian", spec.epsilon, sigma, value)
 
@@ -644,6 +658,7 @@ def _sub_unit_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult
     alpha = spec.alpha
     hi = alpha * w_max / -log_target
     lo = alpha * w_max / (-log_target + _LN2)
+    _require_finite_bracket("laplace-sub-unit", (lo, hi))
     return _Transport(
         plan, plan.displacement_array, lambda b: (-alpha, b),
         "laplace-sub-unit", log_target, (lo, hi), sign=-1.0,

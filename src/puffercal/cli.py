@@ -13,7 +13,9 @@ import json
 import math
 import os
 import sys
+import threading
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import calibrate as cal
@@ -395,6 +397,52 @@ def cmd_sweep(args) -> int:
     return status
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _concurrent_outcomes(calls) -> list:
+    """Each call's result, or the exception it raised, in call order.
+
+    W = min(len(calls), usable CPUs) workers take the calls in order from
+    a shared counter: W - 1 daemon threads and this thread, so W = 1 runs
+    them inline and starts no thread. Once a call fails no further call
+    is taken; the calls before it are taken already, so every outcome up
+    to the first failure in call order is there, as in a serial run.
+    """
+    outcomes = [None] * len(calls)
+    taken = 0
+    lock = threading.Lock()
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                index = taken
+                taken += 1
+            if index >= len(calls):
+                return
+            try:
+                outcomes[index] = calls[index]()
+            except Exception as exc:
+                outcomes[index] = exc
+                with lock:
+                    taken = len(calls)
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(len(calls), _usable_cpus()) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    return outcomes
+
+
 def cmd_breach(args) -> int:
     scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
     alphas = _parse_grid(args.alpha, "--alpha")
@@ -405,14 +453,20 @@ def cmd_breach(args) -> int:
     for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
         spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
         mech = cal.noise_for(kind, parameter)
-        for index, pair in enumerate(scenarios.pairs):
-            pair_seed = args.seed + index
-            try:
-                estimate, half_width = ver.monte_carlo_breach(
-                    pair.p_i, pair.p_j, mech, epsilon, args.n, pair_seed
-                )
-            except MemoryError as exc:
-                raise _ConfigError(f"--n {args.n} is too large: {exc}") from exc
+        # Each pair draws from its own generator (seed + index) and numpy
+        # releases the GIL while drawing, so the pairs run concurrently and
+        # every estimate is the one a serial run gives.
+        draws = _concurrent_outcomes([
+            partial(ver.monte_carlo_breach, pair.p_i, pair.p_j, mech, epsilon, args.n,
+                    args.seed + index)
+            for index, pair in enumerate(scenarios.pairs)
+        ])
+        for index, (pair, outcome) in enumerate(zip(scenarios.pairs, draws)):
+            if isinstance(outcome, MemoryError):
+                raise _ConfigError(f"--n {args.n} is too large: {outcome}") from outcome
+            if isinstance(outcome, Exception):
+                raise outcome
+            estimate, half_width = outcome
             chernoff = None
             if 1.0 < alpha < math.inf:
                 if mech is None:
@@ -435,7 +489,7 @@ def cmd_breach(args) -> int:
                     "mc_half_width": half_width,
                     "chernoff_bound": chernoff,
                     "sample_count": args.n,
-                    "seed": pair_seed,
+                    "seed": args.seed + index,
                 }
             )
     _emit(args, "breach", BREACH_COLUMNS, rows)

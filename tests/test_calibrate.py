@@ -350,6 +350,29 @@ class TestWinfLaplace:
         assert calibrate_winf_laplace((P, P), 1e-310).parameter == 0.0
 
 
+class TestSubnormalEpsilonAtFiniteOrder:
+    """A bracket end or closed form that overflows is NoRoot, not a bad hint."""
+
+    @pytest.mark.parametrize(
+        "solve, alpha, match",
+        [
+            (calibrate_laplace, 2.0, r"no finite laplace parameter: the seed bracket \(2\.88"),
+            (calibrate_gaussian, 2.0, r"no finite gaussian parameter: the seed bracket \(1\.20"),
+            (baseline_laplace_rpp, 2.0, "no finite baseline-laplace parameter"),
+            (baseline_gaussian_rpp, 2.0, "no finite Gaussian sigma"),
+            (feasible_b_sub_unit_alpha, 0.5, "no finite laplace-sub-unit parameter"),
+        ],
+        ids=["laplace", "gaussian", "baseline-laplace", "baseline-gaussian", "sub-unit"],
+    )
+    def test_overflow_is_no_root(self, solve, alpha, match):
+        spec = PrivacySpec(alpha=alpha, epsilon=1e-310)
+        with pytest.raises(NoRoot, match=match):
+            solve((point_mass(0.0), point_mass(1.0)), spec)
+        # An identical pair still needs no noise.
+        P = point_mass(1.0)
+        assert solve((P, P), spec).parameter == 0.0
+
+
 class TestBaselines:
     def test_baseline_laplace_reference_values(self):
         pair = (point_mass(0.0), point_mass(2.0))

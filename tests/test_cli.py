@@ -23,7 +23,7 @@ import contextlib, io, json, sys
 import puffercal.cli as cli
 
 def loaded():
-    return ["numpy.random" in sys.modules, "scipy" in sys.modules]
+    return [name in sys.modules for name in ("numpy.random", "scipy", "concurrent.futures")]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -50,7 +50,8 @@ def test_cli_import_leaves_scipy_out():
     # numpy.random serves breach alone, and scipy custom exponential costs
     # and Gaussian alpha = inf only: importing the CLI loads neither, the
     # default-mechanism calibrate, verify and sweep calls load neither,
-    # and breach loads numpy.random when it seeds its generator.
+    # and breach loads numpy.random when it seeds its generator. breach
+    # spreads its pairs over threads without concurrent.futures.
     import puffercal
 
     src = str(Path(puffercal.__file__).resolve().parents[1])
@@ -60,9 +61,11 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", _IMPORT_PROBE],
         capture_output=True, text=True, env=env, check=True,
     )
-    # [numpy.random loaded, scipy loaded] after import, the
+    # [numpy.random, scipy, concurrent.futures loaded] after import, the
     # calibrate/verify/sweep calls, and the breach calls.
-    assert json.loads(result.stdout) == [[False, False], [False, False], [True, False]]
+    assert json.loads(result.stdout) == [
+        [False, False, False], [False, False, False], [True, False, False]
+    ]
 
 
 def parse_csv(text):
@@ -762,6 +765,118 @@ class TestBreachCommand:
         assert code == 0
         jsonschema.validate(json.loads((tmp_path / "breach.json").read_text()), schema)
 
+    GOLDEN = str(Path(__file__).parent / "data" / "golden_scenario.json")
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("laplace", ()), ("gaussian", ()), ("laplace", ("--parameter", "0"))],
+        ids=["laplace", "gaussian", "zero-noise"],
+    )
+    def test_output_does_not_depend_on_worker_count(self, capsys, monkeypatch, kind, extra):
+        # Each pair draws from its own generator, so the rows are the same
+        # bytes whether the three pairs run inline or on 2, 3 or 8 workers;
+        # 70000 draws take two chunks, and the grid has two cells.
+        from puffercal import cli
+
+        outputs = {}
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            code, out, err = run_cli(
+                capsys, "breach", "--scenario", self.GOLDEN, "--mechanism", kind,
+                "--alpha", "2,3", "--epsilon", "1", "--n", "70000", "--seed", "5", *extra,
+            )
+            assert (code, err) == (0, "")
+            outputs[cpus] = out
+        assert len(parse_csv(outputs[1])) == 6
+        assert outputs[2] == outputs[3] == outputs[8] == outputs[1]
+
+    def test_first_failing_pair_is_reported(self, capsys, monkeypatch):
+        # Pair 2 fails first in time, pair 1 after it: the command still
+        # reports pair 1's error, as a serial run would.
+        import threading
+
+        from puffercal import cli
+        from puffercal import verify as ver
+        from puffercal.errors import NoRoot
+
+        pair_two_failed = threading.Event()
+
+        def breach(p_i, p_j, mech, epsilon, n, seed):
+            if seed == 1:
+                assert pair_two_failed.wait(timeout=30)
+                raise MemoryError("injected at pair 1")
+            if seed == 2:
+                pair_two_failed.set()
+                raise NoRoot("injected at pair 2")
+            return 0.5, 0.01
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(ver, "monte_carlo_breach", breach)
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", self.GOLDEN, "--parameter", "1",
+            "--alpha", "2", "--n", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "configuration error: --n 1000 is too large: injected at pair 1\n"
+
+    def test_every_call_runs_once_in_order(self, monkeypatch):
+        # More workers than cores and a short switch interval: a lost update
+        # of the shared counter would run some call twice or never.
+        import threading
+
+        from puffercal import cli
+
+        counts = [0] * 500
+        calls = []
+        for index in range(len(counts)):
+            def call(index=index):
+                counts[index] += 1
+                return index
+            calls.append(call)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.append(cli._concurrent_outcomes(calls)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert result == [list(range(len(counts)))]
+        assert counts == [1] * len(counts)
+
+    @pytest.mark.parametrize(
+        "scenario, cpus, threads",
+        [("point-mass", 8, 0), (GOLDEN, 1, 0), (GOLDEN, 2, 1), (GOLDEN, 8, 2)],
+        ids=["one-pair", "one-cpu", "two-cpus", "eight-cpus"],
+    )
+    def test_workers_beyond_this_thread(self, capsys, monkeypatch, scenario, cpus, threads):
+        # min(pairs, CPUs) workers, one of them this thread: a single pair
+        # or a single CPU runs inline and starts no thread.
+        import threading
+
+        from puffercal import cli
+
+        started = []
+
+        class Thread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        code, _, err = run_cli(
+            capsys, "breach", "--scenario", scenario, "--parameter", "1",
+            "--alpha", "2", "--n", "1000",
+        )
+        assert (code, err) == (0, "")
+        assert len(started) == threads
+
     @staticmethod
     def _one_pair_file(tmp_path, q_atoms):
         payload = {
@@ -857,5 +972,46 @@ def test_subnormal_epsilon_at_alpha_inf_is_a_solver_failure(capsys, command, kin
     assert (code, out) == (3, "")
     assert err == (
         f"solver failure: mechanism={kind} alpha=inf epsilon=1e-310: "
+        f"pair 'point-mass': {reason}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, kind, alpha, tail, reason",
+    [
+        ("calibrate", "laplace", "2", (),
+         "no finite laplace parameter: the seed bracket (2.8853900817779268, inf) overflows"),
+        ("calibrate", "laplace", "0.5", (),
+         "no finite laplace-sub-unit parameter: the seed bracket (0.7213475204444817, inf) "
+         "overflows"),
+        ("calibrate", "gaussian", "2", (),
+         "no finite gaussian parameter: the seed bracket (1.2011224087864498, inf) overflows"),
+        ("calibrate", "exponential", "2", (), "no finite theta has rate 1/theta = 5e-311"),
+        ("calibrate", "baseline-laplace", "2", (),
+         "no finite baseline-laplace parameter: the seed bracket (1.4426950408889634, inf) "
+         "overflows"),
+        ("calibrate", "baseline-gaussian", "2", (),
+         "no finite Gaussian sigma: sqrt(alpha W_inf^2 / (2 epsilon)) with "
+         "W_inf = 1.0, epsilon = 1e-310 overflows"),
+        ("verify", "gaussian", "2", (),
+         "no finite gaussian parameter: the seed bracket (1.2011224087864498, inf) overflows"),
+        ("breach", "laplace", "2", ("--n", "1000"),
+         "no finite laplace parameter: the seed bracket (2.8853900817779268, inf) overflows"),
+    ],
+    ids=["laplace", "laplace-sub-unit", "gaussian", "exponential", "baseline-laplace",
+         "baseline-gaussian", "verify-gaussian", "breach-laplace"],
+)
+def test_subnormal_epsilon_at_finite_alpha_is_a_solver_failure(
+    capsys, command, kind, alpha, tail, reason
+):
+    # At a subnormal epsilon the feasible bracket end (or closed form)
+    # overflows: every kind fails as a solver error naming its cell and pair.
+    code, out, err = run_cli(
+        capsys, command, "--scenario", "point-mass", "--mechanism", kind,
+        "--alpha", alpha, "--epsilon", "1e-310", *tail,
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"solver failure: mechanism={kind} alpha={float(alpha)!r} epsilon=1e-310: "
         f"pair 'point-mass': {reason}\n"
     )
