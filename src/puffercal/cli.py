@@ -43,6 +43,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# Most values one start:stop:step range of --alpha or --epsilon may hold.
+MAX_RANGE_VALUES = 10**6
+
 _CONFIG_ERRORS = (
     InvalidValue,
     IoError,
@@ -105,8 +108,14 @@ def _parse_grid(text: str, name: str) -> list[float]:
                 raise _ConfigError(f"{name}: range bounds must be finite, got {token!r}")
             if step <= 0 or stop < start:
                 raise _ConfigError(f"{name}: bad range {token!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            values.extend(start + k * step for k in range(count))
+            # Counted before any value is built: a range of 1e15 values would
+            # never finish (and an overflowing ratio is inf).
+            steps = (stop - start) / step + 1e-9
+            if steps >= MAX_RANGE_VALUES:
+                raise _ConfigError(
+                    f"{name}: range {token!r} has more than {MAX_RANGE_VALUES} values"
+                )
+            values.extend(start + k * step for k in range(math.floor(steps) + 1))
         else:
             try:
                 values.append(float(token))

@@ -121,7 +121,7 @@ class DiscreteDistribution:
             bucket = u.astype(np.uint16)
             out = indices[start : start + u.size]
             np.take(first, bucket, out=out)
-            fix = np.flatnonzero(ambiguous[bucket])
+            fix = np.flatnonzero(np.take(ambiguous, bucket))
             out[fix] = cdf.searchsorted(u[fix] / _GUIDE_BUCKETS, "right")
         return indices
 
@@ -311,13 +311,9 @@ def _exponential_norm(mech: ExponentialParams):
 
     The window [-L, L] is doubled until the unnormalized density at the
     edge drops below 1e-18 (the peak is exp(-rate*cost(0)) = 1), then Z is
-    computed by composite Simpson on a 100001-point grid. Costs whose
+    computed by composite Simpson (_simpson) on a 100001-point grid. Costs whose
     density never decays are rejected as non-normalizable.
     """
-    # Imported here: only costs other than |z| integrate, and scipy.integrate
-    # would otherwise be most of every command's import time and memory.
-    from scipy.integrate import simpson
-
     rate = mech.rate(mech.scale)
     halfwidth = 1.0
     for _ in range(80):
@@ -331,7 +327,7 @@ def _exponential_norm(mech: ExponentialParams):
         )
     grid = np.linspace(-halfwidth, halfwidth, 100001)
     pdf_unnorm = np.exp(-rate * _cost_on_grid(mech.cost, grid))
-    z_const = float(simpson(pdf_unnorm, x=grid))
+    z_const = _simpson(pdf_unnorm, grid)
     if not (math.isfinite(z_const) and z_const > 0.0):
         raise NonNormalizable(f"normalization integral evaluated to {z_const!r}")
     return math.log(z_const), halfwidth, grid, pdf_unnorm / z_const
@@ -378,10 +374,12 @@ def truncation_halfwidth(mech: MechanismParams) -> float:
     Laplace noise uses 40 scales, Gaussian 12 sigmas (tail mass < 1e-15 in
     both cases); an exponential mechanism with a cost other than |z| reuses
     its normalization window. The verifier pads its finite-order windows
-    and alpha = inf grids with it for Gaussian noise and custom costs only:
-    Laplace-type divergences integrate the atom hull and add the tails
-    past it in closed form (verify.renyi_divergence_numeric), so the
-    Laplace width serves as the padded window of the tests' oracles.
+    with it for Gaussian noise and custom costs only: Laplace-type
+    divergences integrate the atom hull and add the tails past it in
+    closed form (verify.renyi_divergence_numeric), so the Laplace width
+    serves as the padded window of the tests' oracles. It also pads the
+    alpha = inf grid of custom costs, and the window that the Gaussian
+    alpha = inf search and the breach classifier start from.
     """
     scale = laplace_scale(mech)
     if scale is not None:
@@ -599,11 +597,32 @@ def noise_variance(mech: MechanismParams) -> float:
             return 2.0 * scale**2
     except OverflowError:
         return math.inf
-    from scipy.integrate import simpson
-
     _, _, grid, pdf = _exponential_norm(mech)
-    mean = float(simpson(grid * pdf, x=grid))
-    return float(simpson((grid - mean) ** 2 * pdf, x=grid))
+    mean = _simpson(grid * pdf, grid)
+    return _simpson((grid - mean) ** 2 * pdf, grid)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at the points x, an odd number of them.
+
+    Each pair of steps h0, h1 takes the three-point rule for uneven
+    spacing, (h0 + h1)/6 (y0 (2 - h1/h0) + y1 (h0 + h1)^2 / (h0 h1) +
+    y2 (2 - h0/h1)), and the panels are summed. The arithmetic is
+    scipy.integrate.simpson's for an odd number of points (scipy 1.11 and
+    later), operation for operation, so on the same arrays the result is
+    bit for bit scipy's.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    panels = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / h0divh1)
+        + y[1::2] * (hsum * (hsum / hprod))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(panels))
 
 
 def sample_noise(mech: MechanismParams, rng: "np.random.Generator", n: int) -> np.ndarray:

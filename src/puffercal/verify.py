@@ -21,6 +21,7 @@ from .dist import (
     MechanismParams,
     PrivacySpec,
     ScenarioSet,
+    _prior_arrays,
     gaussian_tilted_log_sum,
     laplace_scale,
     log_sum_exp,
@@ -38,6 +39,8 @@ _MAX_ROUNDS = 60
 _CLASSIFY_ROUNDS = 64
 _MIN_WIDTH = 2.0**-30
 _MARGIN_ULPS = 64.0
+# Relative tolerance of the Gaussian alpha = inf supremum (see _gaussian_sup_log_ratios).
+_SUP_RTOL = 1e-12
 # Draws per chunk in monte_carlo_breach: its noise and sum buffers, the
 # settled-interval mask, and the sort buffer of the draws left after it.
 _DRAW_CHUNK = 2**16
@@ -388,28 +391,6 @@ def _log_ratio(
     return posterior_log_density_many(mech, p_i, ys) - posterior_log_density_many(mech, p_j, ys)
 
 
-def _tail_log_ratio_limits(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution
-) -> list[float]:
-    """Limits of log p(y) - log q(y) as y -> +/- inf for Gaussian noise.
-
-    Each tail is dominated by the extreme atom; a strictly larger reach
-    makes the ratio diverge. Limits tending to -inf are omitted since they
-    never attain the supremum. (Laplace noise, every |z|-cost exponential
-    mechanism included, never gets here: see _sup_log_ratios.)
-    """
-    limits = []
-    if p_i.max_atom > p_j.max_atom:
-        limits.append(math.inf)
-    elif p_i.max_atom == p_j.max_atom:
-        limits.append(math.log(p_i.masses[-1]) - math.log(p_j.masses[-1]))
-    if p_i.min_atom < p_j.min_atom:
-        limits.append(math.inf)
-    elif p_i.min_atom == p_j.min_atom:
-        limits.append(math.log(p_i.masses[0]) - math.log(p_j.masses[0]))
-    return limits
-
-
 def _sup_log_ratios(
     p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams, both: bool
 ) -> list[float]:
@@ -419,38 +400,287 @@ def _sup_log_ratios(
     atoms of either prior: between adjacent atoms each posterior density
     is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
     the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there, and beyond the
-    extreme atoms it is constant. Other noise takes the maximum over a
-    dense grid with a local refinement, plus the tail limits (Gaussian
-    noise) or, without a closed form, far probes.
+    extreme atoms it is constant. Gaussian noise takes the branch and
+    bound of _gaussian_sup_log_ratios, certified on the whole line. Custom
+    costs take the maximum over a dense grid with a local refinement,
+    plus far probes.
 
     The directions share one log-ratio array on the knots, the grid and
     the probes: the second direction's is the first one's negation, which
-    is exact, since fl(x - y) = -fl(y - x). The refinement and the tail
-    limits are per direction.
+    is exact, since fl(x - y) = -fl(y - x). The refinement is per
+    direction.
     """
     knots = sorted(set(p_i.atoms) | set(p_j.atoms))
     directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
     if laplace_scale(mech) is not None:
         ratios = _log_ratio(p_i, p_j, mech, np.asarray(knots))
         return [max(float(np.max(sign * ratios)), 0.0) for _, _, sign in directions]
+    if isinstance(mech, GaussianParams):
+        return [sup for sup, _ in _gaussian_sup_log_ratios(p_i, p_j, mech, both)]
 
     grid = _dense_grid(mech, knots)
     ratios = _log_ratio(p_i, p_j, mech, grid)
-    gaussian = isinstance(mech, GaussianParams)
-    if not gaussian:
-        # No closed-form tails for this mechanism: probe geometrically far out.
-        pad = truncation_halfwidth(mech)
-        probes = []
-        for k in range(8):
-            offset = pad * (2.0**k)
-            probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
-        probe_ratios = _log_ratio(p_i, p_j, mech, np.asarray(probes))
-    sups = []
-    for p, q, sign in directions:
-        best = _grid_max_log_ratio(p, q, mech, grid, sign * ratios)
-        tails = _tail_log_ratio_limits(p, q) if gaussian else [float(np.max(sign * probe_ratios))]
-        sups.append(max(best, *tails, 0.0))
-    return sups
+    # No closed-form tails for a custom cost: probe geometrically far out.
+    pad = truncation_halfwidth(mech)
+    probes = []
+    for k in range(8):
+        offset = pad * (2.0**k)
+        probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
+    probe_ratios = _log_ratio(p_i, p_j, mech, np.asarray(probes))
+    return [
+        max(_grid_max_log_ratio(p, q, mech, grid, sign * ratios),
+            float(np.max(sign * probe_ratios)), 0.0)
+        for p, q, sign in directions
+    ]
+
+
+def _gaussian_sup_log_ratios(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: GaussianParams, both: bool
+) -> list[tuple[float, float]]:
+    """(sup, bound) for r = log p - log q under Gaussian noise, per direction as in _sup_log_ratios.
+
+    sup is the largest value of r found, floored at 0, and bound a
+    certified upper bound on r over the whole line: the largest upper
+    bound plus rounding margin of the intervals and tails that settled.
+    Unless a cap below is reached, bound <= sup + _sup_tolerance(sup) +
+    margin. Both are +inf when p has an atom past q's extreme one on
+    either side.
+
+    - Window: _breach_intervals' (_window), the atom range padded by
+      12 sigma and cut at the noise scale, bounded by _log_ratio_bounds.
+      Each round (_refine) bounds r on the open intervals and evaluates
+      it at their midpoints; the largest value so far is the incumbent,
+      which starts at 0 and the tail limits. An interval whose upper bound
+      plus margin is below the incumbent is pruned, one whose upper bound
+      is within _sup_tolerance(incumbent) of it is settled, and the rest
+      are halved. (Settling within the margin instead would let the
+      incumbent stop up to the margin, often 1e-11, short of the maximum.)
+    - Tails: past the window each half-line is bounded by a constant
+      (_gaussian_tail_bound) that falls to the limit of r there,
+      log(m_p / m_q) at equal extreme atoms, or to -inf. Until that
+      constant is within the tolerance plus its margin of the incumbent
+      (0 or the tail limits), the window
+      is widened geometrically (_tail_doublings): the segment from reach e
+      to 2e past the extreme knot joins the search, bounded by
+      _far_log_ratio_bounds, and the tail starts at 2e.
+
+    The directions share each round's bounds, since the bounds on -r are
+    the negated bounds on r. Each prunes, settles and widens on its own
+    intervals and incumbent, and the bounds and values of an interval do
+    not depend on the others computed with it, so both directions give
+    bit for bit what two one-way calls give.
+
+    Where r stays just below the incumbent over a long stretch (nearly
+    equal priors, or r creeping up to its limit along a tail, where its
+    gap to the limit shrinks like e^-2t and the bounds' slack like
+    e^-t w^2), every interval there stays open until very narrow. Once
+    halving a direction's open intervals would leave more than
+    most_open = four times its starting intervals plus 64, only the
+    most_open / 2 with the largest midpoint values are halved, and the
+    bounds of the others join its certificate as they are; so do those of
+    the intervals still open after _CLASSIFY_ROUNDS rounds. sup is still
+    the largest value found, and bound is then looser than the tolerance.
+    Raises IntegrationFailure when a tail does not settle
+    (_tail_doublings).
+    """
+    sigma = mech.sigma
+    knots, a, b = _window(p_i, p_j, mech)
+    pad = truncation_halfwidth(mech)
+    directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
+    best, bound, doublings = [], [], []
+    for p, q, _ in directions:
+        if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
+            best.append(math.inf)
+            bound.append(math.inf)
+            doublings.append(None)
+            continue
+        # r tends to log(m_p / m_q) past equal extreme atoms, and sup r >= 0.
+        incumbent = max([0.0] + [
+            math.log(p.masses[k]) - math.log(q.masses[k])
+            for k in (0, -1) if p.atoms[k] == q.atoms[k]
+        ])
+        tails = [_tail_doublings(p, q, sigma, side, pad, incumbent) for side in (-1.0, 1.0)]
+        best.append(incumbent)
+        bound.append(max(tail for _, tail in tails))
+        doublings.append([n for n, _ in tails])
+    # Segment k on a side spans reach pad 2^k to pad 2^(k+1) past the extreme knot.
+    counts = [max([0] + [n[s] for n in doublings if n is not None]) for s in (0, 1)]
+    lo_edge, hi_edge = float(a[0]), float(b[-1])
+    far_a, far_b, far_live = [], [], []
+    for s, (edge, side) in enumerate(((float(knots[0]), -1.0), (float(knots[-1]), 1.0))):
+        for k in range(counts[s]):
+            inner, outer = edge + side * pad * 2.0**k, edge + side * pad * 2.0 ** (k + 1)
+            far_a.append(min(inner, outer))
+            far_b.append(max(inner, outer))
+            far_live.append([n is not None and k < n[s] for n in doublings])
+    a = np.concatenate((a, far_a))
+    b = np.concatenate((b, far_b))
+    finite = [n is not None for n in doublings]
+    live = np.array([finite] * (a.size - len(far_a)) + far_live, dtype=bool).T
+
+    def bounds(a, b):
+        far = (b <= lo_edge) | (a >= hi_edge)
+        out = tuple(np.empty(a.size) for _ in range(5))
+        for mask, part in (
+            (~far, _log_ratio_bounds(p_i, p_j, mech, a[~far], b[~far])),
+            (far, _far_log_ratio_bounds(p_i, p_j, sigma, knots, a[far], b[far])),
+        ):
+            for o, v in zip(out, part):
+                o[mask] = v
+        return out
+
+    most_open = [4 * (int(own.sum()) + 1) + 64 for own in live]
+
+    def certify(d, lower, upper, margin, mask):
+        up = (upper if directions[d][2] > 0.0 else -lower)[mask] + margin[mask]
+        if up.size:
+            worst = float(np.max(up))
+            bound[d] = math.inf if math.isnan(worst) else max(bound[d], worst)
+
+    def settle(a, b, lower, upper, margin, _, values):
+        nonlocal live
+        for d, (_, _, sign) in enumerate(directions):
+            own = live[d]
+            if not own.any():
+                continue
+            best[d] = max(best[d], float(np.fmax.reduce(sign * values[own])))
+            up = upper if sign > 0.0 else -lower
+            pruned = up + margin < best[d]
+            settled = own & ~pruned & (up <= best[d] + _sup_tolerance(best[d]))
+            certify(d, lower, upper, margin, settled)
+            live[d] = own & ~pruned & ~settled
+            if 2 * np.count_nonzero(live[d]) > most_open[d]:
+                # Halve only the intervals with the largest values of r.
+                rest = np.flatnonzero(live[d])
+                rest = rest[np.argsort(sign * values[rest], kind="stable")[: -(most_open[d] // 2)]]
+                dropped = np.zeros_like(own)
+                dropped[rest] = True
+                certify(d, lower, upper, margin, dropped)
+                live[d] &= ~dropped
+        split = live.any(axis=0)
+        live = np.tile(live[:, split], 2)
+        return split
+
+    a, b = _refine(a, b, bounds, settle, math.inf)
+    if a.size:
+        # Still open after _CLASSIFY_ROUNDS rounds.
+        lower, upper, margin, _, _ = bounds(a, b)
+        for d in range(len(directions)):
+            certify(d, lower, upper, margin, live[d])
+    return [(value, max(value, limit)) for value, limit in zip(best, bound)]
+
+
+def _sup_tolerance(best: float) -> float:
+    return _SUP_RTOL * max(1.0, abs(best))
+
+
+def _tail_doublings(
+    p: DiscreteDistribution,
+    q: DiscreteDistribution,
+    sigma: float,
+    side: float,
+    pad: float,
+    incumbent: float,
+) -> tuple[int, float]:
+    """(k, bound): past reach pad 2^k of q's extreme atom on side, r is within tolerance of the incumbent.
+
+    k is the fewest doublings of the reach after which _gaussian_tail_bound
+    is within _sup_tolerance(incumbent) plus its margin of the incumbent,
+    and bound is that bound plus its margin. The bound falls to the limit
+    of r on that side as the reach grows, and the incumbent is at least
+    that limit, so k is finite: about log2(sigma / d) plus a few, for d
+    the distance from the extreme atom to p's nearest other one. Raises
+    IntegrationFailure when the reach leaves the float range first, as
+    it does for a sigma near 1e154 or more against atoms a unit apart.
+    """
+    reach, k = pad, 0
+    while math.isfinite(reach):
+        tail, margin = _gaussian_tail_bound(p, q, sigma, side, reach)
+        if tail <= incumbent + _sup_tolerance(incumbent) + margin:
+            return k, tail + margin
+        reach *= 2.0
+        k += 1
+    raise IntegrationFailure("alpha = inf tail bound does not settle within the float range")
+
+
+def _gaussian_tail_bound(
+    p: DiscreteDistribution, q: DiscreteDistribution, sigma: float, side: float, reach: float
+) -> tuple[float, float]:
+    """A bound on log p - log q for Gaussian noise past q's extreme atom on side, and its margin.
+
+    side = 1 takes y >= B + reach with B = q's largest atom, side = -1
+    y <= B - reach with B its smallest; p has no atom past B. With
+    d_i = |a_i - B| for p's atoms and t = |y - B| >= reach,
+    (y - a_i)^2 - (y - B)^2 = d_i (2 t + d_i), and q(y) >= m^q_B phi(y - B),
+    so
+        log p(y) - log q(y) <= log sum_i m_i exp(-d_i (2 reach + d_i) / 2 sigma^2) - log m^q_B.
+    This is p's tilted sum at the window edge B + reach less the extreme
+    term of q's, with the common (y - B)^2 / 2 sigma^2 taken out exactly:
+    every exponent is at most 0. As the reach grows it falls to
+    log(m^p_B / m^q_B) when p has an atom at B, and to -inf otherwise.
+    The margin is _log_ratio_bounds' with M the smallest exponent
+    magnitude: the rounding of a term e^-x below the largest one is
+    damped by that factor.
+    """
+    atoms, log_masses = _prior_arrays(p)
+    k = -1 if side > 0.0 else 0
+    d = side * (q.atoms[k] - atoms) / sigma
+    # In units of sigma, so that no sigma^2 or 2 reach leaves the float
+    # range at extreme scales (an inf there would read as a settled tail).
+    with np.errstate(over="ignore"):
+        x = d * (reach / sigma) + 0.5 * d * d
+    value = float(log_sum_exp(log_masses - x)) - math.log(q.masses[k])
+    return value, _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p, q, sigma) + float(x.min()))
+
+
+def _far_log_ratio_bounds(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    sigma: float,
+    knots: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """_log_ratio_bounds' arrays for intervals past the atom range, with nan for the bound on log p.
+
+    The tilted sums are taken about the nearer extreme knot B, at
+    t = y - B (dist.gaussian_tilted_log_sum): about the interval's own
+    midpoint, far from every atom, each exponent would hold a square
+    (y - a_i)^2 / 2 sigma^2 whose rounding outgrows the ratio itself.
+    G(t) is convex, so on [t_a, t_b] with midpoint t_m it lies under the
+    chords through its values there, and above the secant through (t_m,
+    G_m) and (t_b, G_b) extended to [t_a, t_m] (likewise on the right).
+    The differences of these lines are affine on each half, so with
+    S_a = G_m - (G_b - G_m) h and S_b = G_m - (G_a - G_m) / h,
+    h = (t_m - t_a) / (t_b - t_m),
+        r <= max(G^p_a - S^q_a, G^p_m - G^q_m, G^p_b - S^q_b),
+        r >= min(S^p_a - G^q_a, G^p_m - G^q_m, S^p_b - G^q_b),
+    and both close in on r quadratically as the interval shrinks. Past
+    B every exponent's terms share a sign, so each G is off by a few
+    ulps of |G| + n + L; the margin, 64 u (L + n + |log s| + 3 + max |G|),
+    covers the four of them in each bound.
+    """
+    anchors = np.where(b <= knots[0], knots[0], knots[-1])
+    t_a, t_b = a - anchors, b - anchors
+    t_m = t_a + 0.5 * (t_b - t_a)
+    offsets = np.stack((t_a, t_m, t_b), axis=1)
+    gp, _ = gaussian_tilted_log_sum(p_i, sigma, anchors, offsets)
+    gq, _ = gaussian_tilted_log_sum(p_j, sigma, anchors, offsets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A zero-width half gives nan bounds, which neither prune nor settle.
+        h = (t_m - t_a) / (t_b - t_m)
+
+        def secants(g):
+            return g[:, 1] - (g[:, 2] - g[:, 1]) * h, g[:, 1] - (g[:, 0] - g[:, 1]) / h
+
+        sp_a, sp_b = secants(gp)
+        sq_a, sq_b = secants(gq)
+    mid = gp[:, 1] - gq[:, 1]
+    upper = np.maximum(np.maximum(gp[:, 0] - sq_a, gp[:, 2] - sq_b), mid)
+    lower = np.minimum(np.minimum(sp_a - gq[:, 0], sp_b - gq[:, 2]), mid)
+    size = np.maximum(np.abs(gp).max(axis=1), np.abs(gq).max(axis=1))
+    margin = _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p_i, p_j, sigma) + size)
+    return lower, upper, margin, np.full(a.size, math.nan), mid
 
 
 def _dense_grid(mech: MechanismParams, knots: list[float]) -> np.ndarray:
@@ -473,8 +703,10 @@ def _grid_max_log_ratio(
 ) -> float:
     """Max of log p(y) - log q(y), given its values diffs on the grid ys (_dense_grid).
 
-    The best grid point is refined by a bounded scalar search between its
-    neighbours, which evaluates the same density kernel on one-point arrays.
+    The best grid point is refined by a golden-section search between its
+    neighbours (_golden_section_max, to xatol = 1e-12 max(1, |best|)),
+    which evaluates the same density kernel on one-point arrays; the
+    result is never below the grid's own maximum.
     """
     best_idx = int(np.argmax(diffs))
     best = float(diffs[best_idx])
@@ -482,16 +714,41 @@ def _grid_max_log_ratio(
     left = float(ys[max(0, best_idx - 1)])
     right = float(ys[min(ys.size - 1, best_idx + 1)])
     if right > left:
-        # Imported here: only Gaussian and custom-cost alpha = inf refine.
-        from scipy.optimize import minimize_scalar
-
-        refined = minimize_scalar(
-            lambda y: -float(_log_ratio(p_i, p_j, mech, np.array([y]))[0]),
-            bounds=(left, right),
-            method="bounded",
-            options={"xatol": 1e-12 * max(1.0, abs(best))},
+        refined = _golden_section_max(
+            lambda y: float(_log_ratio(p_i, p_j, mech, np.array([y]))[0]),
+            left, right, 1e-12 * max(1.0, abs(best)),
         )
-        best = max(best, float(-refined.fun))
+        best = max(best, refined)
+    return best
+
+
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """The largest value of f seen by a golden-section search for its maximum on [lo, hi].
+
+    The bracket shrinks by 1/phi per evaluation until it is at most xatol
+    wide, or until its inner points no longer lie strictly inside it (at
+    the float spacing of the bracket). Each step keeps the side of the
+    larger inner value, so for f unimodal on [lo, hi] the maximizer stays
+    in the bracket (Kiefer 1953).
+    """
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = max(f1, f2)
+    while hi - lo > xatol and lo < x1 < x2 < hi:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+            best = max(best, f1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+            best = max(best, f2)
     return best
 
 
@@ -764,20 +1021,11 @@ def _breach_intervals(
     changes (Laguerre's rule of signs, Polya & Szego, Part V, problem 77),
     so only the intervals near those few crossings stay open for long.
     """
-    knots = np.array(sorted(set(p_i.atoms) | set(p_j.atoms)))
-    pad = truncation_halfwidth(mech)
-    most_open = 4 * (knots.size + 1) + 64
-    edges = _cuts(
-        knots, float(knots[0]) - pad, float(knots[-1]) + pad,
-        mech.sigma if isinstance(mech, GaussianParams) else 0.0,
-    )
-    a, b = edges[:-1], edges[1:]
+    knots, a, b = _window(p_i, p_j, mech)
     log_n = math.log(n)
     starts, ends, above = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
-    for _ in range(_CLASSIFY_ROUNDS):
-        if a.size == 0 or a.size > most_open:
-            break
-        lower, upper, margin, log_density = _log_ratio_bounds(p_i, p_j, mech, a, b)
+
+    def settle(a, b, lower, upper, margin, log_density, _):
         high = lower > epsilon + margin
         certified = high | (upper < epsilon - margin)
         starts.append(a[certified])
@@ -788,10 +1036,12 @@ def _breach_intervals(
         with np.errstate(divide="ignore"):
             # A zero-width interval (narrow already) logs to -inf.
             sparse = log_n + np.log(b - a) + log_density < 0.0
-        split = ~(certified | banded | narrow | sparse)
-        a, b = a[split], b[split]
-        mid = 0.5 * (a + b)
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        return ~(certified | banded | narrow | sparse)
+
+    _refine(
+        a, b, lambda a, b: _log_ratio_bounds(p_i, p_j, mech, a, b), settle,
+        4 * (knots.size + 1) + 64,
+    )
     starts, ends, above = (np.concatenate(v) for v in (starts, ends, above))
     order = np.argsort(starts)
     starts, ends, above = starts[order], ends[order], above[order]
@@ -800,14 +1050,58 @@ def _breach_intervals(
     return starts[head], ends[np.roll(head, -1)], above[head]
 
 
+def _window(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knots, a, b): the merged atoms, and the intervals [a[k], b[k]] that cut the padded atom range.
+
+    The range is the knots' padded by truncation_halfwidth(mech), cut by
+    _cuts at the knots, with h = sigma for Gaussian noise (its bounds hold
+    on any interval) and at every knot otherwise.
+    """
+    knots = np.array(sorted(set(p_i.atoms) | set(p_j.atoms)))
+    pad = truncation_halfwidth(mech)
+    edges = _cuts(
+        knots, float(knots[0]) - pad, float(knots[-1]) + pad,
+        mech.sigma if isinstance(mech, GaussianParams) else 0.0,
+    )
+    return knots, edges[:-1], edges[1:]
+
+
+def _refine(
+    a: np.ndarray,
+    b: np.ndarray,
+    bounds: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
+    settle: Callable[..., np.ndarray],
+    most_open: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Branch and bound over the intervals [a[k], b[k]]; returns the ones left open.
+
+    Each round calls settle(a, b, *bounds(a, b)) on the open intervals
+    for the mask of those to keep open, and halves those: the left
+    halves, in order, then the right ones. It stops when none is open,
+    after _CLASSIFY_ROUNDS rounds, or once more than most_open are open.
+    """
+    for _ in range(_CLASSIFY_ROUNDS):
+        if a.size == 0 or a.size > most_open:
+            break
+        split = settle(a, b, *bounds(a, b))
+        a, b = a[split], b[split]
+        with np.errstate(over="ignore"):
+            # Past about 9e307 the sum is inf; such a half certifies nothing.
+            mid = 0.5 * (a + b)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    return a, b
+
+
 def _log_ratio_bounds(
     p_i: DiscreteDistribution,
     p_j: DiscreteDistribution,
     mech: MechanismParams,
     a: np.ndarray,
     b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds on log p - log q over each [a[k], b[k]], a rounding margin, and a bound on log p.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on log p - log q over each [a[k], b[k]], a rounding margin, a bound on log p, and a value.
 
     - Laplace noise (the intervals hold no atom of either prior inside):
       between adjacent atoms the ratio is monotone, and
@@ -830,12 +1124,16 @@ def _log_ratio_bounds(
     scaled by 1 + w D / s^2 for an interval of width w, since a rounding
     of the tangent's slope grows with the distance from c.
 
-    The last array bounds log p over each interval, up to rounding, for
+    The fourth array bounds log p over each interval, up to rounding, for
     _breach_intervals' expected-draw floor: for Laplace noise the larger
     of its endpoint values, since between atoms p is a sum of exponentials
     in y and so convex; for Gaussian noise max(G^p_c at the ends) -
     log(sigma sqrt(2 pi)), since G^p_c is convex and the dropped term
     -t^2 / 2 sigma^2 is at most 0.
+
+    The last array is log p - log q at a point of each interval, for
+    _gaussian_sup_log_ratios' incumbent: at the midpoint, G^p_c(0) -
+    G^q_c(0), for Gaussian noise, and at a for Laplace noise.
     """
     reach = np.maximum(
         b - min(p_i.min_atom, p_j.min_atom), max(p_i.max_atom, p_j.max_atom) - a
@@ -848,6 +1146,7 @@ def _log_ratio_bounds(
         at_a, at_b = values[: a.size], values[a.size :]
         lower, upper = np.minimum(at_a, at_b), np.maximum(at_a, at_b)
         log_density = np.maximum(log_p[: a.size], log_p[a.size :])
+        value = at_a
         exponent = reach / scale
         spread = 1.0
     else:
@@ -864,13 +1163,20 @@ def _log_ratio_bounds(
             gp[:, 1] + slope_p * t_a - gq[:, 0], gp[:, 1] + slope_p * t_b - gq[:, 2]
         )
         log_density = np.maximum(gp[:, 0], gp[:, 2]) - math.log(scale * math.sqrt(2.0 * math.pi))
-        # At a vanishing scale the margin is inf or nan, which certifies nothing.
+        # At a vanishing scale the sums are inf or nan, and so is the
+        # margin, which certifies nothing.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = gp[:, 1] - gq[:, 1]
             exponent = np.square(reach / scale)
-            spread = 1.0 + (b - a) * reach / scale**2
-    fixed = (
+            spread = 1.0 + (b - a) * reach / np.square(scale)
+    with np.errstate(over="ignore"):
+        margin = _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p_i, p_j, scale) + exponent) * spread
+    return lower, upper, margin, log_density, value
+
+
+def _fixed_rounding(p_i: DiscreteDistribution, p_j: DiscreteDistribution, scale: float) -> float:
+    """The terms L + n + |log s| + 3 of _log_ratio_bounds' margin, which do not depend on y."""
+    return (
         3.0 - math.log(min(p_i.masses + p_j.masses))
         + len(p_i.atoms) + len(p_j.atoms) + abs(math.log(scale))
     )
-    margin = _MARGIN_ULPS * 2.0**-53 * (fixed + exponent) * spread
-    return lower, upper, margin, log_density

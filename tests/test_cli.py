@@ -47,9 +47,9 @@ print(json.dumps(steps))
 
 
 def test_cli_import_leaves_scipy_out():
-    # numpy.random serves breach alone, and scipy custom exponential costs
-    # and Gaussian alpha = inf only: importing the CLI loads neither, the
-    # default-mechanism calibrate, verify and sweep calls load neither,
+    # numpy.random serves breach alone, and scipy is test-only: importing
+    # the CLI loads neither, the default-mechanism calibrate, verify and
+    # sweep calls load neither,
     # and breach loads numpy.random when it seeds its generator. breach
     # spreads its pairs over threads without concurrent.futures.
     import puffercal
@@ -66,6 +66,67 @@ def test_cli_import_leaves_scipy_out():
     assert json.loads(result.stdout) == [
         [False, False, False], [False, False, False], [True, False, False]
     ]
+
+
+_CUSTOM_COST_PROBE = """
+import math, sys
+from puffercal import DiscreteDistribution, ExponentialParams, GaussianParams
+from puffercal.dist import noise_variance
+from puffercal.verify import monte_carlo_breach, renyi_divergence_numeric
+
+mech = ExponentialParams(scale=1.0, cost=lambda z: 0.5 * abs(z))
+p = DiscreteDistribution((0.0, 1.0), (0.5, 0.5))
+q = DiscreteDistribution((0.0, 2.0), (0.5, 0.5))
+assert noise_variance(mech) > 0.0
+assert renyi_divergence_numeric(p, q, mech, 2.0) > 0.0
+assert renyi_divergence_numeric(p, q, mech, math.inf) > 0.0
+monte_carlo_breach(p, q, mech, 0.5, 2000, 3)
+r = DiscreteDistribution((0.0, 2.0), (0.2, 0.8))
+assert 0.0 < renyi_divergence_numeric(q, r, GaussianParams(1.0), math.inf) < math.inf
+print("scipy" in sys.modules)
+"""
+
+
+def test_custom_costs_leave_scipy_out():
+    # scipy is a test-only dependency: the custom-cost Simpson normalizer,
+    # variance, divergences at a finite order and at inf, and Monte Carlo,
+    # and Gaussian alpha = inf all run on numpy alone.
+    import puffercal
+
+    src = str(Path(puffercal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", _CUSTOM_COST_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_huge_range_is_refused_before_it_is_built(capsys):
+    # 1:1e12:1e-3 is about 1e15 values: the count is checked first, so the
+    # refusal allocates (almost) nothing.
+    import tracemalloc
+
+    from puffercal.cli import MAX_RANGE_VALUES, _ConfigError, _parse_grid
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ConfigError, match=f"more than {MAX_RANGE_VALUES} values"):
+            _parse_grid("1:1e12:1e-3", "--alpha")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(_ConfigError, match="more than"):
+        _parse_grid(f"0:{MAX_RANGE_VALUES}:1", "--epsilon")
+    with pytest.raises(_ConfigError, match="more than"):
+        _parse_grid("-1e308:1e308:1e-300", "--alpha")
+    code, _, err = run_cli(
+        capsys, "calibrate", "--scenario", "point-mass", "--alpha", "1:1e12:1e-3",
+    )
+    assert code == 2
+    assert "--alpha: range '1:1e12:1e-3' has more than 1000000 values" in err
 
 
 def parse_csv(text):

@@ -517,6 +517,42 @@ class TestNoiseVarianceAndSampling:
         assert np.var(draws) == pytest.approx(2.0, rel=0.05)
 
 
+CUSTOM_COSTS = {
+    "half-abs": lambda z: 0.5 * abs(z),
+    "sqrt": lambda z: abs(z) ** 0.5,
+    "three-quarter-power": lambda z: abs(z) ** 0.75,
+}
+
+
+class TestSimpson:
+    """dist._simpson is scipy.integrate.simpson's arithmetic on an odd number of points."""
+
+    @pytest.mark.parametrize("cost", sorted(CUSTOM_COSTS))
+    def test_custom_cost_integrals_match_scipy_bit_for_bit(self, cost):
+        from scipy.integrate import simpson
+
+        from puffercal.dist import _cost_on_grid, _exponential_norm, _simpson
+
+        mech = ExponentialParams(scale=1.3, cost=CUSTOM_COSTS[cost])
+        log_norm, _, grid, pdf = _exponential_norm(mech)
+        assert grid.size == 100001
+        unnormalized = np.exp(-mech.rate(mech.scale) * _cost_on_grid(mech.cost, grid))
+        assert log_norm == math.log(float(simpson(unnormalized, x=grid)))
+        mean = float(simpson(grid * pdf, x=grid))
+        for y in (unnormalized, pdf, grid * pdf, (grid - mean) ** 2 * pdf):
+            assert _simpson(y, grid) == float(simpson(y, x=grid))
+        assert noise_variance(mech) == float(simpson((grid - mean) ** 2 * pdf, x=grid))
+
+    def test_uneven_spacing_matches_scipy(self, rng):
+        from scipy.integrate import simpson
+
+        from puffercal.dist import _simpson
+
+        x = np.cumsum(rng.uniform(0.1, 1.0, 1001))
+        y = np.sin(x) + rng.uniform(0.0, 0.01, x.size)
+        assert _simpson(y, x) == float(simpson(y, x=x))
+
+
 class TestPrivacySpec:
     def test_alpha_one_rejected(self):
         with pytest.raises(InvalidValue, match="alpha = 1 rejected"):

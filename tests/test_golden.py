@@ -18,7 +18,12 @@ in closed form. So in those three files `divergence_ij`, `divergence_ji`
 and `slack` are compared within the quadrature's 1e-10 |I| bound
 carried to the divergence, 1e-10 / |alpha - 1| absolute,
 `chernoff_bound` = exp((alpha - 1)(D - epsilon)) within 1e-10 relative,
-and every other column exactly. The files themselves are unchanged.
+and every other column exactly. `gaussian_inf` was the maximum of a
+dense grid with a bounded search; it is now a branch and bound certified
+to 1e-12 relative, so there `divergence_ij`, `divergence_ji` and `slack`
+are compared within 1e-12 relative (an infinite value exactly) and every
+other column, and the exit code, exactly. The files themselves are
+unchanged.
 
 The `golden_sweep_*` files are `sweep` output on the same scenario from
 the code that solved each (mechanism, alpha, epsilon, pair) on its own,
@@ -111,6 +116,25 @@ def _assert_within_quadrature_tolerance(got, want):
         ]
 
 
+def _assert_within_supremum_tolerance(got, want):
+    assert len(got) == len(want)
+    header = want[0]
+    assert got[0] == header
+    relative = [header.index(name) for name in ("divergence_ij", "divergence_ji", "slack")]
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for column in relative:
+            got_value, want_value = float(got_row[column]), float(want_row[column])
+            if math.isinf(want_value):
+                assert got_value == want_value, (header[column], got_row, want_row)
+            else:
+                assert math.isclose(got_value, want_value, rel_tol=1e-12), (
+                    header[column], got_row, want_row
+                )
+        assert [v for k, v in enumerate(got_row) if k not in relative] == [
+            v for k, v in enumerate(want_row) if k not in relative
+        ]
+
+
 @pytest.mark.parametrize("name", sorted(VERIFY_CALLS))
 def test_verify_matches_golden(capsys, name):
     options, code = VERIFY_CALLS[name]
@@ -119,6 +143,8 @@ def test_verify_matches_golden(capsys, name):
     got = capsys.readouterr().out
     if name.endswith("_finite"):
         _assert_within_quadrature_tolerance(_rows(got), _rows(want))
+    elif name == "gaussian_inf":
+        _assert_within_supremum_tolerance(_rows(got), _rows(want))
     else:
         assert got == want
 

@@ -229,6 +229,144 @@ class TestRenyiDivergenceNumeric:
         for pair in ((p, q), (q, p), (point_mass(0.0), point_mass(1.0))):
             assert renyi_divergence_numeric(*pair, mech, math.inf) > 0.0
 
+    def test_gaussian_infinite_order_needs_no_grid(self, monkeypatch):
+        # Gaussian alpha = inf is a branch and bound on certified bounds: no
+        # dense grid, no bounded scalar search.
+        import puffercal.verify as verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid search called for Gaussian alpha = inf")
+
+        monkeypatch.setattr(verify, "_dense_grid", forbidden)
+        monkeypatch.setattr(verify, "_grid_max_log_ratio", forbidden)
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
+        q = DiscreteDistribution(atoms=(0.0, 2.0, 2.5), masses=(0.6, 0.3, 0.1))
+        mech = GaussianParams(0.7)
+        assert 0.0 < renyi_divergence_numeric(p, q, mech, math.inf) < math.inf
+        assert renyi_divergence_both_ways(p, q, mech, math.inf)[1] > 0.0
+        assert renyi_divergence_numeric(point_mass(0.0), point_mass(1.0), mech, math.inf) == math.inf
+
+    @staticmethod
+    def _grid_supremum(p, q, mech):
+        """The supremum as the grid search found it: grid maximum, refinement, tail limits."""
+        import puffercal.verify as verify
+
+        if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
+            return math.inf
+        knots = sorted(set(p.atoms) | set(q.atoms))
+        ys = verify._dense_grid(mech, knots)
+        best = verify._grid_max_log_ratio(p, q, mech, ys, verify._log_ratio(p, q, mech, ys))
+        limits = [
+            math.log(p.masses[k]) - math.log(q.masses[k])
+            for k in (0, -1) if p.atoms[k] == q.atoms[k]
+        ]
+        return max(best, *limits, 0.0)
+
+    def test_gaussian_infinite_order_atoms_near_1e4_small_sigma(self):
+        # Conditioning: exponents up to (1 / 0.01)^2 / 2 = 5000 in the window.
+        from puffercal.verify import _gaussian_sup_log_ratios
+
+        mech = GaussianParams(0.01)
+        p = DiscreteDistribution((1e4, 1e4 + 0.5, 1e4 + 1.0), (0.5, 0.3, 0.2))
+        q = DiscreteDistribution((1e4, 1e4 + 0.25, 1e4 + 1.0), (0.3, 0.3, 0.4))
+        for (sup, bound), (a, b) in zip(_gaussian_sup_log_ratios(p, q, mech, True), ((p, q), (q, p))):
+            want = self._grid_supremum(a, b, mech)
+            assert sup >= want - 1e-12 * max(1.0, abs(want))
+            assert want <= bound and sup <= bound <= sup + 1e-9 * max(1.0, abs(sup))
+        # r peaks near 1e4 + 0.625, where q's terms at 1e4 + 0.25 and 1e4 + 1
+        # cross: about (0.375^2 - 0.125^2) / (2 * 0.01^2) = 625 there.
+        assert renyi_divergence_numeric(p, q, mech, math.inf) == pytest.approx(625.0, rel=2e-3)
+
+    def test_gaussian_infinite_order_larger_extreme_atom_is_infinite(self):
+        from puffercal.verify import _gaussian_sup_log_ratios
+
+        mech = GaussianParams(1.5)
+        wide = DiscreteDistribution((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))
+        narrow = DiscreteDistribution((-1.0, 0.0, 1.0), (0.2, 0.5, 0.3))
+        (up, up_bound), (down, down_bound) = _gaussian_sup_log_ratios(wide, narrow, mech, True)
+        assert up == up_bound == math.inf
+        assert 0.0 < down <= down_bound < math.inf
+        left = DiscreteDistribution((-2.0, 0.0, 1.0), (0.2, 0.5, 0.3))
+        assert renyi_divergence_numeric(left, narrow, mech, math.inf) == math.inf
+
+    def test_gaussian_supremum_past_the_window(self):
+        # Past the equal extreme atom 0, r - log(m_p / m_q) is about
+        # exp(-0.05 t) - 100 exp(-0.1 t) for sigma = 1, which peaks near
+        # t = 106, far past the 12 sigma window; the grid search read the
+        # limit log(50.5) there instead.
+        from puffercal.verify import _gaussian_sup_log_ratios
+
+        mech = GaussianParams(1.0)
+        p = DiscreteDistribution((-0.05, 0.0), (0.5, 0.5))
+        q = DiscreteDistribution((-0.1, 0.0), (100.0 / 101.0, 1.0 / 101.0))
+        ((sup, bound),) = _gaussian_sup_log_ratios(p, q, mech, False)
+        assert sup > self._grid_supremum(p, q, mech) + 2e-3
+        ts = np.linspace(90.0, 120.0, 30001)
+        far = posterior_log_density_dense(mech, p, ts) - posterior_log_density_dense(mech, q, ts)
+        assert 100.0 < ts[int(np.argmax(far))] < 110.0
+        assert sup == pytest.approx(float(np.max(far)), rel=0.0, abs=1e-10)
+        assert sup <= bound <= sup + 1e-9
+
+    def test_gaussian_infinite_order_at_extreme_sigma(self):
+        # With sigma far above the atom spacing the ratio peaks above its
+        # tail limit log(0.5 / 0.3) at a distance of order sigma^2, with the
+        # same shape at every such scale; the grid search returned the limit.
+        p = DiscreteDistribution((0.0, 1.0, 2.0), (0.5, 0.3, 0.2))
+        q = DiscreteDistribution((0.0, 1.5, 2.0), (0.3, 0.3, 0.4))
+        values = [renyi_divergence_numeric(p, q, GaussianParams(s), math.inf)
+                  for s in (1e50, 1e100, 1e150)]
+        assert values == pytest.approx([values[0]] * 3, rel=1e-12)
+        assert values[0] > math.log(0.5 / 0.3) + 0.01
+        # Past about 1e154 the reach the tails need leaves the float range:
+        # the pair is inconclusive rather than given the limit unchecked.
+        with pytest.raises(IntegrationFailure, match="float range"):
+            renyi_divergence_numeric(p, q, GaussianParams(1e300), math.inf)
+        (report,) = verify_rpp(scenario_set([(p, q)]), GaussianParams(1e300),
+                               PrivacySpec(math.inf, 1.0))
+        assert report.inconclusive and report.passed is None
+        # At a vanishing sigma the exponents overflow, with no warning.
+        assert renyi_divergence_numeric(p, q, GaussianParams(1e-300), math.inf) == math.inf
+        # The breach classifier's margin took sigma**2 as a Python float,
+        # which raised OverflowError past sigma = 1.3e154.
+        assert monte_carlo_breach(p, q, GaussianParams(1e160), 1.0, 1000, 0) == (0.0, 0.0)
+
+    def test_golden_section_refinement_matches_bounded_search(self, rng):
+        # The golden-section refinement against scipy's bounded search at
+        # the same xatol, on custom-cost pairs. Tolerance 1e-12 relative; on
+        # these pairs they agree exactly, and neither reads below the grid.
+        from scipy.optimize import minimize_scalar
+
+        import puffercal.verify as verify
+
+        costs = [lambda z: 0.5 * abs(z), lambda z: abs(z) ** 0.5, lambda z: abs(z) ** 0.75]
+        for cost in costs:
+            for _ in range(2):
+                p, q = random_pair(rng, max_atoms=5, span=2.0)
+                mech = ExponentialParams(scale=float(rng.uniform(0.5, 2.0)), cost=cost)
+                ys = verify._dense_grid(mech, sorted(set(p.atoms) | set(q.atoms)))
+                ratios = verify._log_ratio(p, q, mech, ys)
+                for a, b, diffs in ((p, q, ratios), (q, p, -ratios)):
+                    k = int(np.argmax(diffs))
+                    grid_max = float(diffs[k])
+                    searched = minimize_scalar(
+                        lambda y: -float(verify._log_ratio(a, b, mech, np.array([y]))[0]),
+                        bounds=(float(ys[max(0, k - 1)]), float(ys[min(ys.size - 1, k + 1)])),
+                        method="bounded",
+                        options={"xatol": 1e-12 * max(1.0, abs(grid_max))},
+                    )
+                    want = max(grid_max, float(-searched.fun))
+                    got = verify._grid_max_log_ratio(a, b, mech, ys, diffs)
+                    assert got >= grid_max
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_golden_section_finds_an_interior_maximum(self):
+        from puffercal.verify import _golden_section_max
+
+        best = _golden_section_max(lambda y: -((y - 0.3) ** 2), 0.0, 1.0, 1e-12)
+        assert -1e-20 <= best <= 0.0
+        # The bracket stops at the float spacing when xatol is below it.
+        assert _golden_section_max(lambda y: -abs(y - 1e4), 1e4 - 1.0, 1e4 + 1.0, 1e-15) > -1e-11
+
     def test_default_exponential_builds_no_normalizer(self):
         from puffercal.dist import _exponential_norm
 
