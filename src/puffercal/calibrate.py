@@ -21,7 +21,6 @@ from typing import Callable, Generator, NamedTuple, Sequence
 import numpy as np
 
 from .dist import (
-    DiscreteDistribution,
     GaussianParams,
     LaplaceParams,
     MechanismParams,
@@ -31,7 +30,6 @@ from .dist import (
     absolute_cost,
     check_cost_axioms,
     reciprocal_rate,
-    scenario_set,  # re-exported: the scenario model lives in dist
 )
 from .errors import (
     InfeasibleEvenAtInfinity,
@@ -380,16 +378,6 @@ def _solve_lanes(
     return outcomes
 
 
-def _solve_one(problem: _Transport | CalibrationResult, rel_tol: float) -> CalibrationResult:
-    """A problem's result: solved as a single lane, or already closed."""
-    if isinstance(problem, CalibrationResult):
-        return problem
-    (outcome,) = _solve_lanes([problem], rel_tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _budget_result(
     mechanism: str,
     epsilon: float,
@@ -416,23 +404,19 @@ def _budget_result(
     )
 
 
-def calibrate_laplace(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
+def _laplace_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
     """Laplace scale achieving the order-alpha condition on the optimal coupling.
 
     Solves sum pi_k exp(alpha d_k / b) = exp((alpha - 1) epsilon) for the
     scale b; a fully diagonal coupling returns b = 0 with the
     no-noise-needed flag. alpha = inf dispatches to the closed-form
-    worst-case-displacement rule b = W_inf / epsilon.
+    worst-case-displacement rule b = W_inf / epsilon, and orders in (0, 1)
+    to the experimental sub-unit condition.
     """
-    _require_order_above_one(spec, allow_inf=True)
-    return _solve_one(_laplace_problem(pair, spec, rel_tol), rel_tol)
-
-
-def _laplace_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
     if spec.is_sub_unit:
         return _sub_unit_problem(pair, spec)
     if math.isinf(spec.alpha):
-        return calibrate_winf_laplace(pair, spec.epsilon)
+        return _winf_problem(pair, spec, rel_tol)
     plan = _coupling(pair)
     w_max = plan.max_displacement()
     alpha = spec.alpha
@@ -443,16 +427,12 @@ def _laplace_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | Ca
     )
 
 
-def calibrate_gaussian(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
+def _gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
     """Gaussian sigma achieving the order-alpha condition on the optimal coupling.
 
     Solves sum pi_k exp(alpha (alpha - 1) d_k^2 / (2 sigma^2)) =
     exp((alpha - 1) epsilon); valid for finite alpha > 1 only.
     """
-    return _solve_one(_gaussian_problem(pair, spec, rel_tol), rel_tol)
-
-
-def _gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | CalibrationResult:
     _require_order_above_one(spec, allow_inf=False)
     plan = _coupling(pair)
     w_max = plan.max_displacement()
@@ -491,24 +471,6 @@ def _invert_rate(rate: Callable[[float], float], value: float) -> float:
         raise NonInvertibleRate(f"could not invert rate map at {value!r}: {exc}") from exc
 
 
-def calibrate_exponential(
-    pair,
-    spec: PrivacySpec,
-    cost: Callable[[float], float] = absolute_cost,
-    rate: Callable[[float], float] = reciprocal_rate,
-    rel_tol: float = 1e-9,
-) -> CalibrationResult:
-    """Exponential-mechanism parameter for a cost c and strictly decreasing rate map.
-
-    Solves sum pi_k exp(alpha rate(theta) c(d_k)) = exp((alpha - 1) epsilon).
-    With cost |z| and rate 1/theta this coincides with calibrate_laplace.
-    At alpha = inf the closed form theta = rate^-1(epsilon / sup c) applies.
-    The privacy guarantee additionally needs c to satisfy the triangle
-    inequality; the solver itself only requires symmetric nonnegative c.
-    """
-    return _solve_one(_exponential_problem(pair, spec, rel_tol, cost, rate), rel_tol)
-
-
 def _exponential_problem(
     pair,
     spec: PrivacySpec,
@@ -516,6 +478,14 @@ def _exponential_problem(
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
 ) -> _Transport | CalibrationResult:
+    """Exponential-mechanism parameter for a cost c and strictly decreasing rate map.
+
+    Solves sum pi_k exp(alpha rate(theta) c(d_k)) = exp((alpha - 1) epsilon).
+    With cost |z| and rate 1/theta this coincides with the Laplace rule.
+    At alpha = inf the closed form theta = rate^-1(epsilon / sup c) applies.
+    The privacy guarantee additionally needs c to satisfy the triangle
+    inequality; the solver itself only requires symmetric nonnegative c.
+    """
     _require_order_above_one(spec, allow_inf=True)
     check_cost_axioms(cost, require_triangle=False)
     _check_rate_map(rate)
@@ -541,10 +511,9 @@ def _exponential_problem(
     )
 
 
-def calibrate_winf_laplace(pair, epsilon: float) -> CalibrationResult:
+def _winf_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
     """Worst-case-displacement Laplace rule: scale = W_inf / epsilon (closed form)."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidValue(f"epsilon must be strictly positive, got {epsilon!r}")
+    epsilon = spec.epsilon
     w_max = _coupling(pair).max_displacement()
     if w_max == 0.0:
         return _budget_result("winf-laplace", epsilon)
@@ -556,11 +525,7 @@ def calibrate_winf_laplace(pair, epsilon: float) -> CalibrationResult:
     return _budget_result("winf-laplace", epsilon, b, w_max / b)
 
 
-def _winf_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
-    return calibrate_winf_laplace(pair, spec.epsilon)
-
-
-def baseline_laplace_rpp(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
+def _baseline_laplace_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
     """Prior-work Laplace baseline: worst-case displacement fed to the
     order-alpha divergence between two equal-scale Laplace densities.
 
@@ -606,7 +571,7 @@ def _log_add(logx: float, logy: float) -> float:
     return b + math.log1p(math.exp(a - b))
 
 
-def baseline_gaussian_rpp(pair, spec: PrivacySpec) -> CalibrationResult:
+def _baseline_gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
     """Prior-work Gaussian baseline: sigma = sqrt(alpha W^2 / (2 epsilon)), closed form."""
     _require_order_above_one(spec, allow_inf=False)
     w_max = _coupling(pair).max_displacement()
@@ -622,25 +587,15 @@ def baseline_gaussian_rpp(pair, spec: PrivacySpec) -> CalibrationResult:
     return _budget_result("baseline-gaussian", spec.epsilon, sigma, value)
 
 
-def _baseline_gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
-    return baseline_gaussian_rpp(pair, spec)
-
-
-def feasible_b_sub_unit_alpha(pair, spec: PrivacySpec, rel_tol: float = 1e-9) -> CalibrationResult:
+def _sub_unit_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
     """Smallest Laplace scale meeting the sufficient condition for orders in (0, 1).
 
     Here the condition flips: sum pi_k exp(-alpha d_k / b) >=
     exp((alpha - 1) epsilon), whose left side increases in b toward 1
-    while the right side is below 1. The result is flagged experimental:
-    the operational meaning of sub-unit orders is an open question.
+    while the right side is below 1, so the lane has exponents
+    -alpha d / b and sign -1. The result is flagged experimental: the
+    operational meaning of sub-unit orders is an open question.
     """
-    return _solve_one(_sub_unit_problem(pair, spec), rel_tol)
-
-
-def _sub_unit_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult:
-    """feasible_b_sub_unit_alpha's lane: exponents -alpha d / b, with sign -1."""
-    if not 0.0 < spec.alpha < 1.0:
-        raise InvalidValue(f"this mechanism requires alpha in (0,1), got {spec.alpha!r}")
     plan = _coupling(pair)
     w_max = plan.max_displacement()
     log_target = (spec.alpha - 1.0) * spec.epsilon
@@ -666,9 +621,10 @@ def _sub_unit_problem(pair, spec: PrivacySpec) -> _Transport | CalibrationResult
 
 
 class _Mechanism(NamedTuple):
-    # problem(pair, spec, rel_tol) is the kind's one set-up, at every order:
-    # it checks the order and returns a transport lane or a finished result.
-    # noise is the noise its parameter stands for.
+    # problem(pair, spec, rel_tol) is the kind's one set-up, at every order
+    # (the exponential one also takes cost and rate): it checks the order
+    # and returns a transport lane or a finished result. noise is the noise
+    # its parameter stands for.
     problem: Callable[..., _Transport | CalibrationResult]
     noise: Callable[[float], MechanismParams]
 
@@ -680,7 +636,7 @@ _MECHANISMS = {
     # is Laplace(theta) noise.
     "exponential": _Mechanism(_exponential_problem, LaplaceParams),
     "winf": _Mechanism(_winf_problem, LaplaceParams),
-    "baseline-laplace": _Mechanism(baseline_laplace_rpp, LaplaceParams),
+    "baseline-laplace": _Mechanism(_baseline_laplace_problem, LaplaceParams),
     "baseline-gaussian": _Mechanism(_baseline_gaussian_problem, GaussianParams),
 }
 
@@ -716,11 +672,18 @@ def calibrate_pair(
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
 ) -> CalibrationResult:
-    """Solve one secret pair for the requested mechanism kind.
+    """Solve one secret pair, a ScenarioPair or a (P, Q) tuple, for the mechanism kind.
 
-    cost and rate reach the exponential mechanism only.
+    The kind's set-up either closes the cell or returns a lane, solved
+    here on its own. cost and rate reach the exponential mechanism only.
     """
-    return _solve_one(_problem(pair, mechanism_kind, spec, rel_tol, cost, rate), rel_tol)
+    problem = _problem(pair, mechanism_kind, spec, rel_tol, cost, rate)
+    if isinstance(problem, CalibrationResult):
+        return problem
+    (outcome,) = _solve_lanes([problem], rel_tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def calibrate_grid(
@@ -731,11 +694,13 @@ def calibrate_grid(
     cost: Callable[[float], float] = absolute_cost,
     rate: Callable[[float], float] = reciprocal_rate,
 ) -> list[list[CalibrationResult] | Exception]:
-    """calibrate_scenarios at every spec, each pair's transport solves run in lockstep.
+    """Every pair at every spec, each pair's transport solves run in lockstep.
 
-    For each spec the entry is the list calibrate_scenarios returns there,
-    bit for bit. Where it would raise, the entry is the exception instead:
-    the first failing pair's, a PuffercalError labelled with the pair.
+    For each spec the entry is one result per pair, each what
+    calibrate_pair returns for that pair bit for bit, and each naming the
+    binding pair: the largest parameter, ties breaking toward the lowest
+    index. Where a pair fails, the entry is the exception instead: the
+    first failing pair's, a PuffercalError labelled with the pair.
     Nothing is raised, so a caller that meets the entries in order sees
     failures in the order one call per spec would (specs first, then
     pairs). Every cell goes through its kind's set-up; the lanes it
@@ -782,36 +747,3 @@ def _bind(scenarios: ScenarioSet, results: list) -> list[CalibrationResult] | Ex
         replace(result, binding_pair_index=binding, binding_pair_label=label)
         for result in results
     ]
-
-
-def calibrate_scenarios(
-    scenarios: ScenarioSet,
-    mechanism_kind: str,
-    spec: PrivacySpec,
-    rel_tol: float = 1e-9,
-    cost: Callable[[float], float] = absolute_cost,
-    rate: Callable[[float], float] = reciprocal_rate,
-) -> list[CalibrationResult]:
-    """Calibrate every pair; each result names the binding pair.
-
-    The binding pair has the largest parameter, ties breaking toward the
-    lowest index; every result carries its index and label. Per-pair
-    errors are re-raised with the pair label prepended.
-    """
-    (results,) = calibrate_grid(scenarios, mechanism_kind, [spec], rel_tol, cost, rate)
-    if isinstance(results, Exception):
-        raise results
-    return results
-
-
-def calibrate_over_scenarios(
-    scenarios: ScenarioSet,
-    mechanism_kind: str,
-    spec: PrivacySpec,
-    rel_tol: float = 1e-9,
-    cost: Callable[[float], float] = absolute_cost,
-    rate: Callable[[float], float] = reciprocal_rate,
-) -> CalibrationResult:
-    """The binding pair's result from calibrate_scenarios (the maximum parameter)."""
-    results = calibrate_scenarios(scenarios, mechanism_kind, spec, rel_tol, cost, rate)
-    return results[results[0].binding_pair_index]

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import calibrate as cal
 from . import ingest
 from . import verify as ver
-from .dist import DiscreteDistribution, PrivacySpec, noise_variance
+from .dist import DiscreteDistribution, PrivacySpec, ScenarioPair, ScenarioSet, noise_variance
 from .errors import (
     EmptyConditional,
     EmptySample,
@@ -126,12 +126,40 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
-def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
+# The JSON types of the datasets entry fields of a scenario file; a null
+# numeric_coding or column_names stands for an absent one.
+_DATASET_FIELDS = dict.fromkeys(
+    ("dataset_path", "x_attribute", "secret_attribute", "value_i", "value_j", "delimiter", "label"),
+    str,
+) | {"numeric_coding": (dict, type(None)), "drop_missing": bool, "column_names": (list, type(None))}
+
+
+def _dataset_config(entry, k: int) -> ingest.ScenarioConfig:
+    """A datasets entry of a scenario file as a ScenarioConfig, its JSON shape checked."""
+    if not isinstance(entry, dict):
+        raise InvalidValue(f"must be an object, got {entry!r}")
+    fields = {"label": f"dataset-{k}"} | {f: entry[f] for f in _DATASET_FIELDS if f in entry}
+    for field, value in fields.items():
+        if not isinstance(value, _DATASET_FIELDS[field]):
+            raise InvalidValue(f"{field} has the wrong JSON type: {value!r}")
+    names, coding = fields.get("column_names"), fields.get("numeric_coding")
+    if names and not all(isinstance(name, str) for name in names):
+        raise InvalidValue(f"column_names must be strings, got {names!r}")
+    if coding and not all(type(v) in (int, float) for v in coding.values()):
+        raise InvalidValue(f"numeric_coding values must be numbers, got {coding!r}")
+    if len(fields.get("delimiter", ",")) != 1:
+        raise InvalidValue(f"delimiter must be one character, got {fields['delimiter']!r}")
+    fields["column_names"] = tuple(names) if names else None
+    # A required field left out raises TypeError, naming it.
+    return ingest.ScenarioConfig(**fields)
+
+
+def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
     """Resolve a builtin scenario name or a JSON scenario file."""
     if source == "point-mass":
-        return cal.ScenarioSet(
+        return ScenarioSet(
             pairs=(
-                cal.ScenarioPair(
+                ScenarioPair(
                     p_i=DiscreteDistribution((0.0,), (1.0,)),
                     p_j=DiscreteDistribution((1.0,), (1.0,)),
                     label="point-mass",
@@ -148,7 +176,7 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
                 f"(scripts/fetch_datasets.py). {cfg.fetch_note}"
             )
         table = ingest.load_table(dataset, cfg.column_names, cfg.delimiter)
-        return cal.ScenarioSet(pairs=(ingest.scenario_pair_from_table(table, cfg),))
+        return ScenarioSet(pairs=(ingest.scenario_pair_from_table(table, cfg),))
     path = Path(source)
     if not path.exists():
         raise _ConfigError(
@@ -159,7 +187,13 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise _ConfigError(f"could not read scenario file {path}: {exc}") from exc
-    pairs: list[cal.ScenarioPair] = []
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(section, []), list) for section in ("pairs", "datasets")
+    ):
+        raise _ConfigError(
+            f"scenario file {path}: must be a JSON object whose pairs and datasets are arrays"
+        )
+    pairs: list[ScenarioPair] = []
     tables: dict[tuple, ingest.Table] = {}
     for k, entry in enumerate(obj.get("pairs", [])):
         try:
@@ -167,22 +201,11 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
             q, _ = ingest.distribution_from_json(entry["q"])
         except (KeyError, TypeError, ParseError, InvalidValue) as exc:
             raise _ConfigError(f"scenario file {path}, pairs[{k}]: {exc}") from exc
-        pairs.append(cal.ScenarioPair(p_i=p, p_j=q, label=str(entry.get("label", f"pair-{k}"))))
+        pairs.append(ScenarioPair(p_i=p, p_j=q, label=str(entry.get("label", f"pair-{k}"))))
     for k, entry in enumerate(obj.get("datasets", [])):
         try:
-            cfg = ingest.ScenarioConfig(
-                dataset_path=entry["dataset_path"],
-                x_attribute=entry["x_attribute"],
-                secret_attribute=entry["secret_attribute"],
-                value_i=entry["value_i"],
-                value_j=entry["value_j"],
-                numeric_coding=entry.get("numeric_coding"),
-                drop_missing=entry.get("drop_missing", True),
-                column_names=tuple(entry["column_names"]) if entry.get("column_names") else None,
-                delimiter=entry.get("delimiter", ","),
-                label=entry.get("label", f"dataset-{k}"),
-            )
-        except (KeyError, TypeError, InvalidValue) as exc:
+            cfg = _dataset_config(entry, k)
+        except (TypeError, InvalidValue) as exc:
             raise _ConfigError(f"scenario file {path}, datasets[{k}]: {exc}") from exc
         dataset = Path(cfg.dataset_path)
         if not dataset.is_absolute():
@@ -195,7 +218,7 @@ def _resolve_scenarios(source: str, data_dir: Path) -> cal.ScenarioSet:
         pairs.append(ingest.scenario_pair_from_table(tables[key], cfg))
     if not pairs:
         raise _ConfigError(f"scenario file {path} defines no pairs")
-    return cal.ScenarioSet(pairs=tuple(pairs))
+    return ScenarioSet(pairs=tuple(pairs))
 
 
 def _format_cell(value) -> str:
@@ -245,9 +268,11 @@ def _emit(args, command: str, columns, rows, filename: str | None = None,
     sys.stdout.write(text)
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = (filename or command) + suffix
-        (out_dir / name).write_text(text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / ((filename or command) + suffix)).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _ConfigError(f"--out {out_dir}: {exc}") from exc
 
 
 @contextmanager

@@ -79,14 +79,6 @@ class DiscreteDistribution:
     def max_atom(self) -> float:
         return self.atoms[-1]
 
-    def sample(self, rng: "np.random.Generator", n: int) -> np.ndarray:
-        """Draw n iid values; deterministic for a fixed generator state.
-
-        Bit for bit what rng.choice(atoms, size=n, p=masses) returns, with
-        the generator left in the same state: atoms[sample_indices(rng, n)].
-        """
-        return np.asarray(self.atoms)[self.sample_indices(rng, n)]
-
     def sample_indices(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         """Draw n iid atom indices, in the smallest unsigned dtype that holds them.
 
@@ -333,13 +325,8 @@ def _exponential_norm(mech: ExponentialParams):
     return math.log(z_const), halfwidth, grid, pdf_unnorm / z_const
 
 
-def noise_log_density(mech: MechanismParams, z: float) -> float:
-    """Log density of the noise variable at z; the one-point call of noise_log_density_many."""
-    return float(_noise_log_density_into(mech, np.array([z], dtype=float))[0])
-
-
 def noise_log_density_many(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
-    """Vectorized noise_log_density."""
+    """Log density of the noise variable at each point of z."""
     return _noise_log_density_into(mech, np.array(z, dtype=float))
 
 
@@ -446,13 +433,6 @@ class LaplacePosterior:
         out = np.logaddexp(from_left, from_right, out=from_left)
         out -= self.log_norm
         return out
-
-
-def posterior_log_density(
-    mech: MechanismParams, prior: DiscreteDistribution, y: float
-) -> float:
-    """Log density of Y = X + N at one point y; see posterior_log_density_many."""
-    return float(posterior_log_density_many(mech, prior, np.array([y], dtype=float))[0])
 
 
 def posterior_log_density_many(

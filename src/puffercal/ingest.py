@@ -2,12 +2,11 @@
 
 Loads delimiter-separated text tables (header row optional), filters rows
 by a secret attribute, maps the data attribute to reals, and builds the
-empirical distribution. Also owns the JSON exchange format for
-distributions.
+empirical distribution. Also reads the JSON distribution objects of
+scenario files.
 """
 
 import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -245,10 +244,6 @@ def builtin_scenarios() -> list[ScenarioConfig]:
     ]
 
 
-def distribution_to_json(dist: DiscreteDistribution, label: str = "") -> dict:
-    return {"atoms": list(dist.atoms), "masses": list(dist.masses), "label": label}
-
-
 def distribution_from_json(obj: dict) -> tuple[DiscreteDistribution, str]:
     try:
         atoms = tuple(float(a) for a in obj["atoms"])
@@ -256,22 +251,3 @@ def distribution_from_json(obj: dict) -> tuple[DiscreteDistribution, str]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed distribution object: {exc}") from exc
     return DiscreteDistribution(atoms=atoms, masses=masses), str(obj.get("label", ""))
-
-
-def save_distribution(
-    dist: DiscreteDistribution, path: Union[str, Path], label: str = ""
-) -> None:
-    """Write the JSON exchange form; float repr keeps the values bit-exact."""
-    payload = json.dumps(distribution_to_json(dist, label), indent=2)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-
-
-def load_distribution(path: Union[str, Path]) -> tuple[DiscreteDistribution, str]:
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"no such file: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return distribution_from_json(obj)

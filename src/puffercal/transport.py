@@ -66,7 +66,11 @@ class Coupling:
         return np.array([math.log(m) for _, _, m in self.entries])
 
     def max_displacement(self) -> float:
-        """The largest |x - x'| of the plan, computed once."""
+        """The largest |x - x'| of the plan, computed once.
+
+        On the quantile-aligned plan this is W_inf: in one dimension no
+        coupling has a smaller worst-case displacement.
+        """
         return self._max_displacement
 
 
@@ -123,12 +127,3 @@ def coupling_log_expectation(plan: Coupling, log_g: Callable[[np.ndarray], np.nd
     """
     values = log_sum_exp(plan.log_masses + log_g(plan.displacement_array))
     return float(values) if np.ndim(values) == 0 else values
-
-
-def w_infinity(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
-    """Worst-case displacement of the quantile-aligned coupling.
-
-    The comonotone plan minimizes the support supremum of |x - x'| in one
-    dimension, so this is the minimal worst-case transport distance.
-    """
-    return monotone_coupling(P, Q).max_displacement()

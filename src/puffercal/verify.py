@@ -870,7 +870,7 @@ def monte_carlo_breach(
     a draw x breaches when log m_i(x) - log m_j(x) > epsilon, and an atom
     missing from the second prior always breaches.
 
-    The draws are those of p_i.sample(rng, n) followed by one
+    The draws are those of atoms[p_i.sample_indices(rng, n)] followed by one
     sample_noise(mech, rng, n), but no n-float array is ever held: the
     prior draws are kept as atom indices (DiscreteDistribution
     .sample_indices, 1 byte per draw up to 256 atoms), and the noise is

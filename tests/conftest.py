@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from puffercal import DiscreteDistribution
+from puffercal import DiscreteDistribution, calibrate_grid
 
 
 def random_distribution(
@@ -33,6 +33,11 @@ def random_pair(rng, max_atoms=20, min_atoms=1, span=5.0, floor_mass=False):
     )
 
 
+def sample_atoms(dist: DiscreteDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n iid draws of dist's atoms: its atoms at the indices sample_indices draws."""
+    return np.asarray(dist.atoms)[dist.sample_indices(rng, n)]
+
+
 def point_mass(value: float) -> DiscreteDistribution:
     return DiscreteDistribution(atoms=(float(value),), masses=(1.0,))
 
@@ -48,6 +53,20 @@ def benchmark_regime_pair():
     p = DiscreteDistribution(atoms, (0.2, 0.015, 0.385, 0.2, 0.2))
     q = DiscreteDistribution(atoms, (0.17, 0.015, 0.415, 0.2, 0.2))
     return p, q
+
+
+def one_spec(scenarios, kind, spec, **kwargs):
+    """calibrate_grid at one spec: every pair's result, or the first pair's error raised."""
+    (results,) = calibrate_grid(scenarios, kind, [spec], **kwargs)
+    if isinstance(results, Exception):
+        raise results
+    return results
+
+
+def binding_result(scenarios, kind, spec, **kwargs):
+    """The binding pair's result of calibrate_grid at one spec (the largest parameter)."""
+    results = one_spec(scenarios, kind, spec, **kwargs)
+    return results[results[0].binding_pair_index]
 
 
 def plan_expectation(plan, g):

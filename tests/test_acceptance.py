@@ -61,10 +61,10 @@ def test_criterion_1_point_mass_analytic_suite():
     for alpha in (1.2, 1.5, 2.0, 3.0, 5.0):
         for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
             spec = PrivacySpec(alpha=alpha, epsilon=eps)
-            b = pc.calibrate_laplace(pair, spec).parameter
+            b = pc.calibrate_pair(pair, "laplace", spec).parameter
             b_expected = alpha * delta / ((alpha - 1.0) * eps)
             worst = max(worst, abs(b - b_expected) / b_expected)
-            var = pc.calibrate_gaussian(pair, spec).parameter ** 2
+            var = pc.calibrate_pair(pair, "gaussian", spec).parameter ** 2
             var_expected = alpha * delta**2 / (2.0 * eps)
             worst = max(worst, abs(var - var_expected) / var_expected)
     report(
@@ -79,25 +79,25 @@ def test_criterion_2_baseline_closed_forms():
     checks = [
         (
             "gaussian a=2",
-            pc.baseline_gaussian_rpp(pair, PrivacySpec(2.0, 0.5)).parameter,
+            pc.calibrate_pair(pair, "baseline-gaussian", PrivacySpec(2.0, 0.5)).parameter,
             2.82843,
             1e-4,
         ),
         (
             "gaussian a=1.2",
-            pc.baseline_gaussian_rpp(pair, PrivacySpec(1.2, 0.5)).parameter,
+            pc.calibrate_pair(pair, "baseline-gaussian", PrivacySpec(1.2, 0.5)).parameter,
             2.19089,
             1e-4,
         ),
         (
             "laplace a=2",
-            pc.baseline_laplace_rpp(pair, PrivacySpec(2.0, 0.5)).parameter,
+            pc.calibrate_pair(pair, "baseline-laplace", PrivacySpec(2.0, 0.5)).parameter,
             2.30075,
             1e-3,
         ),
         (
             "laplace a=5",
-            pc.baseline_laplace_rpp(pair, PrivacySpec(5.0, 0.5)).parameter,
+            pc.calibrate_pair(pair, "baseline-laplace", PrivacySpec(5.0, 0.5)).parameter,
             3.09429,
             1e-3,
         ),
@@ -113,9 +113,9 @@ def test_criterion_2_baseline_closed_forms():
 def test_criterion_3_adult_dataset_reproduction():
     pair = adult_pair()
     spec = PrivacySpec(alpha=2.0, epsilon=0.5)
-    b = pc.calibrate_laplace(pair, spec).parameter
-    sigma = pc.calibrate_gaussian(pair, spec).parameter
-    w = pc.w_infinity(*pair)
+    b = pc.calibrate_pair(pair, "laplace", spec).parameter
+    sigma = pc.calibrate_pair(pair, "gaussian", spec).parameter
+    w = pc.monotone_coupling(*pair).max_displacement()
     failures = []
     if abs(b - 1.258) / 1.258 > 0.05:
         failures.append(f"laplace scale {b:.4f} outside 1.258 +- 5%")
@@ -127,9 +127,9 @@ def test_criterion_3_adult_dataset_reproduction():
         # Preprocessing of the raw files is underspecified; a value drift
         # with the expected curve shape is reported, not fatal.
         shape_ok = (
-            b < pc.baseline_laplace_rpp(pair, spec).parameter
-            and sigma < pc.baseline_gaussian_rpp(pair, spec).parameter
-            and pc.calibrate_gaussian(pair, PrivacySpec(5.0, 0.5)).parameter > sigma
+            b < pc.calibrate_pair(pair, "baseline-laplace", spec).parameter
+            and sigma < pc.calibrate_pair(pair, "baseline-gaussian", spec).parameter
+            and pc.calibrate_pair(pair, "gaussian", PrivacySpec(5.0, 0.5)).parameter > sigma
         )
         if shape_ok:
             print(
@@ -146,7 +146,7 @@ def test_criterion_3_adult_dataset_reproduction():
 
 def test_criterion_4_limit_recovery_adult():
     pair = adult_pair()
-    b = pc.calibrate_laplace(pair, PrivacySpec(alpha=1e4, epsilon=0.5)).parameter
+    b = pc.calibrate_pair(pair, "laplace", PrivacySpec(alpha=1e4, epsilon=0.5)).parameter
     report(
         "criterion-4a limit recovery on adult",
         abs(b - 4.0) / 4.0 <= 0.005,
@@ -161,8 +161,8 @@ def test_criterion_4_limit_recovery_synthetic():
     from_below = True
     for _ in range(20):
         pair = random_pair(rng, max_atoms=12, min_atoms=4, floor_mass=True)
-        b = pc.calibrate_laplace(pair, PrivacySpec(alpha=1e4, epsilon=eps)).parameter
-        w = pc.w_infinity(*pair)
+        b = pc.calibrate_pair(pair, "laplace", PrivacySpec(alpha=1e4, epsilon=eps)).parameter
+        w = pc.monotone_coupling(*pair).max_displacement()
         worst = max(worst, abs(b * eps - w) / w)
         # Multi-atom pairs put mass below exp(-eps) at the worst gap, so
         # the high-order scale approaches the limit from beneath.
@@ -216,19 +216,19 @@ def test_criterion_6_dominance_and_noise_power():
     for eps in (0.5, 1.0):
         for alpha in (1.2, 1.5, 2.0, 2.5, 3.0, 5.0):
             spec = PrivacySpec(alpha=alpha, epsilon=eps)
-            sigma = pc.calibrate_gaussian(pair, spec).parameter
-            sigma_base = pc.baseline_gaussian_rpp(pair, spec).parameter
+            sigma = pc.calibrate_pair(pair, "gaussian", spec).parameter
+            sigma_base = pc.calibrate_pair(pair, "baseline-gaussian", spec).parameter
             if not sigma < sigma_base:
                 failures.append(f"gaussian a={alpha} e={eps}")
             if alpha >= 1.5:
-                b = pc.calibrate_laplace(pair, spec).parameter
-                b_base = pc.baseline_laplace_rpp(pair, spec).parameter
+                b = pc.calibrate_pair(pair, "laplace", spec).parameter
+                b_base = pc.calibrate_pair(pair, "baseline-laplace", spec).parameter
                 if not b < b_base:
                     failures.append(f"laplace a={alpha} e={eps}")
     for alpha in (1.2, 1.5, 2.0, 2.5, 3.0, 5.0):
         spec = PrivacySpec(alpha=alpha, epsilon=0.1)
-        lap_var = 2.0 * pc.calibrate_laplace(pair, spec).parameter ** 2
-        gauss_var = pc.calibrate_gaussian(pair, spec).parameter ** 2
+        lap_var = 2.0 * pc.calibrate_pair(pair, "laplace", spec).parameter ** 2
+        gauss_var = pc.calibrate_pair(pair, "gaussian", spec).parameter ** 2
         if not gauss_var < lap_var:
             failures.append(f"noise-power a={alpha}")
     report(

@@ -12,21 +12,11 @@ from puffercal import (
     PrivacySpec,
     ScenarioPair,
     ScenarioSet,
-    baseline_gaussian_rpp,
-    baseline_laplace_rpp,
-    calibrate_exponential,
-    calibrate_gaussian,
     calibrate_grid,
-    calibrate_laplace,
-    calibrate_over_scenarios,
     calibrate_pair,
-    calibrate_scenarios,
-    calibrate_winf_laplace,
-    feasible_b_sub_unit_alpha,
     monotone_coupling,
     noise_for,
     scenario_set,
-    w_infinity,
 )
 import puffercal.calibrate as calibrate
 from puffercal.calibrate import MECHANISM_KINDS, _solve_decreasing
@@ -39,18 +29,19 @@ from puffercal.errors import (
 )
 from puffercal.transport import coupling_log_expectation
 
-from conftest import benchmark_regime_pair, point_mass, random_pair
+from conftest import benchmark_regime_pair, binding_result, one_spec, point_mass, random_pair
 
 
 def test_scenario_model_names_resolve_from_every_module():
     import puffercal
-    import puffercal.calibrate
+    import puffercal.cli
     import puffercal.dist
 
     for name in ("ScenarioPair", "ScenarioSet", "scenario_set"):
-        model = getattr(puffercal.dist, name)
-        assert getattr(puffercal, name) is model
-        assert getattr(puffercal.calibrate, name) is model
+        assert getattr(puffercal, name) is getattr(puffercal.dist, name)
+    # The CLI builds its scenario sets from dist's model, not through the calibrator.
+    for name in ("ScenarioPair", "ScenarioSet"):
+        assert getattr(puffercal.cli, name) is getattr(puffercal.dist, name)
 
 
 def bisection_root_decreasing(f, target, lo, hi, steps=200):
@@ -154,18 +145,17 @@ class TestSolveEvaluations:
         return solver, underlying
 
     @pytest.mark.parametrize(
-        "solve, alpha",
-        [(calibrate_laplace, 2.0), (calibrate_gaussian, 3.0), (calibrate_exponential, 1.5),
-         (feasible_b_sub_unit_alpha, 0.5)],
+        "kind, alpha",
+        [("laplace", 2.0), ("gaussian", 3.0), ("exponential", 1.5), ("laplace", 0.5)],
         ids=["laplace", "gaussian", "exponential", "sub-unit"],
     )
-    def test_functional_calls_equal_solver_evaluations(self, monkeypatch, solve, alpha):
+    def test_functional_calls_equal_solver_evaluations(self, monkeypatch, kind, alpha):
         # A lockstep call evaluates one row per lane; a one-lane solve's is a 1-row block.
         solver, functional = self._count(
             monkeypatch, "coupling_log_expectation", lambda args, result: np.size(result)
         )
         pair = random_pair(np.random.default_rng(7), max_atoms=8, min_atoms=3)
-        result = solve(pair, PrivacySpec(alpha=alpha, epsilon=0.7))
+        result = calibrate_pair(pair, kind, PrivacySpec(alpha=alpha, epsilon=0.7))
         assert result.iterations > 0
         assert len(functional) == len(solver)
 
@@ -181,15 +171,17 @@ class TestSolveEvaluations:
 
     def test_baseline_divergence_calls_equal_solver_evaluations(self, monkeypatch):
         solver, divergence = self._count(monkeypatch, "laplace_pair_divergence")
-        result = baseline_laplace_rpp(benchmark_regime_pair(), PrivacySpec(alpha=2.0, epsilon=0.7))
+        result = calibrate_pair(
+            benchmark_regime_pair(), "baseline-laplace", PrivacySpec(alpha=2.0, epsilon=0.7)
+        )
         assert result.iterations > 0
         assert len(divergence) == len(solver)
 
 
 class TestCalibrateLaplace:
     def test_point_mass_analytic(self):
-        result = calibrate_laplace(
-            (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=2.0, epsilon=1.0)
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(1.0)), "laplace", PrivacySpec(alpha=2.0, epsilon=1.0)
         )
         # e^{alpha D / b} = e^{(alpha-1) eps}  =>  b = alpha D / ((alpha-1) eps)
         assert result.parameter == pytest.approx(2.0, rel=1e-9)
@@ -197,7 +189,7 @@ class TestCalibrateLaplace:
 
     def test_identical_pair_needs_no_noise(self, rng):
         P, _ = random_pair(rng, max_atoms=8)
-        result = calibrate_laplace((P, P), PrivacySpec(alpha=3.0, epsilon=0.5))
+        result = calibrate_pair((P, P), "laplace", PrivacySpec(alpha=3.0, epsilon=0.5))
         assert result.parameter == 0.0
         assert result.no_noise_needed
 
@@ -209,32 +201,26 @@ class TestCalibrateLaplace:
             oracle = bisection_root_decreasing(
                 log_f, (spec.alpha - 1) * spec.epsilon, 1e-3, 1e3
             )
-            result = calibrate_laplace(pair, spec)
+            result = calibrate_pair(pair, "laplace", spec)
             assert result.parameter == pytest.approx(oracle, rel=1e-8)
 
     def test_alpha_inf_dispatches_to_winf(self):
         pair = (point_mass(0.0), point_mass(2.0))
-        result = calibrate_laplace(pair, PrivacySpec(alpha=math.inf, epsilon=0.5))
+        result = calibrate_pair(pair, "laplace", PrivacySpec(alpha=math.inf, epsilon=0.5))
         assert result.parameter == pytest.approx(4.0, rel=1e-12)
         assert result.mechanism == "winf-laplace"
-
-    def test_alpha_below_one_rejected(self):
-        with pytest.raises(InvalidValue):
-            calibrate_laplace(
-                (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=0.5, epsilon=1.0)
-            )
 
 
 class TestCalibrateGaussian:
     def test_point_mass_closed_form(self):
-        result = calibrate_gaussian(
-            (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=2.0, epsilon=1.0)
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(1.0)), "gaussian", PrivacySpec(alpha=2.0, epsilon=1.0)
         )
         assert result.parameter**2 == pytest.approx(1.0, rel=1e-9)
 
     def test_identical_pair(self):
         P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
-        result = calibrate_gaussian((P, P), PrivacySpec(alpha=2.0, epsilon=1.0))
+        result = calibrate_pair((P, P), "gaussian", PrivacySpec(alpha=2.0, epsilon=1.0))
         assert result.parameter == 0.0
         assert result.no_noise_needed
 
@@ -243,7 +229,7 @@ class TestCalibrateGaussian:
             for eps in (0.1, 0.5, 1.0, 2.0):
                 spec = PrivacySpec(alpha=alpha, epsilon=eps)
                 pair = (point_mass(0.0), point_mass(1.7))
-                sigma = calibrate_gaussian(pair, spec).parameter
+                sigma = calibrate_pair(pair, "gaussian", spec).parameter
                 # Point-mass rule sigma = sqrt(alpha D^2 / (2 eps)).
                 assert sigma == pytest.approx(
                     math.sqrt(alpha * 1.7**2 / (2.0 * eps)), rel=1e-9
@@ -251,23 +237,23 @@ class TestCalibrateGaussian:
 
     def test_alpha_inf_rejected(self):
         with pytest.raises(InvalidValue):
-            calibrate_gaussian(
-                (point_mass(0.0), point_mass(1.0)),
+            calibrate_pair(
+                (point_mass(0.0), point_mass(1.0)), "gaussian",
                 PrivacySpec(alpha=math.inf, epsilon=1.0),
             )
 
 
 class TestCalibrateExponential:
     def test_abs_cost_equals_laplace_analytic(self):
-        result = calibrate_exponential(
-            (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=2.0, epsilon=1.0)
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(1.0)), "exponential", PrivacySpec(alpha=2.0, epsilon=1.0)
         )
         assert result.parameter == pytest.approx(2.0, rel=1e-9)
 
     def test_squared_cost_analytic(self):
         # c(z) = z^2 on a unit displacement: e^{alpha/theta} = e^{(alpha-1) eps}.
-        result = calibrate_exponential(
-            (point_mass(0.0), point_mass(1.0)),
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(1.0)), "exponential",
             PrivacySpec(alpha=2.0, epsilon=1.0),
             cost=lambda z: z * z,
         )
@@ -275,8 +261,8 @@ class TestCalibrateExponential:
 
     def test_alpha_inf_closed_form(self):
         # theta = rate^-1(eps / sup cost) with rate 1/theta: theta = sup/eps.
-        result = calibrate_exponential(
-            (point_mass(0.0), point_mass(2.0)),
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(2.0)), "exponential",
             PrivacySpec(alpha=math.inf, epsilon=0.5),
         )
         assert result.parameter == pytest.approx(4.0, rel=1e-12)
@@ -285,29 +271,30 @@ class TestCalibrateExponential:
         for _ in range(15):
             pair = random_pair(rng, max_atoms=12, min_atoms=2)
             spec = PrivacySpec(alpha=1.8, epsilon=0.6)
-            b = calibrate_laplace(pair, spec).parameter
-            theta = calibrate_exponential(pair, spec).parameter
+            b = calibrate_pair(pair, "laplace", spec).parameter
+            theta = calibrate_pair(pair, "exponential", spec).parameter
             assert theta == pytest.approx(b, rel=1e-6)
 
     def test_custom_rate_with_numeric_inverse(self):
         pair = (point_mass(0.0), point_mass(1.0))
         spec = PrivacySpec(alpha=2.0, epsilon=1.0)
         # rate 2/theta: e^{2 alpha / theta} = e^{(alpha-1) eps} => theta = 4.
-        numeric = calibrate_exponential(pair, spec, rate=lambda t: 2.0 / t)
+        numeric = calibrate_pair(pair, "exponential", spec, rate=lambda t: 2.0 / t)
         assert numeric.parameter == pytest.approx(4.0, rel=1e-8)
 
     @pytest.mark.parametrize("epsilon, width", [(1e-310, 1.0), (5e-324, 4.0)])
     def test_alpha_inf_without_finite_theta(self, epsilon, width):
         # epsilon / sup cost is subnormal (1/value overflows) or rounds to 0.
         with pytest.raises(NonInvertibleRate, match="no finite theta has rate 1/theta"):
-            calibrate_exponential(
-                (point_mass(0.0), point_mass(width)), PrivacySpec(alpha=math.inf, epsilon=epsilon)
+            calibrate_pair(
+                (point_mass(0.0), point_mass(width)), "exponential",
+                PrivacySpec(alpha=math.inf, epsilon=epsilon),
             )
 
     def test_increasing_rate_rejected(self):
         with pytest.raises(NonInvertibleRate):
-            calibrate_exponential(
-                (point_mass(0.0), point_mass(1.0)),
+            calibrate_pair(
+                (point_mass(0.0), point_mass(1.0)), "exponential",
                 PrivacySpec(alpha=2.0, epsilon=1.0),
                 rate=lambda t: t,
             )
@@ -326,89 +313,96 @@ class TestGuaranteeTolerance:
         monkeypatch.setattr(
             calibrate, "_invert_rate", lambda rate, value: 1.0 / value / shrink
         )
-        result = calibrate_exponential(
-            (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=math.inf, epsilon=1.0)
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(1.0)), "exponential",
+            PrivacySpec(alpha=math.inf, epsilon=1.0),
         )
         assert result.functional_value == pytest.approx(shrink, rel=1e-15)
         assert result.guarantee_side is holds
 
 
+def _winf(pair, epsilon):
+    return calibrate_pair(pair, "winf", PrivacySpec(alpha=math.inf, epsilon=epsilon))
+
+
 class TestWinfLaplace:
     def test_point_mass(self):
-        result = calibrate_winf_laplace((point_mass(0.0), point_mass(2.0)), 0.5)
+        result = _winf((point_mass(0.0), point_mass(2.0)), 0.5)
         assert result.parameter == 4.0
 
     def test_identical(self):
         P = point_mass(1.0)
-        assert calibrate_winf_laplace((P, P), 0.5).parameter == 0.0
+        assert _winf((P, P), 0.5).parameter == 0.0
 
     def test_scale_overflow_is_no_root(self):
         with pytest.raises(NoRoot, match="no finite Laplace scale"):
-            calibrate_winf_laplace((point_mass(0.0), point_mass(1.0)), 1e-310)
+            _winf((point_mass(0.0), point_mass(1.0)), 1e-310)
         # An identical pair still needs no noise.
         P = point_mass(1.0)
-        assert calibrate_winf_laplace((P, P), 1e-310).parameter == 0.0
+        assert _winf((P, P), 1e-310).parameter == 0.0
 
 
 class TestSubnormalEpsilonAtFiniteOrder:
     """A bracket end or closed form that overflows is NoRoot, not a bad hint."""
 
     @pytest.mark.parametrize(
-        "solve, alpha, match",
+        "kind, alpha, match",
         [
-            (calibrate_laplace, 2.0, r"no finite laplace parameter: the seed bracket \(2\.88"),
-            (calibrate_gaussian, 2.0, r"no finite gaussian parameter: the seed bracket \(1\.20"),
-            (baseline_laplace_rpp, 2.0, "no finite baseline-laplace parameter"),
-            (baseline_gaussian_rpp, 2.0, "no finite Gaussian sigma"),
-            (feasible_b_sub_unit_alpha, 0.5, "no finite laplace-sub-unit parameter"),
+            ("laplace", 2.0, r"no finite laplace parameter: the seed bracket \(2\.88"),
+            ("gaussian", 2.0, r"no finite gaussian parameter: the seed bracket \(1\.20"),
+            ("baseline-laplace", 2.0, "no finite baseline-laplace parameter"),
+            ("baseline-gaussian", 2.0, "no finite Gaussian sigma"),
+            ("laplace", 0.5, "no finite laplace-sub-unit parameter"),
         ],
         ids=["laplace", "gaussian", "baseline-laplace", "baseline-gaussian", "sub-unit"],
     )
-    def test_overflow_is_no_root(self, solve, alpha, match):
+    def test_overflow_is_no_root(self, kind, alpha, match):
         spec = PrivacySpec(alpha=alpha, epsilon=1e-310)
         with pytest.raises(NoRoot, match=match):
-            solve((point_mass(0.0), point_mass(1.0)), spec)
+            calibrate_pair((point_mass(0.0), point_mass(1.0)), kind, spec)
         # An identical pair still needs no noise.
         P = point_mass(1.0)
-        assert solve((P, P), spec).parameter == 0.0
+        assert calibrate_pair((P, P), kind, spec).parameter == 0.0
 
 
 class TestBaselines:
     def test_baseline_laplace_reference_values(self):
         pair = (point_mass(0.0), point_mass(2.0))
-        b2 = baseline_laplace_rpp(pair, PrivacySpec(alpha=2.0, epsilon=0.5)).parameter
-        b5 = baseline_laplace_rpp(pair, PrivacySpec(alpha=5.0, epsilon=0.5)).parameter
-        assert b2 == pytest.approx(2.30075, abs=1e-3)
-        assert b5 == pytest.approx(3.09429, abs=1e-3)
+        b2 = calibrate_pair(pair, "baseline-laplace", PrivacySpec(alpha=2.0, epsilon=0.5))
+        b5 = calibrate_pair(pair, "baseline-laplace", PrivacySpec(alpha=5.0, epsilon=0.5))
+        assert b2.parameter == pytest.approx(2.30075, abs=1e-3)
+        assert b5.parameter == pytest.approx(3.09429, abs=1e-3)
 
     def test_baseline_laplace_zero_distance(self):
         P = point_mass(0.5)
-        assert baseline_laplace_rpp((P, P), PrivacySpec(alpha=2.0, epsilon=0.5)).parameter == 0.0
+        spec = PrivacySpec(alpha=2.0, epsilon=0.5)
+        assert calibrate_pair((P, P), "baseline-laplace", spec).parameter == 0.0
 
     def test_baseline_gaussian_reference_values(self):
         pair = (point_mass(0.0), point_mass(2.0))
-        s2 = baseline_gaussian_rpp(pair, PrivacySpec(alpha=2.0, epsilon=0.5)).parameter
-        s12 = baseline_gaussian_rpp(pair, PrivacySpec(alpha=1.2, epsilon=0.5)).parameter
-        assert s2 == pytest.approx(2.82843, abs=1e-4)
-        assert s12 == pytest.approx(2.19089, abs=1e-4)
+        s2 = calibrate_pair(pair, "baseline-gaussian", PrivacySpec(alpha=2.0, epsilon=0.5))
+        s12 = calibrate_pair(pair, "baseline-gaussian", PrivacySpec(alpha=1.2, epsilon=0.5))
+        assert s2.parameter == pytest.approx(2.82843, abs=1e-4)
+        assert s12.parameter == pytest.approx(2.19089, abs=1e-4)
 
     def test_baseline_gaussian_zero_distance(self):
         P = point_mass(0.0)
-        assert baseline_gaussian_rpp((P, P), PrivacySpec(alpha=2.0, epsilon=0.5)).parameter == 0.0
+        spec = PrivacySpec(alpha=2.0, epsilon=0.5)
+        assert calibrate_pair((P, P), "baseline-gaussian", spec).parameter == 0.0
 
 
 class TestRdpGaussianClosedForm:
     def test_sqrt_three_case(self):
         # sqrt(alpha D^2 / (2 eps)) = sqrt(3) at D = 1, alpha = 3, eps = 0.5.
         spec = PrivacySpec(alpha=3.0, epsilon=0.5)
-        solved = calibrate_gaussian((point_mass(0.0), point_mass(1.0)), spec)
+        solved = calibrate_pair((point_mass(0.0), point_mass(1.0)), "gaussian", spec)
         assert solved.parameter == pytest.approx(math.sqrt(3.0), rel=1e-9)
 
 
 class TestSubUnitAlpha:
     def test_identical_pair(self):
         P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
-        result = feasible_b_sub_unit_alpha((P, P), PrivacySpec(alpha=0.5, epsilon=1.0))
+        result = calibrate_pair((P, P), "laplace", PrivacySpec(alpha=0.5, epsilon=1.0))
         assert result.parameter == 0.0
         assert result.experimental
 
@@ -419,8 +413,8 @@ class TestSubUnitAlpha:
     def test_point_mass_analytic(self, delta, alpha, eps):
         # e^{-alpha D / b} = e^{(alpha-1) eps}  =>  b = alpha D / ((1-alpha) eps)
         expected = alpha * delta / ((1.0 - alpha) * eps)
-        result = feasible_b_sub_unit_alpha(
-            (point_mass(0.0), point_mass(delta)), PrivacySpec(alpha=alpha, epsilon=eps)
+        result = calibrate_pair(
+            (point_mass(0.0), point_mass(delta)), "laplace", PrivacySpec(alpha=alpha, epsilon=eps)
         )
         assert result.parameter == pytest.approx(expected, rel=1e-8)
         assert result.experimental
@@ -429,24 +423,18 @@ class TestSubUnitAlpha:
         for _ in range(10):
             pair = random_pair(rng, max_atoms=8, min_atoms=2)
             spec = PrivacySpec(alpha=0.3, epsilon=0.8)
-            result = feasible_b_sub_unit_alpha(pair, spec)
+            result = calibrate_pair(pair, "laplace", spec)
             assert result.log_functional_value >= result.log_target - 1e-9
             assert result.guarantee_side
-
-    def test_order_above_one_rejected(self):
-        with pytest.raises(InvalidValue):
-            feasible_b_sub_unit_alpha(
-                (point_mass(0.0), point_mass(1.0)), PrivacySpec(alpha=2.0, epsilon=1.0)
-            )
 
 
 class TestScenarioAggregation:
     def test_single_pair_matches(self, rng):
         pair = random_pair(rng, max_atoms=6, min_atoms=2)
         spec = PrivacySpec(alpha=2.0, epsilon=0.5)
-        single = calibrate_laplace(pair, spec)
+        single = calibrate_pair(pair, "laplace", spec)
         scenarios = scenario_set([pair])
-        combined = calibrate_over_scenarios(scenarios, "laplace", spec)
+        combined = binding_result(scenarios, "laplace", spec)
         assert combined.parameter == single.parameter
         assert combined.binding_pair_index == 0
 
@@ -459,7 +447,7 @@ class TestScenarioAggregation:
             )
         )
         spec = PrivacySpec(alpha=2.0, epsilon=1.0)
-        result = calibrate_over_scenarios(scenarios, "laplace", spec)
+        result = binding_result(scenarios, "laplace", spec)
         assert result.parameter == pytest.approx(2.0, rel=1e-9)
         assert result.binding_pair_label == "unit"
 
@@ -470,7 +458,7 @@ class TestScenarioAggregation:
                 ScenarioPair(p_i=point_mass(0.0), p_j=point_mass(2.0), label="far"),
             )
         )
-        result = calibrate_over_scenarios(
+        result = binding_result(
             scenarios, "laplace", PrivacySpec(alpha=2.0, epsilon=1.0)
         )
         assert result.parameter == pytest.approx(4.0, rel=1e-9)
@@ -484,7 +472,7 @@ class TestScenarioAggregation:
                 ScenarioPair(p_i=point_mass(5.0), p_j=point_mass(6.0), label="b"),
             )
         )
-        result = calibrate_over_scenarios(
+        result = binding_result(
             scenarios, "laplace", PrivacySpec(alpha=2.0, epsilon=1.0)
         )
         assert result.binding_pair_index == 0
@@ -494,7 +482,7 @@ class TestScenarioAggregation:
             pairs=(ScenarioPair(p_i=point_mass(0.0), p_j=point_mass(1.0), label="named"),)
         )
         with pytest.raises(NonInvertibleRate, match="named"):
-            calibrate_over_scenarios(
+            binding_result(
                 scenarios,
                 "exponential",
                 PrivacySpec(alpha=2.0, epsilon=1.0),
@@ -504,7 +492,7 @@ class TestScenarioAggregation:
     def test_unknown_kind(self):
         scenarios = scenario_set([(point_mass(0.0), point_mass(1.0))])
         with pytest.raises(InvalidValue):
-            calibrate_over_scenarios(scenarios, "noise-o-matic", PrivacySpec(2.0, 1.0))
+            binding_result(scenarios, "noise-o-matic", PrivacySpec(2.0, 1.0))
 
     @pytest.mark.parametrize("kind", MECHANISM_KINDS)
     @pytest.mark.parametrize("alpha", [2.0, math.inf])
@@ -522,10 +510,10 @@ class TestScenarioAggregation:
         spec = PrivacySpec(alpha=alpha, epsilon=1.0)
         if math.isinf(alpha) and kind in ("gaussian", "baseline-laplace", "baseline-gaussian"):
             with pytest.raises(InvalidValue, match="pair 'same'"):
-                calibrate_scenarios(scenarios, kind, spec)
+                one_spec(scenarios, kind, spec)
             return
-        results = calibrate_scenarios(scenarios, kind, spec)
-        binding = calibrate_over_scenarios(scenarios, kind, spec)
+        results = one_spec(scenarios, kind, spec)
+        binding = binding_result(scenarios, kind, spec)
         assert len(results) == 4
         assert results[0].no_noise_needed
         assert results[1].parameter == results[2].parameter > results[3].parameter
@@ -587,8 +575,8 @@ class TestCalibrationProperties:
         while checked < 200:
             pair = random_pair(rng, max_atoms=10, min_atoms=2)
             for spec in specs:
-                for calibrator in (calibrate_laplace, calibrate_gaussian, calibrate_exponential):
-                    result = calibrator(pair, spec)
+                for kind in ("laplace", "gaussian", "exponential"):
+                    result = calibrate_pair(pair, kind, spec)
                     assert result.log_functional_value <= result.log_target + 1e-9 * max(
                         1.0, abs(result.log_target)
                     )
@@ -598,9 +586,9 @@ class TestCalibrationProperties:
     def test_monotone_in_epsilon(self, rng):
         pair = random_pair(rng, max_atoms=10, min_atoms=2)
         eps_grid = (0.1, 0.3, 0.5, 1.0, 2.0, 5.0)
-        for calibrator in (calibrate_laplace, calibrate_gaussian):
+        for kind in ("laplace", "gaussian"):
             values = [
-                calibrator(pair, PrivacySpec(alpha=2.0, epsilon=e)).parameter
+                calibrate_pair(pair, kind, PrivacySpec(alpha=2.0, epsilon=e)).parameter
                 for e in eps_grid
             ]
             for left, right in zip(values, values[1:]):
@@ -610,8 +598,8 @@ class TestCalibrationProperties:
         for _ in range(5):
             pair = random_pair(rng, max_atoms=10, min_atoms=4, floor_mass=True)
             eps = 0.5
-            b = calibrate_laplace(pair, PrivacySpec(alpha=1e4, epsilon=eps)).parameter
-            w = w_infinity(*pair)
+            b = calibrate_pair(pair, "laplace", PrivacySpec(alpha=1e4, epsilon=eps)).parameter
+            w = monotone_coupling(*pair).max_displacement()
             assert abs(b * eps - w) / w < 0.01
             assert b * eps < w
 
@@ -621,12 +609,12 @@ class TestCalibrationProperties:
         # it, for any pair.
         for _ in range(8):
             pair = random_pair(rng, max_atoms=10, min_atoms=2)
-            w = w_infinity(*pair)
+            w = monotone_coupling(*pair).max_displacement()
             for alpha in (1.2, 2.0, 5.0):
                 for eps in (0.5, 1.0):
                     spec = PrivacySpec(alpha=alpha, epsilon=eps)
-                    s = calibrate_gaussian(pair, spec).parameter
-                    s_base = baseline_gaussian_rpp(pair, spec).parameter
+                    s = calibrate_pair(pair, "gaussian", spec).parameter
+                    s_base = calibrate_pair(pair, "baseline-gaussian", spec).parameter
                     assert s <= s_base + 1e-9
                     if w > 0 and len(set(monotone_coupling(*pair).displacements())) > 1:
                         assert s < s_base
@@ -640,8 +628,8 @@ class TestCalibrationProperties:
         for alpha in (1.2, 1.5, 2.0, 2.5, 3.0, 5.0):
             for eps in (0.5, 1.0):
                 spec = PrivacySpec(alpha=alpha, epsilon=eps)
-                b = calibrate_laplace(pair, spec).parameter
-                b_base = baseline_laplace_rpp(pair, spec).parameter
+                b = calibrate_pair(pair, "laplace", spec).parameter
+                b_base = calibrate_pair(pair, "baseline-laplace", spec).parameter
                 assert b < b_base
 
 
@@ -655,7 +643,7 @@ def _bits(outcome):
 
 def _one_spec(scenarios, kind, spec, **kwargs):
     try:
-        return calibrate_scenarios(scenarios, kind, spec, **kwargs)
+        return one_spec(scenarios, kind, spec, **kwargs)
     except PuffercalError as exc:
         return exc
 
@@ -752,7 +740,7 @@ class TestCalibrateGrid:
                 assert result.experimental is (sign < 0.0)
                 assert result.guarantee_side
                 if sign < 0.0:
-                    # The bracket feasible_b_sub_unit_alpha seeded before lanes.
+                    # The bracket the sub-unit solve seeded before lanes.
                     w, target = problem.plan.max_displacement(), -problem.log_target
                     assert problem.bracket == (
                         spec.alpha * w / (target + math.log(2.0)), spec.alpha * w / target
@@ -846,4 +834,4 @@ class TestCalibrateGrid:
         assert _bits(grid[1]) == (NoRoot, "pair 'a': injected at alpha=3.0")
         assert [r.binding_pair_label for r in grid[2]] == ["a", "a"]
         with pytest.raises(NoRoot, match=r"pair 'b': injected at alpha=2\.0"):
-            calibrate_scenarios(scenarios, "laplace", specs[0])
+            one_spec(scenarios, "laplace", specs[0])

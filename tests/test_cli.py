@@ -157,6 +157,13 @@ def pair_scenario_file(tmp_path):
     return str(path)
 
 
+# A datasets entry on the malformed-scenario tests' toy.csv table.
+_DATASET = {
+    "dataset_path": "toy.csv", "x_attribute": "x", "secret_attribute": "s",
+    "value_i": "a", "value_j": "b",
+}
+
+
 class TestCalibrateCommand:
     def test_point_mass_laplace(self, capsys):
         code, out, _ = run_cli(
@@ -412,6 +419,55 @@ class TestCalibrateCommand:
         assert code == 0
         assert [r["pair"] for r in parse_csv(out)] == ["ab", "ac", "other"]
         assert sorted(loaded) == ["other.csv", "toy.csv"]
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ([_DATASET], "scenario file"),
+            ({"pairs": 5}, "scenario file"),
+            ({"datasets": 3}, "scenario file"),
+            ({"datasets": [{**_DATASET, "value_i": 1}]}, "datasets[0]: value_i"),
+            ({"datasets": [{**_DATASET, "dataset_path": 5}]}, "datasets[0]: dataset_path"),
+            ({"datasets": [{**_DATASET, "delimiter": ";;"}]}, "datasets[0]: delimiter"),
+            ({"datasets": [{**_DATASET, "numeric_coding": {"low": "x"}}]},
+             "datasets[0]: numeric_coding"),
+            ({"datasets": [{**_DATASET, "column_names": "xs"}]}, "datasets[0]: column_names"),
+            ({"datasets": [{**_DATASET, "drop_missing": "no"}]}, "datasets[0]: drop_missing"),
+            ({"datasets": [{**_DATASET, "numeric_coding": [["low", 1]]}]},
+             "datasets[0]: numeric_coding"),
+            ({"pairs": [{"p": {"atoms": [0.0], "masses": [1.0]}}]}, "pairs[0]: 'q'"),
+            ({"datasets": [7]}, "datasets[0]: must be an object"),
+        ],
+        ids=[
+            "top-level-array", "pairs-not-array", "datasets-not-array", "value-not-string",
+            "path-not-string", "long-delimiter", "coding-not-numeric", "columns-string",
+            "drop-missing-string", "coding-list", "pair-missing-q", "entry-not-object",
+        ],
+    )
+    def test_malformed_scenario_file_is_a_configuration_error(
+        self, capsys, tmp_path, payload, where
+    ):
+        # The table has a missing cell and a "low" cell, so a misread
+        # drop_missing or numeric_coding would still calibrate.
+        (tmp_path / "toy.csv").write_text("x,s\n1,a\nlow,a\n?,a\n3,b\n", encoding="utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--scenario", str(scenario))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"configuration error: scenario file {scenario}")
+        assert where in err
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file_is_a_configuration_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "calibrate", "--scenario", "point-mass", "--out", str(taken)
+        )
+        assert code == 2
+        assert parse_csv(out)[0]["pair"] == "point-mass"
+        assert err.startswith(f"configuration error: --out {taken}: ")
+        assert err.count("\n") == 1
 
     def test_mixed_grid_syntax(self, capsys):
         code, out, _ = run_cli(

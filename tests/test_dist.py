@@ -12,17 +12,27 @@ from puffercal import (
     LaplaceParams,
     PrivacySpec,
     build_empirical,
-    noise_log_density,
-    posterior_log_density,
 )
 from puffercal.dist import (
+    noise_log_density_many,
     noise_variance,
+    posterior_log_density_many,
     sample_noise,
     truncation_halfwidth,
 )
 from puffercal.errors import EmptySample, InvalidValue, NonNormalizable
 
-from conftest import point_mass
+from conftest import point_mass, sample_atoms
+
+
+def noise_log_density(mech, z):
+    """The noise log density at the one point z, from the array kernel."""
+    return float(noise_log_density_many(mech, np.array([z]))[0])
+
+
+def posterior_log_density(mech, prior, y):
+    """The posterior log density at the one point y, from the array kernel."""
+    return float(posterior_log_density_many(mech, prior, np.array([y]))[0])
 
 
 class TestDiscreteDistribution:
@@ -58,16 +68,17 @@ class TestDiscreteDistribution:
 
     def test_sample_deterministic(self):
         d = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.2, 0.3, 0.5))
-        a = d.sample(np.random.default_rng(3), 100)
-        b = d.sample(np.random.default_rng(3), 100)
+        a = sample_atoms(d, np.random.default_rng(3), 100)
+        b = sample_atoms(d, np.random.default_rng(3), 100)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0.0, 1.0, 3.0}
 
 
 def _assert_sample_is_choice(dist, n, seed):
-    """sample equals rng.choice bit for bit and leaves the generator where it does."""
+    """atoms[sample_indices] equals rng.choice bit for bit and leaves the generator
+    where it does."""
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = dist.sample(ours, n)
+    drawn = sample_atoms(dist, ours, n)
     expected = reference.choice(np.asarray(dist.atoms), size=n, p=np.asarray(dist.masses))
     assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
     assert drawn.tobytes() == expected.tobytes()
@@ -76,7 +87,7 @@ def _assert_sample_is_choice(dist, n, seed):
 
 
 class TestGuideTableSample:
-    """DiscreteDistribution.sample must return exactly what rng.choice returns."""
+    """atoms[DiscreteDistribution.sample_indices] must be exactly what rng.choice returns."""
 
     def test_cdf_on_bucket_edges(self):
         # Masses are multiples of 2^-12, so every cumulative mass is a
@@ -325,8 +336,6 @@ class TestVectorizedDensities:
     def test_scalar_only_cost_on_matrix(self):
         # math.sqrt rejects arrays, forcing the element-wise fallback.
         mech = ExponentialParams(scale=1.0, cost=lambda z: math.sqrt(z * z))
-        from puffercal.dist import noise_log_density_many
-
         grid = np.array([[-1.0, 0.0], [0.5, 2.0]])
         values = noise_log_density_many(mech, grid)
         assert values.shape == grid.shape
@@ -337,8 +346,6 @@ class TestVectorizedDensities:
     def test_posterior_many_matches_scalar(self):
         prior = DiscreteDistribution(atoms=(-1.0, 0.5), masses=(0.4, 0.6))
         mech = GaussianParams(sigma=0.7)
-        from puffercal.dist import posterior_log_density_many
-
         ys = np.linspace(-4.0, 4.0, 17)
         many = posterior_log_density_many(mech, prior, ys)
         for y, v in zip(ys, many):
@@ -648,7 +655,7 @@ class TestLogSumExp:
         from scipy.special import logsumexp
 
         import puffercal.dist as dist
-        from puffercal.dist import noise_log_density_many, posterior_log_density_dense
+        from puffercal.dist import posterior_log_density_dense
 
         prior = DiscreteDistribution(atoms=(-2.0, 0.1, 0.7, 3.5), masses=(0.1, 0.2, 0.3, 0.4))
         ys = rng.uniform(-40.0, 40.0, 1001)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from puffercal import (
     build_empirical,
     monotone_coupling,
-    w_infinity,
 )
 from puffercal.dist import (
     DiscreteDistribution,
@@ -81,7 +80,7 @@ def test_monotone_coupling_marginals_and_shape(p, q):
 @given(distributions(), distributions())
 def test_w_infinity_dominates_mean_displacement(p, q):
     w1 = plan_expectation(monotone_coupling(p, q), lambda u: u)
-    assert w_infinity(p, q) >= w1 - 1e-12
+    assert monotone_coupling(p, q).max_displacement() >= w1 - 1e-12
 
 
 def _exact_w_infinity(xs, ys):
@@ -119,7 +118,7 @@ def test_w_infinity_matches_exact_ladder(xs, ys):
     """Float cumulative sums must not leave rounding slivers in the coupling."""
     p = build_empirical([float(x) for x in xs])
     q = build_empirical([float(y) for y in ys])
-    assert w_infinity(p, q) == _exact_w_infinity(xs, ys)
+    assert monotone_coupling(p, q).max_displacement() == _exact_w_infinity(xs, ys)
 
 
 @settings(deadline=None, max_examples=60)

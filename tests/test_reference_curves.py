@@ -8,7 +8,7 @@ benchmark scenarios).
 
 import pytest
 
-from puffercal import PrivacySpec, baseline_gaussian_rpp, baseline_laplace_rpp
+from puffercal import PrivacySpec, calibrate_pair
 
 from conftest import point_mass
 
@@ -55,12 +55,12 @@ GAUSSIAN_REFERENCE = [
 @pytest.mark.parametrize("w,alpha,eps,expected", LAPLACE_REFERENCE)
 def test_baseline_laplace_reference_curves(w, alpha, eps, expected):
     pair = (point_mass(0.0), point_mass(w))
-    got = baseline_laplace_rpp(pair, PrivacySpec(alpha=alpha, epsilon=eps)).parameter
+    got = calibrate_pair(pair, "baseline-laplace", PrivacySpec(alpha=alpha, epsilon=eps)).parameter
     assert got == pytest.approx(expected, rel=2e-9)
 
 
 @pytest.mark.parametrize("w,alpha,eps,expected", GAUSSIAN_REFERENCE)
 def test_baseline_gaussian_reference_curves(w, alpha, eps, expected):
     pair = (point_mass(0.0), point_mass(w))
-    got = baseline_gaussian_rpp(pair, PrivacySpec(alpha=alpha, epsilon=eps)).parameter
+    got = calibrate_pair(pair, "baseline-gaussian", PrivacySpec(alpha=alpha, epsilon=eps)).parameter
     assert got == pytest.approx(expected, rel=1e-12)

@@ -8,7 +8,6 @@ from puffercal import (
     Coupling,
     DiscreteDistribution,
     monotone_coupling,
-    w_infinity,
 )
 from puffercal.errors import InvalidValue
 from puffercal.transport import coupling_log_expectation
@@ -135,8 +134,8 @@ class TestWassersteinProperties:
                 assert left <= right + 1e-9 * max(1.0, right)
 
     def test_w_infinity_examples(self):
-        assert w_infinity(point_mass(1.5), point_mass(1.5)) == 0.0
-        assert w_infinity(point_mass(0.0), point_mass(2.0)) == 2.0
+        assert monotone_coupling(point_mass(1.5), point_mass(1.5)).max_displacement() == 0.0
+        assert monotone_coupling(point_mass(0.0), point_mass(2.0)).max_displacement() == 2.0
 
     def test_w_infinity_shifted_uniform(self):
         P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
@@ -152,36 +151,35 @@ class TestWassersteinProperties:
             sup = max(abs(x - x2) for x, x2, m in entries if m > 1e-15)
             best = min(best, sup)
         assert best == pytest.approx(0.5, abs=1e-12)
-        assert w_infinity(P, Q) == pytest.approx(0.5, abs=1e-12)
+        assert monotone_coupling(P, Q).max_displacement() == pytest.approx(0.5, abs=1e-12)
 
     def test_w_infinity_dominates_w1(self, rng):
         for _ in range(40):
             P = random_distribution(rng, max_atoms=15)
             Q = random_distribution(rng, max_atoms=15)
             w1 = plan_expectation(monotone_coupling(P, Q), lambda u: u)
-            assert w_infinity(P, Q) >= w1 - 1e-12
+            assert monotone_coupling(P, Q).max_displacement() >= w1 - 1e-12
 
     def test_point_mass_equality(self):
         P, Q = point_mass(0.0), point_mass(3.0)
         w1 = plan_expectation(monotone_coupling(P, Q), lambda u: u)
-        assert w_infinity(P, Q) == w1 == 3.0
+        assert monotone_coupling(P, Q).max_displacement() == w1 == 3.0
 
 
 class TestRoundingSlivers:
     def test_sliver_does_not_pair_far_atoms(self):
         # 0.1 + 0.2 rounds to 0.30000000000000004 while the other ladder
         # reads 0.3: the 5.55e-17 gap must not couple atom 1 with atom 100.
-        from puffercal import PrivacySpec
-        from puffercal.calibrate import calibrate_laplace, calibrate_winf_laplace
+        from puffercal import PrivacySpec, calibrate_pair
 
         P = DiscreteDistribution(atoms=(0.0, 1.0, 100.0), masses=(0.1, 0.2, 0.7))
         Q = DiscreteDistribution(atoms=(0.0, 100.0), masses=(0.3, 0.7))
         plan = monotone_coupling(P, Q)
         assert [(x, x2) for x, x2, _ in plan.entries] == [(0.0, 0.0), (1.0, 0.0), (100.0, 100.0)]
-        assert w_infinity(P, Q) == 1.0
-        assert calibrate_winf_laplace((P, Q), 1.0).parameter == 1.0
+        assert monotone_coupling(P, Q).max_displacement() == 1.0
+        assert calibrate_pair((P, Q), "winf", PrivacySpec(math.inf, 1.0)).parameter == 1.0
         # Displacement 1 carries mass 0.2: 0.8 + 0.2 exp(2 / b) = e at alpha = 2.
-        b = calibrate_laplace((P, Q), PrivacySpec(alpha=2.0, epsilon=1.0)).parameter
+        b = calibrate_pair((P, Q), "laplace", PrivacySpec(alpha=2.0, epsilon=1.0)).parameter
         assert b == pytest.approx(2.0 / math.log((math.e - 0.8) / 0.2), rel=1e-8)
         assert b == pytest.approx(0.8846, abs=1e-4)
 
@@ -191,4 +189,4 @@ class TestRoundingSlivers:
         Q = DiscreteDistribution(atoms=(0.0, 5.0), masses=(0.5, 0.5))
         plan = monotone_coupling(P, Q)
         assert (0.0, 5.0) in [(x, x2) for x, x2, _ in plan.entries]
-        assert w_infinity(P, Q) == 5.0
+        assert monotone_coupling(P, Q).max_displacement() == 5.0

@@ -11,9 +11,7 @@ from puffercal import (
     LaplaceParams,
     ExponentialParams,
     PrivacySpec,
-    calibrate_exponential,
-    calibrate_gaussian,
-    calibrate_laplace,
+    calibrate_pair,
     chernoff_breach_bound,
     laplace_pair_divergence,
     monte_carlo_breach,
@@ -36,7 +34,7 @@ from puffercal.verify import (
     renyi_divergence_both_ways,
 )
 
-from conftest import point_mass, random_pair
+from conftest import point_mass, random_pair, sample_atoms
 
 
 def test_verifier_does_not_import_the_calibrator():
@@ -114,7 +112,7 @@ class TestRenyiDivergenceNumeric:
         alpha = 2.0
         rng = np.random.default_rng(2024)
         n = 2_000_000
-        xs = p.sample(rng, n)
+        xs = sample_atoms(p, rng, n)
         ys = xs + rng.laplace(0.0, mech.scale, size=n)
         from puffercal.dist import posterior_log_density_many
 
@@ -474,12 +472,15 @@ class TestBisectQuadrature:
         ids=["laplace", "gaussian", "custom-cost"],
     )
     def test_finite_orders_take_only_the_vector_kernel(self, monkeypatch, mech):
-        import puffercal.dist as dist
+        import puffercal.verify as verify
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("scalar posterior density called")
+        real = verify.posterior_log_density_many
 
-        monkeypatch.setattr(dist, "posterior_log_density", forbidden)
+        def vector_only(mech, prior, ys):
+            assert np.size(ys) > 1, "one-point posterior density call"
+            return real(mech, prior, ys)
+
+        monkeypatch.setattr(verify, "posterior_log_density_many", vector_only)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         for alpha in (0.5, 2.0):
@@ -923,7 +924,7 @@ class TestVerifyRpp:
     def test_calibrated_laplace_passes(self, rng):
         pair = random_pair(rng, max_atoms=8, min_atoms=2, span=2.0)
         spec = PrivacySpec(alpha=2.0, epsilon=0.5)
-        result = calibrate_laplace(pair, spec)
+        result = calibrate_pair(pair, "laplace", spec)
         reports = verify_rpp(scenario_set([pair]), LaplaceParams(result.parameter), spec)
         assert reports[0].passed
         assert reports[0].slack >= -1e-6
@@ -935,7 +936,7 @@ class TestVerifyRpp:
         # divergence past the budget.
         pair = (point_mass(0.0), point_mass(1.0))
         spec = PrivacySpec(alpha=2.0, epsilon=0.2)
-        result = calibrate_gaussian(pair, spec)
+        result = calibrate_pair(pair, "gaussian", spec)
         reports = verify_rpp(
             scenario_set([pair]), GaussianParams(result.parameter / 2.0), spec
         )
@@ -947,7 +948,7 @@ class TestVerifyRpp:
         # exact-divergence root before the check fails.
         pair = (point_mass(0.0), point_mass(1.0))
         spec = PrivacySpec(alpha=2.0, epsilon=0.2)
-        result = calibrate_laplace(pair, spec)
+        result = calibrate_pair(pair, "laplace", spec)
         reports = verify_rpp(
             scenario_set([pair]), LaplaceParams(result.parameter / 10.0), spec
         )
@@ -993,7 +994,7 @@ class TestVerifyRpp:
     def test_calibrated_exponential_passes(self, rng):
         pair = random_pair(rng, max_atoms=6, min_atoms=2, span=2.0)
         spec = PrivacySpec(alpha=1.5, epsilon=1.0)
-        result = calibrate_exponential(pair, spec)
+        result = calibrate_pair(pair, "exponential", spec)
         reports = verify_rpp(
             scenario_set([pair]), ExponentialParams(result.parameter), spec
         )
@@ -1002,14 +1003,12 @@ class TestVerifyRpp:
     def test_sub_unit_condition_is_numerically_sufficient(self, rng):
         # The experimental order-in-(0,1) condition upper-bounds the true
         # divergence: confirm against quadrature on random scenarios.
-        from puffercal import feasible_b_sub_unit_alpha
-
         for _ in range(5):
             pair = random_pair(rng, max_atoms=6, min_atoms=2, span=2.0)
             alpha = float(rng.uniform(0.15, 0.85))
             eps = float(rng.uniform(0.3, 1.2))
             spec = PrivacySpec(alpha=alpha, epsilon=eps)
-            result = feasible_b_sub_unit_alpha(pair, spec)
+            result = calibrate_pair(pair, "laplace", spec)
             if result.parameter == 0.0:
                 continue
             reports = verify_rpp(
@@ -1018,12 +1017,10 @@ class TestVerifyRpp:
             assert reports[0].passed
 
     def test_winf_calibration_passes_at_infinite_order(self, rng):
-        from puffercal import calibrate_winf_laplace
-
         for _ in range(5):
             pair = random_pair(rng, max_atoms=8, min_atoms=2, span=3.0)
             eps = float(rng.uniform(0.2, 1.5))
-            b = calibrate_winf_laplace(pair, eps).parameter
+            b = calibrate_pair(pair, "winf", PrivacySpec(math.inf, eps)).parameter
             if b == 0.0:
                 continue
             value = renyi_divergence_numeric(*pair, LaplaceParams(b), math.inf)
@@ -1110,7 +1107,7 @@ class TestMonteCarloBreach:
         for _ in range(4):
             pair = random_pair(rng, max_atoms=5, min_atoms=1, span=2.0)
             spec = PrivacySpec(alpha=2.0, epsilon=0.8)
-            parameter = calibrate_laplace(pair, spec).parameter
+            parameter = calibrate_pair(pair, "laplace", spec).parameter
             if parameter == 0.0:
                 continue
             mech = LaplaceParams(parameter)
@@ -1128,7 +1125,7 @@ class TestMonteCarloBreach:
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.2, 0.8))
         estimate, _ = monte_carlo_breach(p, q, None, 0.5, 100_000, 5)
-        xs = p.sample(np.random.default_rng(5), 100_000)
+        xs = sample_atoms(p, np.random.default_rng(5), 100_000)
         assert estimate == np.count_nonzero(xs != 1.0) / 100_000
         assert monte_carlo_breach(p, p, None, 0.5, 1000, 5) == (0.0, 0.0)
 
@@ -1183,7 +1180,7 @@ class TestStreamedBreach:
         p, q = random_pair(rng, max_atoms=12, min_atoms=2, span=3.0)
         mech, eps = noise(float(rng.uniform(0.3, 1.5))), float(rng.uniform(0.1, 0.8))
         draws = np.random.default_rng(17)
-        ys = p.sample(draws, n) + sample_noise(mech, draws, n)
+        ys = sample_atoms(p, draws, n) + sample_noise(mech, draws, n)
         expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
         assert monte_carlo_breach(p, q, mech, eps, n, 17)[0] == expected
 
@@ -1233,7 +1230,7 @@ def _sorted_draws(p_i, mech, n, seed):
     from puffercal.dist import sample_noise
 
     rng = np.random.default_rng(seed)
-    xs = p_i.sample(rng, n)
+    xs = sample_atoms(p_i, rng, n)
     return np.sort(xs + sample_noise(mech, rng, n))
 
 
