@@ -64,6 +64,13 @@ EXTRA_COMMANDS = (
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
     ("verify", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "0.5,2,inf", "--epsilon", "1", "--parameter", "3.0"),
+    # Gaussian alpha = inf on narrow noise, and on noise wide enough that
+    # the supremum search adds tail segments past the 12-sigma window.
+    *(
+        ("verify", "--scenario", "{scenario}", "--mechanism", "gaussian",
+         "--alpha", "inf", "--epsilon", "1", "--parameter", sigma)
+        for sigma in ("0.05", "40")
+    ),
     ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",
      "--alpha", "1.5,3,20,inf", "--epsilon", "1"),
     ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",

@@ -325,13 +325,8 @@ def _exponential_norm(mech: ExponentialParams):
     return math.log(z_const), halfwidth, grid, pdf_unnorm / z_const
 
 
-def noise_log_density_many(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
-    """Log density of the noise variable at each point of z."""
-    return _noise_log_density_into(mech, np.array(z, dtype=float))
-
-
 def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
-    """noise_log_density_many computed in place: overwrites and returns the float array z."""
+    """Log density of the noise at each point of the float array z, written over z and returned."""
     scale = laplace_scale(mech)
     if scale is not None:
         np.abs(z, out=z)
@@ -502,7 +497,7 @@ def posterior_log_density_dense(
 def gaussian_tilted_log_sum(
     prior: DiscreteDistribution, sigma: float, centers: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Gaussian posterior's log-sum-exp tilted about each center, and its slope there.
+    """The Gaussian posterior's log-sum-exp tilted about each center, and its slope at the middle.
 
     For Y = X + N(0, sigma^2) and a center c, write y = c + t. Then
 
@@ -510,12 +505,21 @@ def gaussian_tilted_log_sum(
         G_c(t) = log sum_i m_i exp(-(a_i - c)^2 / 2 sigma^2 + t (a_i - c) / sigma^2),
 
     and G_c is a log-sum-exp of functions affine in t, so it is convex
-    (Boyd & Vandenberghe 2004, 3.1.5). Two priors under the same noise
-    share the other two terms, so log p - log q = G^p_c - G^q_c for every t.
-    The exponents hold (a_i - c)/sigma, never y a_i / sigma^2, so atoms far
-    from 0 lose no digits. Returns G_c(offsets[k, j]) about centers[k],
-    shape (K, J), and the slope G_c'(0), the tilted mean of a_i - c over
-    sigma^2, shape (K,). Chunked like posterior_log_density_dense.
+    (Boyd & Vandenberghe 2004, 3.1.5): for t_a <= t <= t_b and any t_m it
+    lies above its tangent at t_m and under its chord on [t_a, t_b],
+
+        G_c(t_m) + G_c'(t_m) (t - t_m) <= G_c(t),
+        G_c(t) <= ((t_b - t) G_c(t_a) + (t - t_a) G_c(t_b)) / (t_b - t_a).
+
+    Two priors under the same noise share the other two terms, so
+    log p - log q = G^p_c - G^q_c for every t. The exponents hold
+    (a_i - c) / sigma and t / sigma, never y a_i / sigma^2, so atoms far
+    from 0 lose no digits; each is at most (R / sigma)^2 / 2 + |t| R / sigma^2
+    in magnitude, for R the farthest atom from c, so with c inside the
+    atom range none holds (y - a_i)^2 / sigma^2 far past it. Returns
+    G_c(offsets[k, j]) about centers[k], shape (K, J), and the slope
+    G_c'(offsets[k, 1]), the mean of (a_i - c) / sigma^2 weighted by the
+    terms there, shape (K,). Chunked like posterior_log_density_dense.
     """
     atoms, log_masses = _prior_arrays(prior)
     values = np.empty(offsets.shape)
@@ -532,9 +536,10 @@ def gaussian_tilted_log_sum(
             base = np.square(reach)
             base *= -0.5
             base += log_masses[None, :]
-            weights = np.exp(base - base.max(axis=1, keepdims=True))
-            slopes[rows] = (weights * reach).sum(axis=1) / (sigma * weights.sum(axis=1))
             tilted = base[:, None, :] + (offsets[rows] / sigma)[:, :, None] * reach[:, None, :]
+            middle = tilted[:, 1, :]
+            weights = np.exp(middle - middle.max(axis=1, keepdims=True))
+            slopes[rows] = (weights * reach).sum(axis=1) / (sigma * weights.sum(axis=1))
         values[rows] = log_sum_exp(tilted.reshape(-1, atoms.size)).reshape(-1, offsets.shape[1])
     return values, slopes
 

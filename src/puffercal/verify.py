@@ -461,8 +461,8 @@ def _gaussian_sup_log_ratios(
       constant is within the tolerance plus its margin of the incumbent
       (0 or the tail limits), the window
       is widened geometrically (_tail_doublings): the segment from reach e
-      to 2e past the extreme knot joins the search, bounded by
-      _far_log_ratio_bounds, and the tail starts at 2e.
+      to 2e past the extreme knot joins the search, and the tail starts
+      at 2e. _log_ratio_bounds bounds the window and these segments alike.
 
     The directions share each round's bounds, since the bounds on -r are
     the negated bounds on r. Each prunes, settles and widens on its own
@@ -483,7 +483,6 @@ def _gaussian_sup_log_ratios(
     Raises IntegrationFailure when a tail does not settle
     (_tail_doublings).
     """
-    sigma = mech.sigma
     knots, a, b = _window(p_i, p_j, mech)
     pad = truncation_halfwidth(mech)
     directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
@@ -499,13 +498,12 @@ def _gaussian_sup_log_ratios(
             math.log(p.masses[k]) - math.log(q.masses[k])
             for k in (0, -1) if p.atoms[k] == q.atoms[k]
         ])
-        tails = [_tail_doublings(p, q, sigma, side, pad, incumbent) for side in (-1.0, 1.0)]
+        tails = [_tail_doublings(p, q, mech.sigma, side, pad, incumbent) for side in (-1.0, 1.0)]
         best.append(incumbent)
         bound.append(max(tail for _, tail in tails))
         doublings.append([n for n, _ in tails])
     # Segment k on a side spans reach pad 2^k to pad 2^(k+1) past the extreme knot.
     counts = [max([0] + [n[s] for n in doublings if n is not None]) for s in (0, 1)]
-    lo_edge, hi_edge = float(a[0]), float(b[-1])
     far_a, far_b, far_live = [], [], []
     for s, (edge, side) in enumerate(((float(knots[0]), -1.0), (float(knots[-1]), 1.0))):
         for k in range(counts[s]):
@@ -519,15 +517,7 @@ def _gaussian_sup_log_ratios(
     live = np.array([finite] * (a.size - len(far_a)) + far_live, dtype=bool).T
 
     def bounds(a, b):
-        far = (b <= lo_edge) | (a >= hi_edge)
-        out = tuple(np.empty(a.size) for _ in range(5))
-        for mask, part in (
-            (~far, _log_ratio_bounds(p_i, p_j, mech, a[~far], b[~far])),
-            (far, _far_log_ratio_bounds(p_i, p_j, sigma, knots, a[far], b[far])),
-        ):
-            for o, v in zip(out, part):
-                o[mask] = v
-        return out
+        return _log_ratio_bounds(p_i, p_j, mech, a, b)
 
     most_open = [4 * (int(own.sum()) + 1) + 64 for own in live]
 
@@ -631,56 +621,6 @@ def _gaussian_tail_bound(
         x = d * (reach / sigma) + 0.5 * d * d
     value = float(log_sum_exp(log_masses - x)) - math.log(q.masses[k])
     return value, _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p, q, sigma) + float(x.min()))
-
-
-def _far_log_ratio_bounds(
-    p_i: DiscreteDistribution,
-    p_j: DiscreteDistribution,
-    sigma: float,
-    knots: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """_log_ratio_bounds' arrays for intervals past the atom range, with nan for the bound on log p.
-
-    The tilted sums are taken about the nearer extreme knot B, at
-    t = y - B (dist.gaussian_tilted_log_sum): about the interval's own
-    midpoint, far from every atom, each exponent would hold a square
-    (y - a_i)^2 / 2 sigma^2 whose rounding outgrows the ratio itself.
-    G(t) is convex, so on [t_a, t_b] with midpoint t_m it lies under the
-    chords through its values there, and above the secant through (t_m,
-    G_m) and (t_b, G_b) extended to [t_a, t_m] (likewise on the right).
-    The differences of these lines are affine on each half, so with
-    S_a = G_m - (G_b - G_m) h and S_b = G_m - (G_a - G_m) / h,
-    h = (t_m - t_a) / (t_b - t_m),
-        r <= max(G^p_a - S^q_a, G^p_m - G^q_m, G^p_b - S^q_b),
-        r >= min(S^p_a - G^q_a, G^p_m - G^q_m, S^p_b - G^q_b),
-    and both close in on r quadratically as the interval shrinks. Past
-    B every exponent's terms share a sign, so each G is off by a few
-    ulps of |G| + n + L; the margin, 64 u (L + n + |log s| + 3 + max |G|),
-    covers the four of them in each bound.
-    """
-    anchors = np.where(b <= knots[0], knots[0], knots[-1])
-    t_a, t_b = a - anchors, b - anchors
-    t_m = t_a + 0.5 * (t_b - t_a)
-    offsets = np.stack((t_a, t_m, t_b), axis=1)
-    gp, _ = gaussian_tilted_log_sum(p_i, sigma, anchors, offsets)
-    gq, _ = gaussian_tilted_log_sum(p_j, sigma, anchors, offsets)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero-width half gives nan bounds, which neither prune nor settle.
-        h = (t_m - t_a) / (t_b - t_m)
-
-        def secants(g):
-            return g[:, 1] - (g[:, 2] - g[:, 1]) * h, g[:, 1] - (g[:, 0] - g[:, 1]) / h
-
-        sp_a, sp_b = secants(gp)
-        sq_a, sq_b = secants(gq)
-    mid = gp[:, 1] - gq[:, 1]
-    upper = np.maximum(np.maximum(gp[:, 0] - sq_a, gp[:, 2] - sq_b), mid)
-    lower = np.minimum(np.minimum(sp_a - gq[:, 0], sp_b - gq[:, 2]), mid)
-    size = np.maximum(np.abs(gp).max(axis=1), np.abs(gq).max(axis=1))
-    margin = _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p_i, p_j, sigma) + size)
-    return lower, upper, margin, np.full(a.size, math.nan), mid
 
 
 def _dense_grid(mech: MechanismParams, knots: list[float]) -> np.ndarray:
@@ -1103,41 +1043,56 @@ def _log_ratio_bounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bounds on log p - log q over each [a[k], b[k]], a rounding margin, a bound on log p, and a value.
 
+    For every y in [a[k], b[k]], with r(y) the exact log ratio,
+
+        lower[k] - margin[k] <= r(y) <= upper[k] + margin[k].
+
     - Laplace noise (the intervals hold no atom of either prior inside):
       between adjacent atoms the ratio is monotone, and
       beyond the extreme atoms constant (see _sup_log_ratios), so the
       bounds are the smaller and larger of its two endpoint values.
-    - Gaussian noise: log p - log q = G^p_c - G^q_c, convex functions of
-      y tilted about the midpoint c (dist.gaussian_tilted_log_sum). A
-      convex function lies under its chord and above its tangent, so
-      chord(G^p) - tangent(G^q) bounds the ratio from above and
-      tangent(G^p) - chord(G^q) from below; both are affine, so their
-      extremes are at the endpoints. This holds on any interval.
+    - Gaussian noise: r = G^p_c - G^q_c, convex functions of t = y - c
+      (dist.gaussian_tilted_log_sum), tilted about the interval's
+      midpoint m clamped into the atom range of both priors: c = m inside
+      it, and the nearer extreme atom past it. A convex function lies
+      under its chord and above its tangent, so chord(G^p) - tangent at m
+      of G^q bounds r from above and tangent(G^p) - chord(G^q) from below;
+      both are affine, so their extremes are at the endpoints. This holds
+      on any interval, and with c at most an atom range away no exponent
+      holds (y - a_i)^2 / s^2 however far the interval lies.
 
-    The margin is 64 u (M + L + n + |log s| + 3), u = 2^-53, where M is the
-    largest exponent magnitude on the interval, D/s for Laplace(s) noise
-    and (D/s)^2 for Gaussian(s), with D the largest distance from a point
-    of the interval to an atom of either prior; L = max(-log mass) and n
-    the two priors' atom count together. Each term bounds a rounding: of
-    the exponents, of the logged masses and anchored sums, of the n-term
-    sums, and of the noise's normalizer. Gaussian margins are further
-    scaled by 1 + w D / s^2 for an interval of width w, since a rounding
-    of the tangent's slope grows with the distance from c.
+    The margin is 64 u (M + L + n + |log s| + 3) S, u = 2^-53, where M is
+    the largest exponent magnitude; L = max(-log mass) and n the two
+    priors' atom count together. Each term bounds a rounding: of the
+    exponents, of the logged masses and anchored sums, of the n-term sums,
+    and of the noise's normalizer. The margin covers _log_ratio at any
+    point of the interval too, so that _breach_intervals can compare a
+    draw's ratio with a certified interval.
+    - Laplace(s): M = D / s, for D the largest distance from a point of
+      the interval to an atom of either prior, and S = 1.
+    - Gaussian(s): with R the farthest atom from c and T the farthest
+      point of the interval from c, the tilted exponents are at most
+      M = (R / s)^2 / 2 + T R / s^2, plus min(T / s, 12)^2 / 2 for
+      _log_ratio's exponents (y - a_i)^2 / 2 s^2 <= (R + T)^2 / 2 s^2
+      inside _breach_intervals' window, which ends 12 s past the atoms
+      (past it the search of _gaussian_sup_log_ratios compares no draw).
+      S = 1 + w R / s^2 for an interval of width w: the tangent's slope
+      is a weighted mean of (a_i - c) / s^2, at most R / s^2, so its
+      rounding grows by up to w R / s^2 at the ends.
 
     The fourth array bounds log p over each interval, up to rounding, for
     _breach_intervals' expected-draw floor: for Laplace noise the larger
     of its endpoint values, since between atoms p is a sum of exponentials
     in y and so convex; for Gaussian noise max(G^p_c at the ends) -
-    log(sigma sqrt(2 pi)), since G^p_c is convex and the dropped term
-    -t^2 / 2 sigma^2 is at most 0.
+    g^2 / 2 s^2 - log(s sqrt(2 pi)), with g the distance from c to the
+    interval (0 when c lies in it), since G^p_c is convex and the dropped
+    term -t^2 / 2 s^2 is at most -g^2 / 2 s^2 there.
 
     The last array is log p - log q at a point of each interval, for
-    _gaussian_sup_log_ratios' incumbent: at the midpoint, G^p_c(0) -
-    G^q_c(0), for Gaussian noise, and at a for Laplace noise.
+    _gaussian_sup_log_ratios' incumbent: at the midpoint, G^p_c - G^q_c
+    there, for Gaussian noise, and at a for Laplace noise.
     """
-    reach = np.maximum(
-        b - min(p_i.min_atom, p_j.min_atom), max(p_i.max_atom, p_j.max_atom) - a
-    )
+    lo, hi = min(p_i.min_atom, p_j.min_atom), max(p_i.max_atom, p_j.max_atom)
     scale = laplace_scale(mech)
     if scale is not None:
         ends = np.concatenate((a, b))
@@ -1147,28 +1102,38 @@ def _log_ratio_bounds(
         lower, upper = np.minimum(at_a, at_b), np.maximum(at_a, at_b)
         log_density = np.maximum(log_p[: a.size], log_p[a.size :])
         value = at_a
-        exponent = reach / scale
+        exponent = np.maximum(b - lo, hi - a) / scale
         spread = 1.0
     else:
         scale = mech.sigma
-        c = 0.5 * (a + b)
-        offsets = np.stack((a - c, np.zeros_like(c), b - c), axis=1)
-        gp, slope_p = gaussian_tilted_log_sum(p_i, scale, c, offsets)
-        gq, slope_q = gaussian_tilted_log_sum(p_j, scale, c, offsets)
-        t_a, t_b = offsets[:, 0], offsets[:, 2]
-        upper = np.maximum(
-            gp[:, 0] - (gq[:, 1] + slope_q * t_a), gp[:, 2] - (gq[:, 1] + slope_q * t_b)
-        )
-        lower = np.minimum(
-            gp[:, 1] + slope_p * t_a - gq[:, 0], gp[:, 1] + slope_p * t_b - gq[:, 2]
-        )
-        log_density = np.maximum(gp[:, 0], gp[:, 2]) - math.log(scale * math.sqrt(2.0 * math.pi))
-        # At a vanishing scale the sums are inf or nan, and so is the
-        # margin, which certifies nothing.
+        # At a vanishing scale the sums are inf or nan, and past about
+        # 9e307 so is the midpoint; then so is the margin, which certifies
+        # nothing.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mid = 0.5 * (a + b)
+            c = np.clip(mid, lo, hi)
+            offsets = np.stack((a - c, mid - c, b - c), axis=1)
+            gp, slope_p = gaussian_tilted_log_sum(p_i, scale, c, offsets)
+            gq, slope_q = gaussian_tilted_log_sum(p_j, scale, c, offsets)
+            # The tangents touch at mid, a - mid and b - mid from the ends.
+            to_a, to_b = a - mid, b - mid
+            upper = np.maximum(
+                gp[:, 0] - (gq[:, 1] + slope_q * to_a), gp[:, 2] - (gq[:, 1] + slope_q * to_b)
+            )
+            lower = np.minimum(
+                gp[:, 1] + slope_p * to_a - gq[:, 0], gp[:, 1] + slope_p * to_b - gq[:, 2]
+            )
+            gap = np.maximum(0.0, np.maximum(offsets[:, 0], -offsets[:, 2])) / scale
+            log_density = (
+                np.maximum(gp[:, 0], gp[:, 2]) - 0.5 * np.square(gap)
+                - math.log(scale * math.sqrt(2.0 * math.pi))
+            )
             value = gp[:, 1] - gq[:, 1]
-            exponent = np.square(reach / scale)
-            spread = 1.0 + (b - a) * reach / np.square(scale)
+            far = np.maximum(c - lo, hi - c) / scale
+            reach = np.maximum(c - a, b - c) / scale
+            window = truncation_halfwidth(mech) / scale
+            exponent = far * (0.5 * far + reach) + 0.5 * np.square(np.minimum(reach, window))
+            spread = 1.0 + (b - a) / scale * far
     with np.errstate(over="ignore"):
         margin = _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p_i, p_j, scale) + exponent) * spread
     return lower, upper, margin, log_density, value

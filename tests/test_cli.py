@@ -1023,6 +1023,37 @@ class TestBreachCommand:
         assert float(row["mc_breach_estimate"]) == 0.0
         assert float(row["chernoff_bound"]) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
+    def test_breach_bound_needs_only_the_forward_direction(self, capsys, tmp_path):
+        # At alpha = 120 only D(q || p) overflows the verifier's integrand
+        # guard (an exponent past 700), so both directions together are
+        # inconclusive; the Chernoff column needs D(p || q) = 0.69214 alone,
+        # and keeps a finite bound as long as breach takes the one-way path.
+        from puffercal import DiscreteDistribution, GaussianParams
+        from puffercal.errors import IntegrationFailure
+        from puffercal.verify import renyi_divergence_both_ways, renyi_divergence_numeric
+
+        p = DiscreteDistribution((0.0, 10.0), (0.999, 0.001))
+        q = DiscreteDistribution((0.0, 10.0), (0.5, 0.5))
+        mech = GaussianParams(1.0)
+        forward = renyi_divergence_numeric(p, q, mech, 120.0)
+        assert forward == pytest.approx(0.69214, abs=1e-5)
+        with pytest.raises(IntegrationFailure):
+            renyi_divergence_both_ways(p, q, mech, 120.0)
+        payload = {"pairs": [{
+            "label": "skew",
+            "p": {"atoms": list(p.atoms), "masses": list(p.masses)},
+            "q": {"atoms": list(q.atoms), "masses": list(q.masses)},
+        }]}
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", str(path), "--parameter", "1",
+            "--mechanism", "gaussian", "--alpha", "120", "--epsilon", "1", "--n", "1000",
+        )
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert float(row["chernoff_bound"]) == math.exp(119.0 * (forward - 1.0))
+
     def test_breach_zero_parameter_disjoint_supports(self, capsys, tmp_path):
         # Every draw is an atom the other side lacks: estimate 1, and the
         # divergence is infinite, so there is no bound.

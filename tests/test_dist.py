@@ -14,7 +14,7 @@ from puffercal import (
     build_empirical,
 )
 from puffercal.dist import (
-    noise_log_density_many,
+    _noise_log_density_into,
     noise_variance,
     posterior_log_density_many,
     sample_noise,
@@ -27,7 +27,7 @@ from conftest import point_mass, sample_atoms
 
 def noise_log_density(mech, z):
     """The noise log density at the one point z, from the array kernel."""
-    return float(noise_log_density_many(mech, np.array([z]))[0])
+    return float(_noise_log_density_into(mech, np.array([z], dtype=float))[0])
 
 
 def posterior_log_density(mech, prior, y):
@@ -337,7 +337,7 @@ class TestVectorizedDensities:
         # math.sqrt rejects arrays, forcing the element-wise fallback.
         mech = ExponentialParams(scale=1.0, cost=lambda z: math.sqrt(z * z))
         grid = np.array([[-1.0, 0.0], [0.5, 2.0]])
-        values = noise_log_density_many(mech, grid)
+        values = _noise_log_density_into(mech, grid.copy())
         assert values.shape == grid.shape
         lap = LaplaceParams(scale=1.0)
         for z, v in zip(grid.ravel(), values.ravel()):
@@ -662,7 +662,7 @@ class TestLogSumExp:
         atoms = np.asarray(prior.atoms)
         log_masses = np.log(np.asarray(prior.masses))
         want = logsumexp(
-            noise_log_density_many(mech, ys[:, None] - atoms[None, :]) + log_masses[None, :],
+            _noise_log_density_into(mech, ys[:, None] - atoms[None, :]) + log_masses[None, :],
             axis=1,
         )
         # Four atoms: 256 points per chunk, so the 1001 points span four chunks.

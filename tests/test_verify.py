@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, getcontext
 from pathlib import Path
 
 import numpy as np
@@ -1232,6 +1233,66 @@ def _sorted_draws(p_i, mech, n, seed):
     rng = np.random.default_rng(seed)
     xs = sample_atoms(p_i, rng, n)
     return np.sort(xs + sample_noise(mech, rng, n))
+
+
+def _decimal_log_density(prior, sigma, y):
+    """log of the Gaussian posterior density at y, up to the shared normalizer, in 50 digits."""
+    exponents = [
+        Decimal(m).ln() - (Decimal(y) - Decimal(a)) ** 2 / (2 * Decimal(sigma) ** 2)
+        for a, m in zip(prior.atoms, prior.masses)
+    ]
+    peak = max(exponents)
+    return peak + sum((e - peak).exp() for e in exponents).ln()
+
+
+class TestGaussianIntervalBounds:
+    """_log_ratio_bounds under Gaussian noise against the exact log ratio, on the whole line."""
+
+    def test_bounds_contain_the_exact_ratio(self):
+        # One tilt about the midpoint clamped into the atom range serves
+        # intervals inside it, in the 12 sigma padding and up to 1e3 sigma
+        # past the extreme atoms. At the ends, the midpoint and interior
+        # points, the 50-digit ratio lies within the bounds plus margin;
+        # inside the window, where breach compares draws with certified
+        # intervals, the float ratio does too.
+        import puffercal.verify as verify
+
+        getcontext().prec = 50
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(40):
+            sigma = float(10.0 ** rng.uniform(-2.0, 0.5))
+            base = float(rng.choice([0.0, 1e4]))
+            span = sigma * float(10.0 ** rng.uniform(-1.0, 1.5))
+            p, q = (
+                DiscreteDistribution(tuple(base + a for a in d.atoms), d.masses)
+                for d in random_pair(rng, max_atoms=5, min_atoms=1, span=span)
+            )
+            mech = GaussianParams(sigma)
+            lo, hi = min(p.min_atom, q.min_atom), max(p.max_atom, q.max_atom)
+            ends = [np.sort(rng.uniform(lo, hi, 2)), np.sort(rng.uniform(hi, hi + 12.0 * sigma, 2))]
+            for reach in 10.0 ** rng.uniform(1.0, 3.0, 2):
+                inner = hi + reach * sigma * float(rng.uniform(0.5, 1.0))
+                ends.append(np.array([inner, hi + reach * sigma]))
+            # Mirror the padding and far intervals onto the left side.
+            ends += [lo + hi - e[::-1] for e in ends[1:]]
+            a, b = np.array([e[0] for e in ends]), np.array([e[1] for e in ends])
+            lower, upper, margin, _, _ = verify._log_ratio_bounds(p, q, mech, a, b)
+            for k in range(a.size):
+                ys = np.unique(np.clip(
+                    [a[k], 0.5 * (a[k] + b[k]), b[k], *rng.uniform(a[k], b[k], 2)], a[k], b[k]
+                ))
+                in_window = lo - 12.0 * sigma <= a[k] and b[k] <= hi + 12.0 * sigma
+                floats = verify._log_ratio(p, q, mech, ys) if in_window else [None] * ys.size
+                for y, value in zip(ys.tolist(), floats):
+                    r = _decimal_log_density(p, sigma, y) - _decimal_log_density(q, sigma, y)
+                    low = Decimal(float(lower[k])) - Decimal(float(margin[k]))
+                    high = Decimal(float(upper[k])) + Decimal(float(margin[k]))
+                    assert low <= r <= high, (p, q, sigma, a[k], b[k], y)
+                    if value is not None:
+                        assert lower[k] - margin[k] <= value <= upper[k] + margin[k]
+                    checked += 1
+        assert checked >= 40 * 7 * 4
 
 
 class TestBreachClassification:
