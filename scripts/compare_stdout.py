@@ -102,6 +102,15 @@ EXTRA_COMMANDS = (
     ("breach", "--scenario", "{scenario}", "--mechanism", "gaussian",
      "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0.05", "--n", "200000",
      "--seed", "{seed}"),
+    # Laplace-type noise so narrow against the atom spacing that each atom's
+    # draws settle in a certified interval of their own, some above epsilon
+    # and some below: breach counts them from a mixed per-atom table.
+    *(
+        ("breach", "--scenario", "{scenario}", "--mechanism", kind,
+         "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0.005", "--n", "150001",
+         "--seed", "{seed}")
+        for kind in ("laplace", "exponential")
+    ),
     # Zero noise, and the exponential mechanism's Monte Carlo.
     ("breach", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "2", "--epsilon", "0.5,1", "--parameter", "0", "--n", "150001",

@@ -104,7 +104,11 @@ def renyi_divergence_numeric(
       window cut at every atom this moves D by at most the quadrature's
       tolerance carried to D, 1e-10 / |alpha - 1| absolute; over the
       verify and breach commands of scripts/compare_stdout.py at three
-      seeds the largest drift was 5.7e-12 relative.
+      seeds the largest drift was 5.7e-12 relative. A gap between atoms
+      too wide for the first round to see its peaks is also cut at 40 b
+      inside each end (_cut_wide_gaps). Scales too narrow for the float
+      spacing at the atoms raise IntegrationFailure: the nodes' rounding
+      would read the peaks wrong.
     - Other noise: the window is the union atom range padded by the noise
       truncation width plus the order-driven shift of the integrand's
       tail mode. Custom costs cut it at every atom. Gaussian integrands
@@ -117,7 +121,10 @@ def renyi_divergence_numeric(
 
     alpha = inf takes the supremum of the log ratio (see
     _sup_log_ratios). Raises IntegrationFailure when the integrand
-    overflows or is nan, or the quadrature does not converge.
+    overflows or is nan, the quadrature does not converge, or D is below
+    0 by more than 1e-8 even at the end of the quadrature's tolerance
+    nearest 0 (D >= 0 exactly, so the nodes missed part of the integrand:
+    Gaussian sigma = 5e-4 on atoms 0 and 1 gave D = -38.8).
     """
     (divergence,) = _divergences(p_i, p_j, mech, alpha, both=False)
     return divergence
@@ -205,12 +212,51 @@ def _divergences(
         width = 0.0
     integrands = [integrand_ij, integrand_ji] if both else [integrand_ij]
     edges = _cuts(points, lo, hi, width)
+    if tail_scale is not None:
+        # Rounding moves a node y by up to about u |y|, and log f by up to
+        # (alpha + |alpha - 1|) / b times that; past 1e-8 the halvings stop
+        # lowering the errors at the atoms' peaks, and the ones that still
+        # close read the peaks wrong.
+        if (alpha + abs(alpha - 1.0)) * 2.0**-53 * max(abs(lo), abs(hi)) > 1e-8 * tail_scale:
+            raise IntegrationFailure(
+                f"Laplace scale {tail_scale!r} is too narrow for the float spacing at the atoms"
+            )
+        edges = _cut_wide_gaps(edges, tail_scale, truncation_halfwidth(mech))
     divergences = []
     for integral in _bisect_quadrature(densities, integrands, edges, tail_scale):
         if not (math.isfinite(integral) and integral > 0.0):
             raise IntegrationFailure(f"quadrature returned {integral!r}")
-        divergences.append(_floor_rounding(math.log(integral) / (alpha - 1.0)))
+        divergence = math.log(integral) / (alpha - 1.0)
+        # D >= 0: the integral is at least 1 for alpha > 1 and at most 1 below.
+        # When even its end of the quadrature's tolerance nearest that gives
+        # D below the rounding floor, the nodes missed part of the integrand.
+        tolerance = max(1e-14, 1e-10 * integral)
+        nearest = integral + tolerance if alpha > 1.0 else integral - tolerance
+        if nearest > 0.0 and math.log(nearest) / (alpha - 1.0) < _NEGATIVE_FLOOR:
+            raise IntegrationFailure(f"quadrature gave a negative divergence {divergence!r}")
+        divergences.append(_floor_rounding(divergence))
     return divergences
+
+
+def _cut_wide_gaps(edges: np.ndarray, scale: float, reach: float) -> np.ndarray:
+    """The sorted edges, with every gap too wide for its peaks also cut at reach inside each end.
+
+    A Laplace-type integrand peaks at the atoms, falling like
+    exp(-|y - a| / b) about each. The first round's halves of a gap g put
+    their outermost nodes (1 - x_12) g / 4 = 0.0046 g inside its ends;
+    past about 23 b (e^-23 = 1e-10, the quadrature's relative tolerance)
+    no error estimate sees the peaks, and the gap closes without them (on
+    atoms 0 and 1, D = 0.3285 in place of 1.0217 from b = 1e-4 down). A
+    gap whose outermost nodes lie more than 10 b inside is cut at reach
+    = truncation_halfwidth(mech) = 40 b from each end: the end segments
+    then hold the peaks at the noise scale, and the middle one starts
+    where they have fallen by e^-40. Narrower gaps keep their edges, and
+    their integrals every bit.
+    """
+    wide = (1.0 - _GL_NODES[-1]) / 4.0 * np.diff(edges) > 10.0 * scale
+    if not wide.any():
+        return edges
+    return np.sort(np.concatenate((edges, edges[:-1][wide] + reach, edges[1:][wide] - reach)))
 
 
 def _cuts(knots: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
@@ -299,8 +345,13 @@ def _bisect_quadrature(
     for every integrand still open, its err is at most tol * length /
     (edges[-1] - edges[0]) and at most half its own value left + right;
     each integrand then adds its estimate and err there to its own closed
-    sums. The other segments are halved. After _MAX_ROUNDS rounds it
-    raises IntegrationFailure. The integrands must be nonnegative.
+    sums. The other segments are halved. After _MAX_ROUNDS rounds, or once
+    more than 16 times the starting segments plus 1024 would be open, it
+    raises IntegrationFailure: the errors have met a rounding floor that
+    no halving lowers, and the open segments would double every round
+    until memory runs out. (Over the tests and the commands of
+    scripts/compare_stdout.py, at most four times the starting segments
+    were open.) The integrands must be nonnegative.
 
     Integrands that read the same densities, like the two directions of a
     divergence, share every densities call. Each meets its own tolerance on
@@ -330,6 +381,7 @@ def _bisect_quadrature(
     """
     a, b = edges[:-1], edges[1:]
     span = edges[-1] - edges[0]
+    most_open = 16 * a.size + 1024
     closed = [0.0] * len(integrands)
     closed_err = [0.0] * len(integrands)
     values: list[Optional[float]] = [None] * len(integrands)
@@ -374,6 +426,10 @@ def _bisect_quadrature(
             closed_err[k] += float(err[done].sum())
             wholes.append(np.concatenate((left[split], right[split])))
         a, b = a[split], b[split]
+        if 2 * a.size > most_open:
+            raise IntegrationFailure(
+                f"quadrature did not converge: {2 * a.size} segments open in round {round_index + 2}"
+            )
         mid = 0.5 * (a + b)
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
     raise IntegrationFailure(f"quadrature did not converge in {_MAX_ROUNDS} rounds")
@@ -793,6 +849,9 @@ def verify_rpp(
     return reports
 
 
+_Intervals = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def monte_carlo_breach(
     p_i: DiscreteDistribution,
     p_j: DiscreteDistribution,
@@ -822,18 +881,33 @@ def monte_carlo_breach(
     other intervals' edges, so the count is the one that evaluating the
     log ratio at every draw gives. Draws outside the certified intervals'
     interiors, and every draw of a custom-cost mechanism, take the log
-    ratio itself. Zero noise looks the indices up in a per-atom
-    breach table. Raises MemoryError when n indices do not fit in memory.
+    ratio itself. Raises MemoryError when n indices do not fit in memory.
+
+    When a draw's class depends on its atom alone, the indices are looked
+    up in a per-atom breach table instead, and no noise is drawn: the
+    noise is the last use of the generator, so the count is unchanged.
+    Zero noise always has such a table (_raw_breach_table). Laplace-type
+    noise has one when every atom's draws land strictly inside a single
+    certified interval (_settled_breach_table): numpy's draws reach at
+    most 53 ln 2 b from their atom, inside the 40 b padding of the
+    classifier's window, so at the calibrated scales of the breach-mc
+    pairs one interval across the window settles every draw. Gaussian
+    draws reach about 13.7 sigma, past the 12 sigma window, and always
+    take the chunks.
     """
     if n < 1000:
         raise InvalidValue(f"need at least 1000 samples for a stable estimate, got {n}")
     rng = np.random.default_rng(seed)
     indices = p_i.sample_indices(rng, n)
+    intervals = table = None
     if mech is None:
-        count = _count_raw_breaches(p_i, p_j, epsilon, indices)
+        table = _raw_breach_table(p_i, p_j, epsilon)
+    elif laplace_scale(mech) is not None or isinstance(mech, GaussianParams):
+        intervals = _breach_intervals(p_i, p_j, mech, epsilon, n)
+        table = _settled_breach_table(p_i, mech, intervals)
+    if table is not None:
+        count = int(np.count_nonzero(table[indices]))
     else:
-        classified = laplace_scale(mech) is not None or isinstance(mech, GaussianParams)
-        intervals = _breach_intervals(p_i, p_j, mech, epsilon, n) if classified else None
         atoms = np.asarray(p_i.atoms)
         count = 0
         for start in range(0, n, _DRAW_CHUNK):
@@ -846,19 +920,49 @@ def monte_carlo_breach(
     return estimate, half_width
 
 
-def _count_raw_breaches(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, epsilon: float, indices: np.ndarray
-) -> int:
-    """Zero-noise breaches: draws (atom indices of p_i) with log m_i(x) - log m_j(x) > epsilon."""
+def _raw_breach_table(
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, epsilon: float
+) -> np.ndarray:
+    """Zero-noise breach flags per atom x of p_i: log m_i(x) - log m_j(x) > epsilon, or x not in p_j."""
     masses_j = dict(zip(p_j.atoms, p_j.masses))
-    breaches = np.array([
+    return np.array([
         atom not in masses_j or math.log(mass) - math.log(masses_j[atom]) > epsilon
         for atom, mass in zip(p_i.atoms, p_i.masses)
     ])
-    return int(np.count_nonzero(breaches[indices]))
 
 
-_Intervals = tuple[np.ndarray, np.ndarray, np.ndarray]
+# numpy's Generator.laplace(0, b) draws U = k 2^-53 with 0 < k < 2^53 and
+# returns b log(2U) or -b log((2 - U) - U), so no draw exceeds 53 ln 2 b in
+# magnitude (U = 1 - 2^-53 reaches it; tests/test_verify.py pins both ends).
+_LAPLACE_REACH = 53.0 * math.log(2.0) * (1.0 + 1e-12)
+
+
+def _settled_breach_table(
+    p_i: DiscreteDistribution, mech: MechanismParams, intervals: _Intervals
+) -> Optional[np.ndarray]:
+    """Breach flags per atom of p_i whose draws all land inside one certified interval, else None.
+
+    For Laplace-type noise of scale b, a draw from atom a is fl(a + z)
+    with |z| = fl(b |L|) <= fl(b _LAPLACE_REACH) = R, L the computed log
+    of sample_noise. Rounding is monotone, so the draw lies in [fl(a - R),
+    fl(a + R)]; when fl(a - R) > start and fl(a + R) < end of a certified
+    interval, every draw from a is strictly inside it and _count_breaches
+    gives it that interval's class. Returns those classes when every atom
+    of p_i has such an interval, and None when one does not or the noise
+    is not Laplace-type.
+    """
+    scale = laplace_scale(mech)
+    starts, ends, above = intervals
+    if scale is None or starts.size == 0:
+        return None
+    reach = _LAPLACE_REACH * scale
+    atoms = np.asarray(p_i.atoms)
+    with np.errstate(over="ignore"):
+        # The certified interval that can hold a's draws: the last one starting below fl(a - R).
+        k = np.searchsorted(starts, atoms - reach, side="left") - 1
+        if k.min() < 0 or not np.all(atoms + reach < ends[k]):
+            return None
+    return above[k]
 
 
 def _count_breaches(

@@ -881,6 +881,114 @@ class TestExactTails:
                     assert _bits(merged[k][j]) == _bits(alone[0])
 
 
+class TestNarrowPeaks:
+    """Noise far narrower than the atom gaps: D tends to the discrete divergence, or fails.
+
+    At scale b the integrand peaks at each atom with width b. Atoms 0 and 1
+    with masses (0.5, 0.5) against (0.9, 0.1) have D = 1.02165 at alpha = 2
+    (renyi_divergence_discrete); a hull segment [0, 1] whose nodes miss both
+    peaks read 0.3285 and -0.198 at every b up to 1e-4, and passed at
+    epsilon = 1.
+    """
+
+    P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
+    Q = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.9, 0.1))
+
+    @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
+    @pytest.mark.parametrize("b", [1e-7, 1e-6, 1e-4, 0.01])
+    def test_wide_gaps_reach_the_discrete_divergence(self, kind, b):
+        exact = (renyi_divergence_discrete(self.P, self.Q, 2.0),
+                 renyi_divergence_discrete(self.Q, self.P, 2.0))
+        got = renyi_divergence_both_ways(self.P, self.Q, LAPLACE_TYPE[kind](b), 2.0)
+        assert got == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
+    @pytest.mark.parametrize("b", [1e-300, 1e-12, 3e-8])
+    def test_peaks_below_the_float_spacing_are_inconclusive(self, kind, b):
+        # Rounding moves the nodes near the atom at 1 by about 1.1e-16, and
+        # log f by 3.3e-16 / b: past 1e-8 no halving can meet the tolerance.
+        with pytest.raises(IntegrationFailure, match="too narrow"):
+            renyi_divergence_both_ways(self.P, self.Q, LAPLACE_TYPE[kind](b), 2.0)
+
+    def test_float_spacing_is_taken_at_the_atoms(self):
+        # The same gap near 1e4 holds floats 1e4 times coarser: b = 1e-3
+        # resolves its peaks, 1e-4 does not.
+        p, q = (DiscreteDistribution(tuple(1e4 + a for a in d.atoms), d.masses)
+                for d in (self.P, self.Q))
+        exact = renyi_divergence_discrete(self.P, self.Q, 2.0)
+        assert renyi_divergence_numeric(p, q, LaplaceParams(1e-3), 2.0) == pytest.approx(
+            exact, rel=1e-8
+        )
+        with pytest.raises(IntegrationFailure, match="too narrow"):
+            renyi_divergence_numeric(p, q, LaplaceParams(1e-4), 2.0)
+
+    def test_missed_peaks_read_as_a_negative_divergence(self, monkeypatch):
+        # Without the cuts at 40 b inside each gap, the hull [0, 1] misses
+        # both peaks; D(q || p) comes out at -0.198, far below the rounding
+        # floor, and the quadrature fails instead of passing the pair.
+        import puffercal.verify as verify
+
+        monkeypatch.setattr(verify, "_cut_wide_gaps", lambda edges, scale, reach: edges)
+        assert renyi_divergence_numeric(self.P, self.Q, LaplaceParams(1e-4), 2.0) < 0.5
+        with pytest.raises(IntegrationFailure, match="negative divergence"):
+            renyi_divergence_numeric(self.Q, self.P, LaplaceParams(1e-4), 2.0)
+
+    def test_gaussian_peaks_missed_are_inconclusive(self):
+        # The padded window is cut at the atoms, and sigma = 5e-4 leaves the
+        # peaks 9 sigma from the first round's nearest nodes: the integral
+        # read 1.4e-17, D = -38.8, and the pair passed at any epsilon.
+        exact = renyi_divergence_discrete(self.P, self.Q, 2.0)
+        assert renyi_divergence_numeric(self.P, self.Q, GaussianParams(1e-3), 2.0) == (
+            pytest.approx(exact, rel=1e-8)
+        )
+        for sigma in (5e-4, 3e-4):
+            with pytest.raises(IntegrationFailure, match="negative divergence"):
+                renyi_divergence_both_ways(self.P, self.Q, GaussianParams(sigma), 2.0)
+
+    def test_verify_fails_the_under_noised_pair(self, capsys, tmp_path):
+        import json
+
+        from puffercal.cli import main
+
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"pairs": [{
+            "p": {"atoms": [0, 1], "masses": [0.5, 0.5]},
+            "q": {"atoms": [0, 1], "masses": [0.9, 0.1]},
+        }]}), encoding="utf-8")
+        exact = renyi_divergence_discrete(self.P, self.Q, 2.0)
+        for b, passed, inconclusive in (("1e-4", "false", "false"), ("1e-300", "", "true")):
+            code = main(["verify", "--scenario", str(scenario), "--mechanism", "laplace",
+                         "--alpha", "2", "--epsilon", "1", "--parameter", b])
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert code == 4
+            assert (row[8], row[9]) == (passed, inconclusive)
+            if passed:
+                assert float(row[5]) == pytest.approx(exact, rel=1e-8)
+
+    def test_cuts_only_gaps_whose_peaks_the_first_round_misses(self):
+        # At b = 1e-3 the outermost nodes of a gap's halves lie 0.0046 g
+        # inside it, past 10 b for g > 2.17: the gaps of 1 and 2 stay whole,
+        # and the gap of 3 is cut at the given reach from each end. At
+        # b = 2e-3 every gap stays whole.
+        from puffercal.verify import _cut_wide_gaps
+
+        edges = np.array([0.0, 1.0, 3.0, 6.0])
+        assert _cut_wide_gaps(edges, 1e-3, 0.0625).tolist() == [
+            0.0, 1.0, 3.0, 3.0625, 5.9375, 6.0
+        ]
+        assert _cut_wide_gaps(edges, 2e-3, 0.125) is edges
+
+    def test_quadrature_that_cannot_converge_stops_before_memory_runs_out(self):
+        # Values that halving never settles would double the open segments
+        # every round for 60 rounds; past 16 times the start plus 1024 the
+        # quadrature gives up.
+        def noisy(ys, y):
+            return 1.0 + (np.sin(ys * 1e9) > 0.0)
+
+        with pytest.raises(IntegrationFailure, match="segments open"):
+            _bisect_quadrature(lambda ys: (ys,), [noisy], np.array([0.0, 1.0, 2.0]))
+
+
 class TestRenyiDivergenceDiscrete:
     def test_identical(self):
         P = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.25, 0.75))
@@ -1204,6 +1312,41 @@ class TestStreamedBreach:
         assert 0.0 < estimate < 1.0
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("n", [1000, 65537, 150001])
+    def test_table_count_is_the_per_draw_count(self, n):
+        # Atoms 10 apart under Laplace(0.05): each atom's draws stay within
+        # 1.84 of it, inside an interval certified by its own mass ratio, so
+        # the count comes from the per-atom table; it is the count of the
+        # reference that holds every draw.
+        import puffercal.verify as verify
+        from puffercal.dist import sample_noise
+
+        p, q = TestBreachClassification.far_apart()
+        mech, eps = LaplaceParams(0.05), 0.5
+        draws = np.random.default_rng(5)
+        ys = sample_atoms(p, draws, n) + sample_noise(mech, draws, n)
+        expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
+        intervals = verify._breach_intervals(p, q, mech, eps, n)
+        assert verify._settled_breach_table(p, mech, intervals).tolist() == [True, False, False]
+        assert monte_carlo_breach(p, q, mech, eps, n, 5)[0] == expected
+
+    def test_table_path_peak_memory(self, monkeypatch):
+        # The table path holds the 1 MB of indices and one 1 MB lookup.
+        import tracemalloc
+
+        p, q = TestBreachClassification.far_apart()
+        mech = LaplaceParams(0.05)
+        monte_carlo_breach(p, q, mech, 0.5, 1000, 0)  # caches and lazy imports
+        _forbid_noise(monkeypatch)
+        tracemalloc.start()
+        try:
+            estimate, _ = monte_carlo_breach(p, q, mech, 0.5, 1_000_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < estimate < 1.0
+        assert peak < 8 * 2**20
+
     def test_intervals_need_no_draws_and_join_alike_neighbours(self):
         import puffercal.verify as verify
 
@@ -1224,6 +1367,59 @@ def _count_every_draw(p_i, p_j, mech, epsilon, intervals, ys):
     import puffercal.verify as verify
 
     return int(np.count_nonzero(verify._log_ratio(p_i, p_j, mech, ys) > epsilon))
+
+
+def _take_every_draw(monkeypatch):
+    """Make monte_carlo_breach draw all its noise and take the log ratio at every draw."""
+    import puffercal.verify as verify
+
+    monkeypatch.setattr(verify, "_settled_breach_table", lambda p_i, mech, intervals: None)
+    monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+
+
+def _forbid_noise(monkeypatch):
+    import puffercal.verify as verify
+
+    def forbidden(*args):
+        raise AssertionError("noise drawn on the per-atom table path")
+
+    monkeypatch.setattr(verify, "sample_noise", forbidden)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_whose_next_word_is(word):
+    """A PCG64 Generator whose next 64-bit output is word.
+
+    PCG64 steps its 128-bit LCG state s -> s M + inc, then outputs the
+    XSL-RR of the new state: the high and low words xored and rotated right
+    by the state's top 6 bits. A new state with top bits 0 and high word 0
+    outputs its low word; one LCG step back from it is the state to set.
+    """
+    inc = 0xDA3E39CB94B95BDB
+    before = ((word - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128)) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def test_laplace_sampler_reach_is_pinned():
+    # Generator.random() is (word >> 11) 2^-53 and laplace(0, 1) returns
+    # log(2U) below 1/2 and -log((2 - U) - U) above: the extreme words give
+    # numpy's farthest draws, 53 ln 2 and 52 ln 2 from 0. The per-atom breach
+    # table relies on no draw passing _LAPLACE_REACH scales; a numpy that
+    # widens the support fails here rather than miscounting breaches.
+    from puffercal.verify import _LAPLACE_REACH
+
+    top, bottom = 2**64 - 1, 2**11
+    assert _generator_whose_next_word_is(top).random() == 1.0 - 2.0**-53
+    assert _generator_whose_next_word_is(bottom).random() == 2.0**-53
+    high = _generator_whose_next_word_is(top).laplace(0.0, 1.0)
+    low = _generator_whose_next_word_is(bottom).laplace(0.0, 1.0)
+    assert (high, low) == (36.7368005696771, -36.04365338911715)
+    assert max(abs(high), abs(low)) <= _LAPLACE_REACH < 36.74
 
 
 def _sorted_draws(p_i, mech, n, seed):
@@ -1310,7 +1506,7 @@ class TestBreachClassification:
             cases.append((pair, mech, float(rng.uniform(0.1, 1.0)), seed))
         classified = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
                       for pair, mech, eps, seed in cases]
-        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        _take_every_draw(monkeypatch)
         every = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
                  for pair, mech, eps, seed in cases]
         assert classified == every
@@ -1380,7 +1576,7 @@ class TestBreachClassification:
         )
         mech = noise(0.01)
         classified = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
-        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        _take_every_draw(monkeypatch)
         every = [monte_carlo_breach(p, q, mech, eps, 200_000, 7) for eps in (0.05, 0.3, 1.0)]
         assert classified == every
         assert all(estimate > 0.0 for estimate, _ in classified)
@@ -1444,7 +1640,7 @@ class TestBreachClassification:
             assert 0 < len(rounds) <= verify._CLASSIFY_ROUNDS
             starts, _, _ = verify._breach_intervals(*pair, mech, eps, n)
             assert not np.any(starts < 0.0)
-            monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+            _take_every_draw(monkeypatch)
             assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
             monkeypatch.undo()
 
@@ -1502,6 +1698,65 @@ class TestBreachClassification:
             assert verify._count_breaches(
                 *pair, mech, eps, (starts, ends, ~above), ys.copy()
             ) == flipped
+
+    @staticmethod
+    def far_apart():
+        atoms = (0.0, 10.0, 20.0)
+        return (DiscreteDistribution(atoms, (0.5, 0.2, 0.3)),
+                DiscreteDistribution(atoms, (0.2, 0.5, 0.3)))
+
+    @staticmethod
+    def _table_case(case):
+        """(pair, mech, epsilon, the per-atom table expected, or None where it declines)."""
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.3, 0.4, 0.3))
+        q = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.35, 0.3, 0.35))
+        integers = TestBreachClassification._integer_pair()
+        return {
+            # |log p - log q| <= log(4/3) everywhere: one interval across the window.
+            "constant-below": ((p, q), LaplaceParams(1.0), 1.0, [False] * 3),
+            "constant-above": ((p, q), ExponentialParams(scale=1.0), -0.75, [True] * 3),
+            "mixed-far-apart": (TestBreachClassification.far_apart(), LaplaceParams(0.05), 0.5,
+                                [True, False, False]),
+            # Unit spacing at b = 0.005: draws reach 0.18 from their atom.
+            "mixed-unit-spacing": (integers[::-1], LaplaceParams(0.005), 0.3,
+                                   [a % 2 == 1 for a in range(40)]),
+            "declines": ((p, q), LaplaceParams(0.3), 0.2, None),
+            "declines-gaussian": ((p, q), GaussianParams(1.0), 1.0, None),
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "constant-below", "constant-above", "mixed-far-apart", "mixed-unit-spacing", "declines",
+        "declines-gaussian",
+    ])
+    def test_table_counts_what_every_draw_counts(self, monkeypatch, case):
+        import puffercal.verify as verify
+
+        pair, mech, eps, table = self._table_case(case)
+        n, seed = 200_000, 8
+        intervals = verify._breach_intervals(*pair, mech, eps, n)
+        got = verify._settled_breach_table(pair[0], mech, intervals)
+        assert (None if got is None else got.tolist()) == table
+        if table is not None:
+            _forbid_noise(monkeypatch)
+        classified = monte_carlo_breach(*pair, mech, eps, n, seed)
+        monkeypatch.undo()
+        _take_every_draw(monkeypatch)
+        assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
+        if table is not None and any(table) and not all(table):
+            assert 0.0 < classified[0] < 1.0
+
+    def test_table_needs_the_draws_strictly_inside(self):
+        # A point mass at 0 under Laplace(1) reaches R = _LAPLACE_REACH: an
+        # interval ending at R, or one ulp short of it, declines the table,
+        # and one ending one ulp past R settles it.
+        import puffercal.verify as verify
+
+        reach = verify._LAPLACE_REACH
+        for end, settled in ((reach, False), (np.nextafter(reach, 0.0), False),
+                             (np.nextafter(reach, np.inf), True)):
+            intervals = (np.array([-50.0]), np.array([end]), np.array([True]))
+            table = verify._settled_breach_table(point_mass(0.0), LaplaceParams(1.0), intervals)
+            assert (table is not None) == settled, end
 
     def test_custom_cost_takes_the_log_ratio_path(self, monkeypatch):
         import puffercal.verify as verify
