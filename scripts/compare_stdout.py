@@ -54,7 +54,9 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # whose noise variance is past the float range, and point-mass runs at a
 # subnormal epsilon, whose parameter would overflow: three alpha = inf
 # calibrations, the five finite-order kinds' alpha = 2 calibrations, and
-# a Gaussian verify and a Laplace breach that calibrate in-run.
+# a Gaussian verify and a Laplace breach that calibrate in-run; last,
+# point-mass calibrations re-verified at alpha 100 and epsilon 10, where
+# (alpha - 1) D = 990 puts the verifier's integrand past the float range.
 EXTRA_COMMANDS = (
     ("verify", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--alpha", "1.5,3,8,20", "--epsilon", "0.5,1"),
@@ -160,6 +162,11 @@ EXTRA_COMMANDS = (
      "--alpha", "2", "--epsilon", "1e-310"),
     ("breach", "--scenario", "point-mass", "--mechanism", "laplace",
      "--alpha", "2", "--epsilon", "1e-310", "--n", "1000"),
+    *(
+        ("calibrate", "--scenario", "point-mass", "--mechanism", kind,
+         "--alpha", "100", "--epsilon", "10", "--verify")
+        for kind in ("gaussian", "laplace", "exponential")
+    ),
 )
 
 

@@ -43,6 +43,8 @@ from .transport import Coupling, coupling_log_expectation, monotone_coupling
 
 _LN2 = math.log(2.0)
 _EPS = 2.220446049250313e-16
+# Halvings of the low end, and doublings of the high end, of _brent's bracket.
+_MAX_EXPAND = 200
 _GUARANTEE_TOL = 1e-9
 
 
@@ -93,7 +95,6 @@ def _brent(
     target: float,
     bracket_hint: tuple[float, float],
     rel_tol: float = 1e-9,
-    max_expand: int = 200,
 ) -> Generator[float, float, _RootSolve]:
     """Root of f(x) = target for strictly decreasing f on (0, inf), as a coroutine.
 
@@ -120,14 +121,14 @@ def _brent(
         raise NotMonotone(
             f"f({lo!r}) = {f_lo!r} < f({hi!r}) = {f_hi!r}; expected a decreasing function"
         )
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if f_lo >= target:
             break
         lo /= 2.0
         f_lo = values[lo] = yield lo
     else:
         raise NoRoot(f"f never reaches target {target!r} from above (last f = {f_lo!r})")
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if f_hi <= target:
             break
         hi *= 2.0
@@ -201,10 +202,9 @@ def _solve_decreasing(
     target: float,
     bracket_hint: tuple[float, float],
     rel_tol: float = 1e-9,
-    max_expand: int = 200,
 ) -> _RootSolve:
     """_brent driven on its own: each x it asks for is evaluated by f."""
-    steps = _brent(target, bracket_hint, rel_tol, max_expand)
+    steps = _brent(target, bracket_hint, rel_tol)
     try:
         x = next(steps)
         while True:

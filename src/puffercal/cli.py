@@ -197,8 +197,8 @@ def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
     tables: dict[tuple, ingest.Table] = {}
     for k, entry in enumerate(obj.get("pairs", [])):
         try:
-            p, _ = ingest.distribution_from_json(entry["p"])
-            q, _ = ingest.distribution_from_json(entry["q"])
+            p = ingest.distribution_from_json(entry["p"])
+            q = ingest.distribution_from_json(entry["q"])
         except (KeyError, TypeError, ParseError, InvalidValue) as exc:
             raise _ConfigError(f"scenario file {path}, pairs[{k}]: {exc}") from exc
         pairs.append(ScenarioPair(p_i=p, p_j=q, label=str(entry.get("label", f"pair-{k}"))))
@@ -367,11 +367,19 @@ def _verify_cell_rows(scenarios, kind, alpha, epsilon, parameter):
     ]
 
 
-def cmd_calibrate(args) -> int:
+def _scenarios_and_cells(args):
+    """The scenario set and the alpha-major (alpha, epsilon) cells.
+
+    A bad --scenario is reported first, then a bad --alpha, then --epsilon.
+    """
     scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
     alphas = _parse_grid(args.alpha, "--alpha")
     epsilons = _parse_grid(args.epsilon, "--epsilon")
-    cells = [(a, e) for a in alphas for e in epsilons]
+    return scenarios, [(a, e) for a in alphas for e in epsilons]
+
+
+def cmd_calibrate(args) -> int:
+    scenarios, cells = _scenarios_and_cells(args)
     rows = []
     for kind in args.mechanism or ["laplace"]:
         rows.extend(_calibrate_rows(scenarios, kind, cells, args.tol))
@@ -398,11 +406,8 @@ def _reverify(scenarios, binding_rows) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
-    alphas = _parse_grid(args.alpha, "--alpha")
-    epsilons = _parse_grid(args.epsilon, "--epsilon")
+    scenarios, cells = _scenarios_and_cells(args)
     kind = args.mechanism
-    cells = [(a, e) for a in alphas for e in epsilons]
     rows = []
     for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
         rows.extend(_verify_cell_rows(scenarios, kind, alpha, epsilon, parameter))
@@ -413,10 +418,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
-    alphas = _parse_grid(args.alpha, "--alpha")
-    epsilons = _parse_grid(args.epsilon, "--epsilon")
-    cells = [(a, e) for a in alphas for e in epsilons]
+    scenarios, cells = _scenarios_and_cells(args)
     status = EXIT_OK
     for kind in args.mechanism or ["laplace"]:
         rows = [row for row in _calibrate_rows(scenarios, kind, cells, args.tol) if row["binding"]]
@@ -478,11 +480,8 @@ def _concurrent_outcomes(calls) -> list:
 
 
 def cmd_breach(args) -> int:
-    scenarios = _resolve_scenarios(args.scenario, Path(args.data_dir))
-    alphas = _parse_grid(args.alpha, "--alpha")
-    epsilons = _parse_grid(args.epsilon, "--epsilon")
+    scenarios, cells = _scenarios_and_cells(args)
     kind = args.mechanism
-    cells = [(a, e) for a in alphas for e in epsilons]
     rows = []
     for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
         spec = PrivacySpec(alpha=alpha, epsilon=epsilon)

@@ -244,10 +244,10 @@ def builtin_scenarios() -> list[ScenarioConfig]:
     ]
 
 
-def distribution_from_json(obj: dict) -> tuple[DiscreteDistribution, str]:
+def distribution_from_json(obj: dict) -> DiscreteDistribution:
     try:
         atoms = tuple(float(a) for a in obj["atoms"])
         masses = tuple(float(m) for m in obj["masses"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed distribution object: {exc}") from exc
-    return DiscreteDistribution(atoms=atoms, masses=masses), str(obj.get("label", ""))
+    return DiscreteDistribution(atoms=atoms, masses=masses)

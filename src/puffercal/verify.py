@@ -35,6 +35,8 @@ PASS_SLACK = 1e-6
 _GRID_PER_GAP = 4096
 _NEGATIVE_FLOOR = -1e-8
 _MAX_ROUNDS = 60
+# Log integrand values past which _bisect_quadrature sums exp(t - shift).
+_SHIFT_FROM = 700.0
 # Monte Carlo breach classification (see _breach_intervals).
 _CLASSIFY_ROUNDS = 64
 _MIN_WIDTH = 2.0**-30
@@ -90,22 +92,37 @@ def renyi_divergence_numeric(
     mech: MechanismParams,
     alpha: float,
 ) -> float:
-    """Order-alpha divergence between the noised posteriors of two priors.
+    """Order-alpha divergence D(p_i || p_j) between the noised posteriors of two priors.
 
-    Finite orders integrate f = exp(alpha log p - (alpha - 1) log q) by
-    _bisect_quadrature to max(1e-14, 1e-10 |integral|).
+    The first element of renyi_divergence_both_ways: both directions are
+    integrated together, and this raises IntegrationFailure when either
+    one fails.
+    """
+    return renyi_divergence_both_ways(p_i, p_j, mech, alpha)[0]
+
+
+def renyi_divergence_both_ways(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: MechanismParams,
+    alpha: float,
+) -> tuple[float, float]:
+    """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
+
+    Finite orders integrate f = exp(alpha log p - (alpha - 1) log q) for
+    both directions in one _bisect_quadrature, to max(1e-14, 1e-10 |I|)
+    each, in the log domain: I = e^shift sum, so D = (shift + log sum) /
+    (alpha - 1) is finite for any (alpha - 1) D. The window and its cuts
+    are symmetric in the priors, so swapping them swaps the results bit
+    for bit.
 
     - Laplace-type noise (laplace_scale(mech) = b): past the extreme atom
       A of either prior both posteriors are one exponential in y with
       rate 1/b, so f is too, and its tail beyond A is exactly b f(A). The
       window is the atom hull, cut at every atom (f has kinks there), and
       the two tails b (f(hull_lo) + f(hull_hi)) are added in closed form;
-      the tolerance is taken on hull plus tails. Against the padded
-      window cut at every atom this moves D by at most the quadrature's
-      tolerance carried to D, 1e-10 / |alpha - 1| absolute; over the
-      verify and breach commands of scripts/compare_stdout.py at three
-      seeds the largest drift was 5.7e-12 relative. A gap between atoms
-      too wide for the first round to see its peaks is also cut at 40 b
+      the tolerance is taken on hull plus tails. A gap between atoms too
+      wide for the first round to see its peaks is also cut at 40 b
       inside each end (_cut_wide_gaps). Scales too narrow for the float
       spacing at the atoms raise IntegrationFailure: the nodes' rounding
       would read the peaks wrong.
@@ -120,55 +137,21 @@ def renyi_divergence_numeric(
       |alpha - 1|.
 
     alpha = inf takes the supremum of the log ratio (see
-    _sup_log_ratios). Raises IntegrationFailure when the integrand
-    overflows or is nan, the quadrature does not converge, or D is below
-    0 by more than 1e-8 even at the end of the quadrature's tolerance
-    nearest 0 (D >= 0 exactly, so the nodes missed part of the integrand:
-    Gaussian sigma = 5e-4 on atoms 0 and 1 gave D = -38.8).
+    _sup_log_ratios). Raises IntegrationFailure when the log integrand is
+    nan or +inf (a posterior density underflows to 0), the quadrature does
+    not converge or returns 0, or D is below 0 by more than 1e-8 even at
+    the end of the quadrature's tolerance nearest 0 (D >= 0 exactly, so
+    the nodes missed part of the integrand: Gaussian sigma = 5e-4 on atoms
+    0 and 1 gave D = -38.8).
     """
-    (divergence,) = _divergences(p_i, p_j, mech, alpha, both=False)
-    return divergence
-
-
-def renyi_divergence_both_ways(
-    p_i: DiscreteDistribution,
-    p_j: DiscreteDistribution,
-    mech: MechanismParams,
-    alpha: float,
-) -> tuple[float, float]:
-    """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
-
-    The two directions share the window and its cuts (_cross_span is
-    symmetric), so one quadrature integrates both integrands over shared
-    log p_i and log p_j arrays and one set of open segments, which closes
-    a segment only when both directions' tests pass (_bisect_quadrature).
-    Each direction meets its own tolerance, so it is within 1e-10 /
-    |alpha - 1| of renyi_divergence_numeric, and bit for bit equal to it
-    when the directions close the same segments (as Laplace-type hulls
-    usually do). alpha = inf reads the second direction's log ratio as
-    the first one's negation, bit for bit the two one-way calls. Raises
-    IntegrationFailure when either direction fails.
-    """
-    div_ij, div_ji = _divergences(p_i, p_j, mech, alpha, both=True)
-    return div_ij, div_ji
-
-
-def _divergences(
-    p_i: DiscreteDistribution,
-    p_j: DiscreteDistribution,
-    mech: MechanismParams,
-    alpha: float,
-    both: bool,
-) -> list[float]:
-    """[D(p_i || p_j)], or [D(p_i || p_j), D(p_j || p_i)] when both."""
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
     if p_i == p_j:
         # Identical priors have identical posteriors; quadrature would
         # leave a rounding residue of a few ulps in place of the exact 0.
-        return [0.0, 0.0] if both else [0.0]
+        return 0.0, 0.0
     if math.isinf(alpha):
-        return _sup_log_ratios(p_i, p_j, mech, both)
+        return _sup_log_ratios(p_i, p_j, mech)
 
     lo = min(p_i.min_atom, p_j.min_atom)
     hi = max(p_i.max_atom, p_j.max_atom)
@@ -184,25 +167,19 @@ def _divergences(
             posterior_log_density_many(mech, p_j, ys),
         )
 
-    def integrand_ij(ys: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-        # A nan exponent (both densities underflowed to 0, so -inf + inf)
-        # would give nan estimates that never converge; it raises below.
+    def log_integrand_ij(ys: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+        # A density underflowed to 0: nan (both) or +inf (q alone), past any shift.
         with np.errstate(invalid="ignore"):
             exponent = alpha * log_p
             exponent -= (alpha - 1.0) * log_q
-        bad = ~(exponent <= 700.0)
+        bad = ~(exponent < math.inf)
         if bad.any():
             k = int(np.argmax(bad))
-            y = float(ys[k])
-            if math.isnan(exponent[k]):
-                raise IntegrationFailure(f"integrand is nan at y = {y!r}; both densities underflow")
-            raise IntegrationFailure(
-                f"integrand overflow at y = {y!r}; the density ratio is too extreme"
-            )
-        return np.exp(exponent, out=exponent)
+            raise IntegrationFailure(f"log integrand is {exponent[k]} at y = {ys[k]}; a density underflows")
+        return exponent
 
-    def integrand_ji(ys: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-        return integrand_ij(ys, log_p, log_q)
+    def log_integrand_ji(ys: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+        return log_integrand_ij(ys, log_p, log_q)
 
     points = np.array(sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi}))
     # Gaussian integrands are analytic; other noise has kinks at the atoms.
@@ -210,7 +187,6 @@ def _divergences(
         width = mech.sigma / math.sqrt(max(1.0, 2.0 * alpha - 1.0))
     else:
         width = 0.0
-    integrands = [integrand_ij, integrand_ji] if both else [integrand_ij]
     edges = _cuts(points, lo, hi, width)
     if tail_scale is not None:
         # Rounding moves a node y by up to about u |y|, and log f by up to
@@ -223,19 +199,20 @@ def _divergences(
             )
         edges = _cut_wide_gaps(edges, tail_scale, truncation_halfwidth(mech))
     divergences = []
-    for integral in _bisect_quadrature(densities, integrands, edges, tail_scale):
+    integrals = _bisect_quadrature(densities, [log_integrand_ij, log_integrand_ji], edges, tail_scale)
+    for integral, shift in integrals:
         if not (math.isfinite(integral) and integral > 0.0):
             raise IntegrationFailure(f"quadrature returned {integral!r}")
-        divergence = math.log(integral) / (alpha - 1.0)
+        divergence = (shift + math.log(integral)) / (alpha - 1.0)
         # D >= 0: the integral is at least 1 for alpha > 1 and at most 1 below.
         # When even its end of the quadrature's tolerance nearest that gives
         # D below the rounding floor, the nodes missed part of the integrand.
-        tolerance = max(1e-14, 1e-10 * integral)
+        tolerance = max(1e-14 * math.exp(-shift), 1e-10 * integral)
         nearest = integral + tolerance if alpha > 1.0 else integral - tolerance
-        if nearest > 0.0 and math.log(nearest) / (alpha - 1.0) < _NEGATIVE_FLOOR:
+        if nearest > 0.0 and (shift + math.log(nearest)) / (alpha - 1.0) < _NEGATIVE_FLOOR:
             raise IntegrationFailure(f"quadrature gave a negative divergence {divergence!r}")
         divergences.append(_floor_rounding(divergence))
-    return divergences
+    return divergences[0], divergences[1]
 
 
 def _cut_wide_gaps(edges: np.ndarray, scale: float, reach: float) -> np.ndarray:
@@ -286,38 +263,44 @@ def _gauss_legendre(
     densities: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     integrands: list[_Integrand],
     segments: list[_Segments],
+    shifts: list[float],
     points: Optional[np.ndarray] = None,
-) -> list[list[np.ndarray]]:
-    """The 12-point Gauss-Legendre estimates of each integrand on each segment set.
+) -> tuple[list[list[np.ndarray]], list[float]]:
+    """The 12-point Gauss-Legendre estimates of each integrand on each segment set, and its shift.
 
     Each set is a pair (a, b) of arrays standing for the segments
-    [a[i], b[i]], and every integrand is estimated on every set. The
-    integrand reads the densities at the nodes, integrands[k](ys,
-    *densities(ys)), and gets one array of estimates per set; with
-    points, one more array holds its values there. One densities call
-    serves every set, on their nodes concatenated. The densities are
-    elementwise in ys, and each set is evaluated and reduced on its own,
-    at the shape it has alone (a concatenated matmul is not bit for bit
-    the same), so each estimate is the one a call on that set's nodes
-    alone gives. The integrands are called set by set, in order.
+    [a[i], b[i]]. Integrand k returns log values t = integrands[k](ys,
+    *densities(ys)) and gets one array of estimates of exp(t - s) per set
+    (with points, one more array holds exp(t - s) there). s is its new
+    shift: 0 while every t so far, shifts[k] included, is at most
+    _SHIFT_FROM, else the largest. One densities call serves every set, on
+    their nodes concatenated. The densities are elementwise in ys, and
+    each set is evaluated and reduced on its own, at the shape it has
+    alone (a concatenated matmul is not bit for bit the same), so each
+    estimate is the one a call on that set's nodes alone gives at the
+    same shift.
     """
     groups = [_nodes(a, b) for a, b in segments]
     if points is not None:
         groups.append((None, points))
     flat = [ys for _, ys in groups]
     values = densities(flat[0] if len(flat) == 1 else np.concatenate(flat))
-    estimates: list[list[np.ndarray]] = [[] for _ in integrands]
-    start = 0
-    for half, ys in groups:
-        stop = start + ys.size
-        dens = [v[start:stop] for v in values]
-        start = stop
-        for integrand, out in zip(integrands, estimates):
-            f = integrand(ys, *dens)
+    stops = np.cumsum([ys.size for ys in flat]).tolist()
+    estimates, new_shifts = [], []
+    for integrand, shift in zip(integrands, shifts):
+        logs = [integrand(ys, *(v[stop - ys.size : stop] for v in values))
+                for ys, stop in zip(flat, stops)]
+        top = max([shift] + [float(t.max()) for t in logs])
+        shift = top if top > _SHIFT_FROM else 0.0
+        out = []
+        for (half, _), t in zip(groups, logs):
+            f = np.exp(t - shift if shift else t, out=t)
             if half is not None:
                 f = half * (f.reshape(half.size, _GL_NODES.size) @ _GL_WEIGHTS)
             out.append(f)
-    return estimates
+        estimates.append(out)
+        new_shifts.append(shift)
+    return estimates, new_shifts
 
 
 def _nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,34 +314,39 @@ def _bisect_quadrature(
     integrands: list[_Integrand],
     edges: np.ndarray,
     tail_scale: Optional[float] = None,
-) -> list[float]:
-    """Integrals over [edges[0], edges[-1]] of vectorized integrands, by bisection.
+) -> list[tuple[float, float]]:
+    """Integrals over [edges[0], edges[-1]] of the exponentials of vectorized log integrands.
 
-    Each integrand f is called as f(ys, *densities(ys)). The integrands
-    share one set of open segments, which starts as the gaps between
-    consecutive edges. Each round applies the 12-point rule to both
-    halves of every open segment, in one densities call for all
+    Each integrand is called as t = f(ys, *densities(ys)) and returns the
+    log of its values, below +inf. Its integral I comes back as (sum,
+    shift), I = e^shift sum: the sums are of exp(t - shift), where shift
+    is 0 until a node's t exceeds _SHIFT_FROM and then the largest t seen
+    (_gauss_legendre). When it rises from s to s', all that was summed at
+    s (closed sums and errors, tails, the last whole-segment estimates) is
+    rescaled by exp(s - s'). While shift is 0 the sums are those of exp(t)
+    bit for bit.
+
+    The integrands share one set of open segments, which starts as the
+    gaps between consecutive edges. Each round applies the 12-point rule
+    to both halves of every open segment, in one densities call for all
     integrands still open (see _gauss_legendre), and each of them takes
     err = |left + right - whole| per segment. An integrand stops once its
     errors, closed segments' included, sum to at most its own tol =
-    max(1e-14, 1e-10 |I|), and is not called again. A segment closes when,
-    for every integrand still open, its err is at most tol * length /
-    (edges[-1] - edges[0]) and at most half its own value left + right;
-    each integrand then adds its estimate and err there to its own closed
-    sums. The other segments are halved. After _MAX_ROUNDS rounds, or once
-    more than 16 times the starting segments plus 1024 would be open, it
-    raises IntegrationFailure: the errors have met a rounding floor that
-    no halving lowers, and the open segments would double every round
-    until memory runs out. (Over the tests and the commands of
+    max(1e-14 e^-shift, 1e-10 |sum|), and is not called again. A segment
+    closes when, for every integrand still open, its err is at most tol *
+    length / (edges[-1] - edges[0]) and at most half its own value left +
+    right; each integrand then adds its estimate and err there to its own
+    closed sums. The other segments are halved. After _MAX_ROUNDS rounds,
+    or once more than 16 times the starting segments plus 1024 would be
+    open, it raises IntegrationFailure: the errors have met a rounding
+    floor that no halving lowers, and the open segments would double every
+    round until memory runs out. (Over the tests and the commands of
     scripts/compare_stdout.py, at most four times the starting segments
-    were open.) The integrands must be nonnegative.
+    were open.)
 
     Integrands that read the same densities, like the two directions of a
-    divergence, share every densities call. Each meets its own tolerance on
-    segments at least as fine as a quadrature of it alone closes, and its
-    integral is bit for bit the one it gets alone as long as the
-    integrands close the same segments; one integrand alone closes exactly
-    the segments its own test passes.
+    divergence, share every densities call, and each meets its own
+    tolerance on segments at least as fine as it would close alone.
 
     With tail_scale b, I also holds the tails b (f(edges[0]) +
     f(edges[-1])), which is the exact integral past the edges of an f
@@ -371,9 +359,8 @@ def _bisect_quadrature(
     of a separate first round. Segments that converge in their first
     halving (as Laplace-type hulls cut at every atom usually do) then cost
     one density call in all: on the benchmark's verify-grid scenario a
-    Laplace-type divergence makes one density call per prior (four on a
-    padded window with a separate first round), and a Gaussian one 3.1 on
-    average (4.1).
+    Laplace-type divergence makes one density call per prior, and a
+    Gaussian one 3.1 on average.
 
     The second closing condition keeps unresolved segments open: a wide
     segment whose nodes all miss a sharp peak at its end can show an err
@@ -384,7 +371,8 @@ def _bisect_quadrature(
     most_open = 16 * a.size + 1024
     closed = [0.0] * len(integrands)
     closed_err = [0.0] * len(integrands)
-    values: list[Optional[float]] = [None] * len(integrands)
+    shifts = [0.0] * len(integrands)
+    values: list[Optional[tuple[float, float]]] = [None] * len(integrands)
     wholes: list[np.ndarray] = []
     ends = None if tail_scale is None else edges[[0, -1]]
     for round_index in range(_MAX_ROUNDS):
@@ -392,10 +380,19 @@ def _bisect_quadrature(
         mid = 0.5 * (a + b)
         halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
         first = round_index == 0
-        estimates = _gauss_legendre(
+        estimates, new_shifts = _gauss_legendre(
             densities, [integrands[k] for k in live],
-            [(a, b), halves] if first else [halves], ends if first else None,
+            [(a, b), halves] if first else [halves], [shifts[k] for k in live],
+            ends if first else None,
         )
+        for j, (k, shift) in enumerate(zip(live, new_shifts)):
+            if shift != shifts[k]:
+                rescale = math.exp(shifts[k] - shift)
+                closed[k] *= rescale
+                closed_err[k] *= rescale
+                if wholes:
+                    wholes[j] *= rescale
+                shifts[k] = shift
         if first:
             # Every integrand is live: the whole segments' estimates, then
             # the tails from the values at the two edges.
@@ -411,9 +408,9 @@ def _bisect_quadrature(
             both = left + right
             err = np.abs(both - whole)
             total = closed[k] + float(both.sum())
-            tol = max(1e-14, 1e-10 * abs(total))
+            tol = max(1e-14 * math.exp(-shifts[k]), 1e-10 * abs(total))
             if closed_err[k] + float(err.sum()) <= tol:
-                values[k] = total
+                values[k] = (total, shifts[k])
                 continue
             done &= (err <= tol * (b - a) / span) & (err <= 0.5 * both)
             open_parts.append((k, left, right, both, err))
@@ -448,9 +445,9 @@ def _log_ratio(
 
 
 def _sup_log_ratios(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams, both: bool
-) -> list[float]:
-    """sup_y of log p(y) - log q(y), floored at 0, for (p, q) = (p_i, p_j), then (p_j, p_i) if both.
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
+) -> tuple[float, float]:
+    """sup_y of log p(y) - log q(y), floored at 0, for (p, q) = (p_i, p_j), then (p_j, p_i).
 
     For Laplace noise the supremum is the largest of the ratios at the
     atoms of either prior: between adjacent atoms each posterior density
@@ -467,12 +464,11 @@ def _sup_log_ratios(
     direction.
     """
     knots = sorted(set(p_i.atoms) | set(p_j.atoms))
-    directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
     if laplace_scale(mech) is not None:
         ratios = _log_ratio(p_i, p_j, mech, np.asarray(knots))
-        return [max(float(np.max(sign * ratios)), 0.0) for _, _, sign in directions]
+        return max(float(np.max(ratios)), 0.0), max(float(np.max(-ratios)), 0.0)
     if isinstance(mech, GaussianParams):
-        return [sup for sup, _ in _gaussian_sup_log_ratios(p_i, p_j, mech, both)]
+        return tuple(sup for sup, _ in _gaussian_sup_log_ratios(p_i, p_j, mech))
 
     grid = _dense_grid(mech, knots)
     ratios = _log_ratio(p_i, p_j, mech, grid)
@@ -483,23 +479,25 @@ def _sup_log_ratios(
         offset = pad * (2.0**k)
         probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
     probe_ratios = _log_ratio(p_i, p_j, mech, np.asarray(probes))
-    return [
+    return tuple(
         max(_grid_max_log_ratio(p, q, mech, grid, sign * ratios),
             float(np.max(sign * probe_ratios)), 0.0)
-        for p, q, sign in directions
-    ]
+        for p, q, sign in ((p_i, p_j, 1.0), (p_j, p_i, -1.0))
+    )
 
 
 def _gaussian_sup_log_ratios(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: GaussianParams, both: bool
+    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: GaussianParams
 ) -> list[tuple[float, float]]:
     """(sup, bound) for r = log p - log q under Gaussian noise, per direction as in _sup_log_ratios.
 
     sup is the largest value of r found, floored at 0, and bound a
     certified upper bound on r over the whole line: the largest upper
-    bound plus rounding margin of the intervals and tails that settled.
-    Unless a cap below is reached, bound <= sup + _sup_tolerance(sup) +
-    margin. Both are +inf when p has an atom past q's extreme one on
+    bound plus rounding margin of the intervals and tails that settled,
+    capped at s + 64 u _fixed_rounding for s = max_a log(m_p(a) / m_q(a)),
+    the discrete supremum: p(y) <= e^s q(y) term by term. Unless a cap on
+    the open intervals below is reached, bound <= sup + _sup_tolerance(sup)
+    + margin. Both are +inf when p has an atom past q's extreme one on
     either side.
 
     - Window: _breach_intervals' (_window), the atom range padded by
@@ -523,8 +521,8 @@ def _gaussian_sup_log_ratios(
     The directions share each round's bounds, since the bounds on -r are
     the negated bounds on r. Each prunes, settles and widens on its own
     intervals and incumbent, and the bounds and values of an interval do
-    not depend on the others computed with it, so both directions give
-    bit for bit what two one-way calls give.
+    not depend on the others computed with it, so each direction's sup is
+    bit for bit the one a search of that direction alone gives.
 
     Where r stays just below the incumbent over a long stretch (nearly
     equal priors, or r creeping up to its limit along a tail, where its
@@ -541,7 +539,7 @@ def _gaussian_sup_log_ratios(
     """
     knots, a, b = _window(p_i, p_j, mech)
     pad = truncation_halfwidth(mech)
-    directions = [(p_i, p_j, 1.0), (p_j, p_i, -1.0)] if both else [(p_i, p_j, 1.0)]
+    directions = ((p_i, p_j, 1.0), (p_j, p_i, -1.0))
     best, bound, doublings = [], [], []
     for p, q, _ in directions:
         if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
@@ -613,7 +611,9 @@ def _gaussian_sup_log_ratios(
         lower, upper, margin, _, _ = bounds(a, b)
         for d in range(len(directions)):
             certify(d, lower, upper, margin, live[d])
-    return [(value, max(value, limit)) for value, limit in zip(best, bound)]
+    cap_margin = _MARGIN_ULPS * 2.0**-53 * _fixed_rounding(p_i, p_j, mech.sigma)
+    caps = [renyi_divergence_discrete(p, q, math.inf) + cap_margin for p, q, _ in directions]
+    return [(value, max(value, min(limit, cap))) for value, limit, cap in zip(best, bound, caps)]
 
 
 def _sup_tolerance(best: float) -> float:

@@ -103,6 +103,20 @@ def test_custom_costs_leave_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "verify", "sweep", "breach"])
+def test_bad_arguments_are_reported_scenario_then_alpha_then_epsilon(capsys, command):
+    # Each argument is bad together with every one after it in that order.
+    bad = {"--scenario": "no-such-scenario", "--alpha": "1:x:1", "--epsilon": "1:y:1"}
+    for k, name in enumerate(bad):
+        argv = {"--scenario": "point-mass", "--alpha": "2", "--epsilon": "1"}
+        argv.update(list(bad.items())[k:])
+        code, out, err = run_cli(capsys, command, *(t for pair in argv.items() for t in pair))
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: ")
+        assert ("unknown scenario" in err) == (name == "--scenario")
+        assert (f"{name}: could not parse" in err) == (name != "--scenario")
+
+
 def test_huge_range_is_refused_before_it_is_built(capsys):
     # 1:1e12:1e-3 is about 1e15 values: the count is checked first, so the
     # refusal allocates (almost) nothing.
@@ -275,6 +289,19 @@ class TestCalibrateCommand:
             "--alpha", "1.5,2", "--epsilon", "0.5,1", "--verify",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "laplace", "exponential"])
+    def test_verify_confirms_a_large_divergence(self, capsys, kind):
+        # At alpha = 100 and epsilon = 10 the calibrated point-mass noise
+        # has D = epsilon, so (alpha - 1) D = 990: the verifier's integrand
+        # is past the float range, and the re-check still confirms it.
+        code, out, err = run_cli(
+            capsys, "calibrate", "--scenario", "point-mass", "--mechanism", kind,
+            "--alpha", "100", "--epsilon", "10", "--verify",
+        )
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert float(row["log_functional_value"]) == pytest.approx(990.0, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["calibrate", "sweep"])
     def test_failed_reverify_names_each_cell_once(self, capsys, monkeypatch,
@@ -1023,13 +1050,11 @@ class TestBreachCommand:
         assert float(row["mc_breach_estimate"]) == 0.0
         assert float(row["chernoff_bound"]) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
-    def test_breach_bound_needs_only_the_forward_direction(self, capsys, tmp_path):
-        # At alpha = 120 only D(q || p) overflows the verifier's integrand
-        # guard (an exponent past 700), so both directions together are
-        # inconclusive; the Chernoff column needs D(p || q) = 0.69214 alone,
-        # and keeps a finite bound as long as breach takes the one-way path.
+    def test_breach_bound_of_a_pair_past_the_float_range(self, capsys, tmp_path):
+        # At alpha = 120 the integrand of D(q || p) reaches exponents past
+        # 700, out of the float range; both directions are integrated in
+        # the log domain, and the Chernoff column takes D(p || q) = 0.69214.
         from puffercal import DiscreteDistribution, GaussianParams
-        from puffercal.errors import IntegrationFailure
         from puffercal.verify import renyi_divergence_both_ways, renyi_divergence_numeric
 
         p = DiscreteDistribution((0.0, 10.0), (0.999, 0.001))
@@ -1037,8 +1062,9 @@ class TestBreachCommand:
         mech = GaussianParams(1.0)
         forward = renyi_divergence_numeric(p, q, mech, 120.0)
         assert forward == pytest.approx(0.69214, abs=1e-5)
-        with pytest.raises(IntegrationFailure):
-            renyi_divergence_both_ways(p, q, mech, 120.0)
+        assert renyi_divergence_both_ways(p, q, mech, 120.0) == (
+            forward, pytest.approx(6.20878, abs=1e-5)
+        )
         payload = {"pairs": [{
             "label": "skew",
             "p": {"atoms": list(p.atoms), "masses": list(p.masses)},

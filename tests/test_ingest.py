@@ -304,10 +304,9 @@ class TestDistributionJson:
             atoms=(0.1, 1 / 3, 2.0000000000000004), masses=(0.25, 0.5, 0.25)
         )
         text = json.dumps({"atoms": list(dist.atoms), "masses": list(dist.masses), "label": "probe"})
-        loaded, label = distribution_from_json(json.loads(text))
+        loaded = distribution_from_json(json.loads(text))
         assert loaded.atoms == dist.atoms
         assert loaded.masses == dist.masses
-        assert label == "probe"
 
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):

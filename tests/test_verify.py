@@ -162,25 +162,53 @@ class TestRenyiDivergenceNumeric:
             for left, right in zip(values, values[1:]):
                 assert left <= right + 1e-8
 
-    def test_overflowing_ratio_fails_loudly(self):
-        with pytest.raises(IntegrationFailure):
-            renyi_divergence_numeric(
-                point_mass(0.0), point_mass(30.0), LaplaceParams(scale=0.01), 5.0
-            )
+    def test_overflowing_ratio_matches_closed_form(self):
+        # (alpha - 1) D = 12000: the integrand is past the float range, and
+        # the quadrature sums it relative to its largest log value.
+        value = renyi_divergence_numeric(
+            point_mass(0.0), point_mass(30.0), LaplaceParams(scale=0.01), 5.0
+        )
+        assert value == pytest.approx(laplace_pair_divergence(30.0, 0.01, 5.0), rel=1e-12)
 
-    def test_integrand_guard_boundary(self):
+    def test_integrand_guard_boundary(self, monkeypatch):
         # For point masses at 0 and 1 under Laplace(1) noise the integrand's
         # log peaks at y = 0 with value alpha - 1 - ln 2. Quadrature samples
-        # within 0.1 of the peak, so a peak 0.1 below the 700 guard
-        # integrates and one 0.1 above it raises.
+        # within 0.1 of the peak, so a peak 0.1 below 700 (where an overflow
+        # guard used to raise) is summed as exp(t), and one 0.1 above it,
+        # or far above, relative to the largest t. All meet the closed form.
+        import puffercal.verify as verify
+
+        shifts = []
+        real = verify._bisect_quadrature
+
+        def recorded(*args):
+            integrals = real(*args)
+            shifts.append([shift for _, shift in integrals])
+            return integrals
+
+        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
         pair = (point_mass(0.0), point_mass(1.0))
         mech = LaplaceParams(scale=1.0)
-        below = 1.0 + 700.0 + math.log(2.0) - 0.1
-        assert renyi_divergence_numeric(*pair, mech, below) == pytest.approx(
-            laplace_pair_divergence(1.0, 1.0, below), rel=1e-9
-        )
-        with pytest.raises(IntegrationFailure, match="overflow"):
-            renyi_divergence_numeric(*pair, mech, 1.0 + 700.0 + math.log(2.0) + 0.1)
+        for offset in (-0.1, 0.1, 1300.0):
+            alpha = 1.0 + 700.0 + math.log(2.0) + offset
+            assert renyi_divergence_numeric(*pair, mech, alpha) == pytest.approx(
+                laplace_pair_divergence(1.0, 1.0, alpha), rel=1e-12
+            )
+        below, above, far = shifts
+        assert below == [0.0, 0.0]
+        assert 700.0 < min(above) and 2000.0 < min(far)
+
+    @pytest.mark.parametrize("alpha, sigma", [
+        (2.0, 1.0), (100.0, math.sqrt(5.0)), (5.0, 0.05), (2.0, 0.02), (30.0, 0.2),
+    ])
+    def test_gaussian_point_masses_past_the_old_guard(self, alpha, sigma):
+        # D = alpha / (2 sigma^2) for unit-separated Gaussians; (alpha - 1) D
+        # runs from 1 to 10875, past the 700 where an overflow guard raised.
+        # sqrt(5) at alpha = 100 is what calibration returns for epsilon = 10.
+        pair = (point_mass(0.0), point_mass(1.0))
+        want = alpha / (2.0 * sigma**2)
+        got = renyi_divergence_both_ways(*pair, GaussianParams(sigma), alpha)
+        assert got == pytest.approx((want, want), rel=1e-12)
 
     def test_custom_cost_keeps_its_own_tail_limits(self):
         # Regression: a custom exponential cost whose label was left at the
@@ -268,7 +296,7 @@ class TestRenyiDivergenceNumeric:
         mech = GaussianParams(0.01)
         p = DiscreteDistribution((1e4, 1e4 + 0.5, 1e4 + 1.0), (0.5, 0.3, 0.2))
         q = DiscreteDistribution((1e4, 1e4 + 0.25, 1e4 + 1.0), (0.3, 0.3, 0.4))
-        for (sup, bound), (a, b) in zip(_gaussian_sup_log_ratios(p, q, mech, True), ((p, q), (q, p))):
+        for (sup, bound), (a, b) in zip(_gaussian_sup_log_ratios(p, q, mech), ((p, q), (q, p))):
             want = self._grid_supremum(a, b, mech)
             assert sup >= want - 1e-12 * max(1.0, abs(want))
             assert want <= bound and sup <= bound <= sup + 1e-9 * max(1.0, abs(sup))
@@ -282,7 +310,7 @@ class TestRenyiDivergenceNumeric:
         mech = GaussianParams(1.5)
         wide = DiscreteDistribution((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))
         narrow = DiscreteDistribution((-1.0, 0.0, 1.0), (0.2, 0.5, 0.3))
-        (up, up_bound), (down, down_bound) = _gaussian_sup_log_ratios(wide, narrow, mech, True)
+        (up, up_bound), (down, down_bound) = _gaussian_sup_log_ratios(wide, narrow, mech)
         assert up == up_bound == math.inf
         assert 0.0 < down <= down_bound < math.inf
         left = DiscreteDistribution((-2.0, 0.0, 1.0), (0.2, 0.5, 0.3))
@@ -298,13 +326,28 @@ class TestRenyiDivergenceNumeric:
         mech = GaussianParams(1.0)
         p = DiscreteDistribution((-0.05, 0.0), (0.5, 0.5))
         q = DiscreteDistribution((-0.1, 0.0), (100.0 / 101.0, 1.0 / 101.0))
-        ((sup, bound),) = _gaussian_sup_log_ratios(p, q, mech, False)
+        (sup, bound), _ = _gaussian_sup_log_ratios(p, q, mech)
         assert sup > self._grid_supremum(p, q, mech) + 2e-3
         ts = np.linspace(90.0, 120.0, 30001)
         far = posterior_log_density_dense(mech, p, ts) - posterior_log_density_dense(mech, q, ts)
         assert 100.0 < ts[int(np.argmax(far))] < 110.0
         assert sup == pytest.approx(float(np.max(far)), rel=0.0, abs=1e-10)
         assert sup <= bound <= sup + 1e-9
+
+    def test_gaussian_certificate_is_capped_by_the_discrete_supremum(self):
+        # r(q || p) creeps up to its tail limit log(8 / 7) with a gap that
+        # shrinks like e^-2t, faster than the interval bounds' slack, and
+        # the branch and bound's certificate stopped 5.2e-4 above it. r is
+        # at most the discrete supremum on the whole line, which caps it.
+        from puffercal.verify import _gaussian_sup_log_ratios
+
+        p = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
+        q = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), tuple(m / 7.0 for m in (2, 2, 1, 2)))
+        directions = _gaussian_sup_log_ratios(p, q, GaussianParams(1.0))
+        for (sup, bound), (a, b) in zip(directions, ((p, q), (q, p))):
+            assert sup <= renyi_divergence_discrete(a, b, math.inf) + 1e-15
+            assert sup <= bound <= sup + 1e-12
+        assert directions[1][0] == pytest.approx(math.log(8.0 / 7.0), rel=1e-14)
 
     def test_gaussian_infinite_order_at_extreme_sigma(self):
         # With sigma far above the atom spacing the ratio peaks above its
@@ -513,15 +556,12 @@ class TestBothWays:
             (point_mass(0.5), wide),
         ]
 
-    # Cases where the directions close different segments on these pairs,
-    # so the shared segments are finer than one direction's own.
-    REFINED = {("gaussian", 2.0), ("custom-cost", 2.0)}
-
     @pytest.mark.parametrize("alpha", [0.5, 2.0, math.inf])
     @pytest.mark.parametrize("kind", sorted(MECHS))
     def test_equals_two_one_way_calls_bit_for_bit(self, kind, alpha):
-        # Bit for bit while the directions close the same segments; else
-        # each is within the quadrature's tolerance carried to D.
+        # renyi_divergence_numeric is the first direction, and swapping the
+        # priors swaps the directions bit for bit: the window, the cuts and
+        # every closing test are symmetric in them.
         mech = self.MECHS[kind]
         for p, q in self._pairs():
             want = (
@@ -529,35 +569,43 @@ class TestBothWays:
                 renyi_divergence_numeric(q, p, mech, alpha),
             )
             got = renyi_divergence_both_ways(p, q, mech, alpha)
-            if (kind, alpha) in self.REFINED:
-                assert got == pytest.approx(want, rel=0.0, abs=1e-10 / abs(alpha - 1.0))
-            else:
-                assert _bits(got) == _bits(want)
+            assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("mech", [LaplaceParams(0.1), GaussianParams(1.0)],
                              ids=["laplace", "gaussian"])
     def test_only_reverse_direction_overflows(self, mech):
-        # D(P || Q) stays near log 2, while (Q/P)^9 at y near 10 overflows.
+        # D(P || Q) stays near log 2, while (Q/P)^9 at y near 10 is past the
+        # float range. At alpha = 10, Q^10 P^-9 expands binomially into
+        # 2^-10 sum_k C(10, k) n(y - 10)^k n(y)^(1 - k) for the noise density
+        # n, and each term integrates to exp((k - 1) D_k) with D_k the
+        # order-k divergence between two noise densities 10 apart: a closed
+        # form for D(Q || P).
         p = point_mass(0.0)
         q = DiscreteDistribution(atoms=(0.0, 10.0), masses=(0.5, 0.5))
-        assert renyi_divergence_numeric(p, q, mech, 10.0) == pytest.approx(
-            math.log(2.0), rel=1e-6
-        )
-        with pytest.raises(IntegrationFailure, match="overflow"):
-            renyi_divergence_numeric(q, p, mech, 10.0)
-        with pytest.raises(IntegrationFailure, match="overflow"):
-            renyi_divergence_both_ways(p, q, mech, 10.0)
+        logs = []
+        for k in range(11):
+            if isinstance(mech, GaussianParams):
+                exponent = k * (k - 1) * 100.0 / (2.0 * mech.sigma**2)
+            else:
+                exponent = (k - 1) * laplace_pair_divergence(10.0, mech.scale, k) if k > 1 else 0.0
+            logs.append(math.log(math.comb(10, k)) + exponent)
+        top = max(logs)
+        reverse = (top + math.log(sum(math.exp(t - top) for t in logs)) - 10.0 * math.log(2.0)) / 9.0
+        forward, backward = renyi_divergence_both_ways(p, q, mech, 10.0)
+        assert forward == pytest.approx(math.log(2.0), rel=1e-6)
+        assert backward == pytest.approx(reverse, rel=1e-12)
+        assert renyi_divergence_numeric(q, p, mech, 10.0) == backward
         (report,) = verify_rpp(scenario_set([(p, q)]), mech, PrivacySpec(10.0, 1.0))
-        assert report.inconclusive and report.passed is None
-        assert math.isnan(report.divergence_ij) and math.isnan(report.divergence_ji)
+        assert not report.inconclusive and report.passed is False
+        assert (report.divergence_ij, report.divergence_ji) == (forward, backward)
 
     @pytest.mark.parametrize("mech", [LaplaceParams(0.8), GaussianParams(1.1)],
                              ids=["laplace", "gaussian"])
     def test_one_density_call_per_prior_and_round(self, monkeypatch, mech):
-        # Both directions take one call per prior while either is open, so
-        # the pair costs what its slower direction costs alone; verify_rpp
-        # on the golden scenario, where the directions converge together,
-        # makes half the calls of two one-way divergences per pair.
+        # Both directions share each round's densities call, which reads
+        # each prior once, so the calls alternate between the priors;
+        # verify_rpp on the golden scenario makes no call beyond one
+        # renyi_divergence_both_ways per pair.
         import puffercal.verify as verify
         from puffercal.cli import _resolve_scenarios
 
@@ -579,15 +627,14 @@ class TestBothWays:
         )
         for alpha in (0.5, 2.0, 4.0):
             for p, q in [*self._pairs(), *((pair.p_i, pair.p_j) for pair in golden.pairs)]:
-                ij = count(renyi_divergence_numeric, p, q, mech, alpha)
-                ji = count(renyi_divergence_numeric, q, p, mech, alpha)
-                assert count(renyi_divergence_both_ways, p, q, mech, alpha) == max(ij, ji)
-            one_way = sum(
-                count(renyi_divergence_numeric, p, q, mech, alpha)
+                rounds = count(renyi_divergence_both_ways, p, q, mech, alpha) // 2
+                assert [id(prior) for prior in calls] == [id(p), id(q)] * rounds
+                assert count(renyi_divergence_numeric, p, q, mech, alpha) == 2 * rounds
+            per_pair = sum(
+                count(renyi_divergence_both_ways, pair.p_i, pair.p_j, mech, alpha)
                 for pair in golden.pairs
-                for p, q in ((pair.p_i, pair.p_j), (pair.p_j, pair.p_i))
             )
-            assert 2 * count(verify_rpp, golden, mech, PrivacySpec(alpha, 1.0)) == one_way
+            assert count(verify_rpp, golden, mech, PrivacySpec(alpha, 1.0)) == per_pair
 
     def test_integrands_with_different_peaks_share_one_partition(self):
         # Peaks of widths 0.1 and 0.001 at different places: each integrand
@@ -603,7 +650,7 @@ class TestBothWays:
 
         peaks = [(-1.5, 1e-2), (1.3, 1e-6)]
         integrands = [
-            lambda ys, y, y0=y0, c=c: 1.0 / (c + np.square(y - y0)) for y0, c in peaks
+            lambda ys, y, y0=y0, c=c: -np.log(c + np.square(y - y0)) for y0, c in peaks
         ]
         edges = np.array([-3.0, 0.0, 3.0])
         for f in integrands:
@@ -612,7 +659,8 @@ class TestBothWays:
         del nodes[:]
         together = _bisect_quadrature(densities, integrands, edges)
         assert sum(nodes) <= alone
-        for value, (y0, c) in zip(together, peaks):
+        for (value, shift), (y0, c) in zip(together, peaks):
+            assert shift == 0.0
             root = math.sqrt(c)
             exact = (math.atan((3.0 - y0) / root) - math.atan((-3.0 - y0) / root)) / root
             assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
@@ -747,7 +795,8 @@ class TestCuts:
                 for alpha in (0.5, 1.2, 2.0, 5.0, 50.0):
                     renyi_divergence_both_ways(p, q, GaussianParams(factor * spread), alpha)
         for got, every, _ in compared:
-            for g, e in zip(got, every):
+            for (g, shift), (e, every_shift) in zip(got, every):
+                assert shift == every_shift == 0.0
                 assert abs(g - e) <= 1e-10 * abs(e), (g, e)
         assert sum(coarser for _, _, coarser in compared) >= len(compared) / 4
 
@@ -837,16 +886,16 @@ class TestExactTails:
 
     def test_single_point_hull_is_its_tails(self):
         # edges [A, A]: the empty interior adds 0, the tails b (f(A) + f(A)).
-        f = lambda ys, y: np.exp(-np.abs(y - 1.0))
-        (value,) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([3.0, 3.0]), 2.5)
-        assert value == pytest.approx(5.0 * math.exp(-2.0), rel=1e-15)
+        f = lambda ys, y: -np.abs(y - 1.0)
+        ((value, shift),) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([3.0, 3.0]), 2.5)
+        assert (value, shift) == (pytest.approx(5.0 * math.exp(-2.0), rel=1e-15), 0.0)
 
     def test_tails_are_exact_for_one_exponential(self):
         # exp(-|y|/b) on [-1, 2] with its tails is 2b exactly, to the tolerance.
         b = 0.7
-        f = lambda ys, y: np.exp(-np.abs(y) / b)
-        (value,) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([-1.0, 0.0, 2.0]), b)
-        assert value == pytest.approx(2.0 * b, rel=1e-12)
+        f = lambda ys, y: -np.abs(y) / b
+        ((value, shift),) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([-1.0, 0.0, 2.0]), b)
+        assert (value, shift) == (pytest.approx(2.0 * b, rel=1e-12), 0.0)
 
     @pytest.mark.parametrize(
         "mech",
@@ -866,18 +915,19 @@ class TestExactTails:
             return posterior_log_density_many(mech, p, ys), posterior_log_density_many(mech, q, ys)
 
         integrands = [
-            lambda ys, lp, lq: np.exp(2.5 * lp - 1.5 * lq),
-            lambda ys, lp, lq: np.exp(0.5 * lq + 0.5 * lp),
+            lambda ys, lp, lq: 2.5 * lp - 1.5 * lq,
+            lambda ys, lp, lq: 0.5 * lq + 0.5 * lp,
         ]
         for size in (1, 3, 7, 16, 41):
             a = np.sort(rng.uniform(-8.0, 8.0, size))
             b = a + rng.uniform(0.01, 3.0, size)
             mid = 0.5 * (a + b)
             halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
-            merged = _gauss_legendre(densities, integrands, [(a, b), halves])
+            merged, shifts = _gauss_legendre(densities, integrands, [(a, b), halves], [0.0, 0.0])
+            assert shifts == [0.0, 0.0]
             for k, f in enumerate(integrands):
                 for j, sets in enumerate(((a, b), halves)):
-                    (alone,) = _gauss_legendre(densities, [f], [sets])
+                    (alone,), _ = _gauss_legendre(densities, [f], [sets], [0.0])
                     assert _bits(merged[k][j]) == _bits(alone[0])
 
 
@@ -924,14 +974,24 @@ class TestNarrowPeaks:
 
     def test_missed_peaks_read_as_a_negative_divergence(self, monkeypatch):
         # Without the cuts at 40 b inside each gap, the hull [0, 1] misses
-        # both peaks; D(q || p) comes out at -0.198, far below the rounding
-        # floor, and the quadrature fails instead of passing the pair.
+        # both peaks: D(p || q) comes out at 0.3285 in place of 1.0217, and
+        # D(q || p) at -0.198, far below the rounding floor, so the
+        # quadrature fails instead of passing the pair.
         import puffercal.verify as verify
 
+        integrals = []
+        real = verify._bisect_quadrature
+
+        def recorded(*args):
+            integrals.extend(real(*args))
+            return integrals
+
         monkeypatch.setattr(verify, "_cut_wide_gaps", lambda edges, scale, reach: edges)
-        assert renyi_divergence_numeric(self.P, self.Q, LaplaceParams(1e-4), 2.0) < 0.5
+        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
         with pytest.raises(IntegrationFailure, match="negative divergence"):
-            renyi_divergence_numeric(self.Q, self.P, LaplaceParams(1e-4), 2.0)
+            renyi_divergence_both_ways(self.P, self.Q, LaplaceParams(1e-4), 2.0)
+        (forward, shift), _ = integrals
+        assert shift == 0.0 and math.log(forward) < 0.5
 
     def test_gaussian_peaks_missed_are_inconclusive(self):
         # The padded window is cut at the atoms, and sigma = 5e-4 leaves the
@@ -983,7 +1043,7 @@ class TestNarrowPeaks:
         # every round for 60 rounds; past 16 times the start plus 1024 the
         # quadrature gives up.
         def noisy(ys, y):
-            return 1.0 + (np.sin(ys * 1e9) > 0.0)
+            return np.log(1.0 + (np.sin(ys * 1e9) > 0.0))
 
         with pytest.raises(IntegrationFailure, match="segments open"):
             _bisect_quadrature(lambda ys: (ys,), [noisy], np.array([0.0, 1.0, 2.0]))
@@ -1094,9 +1154,10 @@ class TestVerifyRpp:
         )
 
     def test_inconclusive_on_integration_failure(self):
-        pair = (point_mass(0.0), point_mass(30.0))
+        # A Laplace scale too narrow for the float spacing at the atoms.
+        pair = (point_mass(0.0), point_mass(1.0))
         spec = PrivacySpec(alpha=5.0, epsilon=0.5)
-        reports = verify_rpp(scenario_set([pair]), LaplaceParams(0.01), spec)
+        reports = verify_rpp(scenario_set([pair]), LaplaceParams(1e-12), spec)
         assert reports[0].inconclusive
         assert reports[0].passed is None
 
