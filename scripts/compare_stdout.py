@@ -73,6 +73,10 @@ EXTRA_COMMANDS = (
          "--alpha", "inf", "--epsilon", "1", "--parameter", sigma)
         for sigma in ("0.05", "40")
     ),
+    # Gaussian noise far narrower than the atom gaps, whose peaks the
+    # quadrature reaches by cutting those gaps 12 sigma inside each atom.
+    ("verify", "--scenario", "{scenario}", "--mechanism", "gaussian",
+     "--alpha", "2,10", "--epsilon", "1", "--parameter", "0.01"),
     ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",
      "--alpha", "1.5,3,20,inf", "--epsilon", "1"),
     ("verify", "--scenario", "{scenario}", "--mechanism", "exponential",

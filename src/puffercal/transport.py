@@ -12,10 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import DiscreteDistribution, log_sum_exp
+from .dist import _MASS_TOL, DiscreteDistribution, log_sum_exp
 from .errors import InvalidValue
 
-_MASS_TOL = 1e-12
 # Rounding bound per term of a float cumulative-mass ladder whose levels are
 # at most 1: the term's own mass rounding plus its partial sum's rounding,
 # each at most the unit roundoff 2^-53.

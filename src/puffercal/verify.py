@@ -35,8 +35,6 @@ PASS_SLACK = 1e-6
 _GRID_PER_GAP = 4096
 _NEGATIVE_FLOOR = -1e-8
 _MAX_ROUNDS = 60
-# Log integrand values past which _bisect_quadrature sums exp(t - shift).
-_SHIFT_FROM = 700.0
 # Monte Carlo breach classification (see _breach_intervals).
 _CLASSIFY_ROUNDS = 64
 _MIN_WIDTH = 2.0**-30
@@ -110,22 +108,19 @@ def renyi_divergence_both_ways(
     """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
 
     Finite orders integrate f = exp(alpha log p - (alpha - 1) log q) for
-    both directions in one _bisect_quadrature, to max(1e-14, 1e-10 |I|)
-    each, in the log domain: I = e^shift sum, so D = (shift + log sum) /
-    (alpha - 1) is finite for any (alpha - 1) D. The window and its cuts
-    are symmetric in the priors, so swapping them swaps the results bit
-    for bit.
+    both directions in one _bisect_quadrature, to 1e-10 |I| each, in the
+    log domain: I = e^shift sum, so D = (shift + log sum) / (alpha - 1) is
+    finite for any (alpha - 1) D. The window and its cuts are symmetric
+    in the priors, so swapping them swaps the results bit for bit.
 
     - Laplace-type noise (laplace_scale(mech) = b): past the extreme atom
       A of either prior both posteriors are one exponential in y with
       rate 1/b, so f is too, and its tail beyond A is exactly b f(A). The
       window is the atom hull, cut at every atom (f has kinks there), and
       the two tails b (f(hull_lo) + f(hull_hi)) are added in closed form;
-      the tolerance is taken on hull plus tails. A gap between atoms too
-      wide for the first round to see its peaks is also cut at 40 b
-      inside each end (_cut_wide_gaps). Scales too narrow for the float
-      spacing at the atoms raise IntegrationFailure: the nodes' rounding
-      would read the peaks wrong.
+      the tolerance is taken on hull plus tails. Scales too narrow for
+      the float spacing at the atoms raise IntegrationFailure: the nodes'
+      rounding would read the peaks wrong.
     - Other noise: the window is the union atom range padded by the noise
       truncation width plus the order-driven shift of the integrand's
       tail mode. Custom costs cut it at every atom. Gaussian integrands
@@ -135,14 +130,16 @@ def renyi_divergence_both_ways(
       segment. The divergence then differs from the one on every-atom
       cuts by at most the quadrature's tolerance carried to D, 1e-10 /
       |alpha - 1|.
+    - A gap between atoms too wide for the first round to see its peaks
+      is also cut at 40 b (Laplace-type) or 12 sigma (Gaussian) inside
+      each end that is an atom (_cut_wide_gaps).
 
     alpha = inf takes the supremum of the log ratio (see
     _sup_log_ratios). Raises IntegrationFailure when the log integrand is
     nan or +inf (a posterior density underflows to 0), the quadrature does
-    not converge or returns 0, or D is below 0 by more than 1e-8 even at
-    the end of the quadrature's tolerance nearest 0 (D >= 0 exactly, so
-    the nodes missed part of the integrand: Gaussian sigma = 5e-4 on atoms
-    0 and 1 gave D = -38.8).
+    not converge or returns 0, or D plus the quadrature's tolerance
+    carried to D is still below 0 by more than 1e-8 (D >= 0 exactly, so
+    the nodes missed part of the integrand).
     """
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
@@ -181,12 +178,14 @@ def renyi_divergence_both_ways(
     def log_integrand_ji(ys: np.ndarray, log_q: np.ndarray, log_p: np.ndarray) -> np.ndarray:
         return log_integrand_ij(ys, log_p, log_q)
 
-    points = np.array(sorted({a for a in (*p_i.atoms, *p_j.atoms) if lo < a < hi}))
+    atoms = np.array(sorted({*p_i.atoms, *p_j.atoms}))
+    points = atoms[(lo < atoms) & (atoms < hi)]
     # Gaussian integrands are analytic; other noise has kinks at the atoms.
     if isinstance(mech, GaussianParams):
         width = mech.sigma / math.sqrt(max(1.0, 2.0 * alpha - 1.0))
+        peak_scale = mech.sigma
     else:
-        width = 0.0
+        width, peak_scale = 0.0, tail_scale
     edges = _cuts(points, lo, hi, width)
     if tail_scale is not None:
         # Rounding moves a node y by up to about u |y|, and log f by up to
@@ -197,43 +196,44 @@ def renyi_divergence_both_ways(
             raise IntegrationFailure(
                 f"Laplace scale {tail_scale!r} is too narrow for the float spacing at the atoms"
             )
-        edges = _cut_wide_gaps(edges, tail_scale, truncation_halfwidth(mech))
+    if peak_scale is not None:
+        edges = _cut_wide_gaps(edges, atoms, peak_scale, truncation_halfwidth(mech))
     divergences = []
     integrals = _bisect_quadrature(densities, [log_integrand_ij, log_integrand_ji], edges, tail_scale)
     for integral, shift in integrals:
         if not (math.isfinite(integral) and integral > 0.0):
             raise IntegrationFailure(f"quadrature returned {integral!r}")
         divergence = (shift + math.log(integral)) / (alpha - 1.0)
-        # D >= 0: the integral is at least 1 for alpha > 1 and at most 1 below.
-        # When even its end of the quadrature's tolerance nearest that gives
-        # D below the rounding floor, the nodes missed part of the integrand.
-        tolerance = max(1e-14 * math.exp(-shift), 1e-10 * integral)
-        nearest = integral + tolerance if alpha > 1.0 else integral - tolerance
-        if nearest > 0.0 and (shift + math.log(nearest)) / (alpha - 1.0) < _NEGATIVE_FLOOR:
+        # D >= 0. When even D plus the quadrature's tolerance carried to D
+        # lies below the rounding floor, the nodes missed part of the integrand.
+        if divergence + 1e-10 / abs(alpha - 1.0) < _NEGATIVE_FLOOR:
             raise IntegrationFailure(f"quadrature gave a negative divergence {divergence!r}")
         divergences.append(_floor_rounding(divergence))
     return divergences[0], divergences[1]
 
 
-def _cut_wide_gaps(edges: np.ndarray, scale: float, reach: float) -> np.ndarray:
-    """The sorted edges, with every gap too wide for its peaks also cut at reach inside each end.
+def _cut_wide_gaps(edges: np.ndarray, knots: np.ndarray, scale: float, reach: float) -> np.ndarray:
+    """The sorted edges, with every gap too wide for its peaks also cut at reach inside each knot end.
 
-    A Laplace-type integrand peaks at the atoms, falling like
-    exp(-|y - a| / b) about each. The first round's halves of a gap g put
-    their outermost nodes (1 - x_12) g / 4 = 0.0046 g inside its ends;
-    past about 23 b (e^-23 = 1e-10, the quadrature's relative tolerance)
-    no error estimate sees the peaks, and the gap closes without them (on
-    atoms 0 and 1, D = 0.3285 in place of 1.0217 from b = 1e-4 down). A
-    gap whose outermost nodes lie more than 10 b inside is cut at reach
-    = truncation_halfwidth(mech) = 40 b from each end: the end segments
-    then hold the peaks at the noise scale, and the middle one starts
-    where they have fallen by e^-40. Narrower gaps keep their edges, and
-    their integrals every bit.
+    The integrand peaks at the atoms (the knots), falling within a few
+    noise scales b (sigma for Gaussian noise) of each. The first round's
+    halves of a gap g put their outermost nodes (1 - x_12) g / 4 = 0.0046
+    g inside its ends; past about 23 b no error estimate sees the peaks,
+    and the gap closes without them (Laplace noise on atoms 0 and 1 read
+    D = 0.3285 for 1.0217 from b = 1e-4 down). A gap whose outermost
+    nodes lie more than 10 b inside is cut at reach =
+    truncation_halfwidth(mech) (40 b, or 12 sigma) from each end that is
+    a knot, where the peaks have fallen past the noise truncation. The
+    padded Gaussian window's own ends are not cut: the extreme
+    order-shifted mode sits exactly 12 sigma inside them. Narrower gaps
+    keep their edges, and their integrals every bit.
     """
     wide = (1.0 - _GL_NODES[-1]) / 4.0 * np.diff(edges) > 10.0 * scale
     if not wide.any():
         return edges
-    return np.sort(np.concatenate((edges, edges[:-1][wide] + reach, edges[1:][wide] - reach)))
+    at_knot = np.isin(edges, knots)
+    inner = (edges[:-1][wide & at_knot[:-1]] + reach, edges[1:][wide & at_knot[1:]] - reach)
+    return np.sort(np.concatenate((edges, *inner)))
 
 
 def _cuts(knots: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
@@ -272,8 +272,8 @@ def _gauss_legendre(
     [a[i], b[i]]. Integrand k returns log values t = integrands[k](ys,
     *densities(ys)) and gets one array of estimates of exp(t - s) per set
     (with points, one more array holds exp(t - s) there). s is its new
-    shift: 0 while every t so far, shifts[k] included, is at most
-    _SHIFT_FROM, else the largest. One densities call serves every set, on
+    shift, the largest of shifts[k] and every t: -inf while every t so far
+    is, and then the estimates are 0. One densities call serves every set, on
     their nodes concatenated. The densities are elementwise in ys, and
     each set is evaluated and reduced on its own, at the shape it has
     alone (a concatenated matmul is not bit for bit the same), so each
@@ -290,11 +290,12 @@ def _gauss_legendre(
     for integrand, shift in zip(integrands, shifts):
         logs = [integrand(ys, *(v[stop - ys.size : stop] for v in values))
                 for ys, stop in zip(flat, stops)]
-        top = max([shift] + [float(t.max()) for t in logs])
-        shift = top if top > _SHIFT_FROM else 0.0
+        shift = max([shift] + [float(t.max()) for t in logs])
         out = []
         for (half, _), t in zip(groups, logs):
-            f = np.exp(t - shift if shift else t, out=t)
+            if shift > -math.inf:
+                t -= shift
+            f = np.exp(t, out=t)
             if half is not None:
                 f = half * (f.reshape(half.size, _GL_NODES.size) @ _GL_WEIGHTS)
             out.append(f)
@@ -320,29 +321,29 @@ def _bisect_quadrature(
     Each integrand is called as t = f(ys, *densities(ys)) and returns the
     log of its values, below +inf. Its integral I comes back as (sum,
     shift), I = e^shift sum: the sums are of exp(t - shift), where shift
-    is 0 until a node's t exceeds _SHIFT_FROM and then the largest t seen
-    (_gauss_legendre). When it rises from s to s', all that was summed at
-    s (closed sums and errors, tails, the last whole-segment estimates) is
-    rescaled by exp(s - s'). While shift is 0 the sums are those of exp(t)
-    bit for bit.
+    starts at -inf and is the largest t seen so far (_gauss_legendre), so
+    no node's value overflows or, at the peak, underflows, at any scale of
+    t. When it rises from s to s', all that was summed at s (closed sums
+    and errors, tails, the last whole-segment estimates) is rescaled by
+    exp(s - s').
 
     The integrands share one set of open segments, which starts as the
     gaps between consecutive edges. Each round applies the 12-point rule
     to both halves of every open segment, in one densities call for all
     integrands still open (see _gauss_legendre), and each of them takes
     err = |left + right - whole| per segment. An integrand stops once its
-    errors, closed segments' included, sum to at most its own tol =
-    max(1e-14 e^-shift, 1e-10 |sum|), and is not called again. A segment
-    closes when, for every integrand still open, its err is at most tol *
-    length / (edges[-1] - edges[0]) and at most half its own value left +
-    right; each integrand then adds its estimate and err there to its own
-    closed sums. The other segments are halved. After _MAX_ROUNDS rounds,
-    or once more than 16 times the starting segments plus 1024 would be
-    open, it raises IntegrationFailure: the errors have met a rounding
-    floor that no halving lowers, and the open segments would double every
-    round until memory runs out. (Over the tests and the commands of
-    scripts/compare_stdout.py, at most four times the starting segments
-    were open.)
+    errors, closed segments' included, sum to at most its own tol = 1e-10
+    sum, and is not called again. A segment closes when, for every
+    integrand still open, its err is at most tol * length / (edges[-1] -
+    edges[0]) and at most half its own value left + right; each integrand
+    then adds its estimate and err there to its own closed sums. The other
+    segments are halved. After _MAX_ROUNDS rounds, or once more than 16
+    times the starting segments plus 1024 would be open, it raises
+    IntegrationFailure: the errors have met a rounding floor that no
+    halving lowers, and the open segments would double every round until
+    memory runs out. (Over the tests and the commands of
+    scripts/compare_stdout.py, at most 23 times the starting segments, and
+    never more than 828, were open.)
 
     Integrands that read the same densities, like the two directions of a
     divergence, share every densities call, and each meets its own
@@ -371,7 +372,7 @@ def _bisect_quadrature(
     most_open = 16 * a.size + 1024
     closed = [0.0] * len(integrands)
     closed_err = [0.0] * len(integrands)
-    shifts = [0.0] * len(integrands)
+    shifts = [-math.inf] * len(integrands)
     values: list[Optional[tuple[float, float]]] = [None] * len(integrands)
     wholes: list[np.ndarray] = []
     ends = None if tail_scale is None else edges[[0, -1]]
@@ -408,7 +409,7 @@ def _bisect_quadrature(
             both = left + right
             err = np.abs(both - whole)
             total = closed[k] + float(both.sum())
-            tol = max(1e-14 * math.exp(-shifts[k]), 1e-10 * abs(total))
+            tol = 1e-10 * total
             if closed_err[k] + float(err.sum()) <= tol:
                 values[k] = (total, shifts[k])
                 continue

@@ -172,10 +172,11 @@ class TestRenyiDivergenceNumeric:
 
     def test_integrand_guard_boundary(self, monkeypatch):
         # For point masses at 0 and 1 under Laplace(1) noise the integrand's
-        # log peaks at y = 0 with value alpha - 1 - ln 2. Quadrature samples
-        # within 0.1 of the peak, so a peak 0.1 below 700 (where an overflow
-        # guard used to raise) is summed as exp(t), and one 0.1 above it,
-        # or far above, relative to the largest t. All meet the closed form.
+        # log peaks at the hull end y = 0 with value alpha - 1 - ln 2 (y = 1
+        # for the reverse direction), where the tails evaluate it. Every
+        # sum is taken relative to that largest t, whether the peak lies far
+        # below 700 (where an overflow guard used to raise), 0.1 either side
+        # of it, or far above. All meet the closed form.
         import puffercal.verify as verify
 
         shifts = []
@@ -189,14 +190,14 @@ class TestRenyiDivergenceNumeric:
         monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
         pair = (point_mass(0.0), point_mass(1.0))
         mech = LaplaceParams(scale=1.0)
-        for offset in (-0.1, 0.1, 1300.0):
+        offsets = (-699.0, -0.1, 0.1, 1300.0)
+        for offset in offsets:
             alpha = 1.0 + 700.0 + math.log(2.0) + offset
             assert renyi_divergence_numeric(*pair, mech, alpha) == pytest.approx(
                 laplace_pair_divergence(1.0, 1.0, alpha), rel=1e-12
             )
-        below, above, far = shifts
-        assert below == [0.0, 0.0]
-        assert 700.0 < min(above) and 2000.0 < min(far)
+        for offset, pair_shifts in zip(offsets, shifts, strict=True):
+            assert pair_shifts == [pytest.approx(700.0 + offset, rel=1e-13)] * 2
 
     @pytest.mark.parametrize("alpha, sigma", [
         (2.0, 1.0), (100.0, math.sqrt(5.0)), (5.0, 0.05), (2.0, 0.02), (30.0, 0.2),
@@ -660,10 +661,9 @@ class TestBothWays:
         together = _bisect_quadrature(densities, integrands, edges)
         assert sum(nodes) <= alone
         for (value, shift), (y0, c) in zip(together, peaks):
-            assert shift == 0.0
             root = math.sqrt(c)
             exact = (math.atan((3.0 - y0) / root) - math.atan((-3.0 - y0) / root)) / root
-            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert value * math.exp(shift) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def _shared_support_pair(rng, offset):
@@ -796,7 +796,7 @@ class TestCuts:
                     renyi_divergence_both_ways(p, q, GaussianParams(factor * spread), alpha)
         for got, every, _ in compared:
             for (g, shift), (e, every_shift) in zip(got, every):
-                assert shift == every_shift == 0.0
+                g *= math.exp(shift - every_shift)
                 assert abs(g - e) <= 1e-10 * abs(e), (g, e)
         assert sum(coarser for _, _, coarser in compared) >= len(compared) / 4
 
@@ -888,14 +888,14 @@ class TestExactTails:
         # edges [A, A]: the empty interior adds 0, the tails b (f(A) + f(A)).
         f = lambda ys, y: -np.abs(y - 1.0)
         ((value, shift),) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([3.0, 3.0]), 2.5)
-        assert (value, shift) == (pytest.approx(5.0 * math.exp(-2.0), rel=1e-15), 0.0)
+        assert value * math.exp(shift) == pytest.approx(5.0 * math.exp(-2.0), rel=1e-15)
 
     def test_tails_are_exact_for_one_exponential(self):
         # exp(-|y|/b) on [-1, 2] with its tails is 2b exactly, to the tolerance.
         b = 0.7
         f = lambda ys, y: -np.abs(y) / b
         ((value, shift),) = _bisect_quadrature(lambda ys: (ys,), [f], np.array([-1.0, 0.0, 2.0]), b)
-        assert (value, shift) == (pytest.approx(2.0 * b, rel=1e-12), 0.0)
+        assert value * math.exp(shift) == pytest.approx(2.0 * b, rel=1e-12)
 
     @pytest.mark.parametrize(
         "mech",
@@ -905,7 +905,7 @@ class TestExactTails:
     def test_merged_first_round_equals_separate_calls_bit_for_bit(self, mech):
         # The first round's whole segments and halves share one densities
         # call, but each is reduced at the shape a call of its own has, so
-        # Gaussian and custom-cost estimates do not move.
+        # Gaussian and custom-cost estimates do not move at the same shift.
         from puffercal.verify import _gauss_legendre
 
         rng = np.random.default_rng(20261020)
@@ -923,11 +923,13 @@ class TestExactTails:
             b = a + rng.uniform(0.01, 3.0, size)
             mid = 0.5 * (a + b)
             halves = (np.concatenate((a, mid)), np.concatenate((mid, b)))
-            merged, shifts = _gauss_legendre(densities, integrands, [(a, b), halves], [0.0, 0.0])
-            assert shifts == [0.0, 0.0]
+            merged, shifts = _gauss_legendre(
+                densities, integrands, [(a, b), halves], [-math.inf, -math.inf]
+            )
             for k, f in enumerate(integrands):
                 for j, sets in enumerate(((a, b), halves)):
-                    (alone,), _ = _gauss_legendre(densities, [f], [sets], [0.0])
+                    (alone,), (shift,) = _gauss_legendre(densities, [f], [sets], [shifts[k]])
+                    assert shift == shifts[k]
                     assert _bits(merged[k][j]) == _bits(alone[0])
 
 
@@ -986,24 +988,23 @@ class TestNarrowPeaks:
             integrals.extend(real(*args))
             return integrals
 
-        monkeypatch.setattr(verify, "_cut_wide_gaps", lambda edges, scale, reach: edges)
+        monkeypatch.setattr(verify, "_cut_wide_gaps", lambda edges, knots, scale, reach: edges)
         monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
         with pytest.raises(IntegrationFailure, match="negative divergence"):
             renyi_divergence_both_ways(self.P, self.Q, LaplaceParams(1e-4), 2.0)
         (forward, shift), _ = integrals
-        assert shift == 0.0 and math.log(forward) < 0.5
+        assert shift + math.log(forward) < 0.5
 
     def test_gaussian_peaks_missed_are_inconclusive(self):
-        # The padded window is cut at the atoms, and sigma = 5e-4 leaves the
-        # peaks 9 sigma from the first round's nearest nodes: the integral
-        # read 1.4e-17, D = -38.8, and the pair passed at any epsilon.
-        exact = renyi_divergence_discrete(self.P, self.Q, 2.0)
-        assert renyi_divergence_numeric(self.P, self.Q, GaussianParams(1e-3), 2.0) == (
-            pytest.approx(exact, rel=1e-8)
-        )
-        for sigma in (5e-4, 3e-4):
-            with pytest.raises(IntegrationFailure, match="negative divergence"):
-                renyi_divergence_both_ways(self.P, self.Q, GaussianParams(sigma), 2.0)
+        # Cut only at the atoms, the padded window left the peaks at sigma =
+        # 5e-4 9 sigma from the first round's nearest nodes: the integral
+        # read 1.4e-17 and D = -38.8. The gap [0, 1] is now also cut 12 sigma
+        # inside each atom, and D reaches the discrete divergence.
+        exact = (renyi_divergence_discrete(self.P, self.Q, 2.0),
+                 renyi_divergence_discrete(self.Q, self.P, 2.0))
+        for sigma in (1e-3, 5e-4, 3e-4, 1e-4):
+            got = renyi_divergence_both_ways(self.P, self.Q, GaussianParams(sigma), 2.0)
+            assert got == pytest.approx(exact, rel=1e-12)
 
     def test_verify_fails_the_under_noised_pair(self, capsys, tmp_path):
         import json
@@ -1029,14 +1030,84 @@ class TestNarrowPeaks:
         # At b = 1e-3 the outermost nodes of a gap's halves lie 0.0046 g
         # inside it, past 10 b for g > 2.17: the gaps of 1 and 2 stay whole,
         # and the gap of 3 is cut at the given reach from each end. At
-        # b = 2e-3 every gap stays whole.
+        # b = 2e-3 every gap stays whole. An end that is not a knot (the
+        # padded Gaussian window's) is never cut.
         from puffercal.verify import _cut_wide_gaps
 
         edges = np.array([0.0, 1.0, 3.0, 6.0])
-        assert _cut_wide_gaps(edges, 1e-3, 0.0625).tolist() == [
+        assert _cut_wide_gaps(edges, edges, 1e-3, 0.0625).tolist() == [
             0.0, 1.0, 3.0, 3.0625, 5.9375, 6.0
         ]
-        assert _cut_wide_gaps(edges, 2e-3, 0.125) is edges
+        assert _cut_wide_gaps(edges, edges[:-1], 1e-3, 0.0625).tolist() == [
+            0.0, 1.0, 3.0, 3.0625, 6.0
+        ]
+        assert _cut_wide_gaps(edges, edges, 2e-3, 0.125) is edges
+
+    # Peaks 10 apart with masses (.5, .5) against (.7, .3): the integrand
+    # peaks at each atom, where an edge sits. The padded end segments' nodes
+    # missed the outer half of each peak, read D low by log 2 / (alpha - 1)
+    # and passed the pair at epsilon 0.4.
+    HALF_P = DiscreteDistribution(atoms=(0.0, 10.0), masses=(0.5, 0.5))
+    HALF_Q = DiscreteDistribution(atoms=(0.0, 10.0), masses=(0.7, 0.3))
+
+    @pytest.mark.parametrize("alpha", [10.0, 50.0])
+    @pytest.mark.parametrize("sigma", [0.03, 0.01, 1e-3])
+    def test_gaussian_wide_gaps_keep_both_halves_of_each_peak(self, alpha, sigma):
+        exact = (renyi_divergence_discrete(self.HALF_P, self.HALF_Q, alpha),
+                 renyi_divergence_discrete(self.HALF_Q, self.HALF_P, alpha))
+        got = renyi_divergence_both_ways(self.HALF_P, self.HALF_Q, GaussianParams(sigma), alpha)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_verify_fails_the_half_peak_pair(self, capsys, tmp_path):
+        import json
+
+        from puffercal.cli import main
+
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"pairs": [{
+            "p": {"atoms": [0, 10], "masses": [0.5, 0.5]},
+            "q": {"atoms": [0, 10], "masses": [0.7, 0.3]},
+        }]}), encoding="utf-8")
+        code = main(["verify", "--scenario", str(scenario), "--mechanism", "gaussian",
+                     "--alpha", "10", "--epsilon", "0.4", "--parameter", "0.01"])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert code == 4
+        assert (row[8], row[9]) == ("false", "false")
+        assert float(row[5]) == pytest.approx(
+            renyi_divergence_discrete(self.HALF_P, self.HALF_Q, 10.0), rel=1e-9
+        )
+
+    def test_sub_unit_order_far_below_the_float_range(self):
+        # Every node's log integrand lies below -745 here, where exp(t)
+        # underflowed to 0 and the quadrature returned 0; relative to the
+        # largest t the sums hold. Reference: a 40-digit mpmath quadrature.
+        p = DiscreteDistribution(
+            atoms=(3.0, 5.0, 6.0),
+            masses=(0.07922896254516523, 0.4918399023442278, 0.428931135110607),
+        )
+        q = DiscreteDistribution(atoms=(2.0, 4.0), masses=(0.4860166992967068, 0.5139833007032932))
+        got = renyi_divergence_both_ways(
+            p, q, GaussianParams(0.002195478476192573), 0.8789347287726714
+        )
+        assert got == pytest.approx((91176.458273284374, 91171.184651044286), rel=1e-12)
+
+    def test_integrand_zero_at_every_node_is_inconclusive(self, monkeypatch):
+        # At alpha = 0.5 a density of -inf at every node makes both log
+        # integrands -inf everywhere: the shift stays -inf, the integrals
+        # read 0, and D >= 0 says the nodes missed the integrand.
+        import puffercal.verify as verify
+
+        p, q = point_mass(0.0), point_mass(1.0)
+        monkeypatch.setattr(
+            verify, "posterior_log_density_many",
+            lambda mech, prior, ys: np.full(ys.shape, -math.inf if prior is p else 0.0),
+        )
+        with pytest.raises(IntegrationFailure, match="quadrature returned 0.0"):
+            renyi_divergence_both_ways(p, q, GaussianParams(1.0), 0.5)
+        ((value, shift),) = _bisect_quadrature(
+            lambda ys: (ys,), [lambda ys, y: np.full(ys.shape, -math.inf)], np.array([0.0, 1.0])
+        )
+        assert (value, shift) == (0.0, -math.inf)
 
     def test_quadrature_that_cannot_converge_stops_before_memory_runs_out(self):
         # Values that halving never settles would double the open segments
