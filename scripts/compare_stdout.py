@@ -46,9 +46,9 @@ from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
 # from 0.5 to 20 and inf, fixed parameters where calibration needs a
 # finite order above one, the --verify re-check paths, JSON output, Monte
 # Carlo runs within one draw chunk and across several (zero noise and the
-# exponential mechanism too), grids mixing sub-unit, solved and
-# closed-form cells, a Laplace grid whose sub-unit and solved cells share
-# lockstep rounds, the ignored --jobs, a tight --tol, two grids that fail
+# exponential mechanism too) and runs that draw nothing, grids mixing
+# sub-unit, solved and closed-form cells, a Laplace grid whose sub-unit
+# and solved cells share lockstep rounds, the ignored --jobs, a tight --tol, two grids that fail
 # part-way, two runs on the built-in point-mass scenario whose numpy
 # warnings would show as a stderr diff, two point-mass calibrations
 # whose noise variance is past the float range, and point-mass runs at a
@@ -124,6 +124,14 @@ EXTRA_COMMANDS = (
     ("breach", "--scenario", "{scenario}", "--mechanism", "exponential",
      "--alpha", "2", "--epsilon", "0.5", "--parameter", "2.5", "--n", "150001",
      "--seed", "{seed}"),
+    # Per-atom tables that give every atom one class, so nothing is drawn:
+    # zero noise on the point-mass pair, where every draw breaches, and the
+    # calibrated exponential mechanism, where none does.
+    ("breach", "--scenario", "point-mass", "--mechanism", "laplace",
+     "--alpha", "2", "--epsilon", "1", "--parameter", "0", "--n", "1000",
+     "--seed", "{seed}"),
+    ("breach", "--scenario", "{scenario}", "--mechanism", "exponential",
+     "--alpha", "2", "--epsilon", "1", "--n", "1000000", "--seed", "{seed}"),
     # exponential at alpha = 0.5 is a configuration error after laplace solved.
     ("calibrate", "--scenario", "{scenario}", "--mechanism", "laplace",
      "--mechanism", "exponential", "--mechanism", "winf",

@@ -79,6 +79,16 @@ class DiscreteDistribution:
     def max_atom(self) -> float:
         return self.atoms[-1]
 
+    def index_buffer(self, n: int) -> np.ndarray:
+        """An uninitialised array for n atom indices, in the smallest unsigned dtype.
+
+        Raises MemoryError when n indices do not fit in memory.
+        """
+        try:
+            return np.empty(n, dtype=np.min_scalar_type(len(self.atoms) - 1))
+        except (MemoryError, ValueError) as exc:
+            raise MemoryError(f"{n} draws do not fit in memory ({exc})") from exc
+
     def sample_indices(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         """Draw n iid atom indices, in the smallest unsigned dtype that holds them.
 
@@ -94,19 +104,15 @@ class DiscreteDistribution:
         are searched. Scaling by K, a power of two, is exact both ways.
         The table is built once per call; the result takes 1 byte per draw
         up to 256 atoms, 2 up to 65536, where the float draws take 8.
-        Raises MemoryError when n indices do not fit in memory.
+        Raises index_buffer's MemoryError when n indices do not fit in memory.
         """
         cdf = np.cumsum(self.masses)
         cdf /= cdf[-1]
-        dtype = np.min_scalar_type(len(self.atoms) - 1)
-        try:
-            indices = np.empty(n, dtype=dtype)
-        except (MemoryError, ValueError) as exc:
-            raise MemoryError(f"{n} draws do not fit in memory ({exc})") from exc
+        indices = self.index_buffer(n)
         edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         lo = cdf.searchsorted(edges[:-1], "right")
         ambiguous = lo != cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
-        first = lo.astype(dtype)
+        first = lo.astype(indices.dtype)
         for start in range(0, n, _INDEX_CHUNK):
             u = rng.random(min(_INDEX_CHUNK, n - start))
             u *= _GUIDE_BUCKETS

@@ -882,7 +882,8 @@ def monte_carlo_breach(
     other intervals' edges, so the count is the one that evaluating the
     log ratio at every draw gives. Draws outside the certified intervals'
     interiors, and every draw of a custom-cost mechanism, take the log
-    ratio itself. Raises MemoryError when n indices do not fit in memory.
+    ratio itself. Raises MemoryError when n indices do not fit in memory
+    (DiscreteDistribution.index_buffer).
 
     When a draw's class depends on its atom alone, the indices are looked
     up in a per-atom breach table instead, and no noise is drawn: the
@@ -895,27 +896,38 @@ def monte_carlo_breach(
     pairs one interval across the window settles every draw. Gaussian
     draws reach about 13.7 sigma, past the 12 sigma window, and always
     take the chunks.
+
+    When that table gives every atom the same class, nothing is drawn and
+    no generator is made: the count is n or 0 whatever the draws, so the
+    estimate is the same for every seed. The classification never reads
+    the generator, so the table is built first. Only the index buffer is
+    allocated, so that an n whose indices do not fit raises the same
+    MemoryError.
     """
     if n < 1000:
         raise InvalidValue(f"need at least 1000 samples for a stable estimate, got {n}")
-    rng = np.random.default_rng(seed)
-    indices = p_i.sample_indices(rng, n)
     intervals = table = None
     if mech is None:
         table = _raw_breach_table(p_i, p_j, epsilon)
     elif laplace_scale(mech) is not None or isinstance(mech, GaussianParams):
         intervals = _breach_intervals(p_i, p_j, mech, epsilon, n)
         table = _settled_breach_table(p_i, mech, intervals)
-    if table is not None:
-        count = int(np.count_nonzero(table[indices]))
+    if table is not None and (table.all() or not table.any()):
+        p_i.index_buffer(n)  # the n indices must fit, as drawn ones would have to
+        count = n if table[0] else 0
     else:
-        atoms = np.asarray(p_i.atoms)
-        count = 0
-        for start in range(0, n, _DRAW_CHUNK):
-            chunk = indices[start : start + _DRAW_CHUNK]
-            ys = sample_noise(mech, rng, chunk.size)
-            ys += atoms[chunk]
-            count += _count_breaches(p_i, p_j, mech, epsilon, intervals, ys)
+        rng = np.random.default_rng(seed)
+        indices = p_i.sample_indices(rng, n)
+        if table is not None:
+            count = int(np.count_nonzero(table[indices]))
+        else:
+            atoms = np.asarray(p_i.atoms)
+            count = 0
+            for start in range(0, n, _DRAW_CHUNK):
+                chunk = indices[start : start + _DRAW_CHUNK]
+                ys = sample_noise(mech, rng, chunk.size)
+                ys += atoms[chunk]
+                count += _count_breaches(p_i, p_j, mech, epsilon, intervals, ys)
     estimate = float(count) / n
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / n)
     return estimate, half_width

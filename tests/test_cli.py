@@ -39,6 +39,9 @@ for kind, alpha in (("laplace", "2"), ("gaussian", "2"), ("exponential", "2"), (
     run("verify", "--scenario", "point-mass", "--mechanism", kind, "--alpha", alpha)
 run("sweep", "--scenario", "point-mass")
 steps.append(loaded())
+run("breach", "--scenario", "point-mass", "--mechanism", "laplace", "--parameter", "1000",
+    "--n", "1000")
+steps.append(loaded())
 for kind in ("laplace", "gaussian"):
     run("breach", "--scenario", "point-mass", "--mechanism", kind, "--n", "1000")
 steps.append(loaded())
@@ -49,9 +52,10 @@ print(json.dumps(steps))
 def test_cli_import_leaves_scipy_out():
     # numpy.random serves breach alone, and scipy is test-only: importing
     # the CLI loads neither, the default-mechanism calibrate, verify and
-    # sweep calls load neither,
-    # and breach loads numpy.random when it seeds its generator. breach
-    # spreads its pairs over threads without concurrent.futures.
+    # sweep calls load neither, a breach whose draws would all take one
+    # class draws nothing and loads neither, and breach loads numpy.random
+    # only when some pair of the cell draws. breach spreads its pairs over
+    # threads without concurrent.futures.
     import puffercal
 
     src = str(Path(puffercal.__file__).resolve().parents[1])
@@ -62,9 +66,11 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, env=env, check=True,
     )
     # [numpy.random, scipy, concurrent.futures loaded] after import, the
-    # calibrate/verify/sweep calls, and the breach calls.
+    # calibrate/verify/sweep calls, the breach that draws nothing, and the
+    # breach calls that draw.
     assert json.loads(result.stdout) == [
-        [False, False, False], [False, False, False], [True, False, False]
+        [False, False, False], [False, False, False], [False, False, False],
+        [True, False, False],
     ]
 
 
@@ -854,6 +860,19 @@ class TestBreachCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"configuration error: --n {n} is too large: ")
+
+    def test_oversized_n_is_refused_when_nothing_is_drawn(self, capsys):
+        # At b = 1000 every draw of the point-mass pair is certified below
+        # epsilon, so none is made, but the indices must still fit.
+        code, out, err = run_cli(
+            capsys, "breach", "--scenario", "point-mass", "--mechanism", "laplace",
+            "--parameter", "1000", "--n", "1000000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "configuration error: --n 1000000000000000 is too large: "
+            "1000000000000000 draws do not fit in memory ("
+        )
 
     def test_zero_seed_accepted(self, capsys):
         code, out, _ = run_cli(

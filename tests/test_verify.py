@@ -1494,6 +1494,78 @@ class TestStreamedBreach:
             assert np.any(above) and not np.all(above)
 
 
+class TestConstantBreachTable:
+    """A per-atom table that gives every atom one class counts n or 0 without drawing."""
+
+    @staticmethod
+    def _case(case):
+        """(p, q, mech, epsilon, the estimate every draw gives)."""
+        p = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.3, 0.4, 0.3))
+        q = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.35, 0.3, 0.35))
+        return {
+            # |log p - log q| <= log(4/3) everywhere, and one interval spans the window.
+            "wide-laplace": (p, q, LaplaceParams(5.0), 1.0, 0.0),
+            # No atom of p is an atom of q, so every draw breaches.
+            "zero-noise-above": (p, DiscreteDistribution((3.0, 4.0), (0.5, 0.5)), None, 1.0, 1.0),
+            "zero-noise-below": (p, q, None, 1.0, 0.0),
+        }[case]
+
+    @staticmethod
+    def _forbid_draws(monkeypatch):
+        import puffercal.verify as verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drawn on a constant per-atom table")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(DiscreteDistribution, "sample_indices", forbidden)
+        monkeypatch.setattr(verify, "sample_noise", forbidden)
+
+    @pytest.mark.parametrize("case", ["wide-laplace", "zero-noise-above", "zero-noise-below"])
+    @pytest.mark.parametrize("n", [1000, 65537, 150001])
+    def test_count_is_the_every_draw_count(self, monkeypatch, case, n):
+        # The reference makes every draw: _take_every_draw for noise, and
+        # the masses of each drawn atom for zero noise, whose table
+        # _take_every_draw leaves in place.
+        p, q, mech, eps, expected = self._case(case)
+        self._forbid_draws(monkeypatch)
+        constant = monte_carlo_breach(p, q, mech, eps, n, 7)
+        monkeypatch.undo()
+        if mech is None:
+            masses_q = dict(zip(q.atoms, q.masses))
+            log_ratio = {atom: math.log(mass / masses_q[atom]) if atom in masses_q else math.inf
+                         for atom, mass in zip(p.atoms, p.masses)}
+            xs = sample_atoms(p, np.random.default_rng(7), n).tolist()
+            estimate = sum(log_ratio[x] > eps for x in xs) / n
+            assert constant == (estimate, 1.96 * math.sqrt(estimate * (1.0 - estimate) / n))
+        else:
+            _take_every_draw(monkeypatch)
+            assert monte_carlo_breach(p, q, mech, eps, n, 7) == constant
+        assert constant == (expected, 0.0)
+
+    def test_mixed_table_draws_its_indices(self, monkeypatch):
+        sampled = []
+        sample_indices = DiscreteDistribution.sample_indices
+
+        def spy(self, rng, n):
+            sampled.append(n)
+            return sample_indices(self, rng, n)
+
+        monkeypatch.setattr(DiscreteDistribution, "sample_indices", spy)
+        _forbid_noise(monkeypatch)
+        p, q = TestBreachClassification.far_apart()
+        estimate, _ = monte_carlo_breach(p, q, LaplaceParams(0.05), 0.5, 2000, 3)
+        assert sampled == [2000] and 0.0 < estimate < 1.0
+
+    @pytest.mark.parametrize("case", ["wide-laplace", "zero-noise-above"])
+    def test_too_many_draws_is_a_memory_error(self, monkeypatch, case):
+        # Nothing is drawn, but the n indices the count stands for must fit.
+        p, q, mech, eps, _ = self._case(case)
+        self._forbid_draws(monkeypatch)
+        with pytest.raises(MemoryError, match="1000000000000000 draws"):
+            monte_carlo_breach(p, q, mech, eps, 10**15, 0)
+
+
 def _count_every_draw(p_i, p_j, mech, epsilon, intervals, ys):
     """The count monte_carlo_breach made before interval classification; intervals are ignored."""
     import puffercal.verify as verify
