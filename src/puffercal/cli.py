@@ -502,13 +502,10 @@ def cmd_breach(args) -> int:
             estimate, half_width = outcome
             chernoff = None
             if 1.0 < alpha < math.inf:
-                if mech is None:
-                    divergence = ver.renyi_divergence_discrete(pair.p_i, pair.p_j, alpha)
-                else:
-                    try:
-                        divergence = ver.renyi_divergence_numeric(pair.p_i, pair.p_j, mech, alpha)
-                    except IntegrationFailure:
-                        divergence = math.nan
+                try:
+                    divergence = ver.renyi_divergence_numeric(pair.p_i, pair.p_j, mech, alpha)
+                except IntegrationFailure:
+                    divergence = math.nan
                 if math.isfinite(divergence):
                     chernoff = ver.chernoff_breach_bound(divergence, spec)
             rows.append(

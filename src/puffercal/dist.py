@@ -341,9 +341,10 @@ def _noise_log_density_into(mech: MechanismParams, z: np.ndarray) -> np.ndarray:
         z -= math.log(2.0 * scale)
         return z
     if isinstance(mech, GaussianParams):
-        z /= mech.sigma
-        # Far past a tiny sigma the square overflows: the log density is -inf.
+        # Far past a tiny sigma the quotient or its square overflows: the
+        # log density is -inf.
         with np.errstate(over="ignore"):
+            z /= mech.sigma
             np.square(z, out=z)
         z *= -0.5
         z -= 0.5 * math.log(2.0 * math.pi)

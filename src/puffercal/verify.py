@@ -6,7 +6,8 @@ quadrature of the noised posterior densities, so a passing check confirms
 the calibration sufficiency with no shared code path. Every posterior
 density here comes from dist.posterior_log_density_many, which the
 quadrature (a vectorized Gauss-Legendre bisection) calls on arrays; the
-two directions of a pair share those calls and one set of segments.
+two directions of a finite-order divergence share those calls and one set
+of segments.
 """
 
 import math
@@ -39,7 +40,7 @@ _MAX_ROUNDS = 60
 _CLASSIFY_ROUNDS = 64
 _MIN_WIDTH = 2.0**-30
 _MARGIN_ULPS = 64.0
-# Relative tolerance of the Gaussian alpha = inf supremum (see _gaussian_sup_log_ratios).
+# Relative tolerance of the Gaussian alpha = inf supremum (see _gaussian_sup).
 _SUP_RTOL = 1e-12
 # Draws per chunk in monte_carlo_breach: its noise and sum buffers, the
 # settled-interval mask, and the sort buffer of the draws left after it.
@@ -87,7 +88,7 @@ def _cross_span(p_i: DiscreteDistribution, p_j: DiscreteDistribution) -> float:
 def renyi_divergence_numeric(
     p_i: DiscreteDistribution,
     p_j: DiscreteDistribution,
-    mech: MechanismParams,
+    mech: Optional[MechanismParams],
     alpha: float,
 ) -> float:
     """Order-alpha divergence D(p_i || p_j) between the noised posteriors of two priors.
@@ -102,7 +103,7 @@ def renyi_divergence_numeric(
 def renyi_divergence_both_ways(
     p_i: DiscreteDistribution,
     p_j: DiscreteDistribution,
-    mech: MechanismParams,
+    mech: Optional[MechanismParams],
     alpha: float,
 ) -> tuple[float, float]:
     """D(p_i || p_j) and D(p_j || p_i) from one set of posterior densities.
@@ -134,8 +135,10 @@ def renyi_divergence_both_ways(
       is also cut at 40 b (Laplace-type) or 12 sigma (Gaussian) inside
       each end that is an atom (_cut_wide_gaps).
 
-    alpha = inf takes the supremum of the log ratio (see
-    _sup_log_ratios). Raises IntegrationFailure when the log integrand is
+    mech=None is the zero-noise mechanism: both directions are those of
+    the raw distributions (renyi_divergence_discrete). alpha = inf takes
+    the supremum of the log ratio, one direction at a time (see
+    _sup_log_ratio). Raises IntegrationFailure when the log integrand is
     nan or +inf (a posterior density underflows to 0), the quadrature does
     not converge or returns 0, or D plus the quadrature's tolerance
     carried to D is still below 0 by more than 1e-8 (D >= 0 exactly, so
@@ -143,12 +146,14 @@ def renyi_divergence_both_ways(
     """
     if math.isnan(alpha) or alpha <= 0.0 or alpha == 1.0:
         raise InvalidValue(f"alpha must lie in (0,1) or (1,inf], got {alpha!r}")
+    if mech is None:
+        return renyi_divergence_discrete(p_i, p_j, alpha), renyi_divergence_discrete(p_j, p_i, alpha)
     if p_i == p_j:
         # Identical priors have identical posteriors; quadrature would
         # leave a rounding residue of a few ulps in place of the exact 0.
         return 0.0, 0.0
     if math.isinf(alpha):
-        return _sup_log_ratios(p_i, p_j, mech)
+        return _sup_log_ratio(p_i, p_j, mech), _sup_log_ratio(p_j, p_i, mech)
 
     lo = min(p_i.min_atom, p_j.min_atom)
     hi = max(p_i.max_atom, p_j.max_atom)
@@ -166,7 +171,7 @@ def renyi_divergence_both_ways(
 
     def log_integrand_ij(ys: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
         # A density underflowed to 0: nan (both) or +inf (q alone), past any shift.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             exponent = alpha * log_p
             exponent -= (alpha - 1.0) * log_q
         bad = ~(exponent < math.inf)
@@ -413,7 +418,9 @@ def _bisect_quadrature(
             if closed_err[k] + float(err.sum()) <= tol:
                 values[k] = (total, shifts[k])
                 continue
-            done &= (err <= tol * (b - a) / span) & (err <= 0.5 * both)
+            # The share (b - a) / span first: tol (b - a) overflows once
+            # sigma passes about 1e160.
+            done &= (err <= tol * ((b - a) / span)) & (err <= 0.5 * both)
             open_parts.append((k, left, right, both, err))
         if not open_parts:
             return values
@@ -445,52 +452,42 @@ def _log_ratio(
     return posterior_log_density_many(mech, p_i, ys) - posterior_log_density_many(mech, p_j, ys)
 
 
-def _sup_log_ratios(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: MechanismParams
-) -> tuple[float, float]:
-    """sup_y of log p(y) - log q(y), floored at 0, for (p, q) = (p_i, p_j), then (p_j, p_i).
+def _sup_log_ratio(p: DiscreteDistribution, q: DiscreteDistribution, mech: MechanismParams) -> float:
+    """sup_y of log p(y) - log q(y), floored at 0.
 
     For Laplace noise the supremum is the largest of the ratios at the
     atoms of either prior: between adjacent atoms each posterior density
     is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
     the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there, and beyond the
     extreme atoms it is constant. Gaussian noise takes the branch and
-    bound of _gaussian_sup_log_ratios, certified on the whole line. Custom
-    costs take the maximum over a dense grid with a local refinement,
-    plus far probes.
-
-    The directions share one log-ratio array on the knots, the grid and
-    the probes: the second direction's is the first one's negation, which
-    is exact, since fl(x - y) = -fl(y - x). The refinement is per
-    direction.
+    bound of _gaussian_sup, certified on the whole line. Custom costs take
+    the maximum over a dense grid with a local refinement, plus far
+    probes.
     """
-    knots = sorted(set(p_i.atoms) | set(p_j.atoms))
+    knots = sorted(set(p.atoms) | set(q.atoms))
     if laplace_scale(mech) is not None:
-        ratios = _log_ratio(p_i, p_j, mech, np.asarray(knots))
-        return max(float(np.max(ratios)), 0.0), max(float(np.max(-ratios)), 0.0)
+        return max(float(np.max(_log_ratio(p, q, mech, np.asarray(knots)))), 0.0)
     if isinstance(mech, GaussianParams):
-        return tuple(sup for sup, _ in _gaussian_sup_log_ratios(p_i, p_j, mech))
+        return _gaussian_sup(p, q, mech)[0]
 
     grid = _dense_grid(mech, knots)
-    ratios = _log_ratio(p_i, p_j, mech, grid)
     # No closed-form tails for a custom cost: probe geometrically far out.
     pad = truncation_halfwidth(mech)
     probes = []
     for k in range(8):
         offset = pad * (2.0**k)
         probes.extend((knots[0] - pad - offset, knots[-1] + pad + offset))
-    probe_ratios = _log_ratio(p_i, p_j, mech, np.asarray(probes))
-    return tuple(
-        max(_grid_max_log_ratio(p, q, mech, grid, sign * ratios),
-            float(np.max(sign * probe_ratios)), 0.0)
-        for p, q, sign in ((p_i, p_j, 1.0), (p_j, p_i, -1.0))
+    return max(
+        _grid_max_log_ratio(p, q, mech, grid, _log_ratio(p, q, mech, grid)),
+        float(np.max(_log_ratio(p, q, mech, np.asarray(probes)))),
+        0.0,
     )
 
 
-def _gaussian_sup_log_ratios(
-    p_i: DiscreteDistribution, p_j: DiscreteDistribution, mech: GaussianParams
-) -> list[tuple[float, float]]:
-    """(sup, bound) for r = log p - log q under Gaussian noise, per direction as in _sup_log_ratios.
+def _gaussian_sup(
+    p: DiscreteDistribution, q: DiscreteDistribution, mech: GaussianParams
+) -> tuple[float, float]:
+    """(sup, bound) for r = log p - log q under Gaussian noise.
 
     sup is the largest value of r found, floored at 0, and bound a
     certified upper bound on r over the whole line: the largest upper
@@ -514,107 +511,81 @@ def _gaussian_sup_log_ratios(
       (_gaussian_tail_bound) that falls to the limit of r there,
       log(m_p / m_q) at equal extreme atoms, or to -inf. Until that
       constant is within the tolerance plus its margin of the incumbent
-      (0 or the tail limits), the window
-      is widened geometrically (_tail_doublings): the segment from reach e
-      to 2e past the extreme knot joins the search, and the tail starts
-      at 2e. _log_ratio_bounds bounds the window and these segments alike.
-
-    The directions share each round's bounds, since the bounds on -r are
-    the negated bounds on r. Each prunes, settles and widens on its own
-    intervals and incumbent, and the bounds and values of an interval do
-    not depend on the others computed with it, so each direction's sup is
-    bit for bit the one a search of that direction alone gives.
+      (0 or the tail limits), the window is widened geometrically
+      (_tail_doublings): the segment from reach e to 2e past the extreme
+      knot joins the search, and the tail starts at 2e. _log_ratio_bounds
+      bounds the window and these segments alike.
 
     Where r stays just below the incumbent over a long stretch (nearly
     equal priors, or r creeping up to its limit along a tail, where its
     gap to the limit shrinks like e^-2t and the bounds' slack like
     e^-t w^2), every interval there stays open until very narrow. Once
-    halving a direction's open intervals would leave more than
-    most_open = four times its starting intervals plus 64, only the
-    most_open / 2 with the largest midpoint values are halved, and the
-    bounds of the others join its certificate as they are; so do those of
-    the intervals still open after _CLASSIFY_ROUNDS rounds. sup is still
-    the largest value found, and bound is then looser than the tolerance.
-    Raises IntegrationFailure when a tail does not settle
-    (_tail_doublings).
+    halving the open intervals would leave more than most_open = four
+    times the starting intervals plus 64, only the most_open / 2 with the
+    largest midpoint values are halved, and the bounds of the others join
+    the certificate as they are; so do those of the intervals still open
+    after _CLASSIFY_ROUNDS rounds. sup is still the largest value found,
+    and bound is then looser than the tolerance. Raises IntegrationFailure
+    when a tail does not settle (_tail_doublings).
     """
-    knots, a, b = _window(p_i, p_j, mech)
+    if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
+        return math.inf, math.inf
+    # r tends to log(m_p / m_q) past equal extreme atoms, and sup r >= 0.
+    best = max([0.0] + [
+        math.log(p.masses[k]) - math.log(q.masses[k])
+        for k in (0, -1) if p.atoms[k] == q.atoms[k]
+    ])
+    knots, a, b = _window(p, q, mech)
     pad = truncation_halfwidth(mech)
-    directions = ((p_i, p_j, 1.0), (p_j, p_i, -1.0))
-    best, bound, doublings = [], [], []
-    for p, q, _ in directions:
-        if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
-            best.append(math.inf)
-            bound.append(math.inf)
-            doublings.append(None)
-            continue
-        # r tends to log(m_p / m_q) past equal extreme atoms, and sup r >= 0.
-        incumbent = max([0.0] + [
-            math.log(p.masses[k]) - math.log(q.masses[k])
-            for k in (0, -1) if p.atoms[k] == q.atoms[k]
-        ])
-        tails = [_tail_doublings(p, q, mech.sigma, side, pad, incumbent) for side in (-1.0, 1.0)]
-        best.append(incumbent)
-        bound.append(max(tail for _, tail in tails))
-        doublings.append([n for n, _ in tails])
-    # Segment k on a side spans reach pad 2^k to pad 2^(k+1) past the extreme knot.
-    counts = [max([0] + [n[s] for n in doublings if n is not None]) for s in (0, 1)]
-    far_a, far_b, far_live = [], [], []
-    for s, (edge, side) in enumerate(((float(knots[0]), -1.0), (float(knots[-1]), 1.0))):
-        for k in range(counts[s]):
+    bound = -math.inf
+    far_a, far_b = [], []
+    for edge, side in ((float(knots[0]), -1.0), (float(knots[-1]), 1.0)):
+        doublings, tail = _tail_doublings(p, q, mech.sigma, side, pad, best)
+        bound = max(bound, tail)
+        # Segment k spans reach pad 2^k to pad 2^(k+1) past the extreme knot.
+        for k in range(doublings):
             inner, outer = edge + side * pad * 2.0**k, edge + side * pad * 2.0 ** (k + 1)
             far_a.append(min(inner, outer))
             far_b.append(max(inner, outer))
-            far_live.append([n is not None and k < n[s] for n in doublings])
     a = np.concatenate((a, far_a))
     b = np.concatenate((b, far_b))
-    finite = [n is not None for n in doublings]
-    live = np.array([finite] * (a.size - len(far_a)) + far_live, dtype=bool).T
+    most_open = 4 * (a.size + 1) + 64
 
-    def bounds(a, b):
-        return _log_ratio_bounds(p_i, p_j, mech, a, b)
+    def ceiling(upper, margin):
+        # At a vanishing sigma an upper bound of -inf can meet an inf
+        # margin: the nan prunes nothing, and certify reads it as inf.
+        with np.errstate(invalid="ignore"):
+            return upper + margin
 
-    most_open = [4 * (int(own.sum()) + 1) + 64 for own in live]
-
-    def certify(d, lower, upper, margin, mask):
-        up = (upper if directions[d][2] > 0.0 else -lower)[mask] + margin[mask]
+    def certify(up):
+        nonlocal bound
         if up.size:
             worst = float(np.max(up))
-            bound[d] = math.inf if math.isnan(worst) else max(bound[d], worst)
+            bound = math.inf if math.isnan(worst) else max(bound, worst)
 
     def settle(a, b, lower, upper, margin, _, values):
-        nonlocal live
-        for d, (_, _, sign) in enumerate(directions):
-            own = live[d]
-            if not own.any():
-                continue
-            best[d] = max(best[d], float(np.fmax.reduce(sign * values[own])))
-            up = upper if sign > 0.0 else -lower
-            pruned = up + margin < best[d]
-            settled = own & ~pruned & (up <= best[d] + _sup_tolerance(best[d]))
-            certify(d, lower, upper, margin, settled)
-            live[d] = own & ~pruned & ~settled
-            if 2 * np.count_nonzero(live[d]) > most_open[d]:
-                # Halve only the intervals with the largest values of r.
-                rest = np.flatnonzero(live[d])
-                rest = rest[np.argsort(sign * values[rest], kind="stable")[: -(most_open[d] // 2)]]
-                dropped = np.zeros_like(own)
-                dropped[rest] = True
-                certify(d, lower, upper, margin, dropped)
-                live[d] &= ~dropped
-        split = live.any(axis=0)
-        live = np.tile(live[:, split], 2)
-        return split
+        nonlocal best
+        best = max(best, float(np.fmax.reduce(values)))
+        up = ceiling(upper, margin)
+        pruned = up < best
+        settled = ~pruned & (upper <= best + _sup_tolerance(best))
+        certify(up[settled])
+        live = ~pruned & ~settled
+        if 2 * np.count_nonzero(live) > most_open:
+            # Halve only the intervals with the largest values of r.
+            rest = np.flatnonzero(live)
+            rest = rest[np.argsort(values[rest], kind="stable")[: -(most_open // 2)]]
+            certify(up[rest])
+            live[rest] = False
+        return live
 
-    a, b = _refine(a, b, bounds, settle, math.inf)
+    a, b = _refine(a, b, lambda a, b: _log_ratio_bounds(p, q, mech, a, b), settle, math.inf)
     if a.size:
         # Still open after _CLASSIFY_ROUNDS rounds.
-        lower, upper, margin, _, _ = bounds(a, b)
-        for d in range(len(directions)):
-            certify(d, lower, upper, margin, live[d])
-    cap_margin = _MARGIN_ULPS * 2.0**-53 * _fixed_rounding(p_i, p_j, mech.sigma)
-    caps = [renyi_divergence_discrete(p, q, math.inf) + cap_margin for p, q, _ in directions]
-    return [(value, max(value, min(limit, cap))) for value, limit, cap in zip(best, bound, caps)]
+        _, upper, margin, _, _ = _log_ratio_bounds(p, q, mech, a, b)
+        certify(ceiling(upper, margin))
+    cap_margin = _MARGIN_ULPS * 2.0**-53 * _fixed_rounding(p, q, mech.sigma)
+    return best, max(best, min(bound, renyi_divergence_discrete(p, q, math.inf) + cap_margin))
 
 
 def _sup_tolerance(best: float) -> float:
@@ -810,8 +781,8 @@ def verify_rpp(
     The privacy definition quantifies over ordered pairs; the scenario set
     is treated as unordered and checked both ways. A pair passes when the
     larger direction stays within epsilon plus a 1e-6 numerical slack.
-    mech=None is the zero-noise mechanism, whose divergences are those of
-    the raw distributions (renyi_divergence_discrete). A pair whose
+    mech=None is the zero-noise mechanism (see renyi_divergence_both_ways).
+    A pair whose
     quadrature fails is inconclusive: nan divergences and passed=None. The
     breach bound is given for 1 < alpha < inf when the larger direction is
     finite.
@@ -820,11 +791,7 @@ def verify_rpp(
     for index, pair in enumerate(scenarios.pairs):
         inconclusive = False
         try:
-            if mech is None:
-                div_ij = renyi_divergence_discrete(pair.p_i, pair.p_j, spec.alpha)
-                div_ji = renyi_divergence_discrete(pair.p_j, pair.p_i, spec.alpha)
-            else:
-                div_ij, div_ji = renyi_divergence_both_ways(pair.p_i, pair.p_j, mech, spec.alpha)
+            div_ij, div_ji = renyi_divergence_both_ways(pair.p_i, pair.p_j, mech, spec.alpha)
         except IntegrationFailure:
             div_ij = div_ji = math.nan
             inconclusive = True
@@ -1084,7 +1051,8 @@ def _breach_intervals(
 
     def settle(a, b, lower, upper, margin, log_density, _):
         high = lower > epsilon + margin
-        certified = high | (upper < epsilon - margin)
+        # A zero-width interval has no interior to hold a draw.
+        certified = (high | (upper < epsilon - margin)) & (a < b)
         starts.append(a[certified])
         ends.append(b[certified])
         above.append(high[certified])
@@ -1166,7 +1134,7 @@ def _log_ratio_bounds(
 
     - Laplace noise (the intervals hold no atom of either prior inside):
       between adjacent atoms the ratio is monotone, and
-      beyond the extreme atoms constant (see _sup_log_ratios), so the
+      beyond the extreme atoms constant (see _sup_log_ratio), so the
       bounds are the smaller and larger of its two endpoint values.
     - Gaussian noise: r = G^p_c - G^q_c, convex functions of t = y - c
       (dist.gaussian_tilted_log_sum), tilted about the interval's
@@ -1192,7 +1160,7 @@ def _log_ratio_bounds(
       M = (R / s)^2 / 2 + T R / s^2, plus min(T / s, 12)^2 / 2 for
       _log_ratio's exponents (y - a_i)^2 / 2 s^2 <= (R + T)^2 / 2 s^2
       inside _breach_intervals' window, which ends 12 s past the atoms
-      (past it the search of _gaussian_sup_log_ratios compares no draw).
+      (past it the search of _gaussian_sup compares no draw).
       S = 1 + w R / s^2 for an interval of width w: the tangent's slope
       is a weighted mean of (a_i - c) / s^2, at most R / s^2, so its
       rounding grows by up to w R / s^2 at the ends.
@@ -1206,7 +1174,7 @@ def _log_ratio_bounds(
     term -t^2 / 2 s^2 is at most -g^2 / 2 s^2 there.
 
     The last array is log p - log q at a point of each interval, for
-    _gaussian_sup_log_ratios' incumbent: at the midpoint, G^p_c - G^q_c
+    _gaussian_sup's incumbent: at the midpoint, G^p_c - G^q_c
     there, for Gaussian noise, and at a for Laplace noise.
     """
     lo, hi = min(p_i.min_atom, p_j.min_atom), max(p_i.max_atom, p_j.max_atom)

@@ -702,6 +702,54 @@ def test_extreme_parameter_prints_no_warnings(command, tail, exit_code):
     else:
         assert row["mc_breach_estimate"] == "1.0"
 
+
+@pytest.mark.parametrize(
+    "command, tail", [("verify", ()), ("breach", ("--n", "1000"))], ids=["verify", "breach"]
+)
+def test_gaussian_sigma_1e300_reads_no_divergence(capsys, command, tail):
+    # At sigma = 1e300 the quadrature's tolerance share tol (b - a) / span
+    # of a segment overflowed in tol (b - a), and the command crashed.
+    code, out, err = run_cli(
+        capsys, command, "--scenario", "point-mass", "--mechanism", "gaussian",
+        "--alpha", "2", "--epsilon", "1", "--parameter", "1e300", *tail,
+    )
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert row["chernoff_bound"] == repr(math.exp(-1.0))
+    if command == "verify":
+        assert row["divergence_ij"] == row["divergence_ji"] == "0.0"
+
+
+def test_breach_at_a_sigma_below_the_atom_spacing(capsys):
+    # At alpha = 1 + 1e-9 and epsilon = 1e300 the in-run sigma is 3.2e-150:
+    # 12 sigma is below the float spacing at the atoms, the window held
+    # zero-width intervals, and a draw on a certified one crashed the count.
+    golden = str(Path(__file__).parent / "data" / "golden_scenario.json")
+    code, out, err = run_cli(
+        capsys, "breach", "--scenario", golden, "--mechanism", "gaussian",
+        "--alpha", "1.000000001", "--epsilon", "1e300", "--n", "1000",
+    )
+    assert (code, err) == (0, "")
+    assert [row["mc_breach_estimate"] for row in parse_csv(out)] == ["0.0"] * 3
+
+
+@pytest.mark.parametrize(
+    "alpha, epsilon, tail",
+    [("1e300", "1e-300", ("--parameter", "1e-300")), ("1e6", "1e300", ())],
+    ids=["sigma-1e-300", "alpha-1e6"],
+)
+def test_extreme_order_prints_no_warnings(capsys, alpha, epsilon, tail):
+    # z / sigma overflowed in the Gaussian noise density at sigma = 1e-300,
+    # and (alpha - 1) log q in the integrand at alpha = 1e6. A density
+    # underflows in both: the pair is inconclusive, with nothing on stderr.
+    code, out, err = run_cli(
+        capsys, "verify", "--scenario", "point-mass", "--mechanism", "gaussian",
+        "--alpha", alpha, "--epsilon", epsilon, *tail,
+    )
+    assert (code, err) == (4, "")
+    (row,) = parse_csv(out)
+    assert row["inconclusive"] == "true" and row["divergence_ij"] == "nan"
+
 @pytest.fixture
 def benchmark_scenario_file(tmp_path):
     """Benchmark-shaped pair: mostly diagonal coupling, tiny worst-gap mass."""

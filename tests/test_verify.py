@@ -292,12 +292,13 @@ class TestRenyiDivergenceNumeric:
 
     def test_gaussian_infinite_order_atoms_near_1e4_small_sigma(self):
         # Conditioning: exponents up to (1 / 0.01)^2 / 2 = 5000 in the window.
-        from puffercal.verify import _gaussian_sup_log_ratios
+        from puffercal.verify import _gaussian_sup
 
         mech = GaussianParams(0.01)
         p = DiscreteDistribution((1e4, 1e4 + 0.5, 1e4 + 1.0), (0.5, 0.3, 0.2))
         q = DiscreteDistribution((1e4, 1e4 + 0.25, 1e4 + 1.0), (0.3, 0.3, 0.4))
-        for (sup, bound), (a, b) in zip(_gaussian_sup_log_ratios(p, q, mech), ((p, q), (q, p))):
+        for a, b in ((p, q), (q, p)):
+            sup, bound = _gaussian_sup(a, b, mech)
             want = self._grid_supremum(a, b, mech)
             assert sup >= want - 1e-12 * max(1.0, abs(want))
             assert want <= bound and sup <= bound <= sup + 1e-9 * max(1.0, abs(sup))
@@ -306,12 +307,13 @@ class TestRenyiDivergenceNumeric:
         assert renyi_divergence_numeric(p, q, mech, math.inf) == pytest.approx(625.0, rel=2e-3)
 
     def test_gaussian_infinite_order_larger_extreme_atom_is_infinite(self):
-        from puffercal.verify import _gaussian_sup_log_ratios
+        from puffercal.verify import _gaussian_sup
 
         mech = GaussianParams(1.5)
         wide = DiscreteDistribution((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))
         narrow = DiscreteDistribution((-1.0, 0.0, 1.0), (0.2, 0.5, 0.3))
-        (up, up_bound), (down, down_bound) = _gaussian_sup_log_ratios(wide, narrow, mech)
+        up, up_bound = _gaussian_sup(wide, narrow, mech)
+        down, down_bound = _gaussian_sup(narrow, wide, mech)
         assert up == up_bound == math.inf
         assert 0.0 < down <= down_bound < math.inf
         left = DiscreteDistribution((-2.0, 0.0, 1.0), (0.2, 0.5, 0.3))
@@ -322,12 +324,12 @@ class TestRenyiDivergenceNumeric:
         # exp(-0.05 t) - 100 exp(-0.1 t) for sigma = 1, which peaks near
         # t = 106, far past the 12 sigma window; the grid search read the
         # limit log(50.5) there instead.
-        from puffercal.verify import _gaussian_sup_log_ratios
+        from puffercal.verify import _gaussian_sup
 
         mech = GaussianParams(1.0)
         p = DiscreteDistribution((-0.05, 0.0), (0.5, 0.5))
         q = DiscreteDistribution((-0.1, 0.0), (100.0 / 101.0, 1.0 / 101.0))
-        (sup, bound), _ = _gaussian_sup_log_ratios(p, q, mech)
+        sup, bound = _gaussian_sup(p, q, mech)
         assert sup > self._grid_supremum(p, q, mech) + 2e-3
         ts = np.linspace(90.0, 120.0, 30001)
         far = posterior_log_density_dense(mech, p, ts) - posterior_log_density_dense(mech, q, ts)
@@ -340,15 +342,28 @@ class TestRenyiDivergenceNumeric:
         # shrinks like e^-2t, faster than the interval bounds' slack, and
         # the branch and bound's certificate stopped 5.2e-4 above it. r is
         # at most the discrete supremum on the whole line, which caps it.
-        from puffercal.verify import _gaussian_sup_log_ratios
+        from puffercal.verify import _gaussian_sup
 
         p = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
         q = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), tuple(m / 7.0 for m in (2, 2, 1, 2)))
-        directions = _gaussian_sup_log_ratios(p, q, GaussianParams(1.0))
-        for (sup, bound), (a, b) in zip(directions, ((p, q), (q, p))):
+        for a, b in ((p, q), (q, p)):
+            sup, bound = _gaussian_sup(a, b, GaussianParams(1.0))
             assert sup <= renyi_divergence_discrete(a, b, math.inf) + 1e-15
             assert sup <= bound <= sup + 1e-12
-        assert directions[1][0] == pytest.approx(math.log(8.0 / 7.0), rel=1e-14)
+        assert sup == pytest.approx(math.log(8.0 / 7.0), rel=1e-14)
+
+    def test_gaussian_infinite_order_at_a_vanishing_sigma(self):
+        # Below sigma = 1e-150 an interval's upper bound of -inf met a margin
+        # of inf, and their sum warned. The nan settles the interval and
+        # leaves the certificate at the discrete supremum log 2, its cap.
+        from puffercal.verify import _gaussian_sup
+
+        p = point_mass(2.0)
+        q = DiscreteDistribution((0.0, 2.0, 3.0), (0.3, 0.5, 0.2))
+        for sigma in (1e-160, 1e-300):
+            sup, bound = _gaussian_sup(p, q, GaussianParams(sigma))
+            assert 0.0 <= sup <= bound and math.log(2.0) <= bound <= math.log(2.0) + 1e-11
+            assert renyi_divergence_both_ways(p, q, GaussianParams(sigma), math.inf)[1] == math.inf
 
     def test_gaussian_infinite_order_at_extreme_sigma(self):
         # With sigma far above the atom spacing the ratio peaks above its
@@ -540,6 +555,16 @@ def _bits(values):
 
 class TestBothWays:
     """renyi_divergence_both_ways, the two directions from one set of densities."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, math.inf])
+    def test_zero_noise_is_the_discrete_divergence(self, alpha):
+        p = DiscreteDistribution(atoms=(0.0, 1.0), masses=(0.5, 0.5))
+        q = DiscreteDistribution(atoms=(0.0, 1.0, 2.0), masses=(0.25, 0.5, 0.25))
+        for a, b in ((p, q), (p, p)):
+            assert renyi_divergence_both_ways(a, b, None, alpha) == (
+                renyi_divergence_discrete(a, b, alpha), renyi_divergence_discrete(b, a, alpha)
+            )
+        assert renyi_divergence_numeric(p, q, None, alpha) == renyi_divergence_discrete(p, q, alpha)
 
     MECHS = {
         "laplace": LaplaceParams(scale=0.8),
@@ -1697,6 +1722,18 @@ class TestGaussianIntervalBounds:
 
 class TestBreachClassification:
     """The interval classifier must count exactly what the log ratio at every draw counts."""
+
+    def test_zero_width_intervals_stay_undecided(self):
+        # At sigma = 3.2e-150, 12 sigma is below the float spacing at 1: the
+        # window's cuts give the interval [1, 1], which was certified, and
+        # every draw from the atom 1 landed on its edge and crashed the count.
+        import puffercal.verify as verify
+
+        p, q = point_mass(1.0), point_mass(0.0)
+        mech = GaussianParams(3.2e-150)
+        starts, ends, _ = verify._breach_intervals(p, q, mech, 1e300, 1000)
+        assert np.all(starts < ends)
+        assert monte_carlo_breach(p, q, mech, 1e300, 1000, 0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, ExponentialParams])
     def test_counts_match_log_ratio_path(self, monkeypatch, noise):
