@@ -7,7 +7,8 @@ Usage:
 For every seed the benchmark inputs (bench/workloads.py of this
 repository: the synthetic census table and each workload's scenario) are
 written to a temporary directory. Every benchmark workload's commands,
-plus EXTRA_COMMANDS on the verify-grid scenario, then run through
+plus EXTRA_COMMANDS on the verify-grid scenario and
+CALIBRATE_GRID_COMMANDS on the calibrate-grid scenario, then run through
 `python -m puffercal.cli` once with each tree's `src/` on PYTHONPATH.
 One line per command gives the sha256 of stdout, the sha256 of stderr
 and the exit code under each tree; stderr carries the error message, so
@@ -182,6 +183,20 @@ EXTRA_COMMANDS = (
 )
 
 
+# Gaussian and Laplace breach runs whose pairs' chunks take turns on the
+# workers: the calibrate-grid scenario's four pairs (more than a 2-CPU
+# machine's workers, the ~10^3-atom wage pair among them) and the one pair
+# of point-mass, calibrated in-run and at a narrow fixed parameter, at an
+# --n that is not a multiple of the 2^16-draw chunk.
+CALIBRATE_GRID_COMMANDS = tuple(
+    ("breach", "--scenario", scenario, "--mechanism", kind, "--alpha", "2",
+     "--epsilon", "1", *parameter, "--n", "200003", "--seed", "{seed}")
+    for scenario in ("{scenario}", "point-mass")
+    for kind in ("gaussian", "laplace")
+    for parameter in ((), ("--parameter", "0.05"))
+)
+
+
 def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     """The stdout and stderr of `python -m puffercal.cli argv` on tree/src, and the exit code."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -263,7 +278,9 @@ def commands(seed: int, directory: Path):
     """(label, argv) for every command at one seed, inputs written under directory."""
     for workload in WORKLOADS.values():
         scenario = write_inputs(workload, seed, directory / workload.name)
-        extra = EXTRA_COMMANDS if workload.name == "verify-grid" else ()
+        extra = {"verify-grid": EXTRA_COMMANDS, "calibrate-grid": CALIBRATE_GRID_COMMANDS}.get(
+            workload.name, ()
+        )
         for index, command in enumerate((*workload.commands, *extra)):
             argv = command_argv(command, scenario, seed)
             kind = "bench" if index < len(workload.commands) else "extra"

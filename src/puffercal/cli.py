@@ -14,8 +14,8 @@ import math
 import os
 import sys
 import threading
+from collections import deque
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 from . import calibrate as cal
@@ -441,36 +441,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _concurrent_outcomes(calls) -> list:
-    """Each call's result, or the exception it raised, in call order.
+def _concurrent_outcomes(coroutines) -> list:
+    """Each coroutine's return value, or the exception it raised, in order.
 
-    W = min(len(calls), usable CPUs) workers take the calls in order from
-    a shared counter: W - 1 daemon threads and this thread, so W = 1 runs
-    them inline and starts no thread. Once a call fails no further call
-    is taken; the calls before it are taken already, so every outcome up
-    to the first failure in call order is there, as in a serial run.
+    The coroutines take turns, one step each: W = min(len(coroutines),
+    usable CPUs) workers, W - 1 daemon threads and this thread (so W = 1
+    runs them inline and starts no thread), each take the coroutine that
+    has waited longest among those no worker is stepping, advance it one
+    step and hand it back. So no worker waits while a coroutine that is
+    not being stepped has steps left. Once coroutine k fails, those after
+    k take no further step and their outcomes stay None, while those
+    before k run to their end: every outcome up to the first failure in
+    order is there, as in a serial run.
     """
-    outcomes = [None] * len(calls)
-    taken = 0
-    lock = threading.Lock()
+    outcomes = [None] * len(coroutines)
+    waiting = deque(range(len(coroutines)))
+    stepping = 0
+    failed = len(coroutines)
+    turn = threading.Condition()
+
+    def take():
+        nonlocal stepping
+        with turn:
+            while True:
+                while not waiting and stepping:
+                    turn.wait()
+                if not waiting:
+                    return None
+                index = waiting.popleft()
+                if index < failed:
+                    stepping += 1
+                    return index
 
     def work():
-        nonlocal taken
-        while True:
-            with lock:
-                index = taken
-                taken += 1
-            if index >= len(calls):
-                return
+        nonlocal stepping, failed
+        while (index := take()) is not None:
+            more = False
             try:
-                outcomes[index] = calls[index]()
+                next(coroutines[index])
+                more = True
+            except StopIteration as stop:
+                outcomes[index] = stop.value
             except Exception as exc:
                 outcomes[index] = exc
-                with lock:
-                    taken = len(calls)
+            with turn:
+                stepping -= 1
+                if more:
+                    waiting.append(index)
+                elif isinstance(outcomes[index], Exception):
+                    failed = min(failed, index)
+                turn.notify_all()
 
     threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(len(calls), _usable_cpus()) - 1)]
+               for _ in range(min(len(coroutines), _usable_cpus()) - 1)]
     for thread in threads:
         thread.start()
     work()
@@ -486,12 +509,12 @@ def cmd_breach(args) -> int:
     for (alpha, epsilon), parameter in zip(cells, _cell_parameters(args, scenarios, kind, cells)):
         spec = PrivacySpec(alpha=alpha, epsilon=epsilon)
         mech = cal.noise_for(kind, parameter)
-        # Each pair draws from its own generator (seed + index) and numpy
-        # releases the GIL while drawing, so the pairs run concurrently and
-        # every estimate is the one a serial run gives.
+        # Each pair draws from its own generators (seed + index) and numpy
+        # releases the GIL while drawing, so the pairs' chunks run
+        # concurrently and every estimate is the one a serial run gives.
         draws = _concurrent_outcomes([
-            partial(ver.monte_carlo_breach, pair.p_i, pair.p_j, mech, epsilon, args.n,
-                    args.seed + index)
+            ver.monte_carlo_breach_steps(pair.p_i, pair.p_j, mech, epsilon, args.n,
+                                         args.seed + index)
             for index, pair in enumerate(scenarios.pairs)
         ])
         for index, (pair, outcome) in enumerate(zip(scenarios.pairs, draws)):

@@ -26,8 +26,8 @@ _MASS_TOL = 1e-12
 # Bound on points x atoms in one dense log-sum-exp matrix (16 MB of float64).
 _DENSE_CHUNK_ELEMENTS = 2**21
 
-# Guide-table buckets in DiscreteDistribution.sample_indices: a power of
-# two that fits np.uint16.
+# Guide-table buckets (_guide_table) in DiscreteDistribution.sample_indices:
+# a power of two that fits np.uint16.
 _GUIDE_BUCKETS = 4096
 
 # Uniforms drawn at a time by DiscreteDistribution.sample_indices.
@@ -96,23 +96,14 @@ class DiscreteDistribution:
         generator left in the same state: the same n uniforms u, drawn
         _INDEX_CHUNK at a time (the generator's stream does not depend on
         how it is split), and the same inverse-CDF lookup
-        searchsorted(cdf, u, "right"), found by a guide table of
-        K = _GUIDE_BUCKETS buckets (Chen & Asau 1974; Devroye 1986,
-        III.2.4). Bucket t holds the u in [t/K, (t+1)/K). The lookup is
-        non-decreasing in u, so a bucket whose two ends look up the same
-        atom gives it to every u inside; only draws in the other buckets
-        are searched. Scaling by K, a power of two, is exact both ways.
-        The table is built once per call; the result takes 1 byte per draw
+        searchsorted(cdf, u, "right"), found by _guide_table's buckets.
+        Consecutive calls on one generator therefore draw the indices of
+        one call of their total size. The result takes 1 byte per draw
         up to 256 atoms, 2 up to 65536, where the float draws take 8.
         Raises index_buffer's MemoryError when n indices do not fit in memory.
         """
-        cdf = np.cumsum(self.masses)
-        cdf /= cdf[-1]
+        cdf, first, ambiguous = _guide_table(self)
         indices = self.index_buffer(n)
-        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-        lo = cdf.searchsorted(edges[:-1], "right")
-        ambiguous = lo != cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
-        first = lo.astype(indices.dtype)
         for start in range(0, n, _INDEX_CHUNK):
             u = rng.random(min(_INDEX_CHUNK, n - start))
             u *= _GUIDE_BUCKETS
@@ -122,6 +113,30 @@ class DiscreteDistribution:
             fix = np.flatnonzero(np.take(ambiguous, bucket))
             out[fix] = cdf.searchsorted(u[fix] / _GUIDE_BUCKETS, "right")
         return indices
+
+
+@lru_cache(maxsize=64)
+def _guide_table(prior: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, first, ambiguous): the prior's guide table, built once, as read-only arrays.
+
+    K = _GUIDE_BUCKETS buckets (Chen & Asau 1974; Devroye 1986, III.2.4):
+    bucket t holds the u in [t/K, (t+1)/K), and first[t] is the atom index
+    that searchsorted(cdf, t/K, "right") looks up. The lookup is
+    non-decreasing in u, so a bucket whose two ends look up the same atom
+    gives it to every u inside; only the u in ambiguous buckets are
+    searched. Scaling by K, a power of two, is exact both ways. Building
+    the table takes about 0.1 ms on 70 atoms, a sixth of drawing one Monte
+    Carlo chunk's 2^16 indices, which each chunk would otherwise pay.
+    """
+    cdf = np.cumsum(prior.masses)
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], "right")
+    ambiguous = lo != cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
+    first = lo.astype(np.min_scalar_type(len(prior.atoms) - 1))
+    for array in (cdf, first, ambiguous):
+        array.flags.writeable = False
+    return cdf, first, ambiguous
 
 
 def build_empirical(

@@ -12,7 +12,7 @@ of segments.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -42,8 +42,9 @@ _MIN_WIDTH = 2.0**-30
 _MARGIN_ULPS = 64.0
 # Relative tolerance of the Gaussian alpha = inf supremum (see _gaussian_sup).
 _SUP_RTOL = 1e-12
-# Draws per chunk in monte_carlo_breach: its noise and sum buffers, the
-# settled-interval mask, and the sort buffer of the draws left after it.
+# Draws per step of monte_carlo_breach_steps: its index, noise and sum
+# buffers, the settled-interval mask, and the sort buffer of the draws left
+# after it.
 _DRAW_CHUNK = 2**16
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
@@ -453,14 +454,17 @@ def _log_ratio(
 
 
 def _sup_log_ratio(p: DiscreteDistribution, q: DiscreteDistribution, mech: MechanismParams) -> float:
-    """sup_y of log p(y) - log q(y), floored at 0.
+    """sup_y of log p(y) - log q(y), floored at 0; for Gaussian noise an upper bound on it.
 
     For Laplace noise the supremum is the largest of the ratios at the
     atoms of either prior: between adjacent atoms each posterior density
     is exp(-y/b) (A + B t) with t = exp(2y/b) and constants A, B >= 0, so
     the ratio (A1 + B1 t) / (A2 + B2 t) is monotone there, and beyond the
-    extreme atoms it is constant. Gaussian noise takes the branch and
-    bound of _gaussian_sup, certified on the whole line. Custom costs take
+    extreme atoms it is constant. Gaussian noise takes the bound of
+    _gaussian_sup's branch and bound, certified on the whole line, so a
+    row is judged on an upper bound of D_inf: the largest value found can
+    fall short of it where rounding hides the ratio (at sigma = 1e-9 on
+    atoms 2 apart it reads 0 where D_inf is log(4/3)). Custom costs take
     the maximum over a dense grid with a local refinement, plus far
     probes.
     """
@@ -468,7 +472,7 @@ def _sup_log_ratio(p: DiscreteDistribution, q: DiscreteDistribution, mech: Mecha
     if laplace_scale(mech) is not None:
         return max(float(np.max(_log_ratio(p, q, mech, np.asarray(knots)))), 0.0)
     if isinstance(mech, GaussianParams):
-        return _gaussian_sup(p, q, mech)[0]
+        return _gaussian_sup(p, q, mech)[1]
 
     grid = _dense_grid(mech, knots)
     # No closed-form tails for a custom cost: probe geometrically far out.
@@ -835,41 +839,70 @@ def monte_carlo_breach(
     epsilon. Returns the estimate with a 95% normal-approximation
     half-width; deterministic for a fixed seed. mech=None is zero noise:
     a draw x breaches when log m_i(x) - log m_j(x) > epsilon, and an atom
-    missing from the second prior always breaches.
+    missing from the second prior always breaches. Raises MemoryError
+    when n indices do not fit in memory. It runs the steps of
+    monte_carlo_breach_steps, which says how the draws are made and
+    counted, one after another.
+    """
+    steps = monte_carlo_breach_steps(p_i, p_j, mech, epsilon, n, seed)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as stop:
+        return stop.value
 
-    The draws are those of atoms[p_i.sample_indices(rng, n)] followed by one
-    sample_noise(mech, rng, n), but no n-float array is ever held: the
-    prior draws are kept as atom indices (DiscreteDistribution
-    .sample_indices, 1 byte per draw up to 256 atoms), and the noise is
-    drawn _DRAW_CHUNK values at a time from the same generator, which
-    gives the same values. Each chunk gets its atoms added and is counted
-    (_count_breaches) against intervals classified once for the pair
-    (_breach_intervals): draws inside the widest certified interval by
-    two comparisons, the rest sorted and binary-searched against the
-    other intervals' edges, so the count is the one that evaluating the
-    log ratio at every draw gives. Draws outside the certified intervals'
-    interiors, and every draw of a custom-cost mechanism, take the log
-    ratio itself. Raises MemoryError when n indices do not fit in memory
-    (DiscreteDistribution.index_buffer).
 
-    When a draw's class depends on its atom alone, the indices are looked
-    up in a per-atom breach table instead, and no noise is drawn: the
-    noise is the last use of the generator, so the count is unchanged.
-    Zero noise always has such a table (_raw_breach_table). Laplace-type
-    noise has one when every atom's draws land strictly inside a single
-    certified interval (_settled_breach_table): numpy's draws reach at
-    most 53 ln 2 b from their atom, inside the 40 b padding of the
-    classifier's window, so at the calibrated scales of the breach-mc
-    pairs one interval across the window settles every draw. Gaussian
-    draws reach about 13.7 sigma, past the 12 sigma window, and always
-    take the chunks.
+def monte_carlo_breach_steps(
+    p_i: DiscreteDistribution,
+    p_j: DiscreteDistribution,
+    mech: Optional[MechanismParams],
+    epsilon: float,
+    n: int,
+    seed: int,
+) -> Generator[None, None, tuple[float, float]]:
+    """monte_carlo_breach as a coroutine that yields before each chunk of draws.
 
-    When that table gives every atom the same class, nothing is drawn and
-    no generator is made: the count is n or 0 whatever the draws, so the
-    estimate is the same for every seed. The classification never reads
-    the generator, so the table is built first. Only the index buffer is
-    allocated, so that an n whose indices do not fit raises the same
-    MemoryError.
+    Its first step sets up: it checks n, classifies the pair, and
+    allocates, untouched, a buffer for n indices
+    (DiscreteDistribution.index_buffer), so that an n whose indices do not
+    fit raises MemoryError as when they were held at once. Each further
+    step draws and counts one chunk of _DRAW_CHUNK draws, and the last
+    returns (estimate, half_width). A caller can interleave the steps of
+    many pairs (cli._concurrent_outcomes); every chunk reads only its
+    pair's own generators.
+
+    The draws are those of atoms[p_i.sample_indices(rng, n)] followed by
+    one sample_noise(mech, rng, n) on rng = default_rng(seed), but no
+    n-sized array is ever held. Each chunk draws its atom indices from a
+    second default_rng(seed), which replays the index stream, and its
+    noise from rng advanced past that stream: the n indices read n
+    uniforms, one 64-bit PCG64 output each, so rng.bit_generator
+    .advance(n) leaves rng where drawing them would. Each chunk gets its
+    atoms added and is counted (_count_breaches) against intervals
+    classified once for the pair (_breach_intervals): draws inside the
+    widest certified interval by two comparisons, the rest sorted and
+    binary-searched against the other intervals' edges, so the count is
+    the one that evaluating the log ratio at every draw gives. Draws
+    outside the certified intervals' interiors, and every draw of a
+    custom-cost mechanism, take the log ratio itself.
+
+    When a draw's class depends on its atom alone, each chunk's indices
+    are looked up in a per-atom breach table instead, and no noise is
+    drawn: the noise is the last use of the generator, so the count is
+    unchanged. Zero noise always has such a table (_raw_breach_table).
+    Laplace-type noise has one when every atom's draws land strictly
+    inside a single certified interval (_settled_breach_table): numpy's
+    draws reach at most 53 ln 2 b from their atom, inside the 40 b
+    padding of the classifier's window, so at the calibrated scales of
+    the breach-mc pairs one interval across the window settles every
+    draw. Gaussian draws reach about 13.7 sigma, past the 12 sigma
+    window, and always take the noise.
+
+    When that table gives every atom the same class, nothing is drawn, no
+    generator is made and there is no further step: the count is n or 0
+    whatever the draws, so the estimate is the same for every seed. The
+    classification never reads the generator, so the table is built
+    first.
     """
     if n < 1000:
         raise InvalidValue(f"need at least 1000 samples for a stable estimate, got {n}")
@@ -879,22 +912,27 @@ def monte_carlo_breach(
     elif laplace_scale(mech) is not None or isinstance(mech, GaussianParams):
         intervals = _breach_intervals(p_i, p_j, mech, epsilon, n)
         table = _settled_breach_table(p_i, mech, intervals)
+    p_i.index_buffer(n)  # the n indices must fit, as when they were held at once
     if table is not None and (table.all() or not table.any()):
-        p_i.index_buffer(n)  # the n indices must fit, as drawn ones would have to
         count = n if table[0] else 0
     else:
-        rng = np.random.default_rng(seed)
-        indices = p_i.sample_indices(rng, n)
-        if table is not None:
-            count = int(np.count_nonzero(table[indices]))
-        else:
-            atoms = np.asarray(p_i.atoms)
-            count = 0
-            for start in range(0, n, _DRAW_CHUNK):
-                chunk = indices[start : start + _DRAW_CHUNK]
-                ys = sample_noise(mech, rng, chunk.size)
+        index_rng = np.random.default_rng(seed)
+        if table is None:
+            noise_rng = np.random.default_rng(seed)
+            noise_rng.bit_generator.advance(n)
+            atoms = _prior_arrays(p_i)[0]
+        count = 0
+        for start in range(0, n, _DRAW_CHUNK):
+            yield
+            chunk = p_i.sample_indices(index_rng, min(_DRAW_CHUNK, n - start))
+            if table is not None:
+                count += int(np.count_nonzero(table[chunk]))
+            else:
+                ys = sample_noise(mech, noise_rng, chunk.size)
                 ys += atoms[chunk]
                 count += _count_breaches(p_i, p_j, mech, epsilon, intervals, ys)
+                del ys
+            del chunk  # no chunk buffer is held while other pairs take their steps
     estimate = float(count) / n
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / n)
     return estimate, half_width

@@ -676,6 +676,27 @@ class TestVerifyCommand:
         assert row["divergence_ij"] == row["divergence_ji"] == "inf"
         assert row["chernoff_bound"] == ""
 
+    def test_gaussian_infinite_order_is_judged_on_its_bound(self, capsys, tmp_path):
+        # At sigma = 1e-9 the midpoint ratios of the D_inf search round the
+        # mass ratio 4/3 at atom 2 away, and the largest value found is 0.0;
+        # the row is judged on the search's certified bound, at least
+        # log(4/3) > epsilon, so the pair fails.
+        payload = {"pairs": [{
+            "label": "hidden",
+            "p": {"atoms": [0.0, 2.0, 4.0], "masses": [0.3, 0.4, 0.3]},
+            "q": {"atoms": [0.0, 2.0, 4.0], "masses": [0.35, 0.3, 0.35]},
+        }]}
+        path = tmp_path / "hidden.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", str(path), "--mechanism", "gaussian",
+            "--alpha", "inf", "--epsilon", "0.2", "--parameter", "1e-9",
+        )
+        assert (code, err) == (4, "")
+        (row,) = parse_csv(out)
+        assert row["passed"] == "false"
+        assert math.log(4.0 / 3.0) <= float(row["divergence_ij"]) <= math.log(4.0 / 3.0) + 1e-11
+
 
 @pytest.mark.parametrize(
     "command, tail, exit_code",
@@ -892,7 +913,7 @@ class TestBreachCommand:
             yield
 
         monkeypatch.setattr(cal, "_brent", never)
-        monkeypatch.setattr(ver, "monte_carlo_breach", never)
+        monkeypatch.setattr(ver, "monte_carlo_breach_steps", never)
         code, out, err = run_cli(
             capsys, "breach", "--scenario", "point-mass", "--alpha", "2", "--n", "1000",
             "--seed", "-5",
@@ -978,27 +999,67 @@ class TestBreachCommand:
 
     GOLDEN = str(Path(__file__).parent / "data" / "golden_scenario.json")
 
-    @pytest.mark.parametrize(
-        "kind, extra",
-        [("laplace", ()), ("gaussian", ()), ("laplace", ("--parameter", "0"))],
-        ids=["laplace", "gaussian", "zero-noise"],
-    )
-    def test_output_does_not_depend_on_worker_count(self, capsys, monkeypatch, kind, extra):
-        # Each pair draws from its own generator, so the rows are the same
-        # bytes whether the three pairs run inline or on 2, 3 or 8 workers;
-        # 70000 draws take two chunks, and the grid has two cells.
-        from puffercal import cli
+    @staticmethod
+    def _mixed_table_file(tmp_path):
+        """Three pairs on atoms 10 apart whose per-atom breach tables at epsilon 1 are mixed.
 
+        Under zero noise and under Laplace(0.05) noise every draw's class is
+        its atom's: log m_i - log m_j is above 1 at some atoms of each p_i
+        and below it at others, so the indices are drawn and no noise is.
+        """
+        def prior(atoms, masses):
+            return {"atoms": atoms, "masses": masses}
+
+        payload = {"pairs": [
+            {"label": "first", "p": prior([0.0, 10.0, 20.0], [0.6, 0.1, 0.3]),
+             "q": prior([0.0, 10.0, 20.0], [0.2, 0.5, 0.3])},
+            {"label": "second", "p": prior([0.0, 10.0, 20.0], [0.2, 0.5, 0.3]),
+             "q": prior([0.0, 10.0, 20.0], [0.6, 0.1, 0.3])},
+            {"label": "third", "p": prior([0.0, 10.0], [0.75, 0.25]),
+             "q": prior([0.0, 10.0, 20.0], [0.25, 0.35, 0.4])},
+        ]}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "kind, extra, mixed",
+        [("laplace", (), False), ("gaussian", (), False),
+         ("laplace", ("--parameter", "0"), False),
+         ("laplace", ("--parameter", "0.05"), True), ("laplace", ("--parameter", "0"), True)],
+        ids=["laplace", "gaussian", "zero-noise", "laplace-mixed-table", "zero-noise-mixed-table"],
+    )
+    def test_output_does_not_depend_on_worker_count(
+        self, capsys, monkeypatch, tmp_path, kind, extra, mixed
+    ):
+        # Each pair draws from its own generators, so the rows are the same
+        # bytes whether the three pairs' chunks run inline or interleaved on
+        # 2, 3 or 8 workers; 70000 draws take two chunks, and the grid has
+        # two cells. On the mixed tables only the indices are drawn.
+        from puffercal import cli
+        from puffercal import verify as ver
+
+        scenario = self.GOLDEN
+        if mixed:
+            scenario = self._mixed_table_file(tmp_path)
+
+            def forbidden(*args):
+                raise AssertionError("noise drawn on a per-atom table")
+
+            monkeypatch.setattr(ver, "sample_noise", forbidden)
         outputs = {}
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             code, out, err = run_cli(
-                capsys, "breach", "--scenario", self.GOLDEN, "--mechanism", kind,
+                capsys, "breach", "--scenario", scenario, "--mechanism", kind,
                 "--alpha", "2,3", "--epsilon", "1", "--n", "70000", "--seed", "5", *extra,
             )
             assert (code, err) == (0, "")
             outputs[cpus] = out
-        assert len(parse_csv(outputs[1])) == 6
+        rows = parse_csv(outputs[1])
+        assert len(rows) == 6
+        if mixed:
+            assert all(0.0 < float(row["mc_breach_estimate"]) < 1.0 for row in rows)
         assert outputs[2] == outputs[3] == outputs[8] == outputs[1]
 
     def test_first_failing_pair_is_reported(self, capsys, monkeypatch):
@@ -1020,9 +1081,10 @@ class TestBreachCommand:
                 pair_two_failed.set()
                 raise NoRoot("injected at pair 2")
             return 0.5, 0.01
+            yield
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(ver, "monte_carlo_breach", breach)
+        monkeypatch.setattr(ver, "monte_carlo_breach_steps", breach)
         code, out, err = run_cli(
             capsys, "breach", "--scenario", self.GOLDEN, "--parameter", "1",
             "--alpha", "2", "--n", "1000",
@@ -1032,18 +1094,23 @@ class TestBreachCommand:
 
     def test_every_call_runs_once_in_order(self, monkeypatch):
         # More workers than cores and a short switch interval: a lost update
-        # of the shared counter would run some call twice or never.
+        # of the shared queue would run some step twice or never. Coroutine
+        # k takes k % 4 steps before the one that returns.
         import threading
 
         from puffercal import cli
 
         counts = [0] * 500
+        steps = [0] * len(counts)
         calls = []
         for index in range(len(counts)):
             def call(index=index):
+                for _ in range(index % 4):
+                    steps[index] += 1
+                    yield
                 counts[index] += 1
                 return index
-            calls.append(call)
+            calls.append(call())
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         result = []
         interval = sys.getswitchinterval()
@@ -1059,6 +1126,29 @@ class TestBreachCommand:
         assert not runner.is_alive()
         assert result == [list(range(len(counts)))]
         assert counts == [1] * len(counts)
+        assert steps == [index % 4 for index in range(len(counts))]
+
+    def test_steps_take_turns_and_stop_after_a_failure(self, monkeypatch):
+        # On one worker the coroutines take one step each in turn. Once
+        # coroutine 1 fails, coroutine 2 takes no further step and its
+        # outcome stays None, while coroutine 0 runs to its end.
+        from puffercal import cli
+
+        order = []
+
+        def pair(index, steps, fails=False):
+            for step in range(steps):
+                order.append((index, step))
+                yield
+            if fails:
+                raise MemoryError(f"pair {index}")
+            return index
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        outcomes = cli._concurrent_outcomes([pair(0, 4), pair(1, 2, fails=True), pair(2, 5)])
+        assert order == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (0, 3)]
+        assert outcomes[0] == 0 and isinstance(outcomes[1], MemoryError)
+        assert outcomes[2] is None
 
     @pytest.mark.parametrize(
         "scenario, cpus, threads",
@@ -1067,7 +1157,8 @@ class TestBreachCommand:
     )
     def test_workers_beyond_this_thread(self, capsys, monkeypatch, scenario, cpus, threads):
         # min(pairs, CPUs) workers, one of them this thread: a single pair
-        # or a single CPU runs inline and starts no thread.
+        # or a single CPU runs inline and starts no thread, and the pairs'
+        # Gaussian chunks (three each) take turns on the same workers.
         import threading
 
         from puffercal import cli
@@ -1087,6 +1178,12 @@ class TestBreachCommand:
         )
         assert (code, err) == (0, "")
         assert len(started) == threads
+        code, _, err = run_cli(
+            capsys, "breach", "--scenario", scenario, "--mechanism", "gaussian",
+            "--parameter", "1", "--alpha", "2", "--n", "140001",
+        )
+        assert (code, err) == (0, "")
+        assert len(started) == 2 * threads
 
     @staticmethod
     def _one_pair_file(tmp_path, q_atoms):

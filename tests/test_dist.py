@@ -164,6 +164,19 @@ class TestSampleIndices:
         with pytest.raises(MemoryError, match="1000000000000000 draws"):
             point_mass(0.0).sample_indices(np.random.default_rng(0), 10**15)
 
+    def test_guide_table_is_built_once_and_read_only(self):
+        # Each Monte Carlo chunk draws its indices with its own call, so the
+        # table is cached per prior, like _prior_arrays, and nobody may write it.
+        from puffercal.dist import _guide_table
+
+        dist = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.2, 0.3, 0.5))
+        tables = _guide_table(dist)
+        dist.sample_indices(np.random.default_rng(0), 10)
+        assert _guide_table(dist) is tables
+        for array in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
 
 @pytest.mark.parametrize("mech", [LaplaceParams(0.7), GaussianParams(1.3)])
 def test_noise_in_chunks_is_one_call(mech):

@@ -369,11 +369,18 @@ class TestRenyiDivergenceNumeric:
         # With sigma far above the atom spacing the ratio peaks above its
         # tail limit log(0.5 / 0.3) at a distance of order sigma^2, with the
         # same shape at every such scale; the grid search returned the limit.
+        # D_inf is the search's certified bound; its largest values found
+        # agree to 1e-12 relative, and each bound is within the search's
+        # 1e-12 tolerance plus its rounding margin above its own.
+        from puffercal.verify import _gaussian_sup
+
         p = DiscreteDistribution((0.0, 1.0, 2.0), (0.5, 0.3, 0.2))
         q = DiscreteDistribution((0.0, 1.5, 2.0), (0.3, 0.3, 0.4))
-        values = [renyi_divergence_numeric(p, q, GaussianParams(s), math.inf)
-                  for s in (1e50, 1e100, 1e150)]
-        assert values == pytest.approx([values[0]] * 3, rel=1e-12)
+        sigmas = (1e50, 1e100, 1e150)
+        values = [renyi_divergence_numeric(p, q, GaussianParams(s), math.inf) for s in sigmas]
+        found = [_gaussian_sup(p, q, GaussianParams(s))[0] for s in sigmas]
+        assert found == pytest.approx([found[0]] * 3, rel=1e-12)
+        assert all(sup <= value <= sup + 1e-11 for sup, value in zip(found, values))
         assert values[0] > math.log(0.5 / 0.3) + 0.01
         # Past about 1e154 the reach the tails need leaves the float range:
         # the pair is inconclusive rather than given the limit unchecked.
@@ -1449,6 +1456,66 @@ class TestStreamedBreach:
         ys = sample_atoms(p, draws, n) + sample_noise(mech, draws, n)
         expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
         assert monte_carlo_breach(p, q, mech, eps, n, 17)[0] == expected
+
+    @pytest.mark.parametrize("atoms", [5, 300])
+    @pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+    def test_replayed_index_stream(self, atoms, seed):
+        # A second generator of the same seed, drawn from chunk by chunk,
+        # gives the indices of one sample_indices call, and the generator
+        # advanced past their n uniforms draws the noise that follows them.
+        from puffercal.verify import _DRAW_CHUNK
+
+        masses = np.random.default_rng(atoms).uniform(0.5, 1.5, atoms)
+        masses = tuple((masses / masses.sum()).tolist())
+        p = DiscreteDistribution(tuple(np.arange(float(atoms))), masses)
+        for n in (1000, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 17):
+            rng = np.random.default_rng(seed)
+            whole = p.sample_indices(rng, n)
+            replay = np.random.default_rng(seed)
+            chunks = [p.sample_indices(replay, min(_DRAW_CHUNK, n - start))
+                      for start in range(0, n, _DRAW_CHUNK)]
+            assert all(chunk.dtype == whole.dtype for chunk in chunks)
+            assert np.array_equal(np.concatenate(chunks), whole)
+            advanced = np.random.default_rng(seed)
+            advanced.bit_generator.advance(n)
+            assert np.array_equal(advanced.normal(0.0, 1.3, 5000), rng.normal(0.0, 1.3, 5000))
+            assert np.array_equal(advanced.laplace(0.0, 0.7, 5000), rng.laplace(0.0, 0.7, 5000))
+
+    @pytest.mark.parametrize("case", ["gaussian", "laplace-table", "zero-noise-table"])
+    def test_steps_hold_no_index_array(self, case):
+        # One set-up step, then one step per chunk, the last returning the
+        # estimate. Between steps the pair holds only its generators and
+        # classification: no n-sized array (10^6 indices take 1 MB) and no
+        # chunk buffer (a chunk's indices take 64 KB, its draws 512 KB).
+        import tracemalloc
+
+        from puffercal.verify import _DRAW_CHUNK, monte_carlo_breach_steps
+
+        p, q = TestBreachClassification.far_apart()
+        mech, eps = {
+            "gaussian": (GaussianParams(0.8), 0.5),
+            "laplace-table": (LaplaceParams(0.05), 0.5),
+            "zero-noise-table": (None, 0.5),
+        }[case]
+        n = 10**6
+        monte_carlo_breach(p, q, mech, eps, 1000, 0)  # caches and lazy imports
+        steps = monte_carlo_breach_steps(p, q, mech, eps, n, 3)
+        held = []
+        tracemalloc.start()
+        try:
+            while True:
+                try:
+                    next(steps)
+                except StopIteration as stop:
+                    result = stop.value
+                    break
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(held) == -(-n // _DRAW_CHUNK)
+        assert max(held) < 2**16
+        assert 0.0 < result[0] < 1.0
+        assert result == monte_carlo_breach(p, q, mech, eps, n, 3)
 
     @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, None])
     def test_peak_memory_is_chunked(self, noise):
