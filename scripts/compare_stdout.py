@@ -5,10 +5,11 @@ Usage:
     python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13 [--rel-tol X]
 
 For every seed the benchmark inputs (bench/workloads.py of this
-repository: the synthetic census table and each workload's scenario) are
-written to a temporary directory. Every benchmark workload's commands,
-plus EXTRA_COMMANDS on the verify-grid scenario and
-CALIBRATE_GRID_COMMANDS on the calibrate-grid scenario, then run through
+repository: the synthetic census table and each workload's scenario) and
+EXTREME_SCENARIOS are written to a temporary directory. Every benchmark
+workload's commands, plus EXTRA_COMMANDS on the verify-grid scenario,
+CALIBRATE_GRID_COMMANDS on the calibrate-grid scenario and the commands
+of _EXTREME_GRIDS on the extreme scenarios, then run through
 `python -m puffercal.cli` once with each tree's `src/` on PYTHONPATH.
 One line per command gives the sha256 of stdout, the sha256 of stderr
 and the exit code under each tree; stderr carries the error message, so
@@ -41,7 +42,7 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
-from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
+from workloads import ALL_MECHANISMS, WORKLOADS, command_argv, write_inputs  # noqa: E402
 
 # Commands beyond the benchmark's, run on the verify-grid scenario: orders
 # from 0.5 to 20 and inf, fixed parameters where calibration needs a
@@ -197,6 +198,88 @@ CALIBRATE_GRID_COMMANDS = tuple(
 )
 
 
+# One-pair scenarios at the ends of the float range, p and q as {atom: mass}:
+# atoms at +-1e300, and atoms and gaps at the subnormal floor.
+EXTREME_SCENARIOS = {
+    "opposite-ends": ({1e300: 1.0}, {-1e300: 1.0}),
+    "shared-ends": ({-1e300: 0.5, 1e300: 0.5}, {-1e300: 0.25, 0.0: 0.5, 1e300: 0.25}),
+    "subnormal-gaps": ({0.0: 0.5, 5e-324: 0.5}, {0.0: 0.3, 1e-323: 0.7}),
+}
+
+# (scenario, command, --parameter, alphas, kinds) at epsilon 1 and, for
+# breach, --n 1000: every cell of tests/test_cli_sweep.py's grid on the
+# extreme scenarios that ends in rows. A calibrate row is one command over
+# its kinds; the others are one command per kind.
+_EXTREME_GRIDS = (
+    *(
+        grid
+        for scenario in ("opposite-ends", "shared-ends")
+        for grid in (
+            (scenario, "calibrate", None, "0.5,2,inf", ("laplace", "winf")),
+            (scenario, "calibrate", None, "2,inf", ("exponential",)),
+            (scenario, "calibrate", None, "2", ("baseline-laplace",)),
+            (scenario, "verify", None, "0.5,2,inf", ("laplace", "winf")),
+            (scenario, "verify", None, "2,inf", ("exponential",)),
+            (scenario, "verify", None, "2", ("baseline-laplace",)),
+            (scenario, "breach", None, "0.5,2,inf", ("laplace", "winf")),
+            (scenario, "breach", None, "2,inf", ("exponential",)),
+            (scenario, "breach", None, "2", ("baseline-laplace",)),
+        )
+    ),
+    ("subnormal-gaps", "calibrate", None, "2,inf", ("laplace",)),
+    ("subnormal-gaps", "calibrate", None, "0.5,2,inf", ("winf",)),
+    ("subnormal-gaps", "calibrate", None, "2", ("baseline-laplace",)),
+    ("subnormal-gaps", "verify", None, "inf", ("laplace",)),
+    ("subnormal-gaps", "verify", None, "0.5,inf", ("winf",)),
+    ("subnormal-gaps", "breach", None, "2,inf", ("laplace",)),
+    ("subnormal-gaps", "breach", None, "0.5,2,inf", ("winf",)),
+    ("subnormal-gaps", "breach", None, "2", ("baseline-laplace",)),
+    *(
+        ("subnormal-gaps", "verify", parameter, alphas, kinds)
+        for parameter in ("1e-12", "1e6")
+        for alphas, kinds in (
+            ("0.5,2,inf", ("laplace", "exponential", "winf", "baseline-laplace")),
+            ("0.5,2", ("gaussian", "baseline-gaussian")),
+        )
+    ),
+    *(
+        (scenario, "breach", parameter, "0.5,2,inf", ALL_MECHANISMS)
+        for scenario in EXTREME_SCENARIOS
+        for parameter in ("1e-12", "1e6")
+    ),
+)
+
+
+def extreme_commands(paths: dict[str, Path]):
+    """The argv of every _EXTREME_GRIDS command, on the scenario files at paths."""
+    for scenario, command, parameter, alphas, kinds in _EXTREME_GRIDS:
+        per_command = [kinds] if command == "calibrate" else [(kind,) for kind in kinds]
+        for group in per_command:
+            argv = [command, "--scenario", str(paths[scenario])]
+            for kind in group:
+                argv += ["--mechanism", kind]
+            argv += ["--alpha", alphas, "--epsilon", "1"]
+            if parameter is not None:
+                argv += ["--parameter", parameter]
+            if command == "breach":
+                argv += ["--n", "1000", "--seed", "{seed}"]
+            yield argv
+
+
+def write_extreme_scenarios(directory: Path) -> dict[str, Path]:
+    """Write each EXTREME_SCENARIOS pair as a one-pair JSON scenario; return the paths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, (p, q) in EXTREME_SCENARIOS.items():
+        pair = {"label": name, **{
+            side: {"atoms": list(dist), "masses": list(dist.values())}
+            for side, dist in (("p", p), ("q", q))
+        }}
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps({"pairs": [pair]}), encoding="utf-8")
+    return paths
+
+
 def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     """The stdout and stderr of `python -m puffercal.cli argv` on tree/src, and the exit code."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -286,6 +369,11 @@ def commands(seed: int, directory: Path):
             kind = "bench" if index < len(workload.commands) else "extra"
             shown = " ".join(argv[:1] + argv[3:])  # without the --scenario path
             yield f"seed {seed} {workload.name} {kind} {index}: {shown}", argv
+    paths = write_extreme_scenarios(directory / "extreme")
+    for index, command in enumerate(extreme_commands(paths)):
+        argv = [arg.replace("{seed}", str(seed)) for arg in command]
+        shown = " ".join([argv[0], Path(argv[2]).stem, *argv[3:]])
+        yield f"seed {seed} extreme {index}: {shown}", argv
 
 
 def main() -> int:

@@ -15,6 +15,7 @@ values overflow doubles.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, NamedTuple, Sequence
 
@@ -125,6 +126,8 @@ def _brent(
         if f_lo >= target:
             break
         lo /= 2.0
+        if lo == 0.0:
+            raise NoRoot(f"f does not reach target {target!r} above the smallest positive float")
         f_lo = values[lo] = yield lo
     else:
         raise NoRoot(f"f never reaches target {target!r} from above (last f = {f_lo!r})")
@@ -282,13 +285,16 @@ def _transport(
     coupling is diagonal and no noise is needed. seed(level) is the
     parameter at which a point mass at distance size has log functional
     level: seed(log_target) is feasible, since no entry exceeds size, and
-    seed(log_target + ln 2) seeds the other bracket end. A seed that
-    overflows (a subnormal log target) raises NoRoot: no finite parameter
-    is known to be feasible.
+    seed(log_target + ln 2) seeds the other bracket end. A log target
+    that underflows to 0, and a seed that overflows (a subnormal log
+    target) or underflows, raise NoRoot: no finite parameter is known to
+    be feasible.
     """
     log_target = (spec.alpha - 1.0) * spec.epsilon
     if size == 0.0:
         return _no_noise_result(mechanism, log_target)
+    if log_target == 0.0:
+        raise NoRoot(f"no finite {mechanism} parameter: the log target (alpha - 1) epsilon underflows to 0")
     bracket = (seed(log_target + _LN2), seed(log_target))
     _require_finite_bracket(mechanism, bracket)
     return _Transport(plan, base, scale, mechanism, log_target, bracket)
@@ -297,6 +303,8 @@ def _transport(
 def _require_finite_bracket(mechanism: str, bracket: tuple[float, float]) -> None:
     if math.isinf(bracket[0]) or math.isinf(bracket[1]):
         raise NoRoot(f"no finite {mechanism} parameter: the seed bracket {bracket!r} overflows")
+    if bracket[0] == 0.0 or bracket[1] == 0.0:
+        raise NoRoot(f"no positive {mechanism} parameter: the seed bracket {bracket!r} underflows")
 
 
 def _transport_result(problem: _Transport, solve: _RootSolve) -> CalibrationResult:
@@ -371,7 +379,12 @@ def _solve_lanes(
             denoms.append(denom)
         if not lanes:
             break
-        block = (np.array(coefs)[:, None] * base) / np.array(denoms)[:, None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # An exponent past the float range is +-inf, its rounding ...
+            block = (np.array(coefs)[:, None] * base) / np.array(denoms)[:, None]
+        if math.inf in coefs or 0.0 in denoms:
+            # ... and a zero displacement's is 0, where coef overflowed or denom underflowed too.
+            block[:, base == 0.0] = 0.0
         values = coupling_log_expectation(plan, lambda d: block)
         for lane, value in zip(lanes, values.tolist()):
             advance(lane, pending[lane][0], problems[lane].sign * value)
@@ -436,13 +449,33 @@ def _gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> _Transport | C
     _require_order_above_one(spec, allow_inf=False)
     plan = _coupling(pair)
     w_max = plan.max_displacement()
+    if w_max != 0.0:
+        _require_normal_square("gaussian", "W_inf", w_max)
     alpha = spec.alpha
     coeff = alpha * (alpha - 1.0) * w_max**2 / 2.0
+
+    def scale(sigma: float) -> tuple[float, float]:
+        _require_normal_square("gaussian", "sigma", sigma)
+        return alpha * (alpha - 1.0), 2.0 * sigma**2
+
     return _transport(
-        plan, spec, "gaussian", w_max, plan.displacement_array**2,
-        lambda sigma: (alpha * (alpha - 1.0), 2.0 * sigma**2),
+        plan, spec, "gaussian", w_max, plan.displacement_array**2, scale,
         lambda level: math.sqrt(coeff / level),
     )
+
+
+# The positive floats whose squares are finite normal floats.
+_SQUARE_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
+
+def _require_normal_square(mechanism: str, name: str, value: float) -> None:
+    """Raise NoRoot unless value, a W_inf or sigma that a Gaussian rule squares, has a normal square.
+
+    A square past the float range overflows, and a subnormal one loses
+    digits.
+    """
+    if not _SQUARE_RANGE[0] <= value <= _SQUARE_RANGE[1]:
+        raise NoRoot(f"no {mechanism} parameter: {name} = {value!r} squared leaves the normal float range")
 
 
 def _check_rate_map(rate: Callable[[float], float]) -> None:
@@ -518,9 +551,10 @@ def _winf_problem(pair, spec: PrivacySpec, rel_tol: float) -> CalibrationResult:
     if w_max == 0.0:
         return _budget_result("winf-laplace", epsilon)
     b = w_max / epsilon
-    if math.isinf(b):
+    if math.isinf(b) or b == 0.0:
         raise NoRoot(
-            f"no finite Laplace scale: W_inf / epsilon = {w_max!r} / {epsilon!r} overflows"
+            f"no finite Laplace scale: W_inf / epsilon = {w_max!r} / {epsilon!r} "
+            f"{'overflows' if b else 'underflows'}"
         )
     return _budget_result("winf-laplace", epsilon, b, w_max / b)
 
@@ -557,9 +591,12 @@ def laplace_pair_divergence(distance: float, scale: float, alpha: float) -> floa
     if distance == 0.0:
         return 0.0
     u = distance / scale
+    # x / (2 alpha - 1) as 0.5 (x / (alpha - 0.5)): the same float, with no
+    # 2 alpha to overflow.
+    half = alpha - 0.5
     log_mix = _log_add(
-        math.log(alpha / (2.0 * alpha - 1.0)) + (alpha - 1.0) * u,
-        math.log((alpha - 1.0) / (2.0 * alpha - 1.0)) - alpha * u,
+        math.log(0.5 * (alpha / half)) + (alpha - 1.0) * u,
+        math.log(0.5 * ((alpha - 1.0) / half)) - alpha * u,
     )
     return log_mix / (alpha - 1.0)
 
@@ -577,12 +614,14 @@ def _baseline_gaussian_problem(pair, spec: PrivacySpec, rel_tol: float) -> Calib
     w_max = _coupling(pair).max_displacement()
     if w_max == 0.0:
         return _budget_result("baseline-gaussian", spec.epsilon)
+    _require_normal_square("baseline-gaussian", "W_inf", w_max)
     sigma = math.sqrt(spec.alpha * w_max**2 / (2.0 * spec.epsilon))
     if math.isinf(sigma):
         raise NoRoot(
             f"no finite Gaussian sigma: sqrt(alpha W_inf^2 / (2 epsilon)) with "
             f"W_inf = {w_max!r}, epsilon = {spec.epsilon!r} overflows"
         )
+    _require_normal_square("baseline-gaussian", "sigma", sigma)
     value = spec.alpha * w_max**2 / (2.0 * sigma**2)
     return _budget_result("baseline-gaussian", spec.epsilon, sigma, value)
 

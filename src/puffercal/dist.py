@@ -417,7 +417,9 @@ class LaplacePosterior:
 
     def __init__(self, prior: DiscreteDistribution, scale: float):
         masses = prior.masses
-        decay = np.exp(-np.diff(np.asarray(prior.atoms)) / scale).tolist()
+        with np.errstate(over="ignore"):
+            # A gap past the float range, in scales, decays to exactly 0.
+            decay = np.exp(-np.diff(np.asarray(prior.atoms)) / scale).tolist()
         left = [masses[0]]
         for d, m in zip(decay, masses[1:]):
             left.append(left[-1] * d + m)
@@ -426,13 +428,14 @@ class LaplacePosterior:
             right.append(right[-1] * d + m)
         right.reverse()
         # Index j = searchsorted(atoms, y, side="right") selects left[j - 1]
-        # and right[j]; the padding makes the missing term -inf at either end.
+        # and right[j]; the padding at -inf and inf makes the missing term
+        # -inf at either end, however far y lies.
         atoms = np.asarray(prior.atoms)
         self.scale = scale
         self.atoms = atoms
         self.log_norm = math.log(2.0 * scale)
-        self.left_atoms = np.concatenate((atoms[:1], atoms))
-        self.right_atoms = np.concatenate((atoms, atoms[-1:]))
+        self.left_atoms = np.concatenate(([-math.inf], atoms))
+        self.right_atoms = np.concatenate((atoms, [math.inf]))
         self.log_left = np.array([-math.inf, *(math.log(v) for v in left)])
         self.log_right = np.array([*(math.log(v) for v in right), -math.inf])
         for array in (atoms, self.left_atoms, self.right_atoms, self.log_left, self.log_right):
@@ -441,11 +444,13 @@ class LaplacePosterior:
     def log_density_many(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
         j = np.searchsorted(self.atoms, ys, side="right")
-        from_left = self.left_atoms[j] - ys
-        from_left /= self.scale
+        with np.errstate(over="ignore"):
+            # Distances past the float range, in scales, are -inf exponents.
+            from_left = self.left_atoms[j] - ys
+            from_left /= self.scale
+            from_right = ys - self.right_atoms[j]
+            from_right /= self.scale
         from_left += self.log_left[j]
-        from_right = ys - self.right_atoms[j]
-        from_right /= self.scale
         from_right += self.log_right[j]
         out = np.logaddexp(from_left, from_right, out=from_left)
         out -= self.log_norm

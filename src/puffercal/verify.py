@@ -163,6 +163,7 @@ def renyi_divergence_both_ways(
         pad = truncation_halfwidth(mech) + abs(alpha - 1.0) * _cross_span(p_i, p_j)
         lo -= pad
         hi += pad
+    _require_midpoints(lo, hi)
 
     def densities(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -349,7 +350,10 @@ def _bisect_quadrature(
     halving lowers, and the open segments would double every round until
     memory runs out. (Over the tests and the commands of
     scripts/compare_stdout.py, at most 23 times the starting segments, and
-    never more than 828, were open.)
+    never more than 828, were open.) It raises it too when every segment
+    closes while an integrand's errors, summed under earlier rounds'
+    tolerances, still exceed its own: halving has reached the float
+    spacing, and no segment is left to halve.
 
     Integrands that read the same densities, like the two directions of a
     divergence, share every densities call, and each meets its own
@@ -432,7 +436,7 @@ def _bisect_quadrature(
             closed_err[k] += float(err[done].sum())
             wholes.append(np.concatenate((left[split], right[split])))
         a, b = a[split], b[split]
-        if 2 * a.size > most_open:
+        if not 0 < 2 * a.size <= most_open:
             raise IntegrationFailure(
                 f"quadrature did not converge: {2 * a.size} segments open in round {round_index + 2}"
             )
@@ -497,10 +501,10 @@ def _gaussian_sup(
     certified upper bound on r over the whole line: the largest upper
     bound plus rounding margin of the intervals and tails that settled,
     capped at s + 64 u _fixed_rounding for s = max_a log(m_p(a) / m_q(a)),
-    the discrete supremum: p(y) <= e^s q(y) term by term. Unless a cap on
-    the open intervals below is reached, bound <= sup + _sup_tolerance(sup)
-    + margin. Both are +inf when p has an atom past q's extreme one on
-    either side.
+    the discrete supremum: p(y) <= e^s q(y) term by term. Unless the
+    search reaches _refine's cap on open intervals, bound <= sup +
+    _sup_tolerance(sup) + margin. Both are +inf when p has an atom past
+    q's extreme one on either side.
 
     - Window: _breach_intervals' (_window), the atom range padded by
       12 sigma and cut at the noise scale, bounded by _log_ratio_bounds.
@@ -523,14 +527,13 @@ def _gaussian_sup(
     Where r stays just below the incumbent over a long stretch (nearly
     equal priors, or r creeping up to its limit along a tail, where its
     gap to the limit shrinks like e^-2t and the bounds' slack like
-    e^-t w^2), every interval there stays open until very narrow. Once
-    halving the open intervals would leave more than most_open = four
-    times the starting intervals plus 64, only the most_open / 2 with the
-    largest midpoint values are halved, and the bounds of the others join
-    the certificate as they are; so do those of the intervals still open
-    after _CLASSIFY_ROUNDS rounds. sup is still the largest value found,
-    and bound is then looser than the tolerance. Raises IntegrationFailure
-    when a tail does not settle (_tail_doublings).
+    e^-t w^2), every interval there stays open until very narrow. Each
+    open interval is ranked by its upper bound plus margin, so at
+    _refine's cap the ones that bound r highest are halved, and the
+    bounds of every interval _refine returns join the certificate as
+    they are. sup is still the largest value found, and bound is then
+    looser than the tolerance. Raises IntegrationFailure when a tail does
+    not settle (_tail_doublings).
     """
     if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
         return math.inf, math.inf
@@ -553,7 +556,6 @@ def _gaussian_sup(
             far_b.append(max(inner, outer))
     a = np.concatenate((a, far_a))
     b = np.concatenate((b, far_b))
-    most_open = 4 * (a.size + 1) + 64
 
     def ceiling(upper, margin):
         # At a vanishing sigma an upper bound of -inf can meet an inf
@@ -574,18 +576,10 @@ def _gaussian_sup(
         pruned = up < best
         settled = ~pruned & (upper <= best + _sup_tolerance(best))
         certify(up[settled])
-        live = ~pruned & ~settled
-        if 2 * np.count_nonzero(live) > most_open:
-            # Halve only the intervals with the largest values of r.
-            rest = np.flatnonzero(live)
-            rest = rest[np.argsort(values[rest], kind="stable")[: -(most_open // 2)]]
-            certify(up[rest])
-            live[rest] = False
-        return live
+        return np.where(pruned | settled, -math.inf, up)
 
-    a, b = _refine(a, b, lambda a, b: _log_ratio_bounds(p, q, mech, a, b), settle, math.inf)
+    a, b = _refine(a, b, lambda a, b: _log_ratio_bounds(p, q, mech, a, b), settle)
     if a.size:
-        # Still open after _CLASSIFY_ROUNDS rounds.
         _, upper, margin, _, _ = _log_ratio_bounds(p, q, mech, a, b)
         certify(ceiling(upper, margin))
     cap_margin = _MARGIN_ULPS * 2.0**-53 * _fixed_rounding(p, q, mech.sigma)
@@ -612,11 +606,12 @@ def _tail_doublings(
     of r on that side as the reach grows, and the incumbent is at least
     that limit, so k is finite: about log2(sigma / d) plus a few, for d
     the distance from the extreme atom to p's nearest other one. Raises
-    IntegrationFailure when the reach leaves the float range first, as
-    it does for a sigma near 1e154 or more against atoms a unit apart.
+    IntegrationFailure when the reach, in units of sigma, leaves the
+    float range first, as it does for a sigma near 1e154 or more against
+    atoms a unit apart, or for atoms 5e-324 apart at sigma 1e-12.
     """
     reach, k = pad, 0
-    while math.isfinite(reach):
+    while math.isfinite(reach / sigma):
         tail, margin = _gaussian_tail_bound(p, q, sigma, side, reach)
         if tail <= incumbent + _sup_tolerance(incumbent) + margin:
             return k, tail + margin
@@ -646,10 +641,12 @@ def _gaussian_tail_bound(
     """
     atoms, log_masses = _prior_arrays(p)
     k = -1 if side > 0.0 else 0
-    d = side * (q.atoms[k] - atoms) / sigma
     # In units of sigma, so that no sigma^2 or 2 reach leaves the float
-    # range at extreme scales (an inf there would read as a settled tail).
+    # range at extreme scales (an inf there would read as a settled tail);
+    # a distance d past the float range, in units of sigma, is one whose
+    # term is exactly 0.
     with np.errstate(over="ignore"):
+        d = side * (q.atoms[k] - atoms) / sigma
         x = d * (reach / sigma) + 0.5 * d * d
     value = float(log_sum_exp(log_masses - x)) - math.log(q.masses[k])
     return value, _MARGIN_ULPS * 2.0**-53 * (_fixed_rounding(p, q, sigma) + float(x.min()))
@@ -1063,48 +1060,48 @@ def _breach_intervals(
           expected in it: n (b - a) times a bound on p_i's posterior
           density on [a, b] below 1;
         - halves it otherwise.
-    After _CLASSIFY_ROUNDS rounds, or once more than four times the
-    atom-cut intervals plus 64 are open, the open ones stay undecided. The
-    margin covers the rounding of both the bound and _log_ratio, so a draw
-    in a certified interval has _log_ratio > epsilon exactly when the
+    Open intervals are ranked by log expected draws, so at _refine's cap
+    those with the most draws are halved; those it returns stay undecided.
+    The margin covers the rounding of both the bound and _log_ratio, so a
+    draw in a certified interval has _log_ratio > epsilon exactly when the
     interval is certified above. The bounds hold on the closed interval,
     so two adjacent intervals certified alike are returned as one, whose
-    interior holds their shared edge, and two certified differently
-    cannot share one: the returned intervals never touch. On the
-    calibrate-grid wage pair, 2685 Laplace(0.05) intervals become 78, and
-    each chunk's binary search of the edges shrinks as much. Returns
-    (starts, ends, above) sorted by start; undecided intervals are not
-    returned, and their draws, like those outside the window, take
-    _log_ratio. The intervals depend on n
-    only, not on the draws, so one classification serves every chunk.
+    interior holds their shared edge, and two certified differently cannot
+    share one: the returned intervals never touch. On the calibrate-grid
+    wage pair, 2685 Laplace(0.05) intervals become 78, and each chunk's
+    binary search of the edges shrinks as much. Returns (starts, ends,
+    above) sorted by start; undecided intervals are not returned, and
+    their draws, like those outside the window, take _log_ratio. The
+    intervals depend on n only, not on the draws, so one classification
+    serves every chunk.
 
     For Gaussian noise, r - epsilon has at most as many zeros as the
     coefficients m_k - e^epsilon m'_k along the merged atoms have sign
     changes (Laguerre's rule of signs, Polya & Szego, Part V, problem 77),
     so only the intervals near those few crossings stay open for long.
     """
-    knots, a, b = _window(p_i, p_j, mech)
+    _, a, b = _window(p_i, p_j, mech)
     log_n = math.log(n)
     starts, ends, above = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
 
     def settle(a, b, lower, upper, margin, log_density, _):
-        high = lower > epsilon + margin
+        with np.errstate(over="ignore"):
+            # Past the float range a level is +-inf, and certifies nothing.
+            above_level, below_level = epsilon + margin, epsilon - margin
+        high = lower > above_level
         # A zero-width interval has no interior to hold a draw.
-        certified = (high | (upper < epsilon - margin)) & (a < b)
+        certified = (high | (upper < below_level)) & (a < b)
         starts.append(a[certified])
         ends.append(b[certified])
         above.append(high[certified])
-        banded = (lower >= epsilon - margin) & (upper <= epsilon + margin)
+        banded = (lower >= below_level) & (upper <= above_level)
         narrow = b - a <= _MIN_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         with np.errstate(divide="ignore"):
             # A zero-width interval (narrow already) logs to -inf.
-            sparse = log_n + np.log(b - a) + log_density < 0.0
-        return ~(certified | banded | narrow | sparse)
+            expected = log_n + np.log(b - a) + log_density
+        return np.where(certified | banded | narrow | (expected < 0.0), -math.inf, expected)
 
-    _refine(
-        a, b, lambda a, b: _log_ratio_bounds(p_i, p_j, mech, a, b), settle,
-        4 * (knots.size + 1) + 64,
-    )
+    _refine(a, b, lambda a, b: _log_ratio_bounds(p_i, p_j, mech, a, b), settle)
     starts, ends, above = (np.concatenate(v) for v in (starts, ends, above))
     order = np.argsort(starts)
     starts, ends, above = starts[order], ends[order], above[order]
@@ -1124,11 +1121,20 @@ def _window(
     """
     knots = np.array(sorted(set(p_i.atoms) | set(p_j.atoms)))
     pad = truncation_halfwidth(mech)
-    edges = _cuts(
-        knots, float(knots[0]) - pad, float(knots[-1]) + pad,
-        mech.sigma if isinstance(mech, GaussianParams) else 0.0,
-    )
+    lo, hi = float(knots[0]) - pad, float(knots[-1]) + pad
+    _require_midpoints(lo, hi)
+    edges = _cuts(knots, lo, hi, mech.sigma if isinstance(mech, GaussianParams) else 0.0)
     return knots, edges[:-1], edges[1:]
+
+
+def _require_midpoints(lo: float, hi: float) -> None:
+    """Raise IntegrationFailure unless every midpoint and width of points in [lo, hi] is finite.
+
+    They are when 2 max(|lo|, |hi|) is; noise scales near 1e307 pad a
+    window past that.
+    """
+    if not math.isfinite(2.0 * max(abs(lo), abs(hi))):
+        raise IntegrationFailure(f"the window [{lo!r}, {hi!r}] reaches past half the float range")
 
 
 def _refine(
@@ -1136,25 +1142,35 @@ def _refine(
     b: np.ndarray,
     bounds: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     settle: Callable[..., np.ndarray],
-    most_open: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch and bound over the intervals [a[k], b[k]]; returns the ones left open.
+    """Branch and bound over the intervals [a[k], b[k]]; returns every one it leaves open.
 
     Each round calls settle(a, b, *bounds(a, b)) on the open intervals
-    for the mask of those to keep open, and halves those: the left
-    halves, in order, then the right ones. It stops when none is open,
-    after _CLASSIFY_ROUNDS rounds, or once more than most_open are open.
+    for a rank per interval, -inf for those it closes, and halves the
+    others: the left halves, in order, then the right ones. Once that
+    would leave more than most_open = 4 (starting intervals + 1) + 64
+    open, only the most_open // 2 highest-ranked (nan highest) are
+    halved; the rest leave the search as they are, and are returned with
+    those still open after _CLASSIFY_ROUNDS rounds.
     """
+    most_open = 4 * (a.size + 1) + 64
+    left = []
     for _ in range(_CLASSIFY_ROUNDS):
-        if a.size == 0 or a.size > most_open:
+        if a.size == 0:
             break
-        split = settle(a, b, *bounds(a, b))
+        rank = settle(a, b, *bounds(a, b))
+        split = rank != -math.inf
+        if 2 * np.count_nonzero(split) > most_open:
+            rest = np.flatnonzero(split)
+            rest = rest[np.argsort(rank[rest], kind="stable")[: -(most_open // 2)]]
+            left.append((a[rest], b[rest]))
+            split[rest] = False
         a, b = a[split], b[split]
         with np.errstate(over="ignore"):
             # Past about 9e307 the sum is inf; such a half certifies nothing.
             mid = 0.5 * (a + b)
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    return a, b
+    return tuple(np.concatenate(ends) for ends in zip(*left, (a, b)))
 
 
 def _log_ratio_bounds(
@@ -1225,7 +1241,9 @@ def _log_ratio_bounds(
         lower, upper = np.minimum(at_a, at_b), np.maximum(at_a, at_b)
         log_density = np.maximum(log_p[: a.size], log_p[a.size :])
         value = at_a
-        exponent = np.maximum(b - lo, hi - a) / scale
+        with np.errstate(over="ignore"):
+            # Past the float range the margin is inf, and certifies nothing.
+            exponent = np.maximum(b - lo, hi - a) / scale
         spread = 1.0
     else:
         scale = mech.sigma

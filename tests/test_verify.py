@@ -352,6 +352,27 @@ class TestRenyiDivergenceNumeric:
             assert sup <= bound <= sup + 1e-12
         assert sup == pytest.approx(math.log(8.0 / 7.0), rel=1e-14)
 
+    def test_gaussian_certificate_where_the_search_reaches_its_cap(self):
+        # A 40-atom pair (hours-per-week by sex, 1351 and 649 rows of a
+        # synthetic census table), whose search for D(p || q) opens more
+        # intervals than _refine's cap. Halving the intervals with the
+        # largest values of r, not the largest bounds, left the bound 8.9e-7
+        # (sigma 13.6) and 3.1e-6 (sigma 40) relative above the largest
+        # value found; ranked by bound, it is within 1e-7 of it.
+        from puffercal.verify import _gaussian_sup
+
+        atoms = tuple(float(a) for a in range(25, 65))
+        p_counts = (33, 9, 15, 21, 21, 21, 32, 32, 23, 48, 54, 44, 55, 57, 60, 74, 58, 57, 54, 67,
+                    60, 50, 63, 55, 50, 27, 32, 32, 26, 19, 20, 19, 13, 17, 9, 4, 6, 2, 6, 6)
+        q_counts = (62, 12, 11, 23, 25, 26, 21, 24, 30, 22, 35, 38, 26, 34, 31, 30, 28, 30, 26, 17,
+                    20, 13, 9, 13, 9, 2, 6, 5, 4, 2, 3, 3, 1, 1, 1, 2, 1, 1, 1, 1)
+        p = DiscreteDistribution(atoms, tuple(c / 1351 for c in p_counts))
+        q = DiscreteDistribution(atoms, tuple(c / 649 for c in q_counts))
+        for sigma in (13.617368608354166, 40.0):
+            sup, bound = _gaussian_sup(p, q, GaussianParams(sigma))
+            assert sup == pytest.approx(1.0585918479719467, rel=1e-12)
+            assert sup <= bound <= sup * (1.0 + 1e-7)
+
     def test_gaussian_infinite_order_at_a_vanishing_sigma(self):
         # Below sigma = 1e-150 an interval's upper bound of -inf met a margin
         # of inf, and their sum warned. The nan settles the interval and
@@ -2065,6 +2086,63 @@ class TestBreachClassification:
             intervals = (np.array([-50.0]), np.array([end]), np.array([True]))
             table = verify._settled_breach_table(point_mass(0.0), LaplaceParams(1.0), intervals)
             assert (table is not None) == settled, end
+
+    def test_refine_halves_the_highest_ranked_at_its_cap(self, monkeypatch):
+        # One starting interval [0, 1] caps the open intervals at 4 (1 + 1)
+        # + 64 = 72. Ranked by midpoint and never closed, 64 are open in
+        # round 7: the 36 highest are halved and the 28 lowest returned as
+        # they are, and so again in round 8 of 8, after which the 72 halves
+        # still open are returned too. Together they tile [0, 1].
+        import puffercal.verify as verify
+
+        monkeypatch.setattr(verify, "_CLASSIFY_ROUNDS", 8)
+        calls = []
+
+        def settle(a, b, mids):
+            calls.append(a.size)
+            return mids
+
+        a, b = verify._refine(np.array([0.0]), np.array([1.0]),
+                              lambda a, b: (0.5 * (a + b),), settle)
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 72]
+        order = np.argsort(a)
+        a, b = a[order], b[order]
+        assert a[0] == 0.0 and b[-1] == 1.0 and np.array_equal(b[:-1], a[1:])
+        widths = b - a
+        assert np.all(widths[:28] == 1 / 64) and a[28] == 28 / 64
+        assert np.all(widths[28:64] == 1 / 128) and a[64] == 28 / 64 + 36 / 128
+        assert np.all(widths[64:] == 1 / 256) and widths.size == 28 + 36 + 72
+        # Intervals ranked -inf are closed, and not returned.
+        closed = verify._refine(np.array([0.0]), np.array([1.0]), lambda a, b: (a,),
+                                lambda a, b, _: np.full(a.size, -np.inf))
+        assert closed[0].size == closed[1].size == 0
+
+    @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams])
+    def test_count_past_the_refine_cap_is_the_per_draw_count(self, monkeypatch, noise):
+        # Bounds loosened by 1000 times the interval width still bound r, but
+        # decide only intervals narrower than about 1e-3 |r - epsilon|: the
+        # open intervals reach _refine's cap, and those it leaves open take
+        # the log ratio at their draws.
+        import puffercal.verify as verify
+
+        p = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.1, 0.4, 0.3, 0.2))
+        q = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.3, 0.2, 0.2, 0.3))
+        mech, eps, n, seed = noise(0.5), 0.3, 100_000, 3
+        bounds = verify._log_ratio_bounds
+        sizes = []
+
+        def loose(p_i, p_j, mech, a, b):
+            lower, upper, margin, log_density, value = bounds(p_i, p_j, mech, a, b)
+            sizes.append(a.size)
+            return lower - 1e3 * (b - a), upper + 1e3 * (b - a), margin, log_density, value
+
+        monkeypatch.setattr(verify, "_log_ratio_bounds", loose)
+        classified = monte_carlo_breach(p, q, mech, eps, n, seed)
+        assert max(sizes) == 4 * (sizes[0] + 1) + 64
+        monkeypatch.undo()
+        _take_every_draw(monkeypatch)
+        assert classified == monte_carlo_breach(p, q, mech, eps, n, seed)
+        assert 0.0 < classified[0] < 1.0
 
     def test_custom_cost_takes_the_log_ratio_path(self, monkeypatch):
         import puffercal.verify as verify
