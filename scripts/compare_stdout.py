@@ -4,18 +4,24 @@
 Usage:
     python scripts/compare_stdout.py PARENT_TREE CHANGE_TREE --seeds 11,13 [--rel-tol X]
 
-For every seed the benchmark inputs (bench/workloads.py of this
-repository: the synthetic census table and each workload's scenario) and
-EXTREME_SCENARIOS are written to a temporary directory. Every benchmark
-workload's commands, plus EXTRA_COMMANDS on the verify-grid scenario,
-CALIBRATE_GRID_COMMANDS on the calibrate-grid scenario and the commands
-of _EXTREME_GRIDS on the extreme scenarios, then run through
-`python -m puffercal.cli` once with each tree's `src/` on PYTHONPATH.
-One line per command gives the sha256 of stdout, the sha256 of stderr
-and the exit code under each tree; stderr carries the error message, so
-a failing grid must fail on the same cell and pair. The script exits 1
-when any command's stdout, stderr or exit code differs between the
-trees, 0 when all match.
+The extreme scenarios of tests/test_cli_sweep.py, and for every seed the
+benchmark inputs (bench/workloads.py of this repository: the synthetic
+census table and each workload's scenario), are written to a temporary
+directory. Every benchmark workload's commands, plus
+EXTRA_COMMANDS on the verify-grid scenario, CALIBRATE_GRID_COMMANDS on the
+calibrate-grid scenario and the commands of _EXTREME_GRIDS on the extreme
+scenarios, then run through `python -m puffercal.cli` once with each
+tree's `src/` on PYTHONPATH. One line per command gives the sha256 of
+stdout, the sha256 of stderr and the exit code under each tree; stderr
+carries the error message, so a failing grid must fail on the same cell
+and pair.
+
+Then, once for all seeds, every command of tests/test_cli_sweep.py's
+product (6,138) runs through cli.main in one process per tree,
+both on this repository's product and scenario files, with the tree's
+path in any output normalized. Only the sweep commands that differ are
+printed. The script exits 1 when any command's stdout, stderr or exit
+code differs between the trees, 0 when all match.
 
 With --rel-tol X, a command whose stdout differs while its stderr and
 exit code match has both stdouts parsed as rows (CSV with a header, or
@@ -28,6 +34,7 @@ command matches or differs only by numeric drifts within X.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -37,12 +44,24 @@ import os
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
-sys.path.insert(0, str(BENCH_DIR))
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "bench"), str(REPO / "tests")]
 
-from workloads import ALL_MECHANISMS, WORKLOADS, command_argv, write_inputs  # noqa: E402
+from workloads import (  # noqa: E402
+    ALL_MECHANISMS,
+    WORKLOADS,
+    command_argv,
+    import_puffercal,
+    write_inputs,
+)
+
+# Run by one child process per tree: every command of tests/test_cli_sweep.py's
+# product through that tree's cli.main.
+_SWEEP_CHILD = "import sys, compare_stdout; compare_stdout.sweep_child(*sys.argv[1:])"
 
 # Commands beyond the benchmark's, run on the verify-grid scenario: orders
 # from 0.5 to 20 and inf, fixed parameters where calibration needs a
@@ -198,14 +217,6 @@ CALIBRATE_GRID_COMMANDS = tuple(
 )
 
 
-# One-pair scenarios at the ends of the float range, p and q as {atom: mass}:
-# atoms at +-1e300, and atoms and gaps at the subnormal floor.
-EXTREME_SCENARIOS = {
-    "opposite-ends": ({1e300: 1.0}, {-1e300: 1.0}),
-    "shared-ends": ({-1e300: 0.5, 1e300: 0.5}, {-1e300: 0.25, 0.0: 0.5, 1e300: 0.25}),
-    "subnormal-gaps": ({0.0: 0.5, 5e-324: 0.5}, {0.0: 0.3, 1e-323: 0.7}),
-}
-
 # (scenario, command, --parameter, alphas, kinds) at epsilon 1 and, for
 # breach, --n 1000: every cell of tests/test_cli_sweep.py's grid on the
 # extreme scenarios that ends in rows. A calibrate row is one command over
@@ -244,13 +255,13 @@ _EXTREME_GRIDS = (
     ),
     *(
         (scenario, "breach", parameter, "0.5,2,inf", ALL_MECHANISMS)
-        for scenario in EXTREME_SCENARIOS
+        for scenario in ("opposite-ends", "shared-ends", "subnormal-gaps")
         for parameter in ("1e-12", "1e6")
     ),
 )
 
 
-def extreme_commands(paths: dict[str, Path]):
+def extreme_commands(paths: dict[str, str]):
     """The argv of every _EXTREME_GRIDS command, on the scenario files at paths."""
     for scenario, command, parameter, alphas, kinds in _EXTREME_GRIDS:
         per_command = [kinds] if command == "calibrate" else [(kind,) for kind in kinds]
@@ -264,20 +275,6 @@ def extreme_commands(paths: dict[str, Path]):
             if command == "breach":
                 argv += ["--n", "1000", "--seed", "{seed}"]
             yield argv
-
-
-def write_extreme_scenarios(directory: Path) -> dict[str, Path]:
-    """Write each EXTREME_SCENARIOS pair as a one-pair JSON scenario; return the paths."""
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, (p, q) in EXTREME_SCENARIOS.items():
-        pair = {"label": name, **{
-            side: {"atoms": list(dist), "masses": list(dist.values())}
-            for side, dist in (("p", p), ("q", q))
-        }}
-        paths[name] = directory / f"{name}.json"
-        paths[name].write_text(json.dumps({"pairs": [pair]}), encoding="utf-8")
-    return paths
 
 
 def run_cli(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
@@ -357,8 +354,9 @@ def numeric_drifts(before: str, after: str) -> dict[str, float] | None:
     return drifts
 
 
-def commands(seed: int, directory: Path):
-    """(label, argv) for every command at one seed, inputs written under directory."""
+def commands(seed: int, directory: Path, extreme: dict[str, str]):
+    """(label, argv) for every command at one seed, benchmark inputs written
+    under directory and the extreme scenarios at the paths of extreme."""
     for workload in WORKLOADS.values():
         scenario = write_inputs(workload, seed, directory / workload.name)
         extra = {"verify-grid": EXTRA_COMMANDS, "calibrate-grid": CALIBRATE_GRID_COMMANDS}.get(
@@ -369,11 +367,87 @@ def commands(seed: int, directory: Path):
             kind = "bench" if index < len(workload.commands) else "extra"
             shown = " ".join(argv[:1] + argv[3:])  # without the --scenario path
             yield f"seed {seed} {workload.name} {kind} {index}: {shown}", argv
-    paths = write_extreme_scenarios(directory / "extreme")
-    for index, command in enumerate(extreme_commands(paths)):
+    for index, command in enumerate(extreme_commands(extreme)):
         argv = [arg.replace("{seed}", str(seed)) for arg in command]
         shown = " ".join([argv[0], Path(argv[2]).stem, *argv[3:]])
         yield f"seed {seed} extreme {index}: {shown}", argv
+
+
+def _in_process(main, argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of main(argv) in this process.
+
+    A warning adds a 'warning:' line to stderr, and an exception its
+    traceback with exit code None.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = None
+                err.write(traceback.format_exc())
+    err.writelines(f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def sweep_argvs(extreme: dict[str, str]) -> list[list[str]]:
+    """The argv of every command of tests/test_cli_sweep.py's product, the
+    extreme scenarios at the paths of extreme."""
+    from test_cli_sweep import _argv, _product
+
+    return [_argv(command, extreme.get(scenario, scenario), *rest)
+            for command, scenario, *rest in _product()]
+
+
+def sweep_child(tree: str, extreme: str, out: str) -> None:
+    """Write to out, as JSON, the [exit code, stdout, stderr] of every
+    sweep_argvs command under tree's cli.main, run in this process."""
+    import_puffercal(Path(tree))
+    from puffercal import cli
+
+    outcomes = [_in_process(cli.main, argv) for argv in sweep_argvs(json.loads(extreme))]
+    Path(out).write_text(json.dumps(outcomes), encoding="utf-8")
+
+
+def sweep_outcomes(tree: Path, extreme: dict[str, str], scratch: Path) -> list[tuple]:
+    """(stdout, stderr, exit code) of every sweep_argvs command under tree,
+    run in one child process, with tree's path normalized."""
+    out = scratch / "sweep.json"
+    subprocess.run(
+        [sys.executable, "-c", _SWEEP_CHILD, str(tree), json.dumps(extreme), str(out)],
+        cwd=scratch, env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent)),
+        check=True,
+    )
+    root = str(tree.resolve())
+    return [
+        (stdout.replace(root, "<tree>").encode(), stderr.replace(root, "<tree>").encode(), code)
+        for code, stdout, stderr in json.loads(out.read_text(encoding="utf-8"))
+    ]
+
+
+def judge(label: str, before, after, rel_tol: float | None, show_same: bool = True) -> str:
+    """Print how one command's (stdout, stderr, exit code) compares between
+    the trees; return 'same', 'within' (numeric drifts within rel_tol) or 'diff'."""
+    same = before == after
+    if show_same or not same:
+        print(f"{'same' if same else 'DIFF'} {label}")
+        print(f"    parent out {_digest(before[0])} err {_digest(before[1])} exit {before[2]}")
+    if same:
+        return "same"
+    print(f"    change out {_digest(after[0])} err {_digest(after[1])} exit {after[2]}")
+    if rel_tol is None or before[1:] != after[1:]:
+        return "diff"
+    drifts = numeric_drifts(before[0].decode(), after[0].decode())
+    if drifts is None:
+        print("    non-numeric difference")
+        return "diff"
+    for column, drift in sorted(drifts.items()):
+        print(f"    drift {column} {drift:.3g}")
+    return "within" if all(drift <= rel_tol for drift in drifts.values()) else "diff"
 
 
 def main() -> int:
@@ -389,35 +463,38 @@ def main() -> int:
     for tree in (args.parent, args.change):
         if not (tree / "src" / "puffercal").is_dir():
             parser.error(f"{tree} has no src/puffercal")
+    # tests/test_cli_sweep.py, which holds the extreme scenarios, imports puffercal.
+    import_puffercal(REPO)
+    from test_cli_sweep import EXTREME_SCENARIOS, _write_scenario
 
-    mismatches = within = total = 0
+    verdicts = {"same": 0, "within": 0, "diff": 0}
+    sweep_verdicts = dict(verdicts)
     with tempfile.TemporaryDirectory(prefix="compare_stdout_") as scratch:
+        scratch = Path(scratch)
+        (scratch / "extreme").mkdir()
+        extreme = {name: _write_scenario(scratch / "extreme" / f"{name}.json", *pair)
+                   for name, pair in EXTREME_SCENARIOS.items()}
         for seed in (int(token) for token in args.seeds.split(",")):
-            for label, argv in commands(seed, Path(scratch) / str(seed)):
-                before = run_cli(args.parent, argv, Path(scratch))
-                after = run_cli(args.change, argv, Path(scratch))
-                total += 1
-                same = before == after
-                print(f"{'same' if same else 'DIFF'} {label}")
-                print(f"    parent out {_digest(before[0])} err {_digest(before[1])} exit {before[2]}")
-                if not same:
-                    print(f"    change out {_digest(after[0])} err {_digest(after[1])} exit {after[2]}")
-                if not same and args.rel_tol is not None and before[1:] == after[1:]:
-                    drifts = numeric_drifts(before[0].decode(), after[0].decode())
-                    if drifts is None:
-                        print("    non-numeric difference")
-                    else:
-                        for column, drift in sorted(drifts.items()):
-                            print(f"    drift {column} {drift:.3g}")
-                        if all(drift <= args.rel_tol for drift in drifts.values()):
-                            within += 1
-                            same = True
-                mismatches += not same
+            for label, argv in commands(seed, scratch / str(seed), extreme):
+                before = run_cli(args.parent, argv, scratch)
+                after = run_cli(args.change, argv, scratch)
+                verdicts[judge(label, before, after, args.rel_tol)] += 1
                 sys.stdout.flush()
-    print(f"{total - mismatches - within} of {total} commands identical")
-    if args.rel_tol is not None:
-        print(f"{within} of {total} commands differ only by numeric drifts within {args.rel_tol:g}")
-    return 1 if mismatches else 0
+        # The sweep product, once for all seeds.
+        labels = [
+            f"sweep {index}: " + " ".join([argv[0], Path(argv[2]).stem, *argv[3:]])
+            for index, argv in enumerate(sweep_argvs(extreme))
+        ]
+        outcomes = [sweep_outcomes(tree, extreme, scratch) for tree in (args.parent, args.change)]
+        for label, before, after in zip(labels, *outcomes, strict=True):
+            sweep_verdicts[judge(label, before, after, args.rel_tol, show_same=False)] += 1
+    for name, counts in (("commands", verdicts), ("sweep commands", sweep_verdicts)):
+        total = sum(counts.values())
+        print(f"{counts['same']} of {total} {name} identical")
+        if args.rel_tol is not None:
+            print(f"{counts['within']} of {total} {name} differ only by numeric drifts "
+                  f"within {args.rel_tol:g}")
+    return 1 if verdicts["diff"] or sweep_verdicts["diff"] else 0
 
 
 if __name__ == "__main__":

@@ -22,21 +22,7 @@ from . import calibrate as cal
 from . import ingest
 from . import verify as ver
 from .dist import DiscreteDistribution, PrivacySpec, ScenarioPair, ScenarioSet, noise_variance
-from .errors import (
-    EmptyConditional,
-    EmptySample,
-    InfeasibleEvenAtInfinity,
-    IntegrationFailure,
-    InvalidValue,
-    IoError,
-    NonInvertibleRate,
-    NonNormalizable,
-    NoRoot,
-    NotMonotone,
-    ParseError,
-    PuffercalError,
-    UnknownCategory,
-)
+from .errors import IntegrationFailure, InvalidValue, IoError, ParseError, PuffercalError, SolverFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,22 +32,8 @@ EXIT_VERIFY = 4
 # Most values one start:stop:step range of --alpha or --epsilon may hold.
 MAX_RANGE_VALUES = 10**6
 
-_CONFIG_ERRORS = (
-    InvalidValue,
-    IoError,
-    ParseError,
-    UnknownCategory,
-    EmptyConditional,
-    EmptySample,
-)
-_SOLVER_ERRORS = (
-    NoRoot,
-    NotMonotone,
-    NonInvertibleRate,
-    IntegrationFailure,
-    NonNormalizable,
-    InfeasibleEvenAtInfinity,
-)
+# The options whose value may start with a minus sign.
+_SIGNED_OPTIONS = ("--alpha", "--epsilon", "--parameter", "--tol")
 
 CALIBRATE_COLUMNS = (
     "mechanism", "alpha", "epsilon", "pair", "parameter", "variance",
@@ -81,14 +53,6 @@ BREACH_COLUMNS = (
 )
 
 
-class _ConfigError(Exception):
-    pass
-
-
-class _SolverCellError(Exception):
-    pass
-
-
 def _parse_grid(text: str, name: str) -> list[float]:
     """Parse '1.2,2,inf' lists and 'start:stop:step' ranges (mixable)."""
     values: list[float] = []
@@ -99,20 +63,20 @@ def _parse_grid(text: str, name: str) -> list[float]:
         if ":" in token:
             parts = token.split(":")
             if len(parts) != 3:
-                raise _ConfigError(f"{name}: range syntax is start:stop:step, got {token!r}")
+                raise InvalidValue(f"{name}: range syntax is start:stop:step, got {token!r}")
             try:
                 start, stop, step = (float(p) for p in parts)
             except ValueError:
-                raise _ConfigError(f"{name}: could not parse range {token!r}") from None
+                raise InvalidValue(f"{name}: could not parse range {token!r}") from None
             if not all(math.isfinite(v) for v in (start, stop, step)):
-                raise _ConfigError(f"{name}: range bounds must be finite, got {token!r}")
+                raise InvalidValue(f"{name}: range bounds must be finite, got {token!r}")
             if step <= 0 or stop < start:
-                raise _ConfigError(f"{name}: bad range {token!r}")
+                raise InvalidValue(f"{name}: bad range {token!r}")
             # Counted before any value is built: a range of 1e15 values would
             # never finish (and an overflowing ratio is inf).
             steps = (stop - start) / step + 1e-9
             if steps >= MAX_RANGE_VALUES:
-                raise _ConfigError(
+                raise InvalidValue(
                     f"{name}: range {token!r} has more than {MAX_RANGE_VALUES} values"
                 )
             values.extend(start + k * step for k in range(math.floor(steps) + 1))
@@ -120,9 +84,9 @@ def _parse_grid(text: str, name: str) -> list[float]:
             try:
                 values.append(float(token))
             except ValueError:
-                raise _ConfigError(f"{name}: could not parse value {token!r}") from None
+                raise InvalidValue(f"{name}: could not parse value {token!r}") from None
     if not values:
-        raise _ConfigError(f"{name}: grid is empty")
+        raise InvalidValue(f"{name}: grid is empty")
     return values
 
 
@@ -171,7 +135,7 @@ def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
         cfg = builtin[source]
         dataset = data_dir / cfg.dataset_path
         if not dataset.exists():
-            raise _ConfigError(
+            raise IoError(
                 f"dataset file {dataset} not found; fetch it first "
                 f"(scripts/fetch_datasets.py). {cfg.fetch_note}"
             )
@@ -179,18 +143,18 @@ def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
         return ScenarioSet(pairs=(ingest.scenario_pair_from_table(table, cfg),))
     path = Path(source)
     if not path.exists():
-        raise _ConfigError(
+        raise InvalidValue(
             f"unknown scenario {source!r}: not a builtin "
             f"(point-mass, {', '.join(sorted(builtin))}) and not a file"
         )
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise _ConfigError(f"could not read scenario file {path}: {exc}") from exc
+        raise IoError(f"could not read scenario file {path}: {exc}") from exc
     if not isinstance(obj, dict) or not all(
         isinstance(obj.get(section, []), list) for section in ("pairs", "datasets")
     ):
-        raise _ConfigError(
+        raise InvalidValue(
             f"scenario file {path}: must be a JSON object whose pairs and datasets are arrays"
         )
     pairs: list[ScenarioPair] = []
@@ -200,13 +164,13 @@ def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
             p = ingest.distribution_from_json(entry["p"])
             q = ingest.distribution_from_json(entry["q"])
         except (KeyError, TypeError, ParseError, InvalidValue) as exc:
-            raise _ConfigError(f"scenario file {path}, pairs[{k}]: {exc}") from exc
+            raise InvalidValue(f"scenario file {path}, pairs[{k}]: {exc}") from exc
         pairs.append(ScenarioPair(p_i=p, p_j=q, label=str(entry.get("label", f"pair-{k}"))))
     for k, entry in enumerate(obj.get("datasets", [])):
         try:
             cfg = _dataset_config(entry, k)
         except (TypeError, InvalidValue) as exc:
-            raise _ConfigError(f"scenario file {path}, datasets[{k}]: {exc}") from exc
+            raise InvalidValue(f"scenario file {path}, datasets[{k}]: {exc}") from exc
         dataset = Path(cfg.dataset_path)
         if not dataset.is_absolute():
             candidate = path.parent / dataset
@@ -217,7 +181,7 @@ def _resolve_scenarios(source: str, data_dir: Path) -> ScenarioSet:
             tables[key] = ingest.load_table(dataset, cfg.column_names, cfg.delimiter)
         pairs.append(ingest.scenario_pair_from_table(tables[key], cfg))
     if not pairs:
-        raise _ConfigError(f"scenario file {path} defines no pairs")
+        raise InvalidValue(f"scenario file {path} defines no pairs")
     return ScenarioSet(pairs=tuple(pairs))
 
 
@@ -272,18 +236,16 @@ def _emit(args, command: str, columns, rows, filename: str | None = None,
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / ((filename or command) + suffix)).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise _ConfigError(f"--out {out_dir}: {exc}") from exc
+            raise InvalidValue(f"--out {out_dir}: {exc}") from exc
 
 
 @contextmanager
 def _naming_cell(kind, alpha, epsilon):
-    """Re-raise solver errors with the grid cell they came from."""
+    """Re-raise a SolverFailure as its own class, naming the grid cell it came from."""
     try:
         yield
-    except _SOLVER_ERRORS as exc:
-        raise _SolverCellError(
-            f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r}: {exc}"
-        ) from exc
+    except SolverFailure as exc:
+        raise type(exc)(f"mechanism={kind} alpha={alpha!r} epsilon={epsilon!r}: {exc}") from exc
 
 
 def _calibrated(scenarios, kind, cells, tol):
@@ -338,7 +300,8 @@ def _cell_parameters(args, scenarios, kind, cells):
     """Each cell's noise parameter in order: --parameter when given, else the
     binding parameter calibrated in-run."""
     if args.parameter is not None:
-        return [args.parameter] * len(cells)
+        # Adding 0.0 turns -0.0 into 0.0, so both spell the same zero noise.
+        return [args.parameter + 0.0] * len(cells)
     return (
         results[results[0].binding_pair_index].parameter
         for results in _calibrated(scenarios, kind, cells, args.tol)
@@ -519,7 +482,7 @@ def cmd_breach(args) -> int:
         ])
         for index, (pair, outcome) in enumerate(zip(scenarios.pairs, draws)):
             if isinstance(outcome, MemoryError):
-                raise _ConfigError(f"--n {args.n} is too large: {outcome}") from outcome
+                raise InvalidValue(f"--n {args.n} is too large: {outcome}") from outcome
             if isinstance(outcome, Exception):
                 raise outcome
             estimate, half_width = outcome
@@ -617,23 +580,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_signed_values(argv: list[str]) -> list[str]:
+    """argv with each _SIGNED_OPTIONS value that starts with '-' and a digit
+    or '.' joined to its option, as in --alpha=-1e-300.
+
+    argparse reads such a value as an option unless it looks like -1 or
+    -1.5, so --alpha -1e-300 would be a usage error.
+    """
+    joined: list[str] = []
+    for token in argv:
+        signed = token[:1] == "-" and token[1:2] in tuple("0123456789.")
+        if signed and joined and joined[-1] in _SIGNED_OPTIONS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise _ConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
+            raise InvalidValue(f"--tol must be finite and non-negative, got {args.tol!r}")
         if args.seed < 0:
-            raise _ConfigError(f"--seed must be non-negative, got {args.seed!r}")
+            raise InvalidValue(f"--seed must be non-negative, got {args.seed!r}")
         return args.handler(args)
-    except (_SolverCellError, *_SOLVER_ERRORS) as exc:
+    except SolverFailure as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except (_ConfigError, *_CONFIG_ERRORS) as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
     except PuffercalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
 
 

@@ -2,7 +2,12 @@
 
 
 class PuffercalError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; unless a SolverFailure,
+    the input is wrong."""
+
+
+class SolverFailure(PuffercalError):
+    """No answer was found for a valid input."""
 
 
 class EmptySample(PuffercalError):
@@ -13,19 +18,19 @@ class InvalidValue(PuffercalError):
     """An input violates a structural invariant (non-finite, wrong order, ...)."""
 
 
-class NonNormalizable(PuffercalError):
+class NonNormalizable(SolverFailure):
     """An exponential-mechanism cost whose density cannot be normalized."""
 
 
-class NoRoot(PuffercalError):
+class NoRoot(SolverFailure):
     """Bracket expansion failed to enclose a root."""
 
 
-class NotMonotone(PuffercalError):
+class NotMonotone(SolverFailure):
     """The function handed to the monotone solver is not decreasing."""
 
 
-class NonInvertibleRate(PuffercalError):
+class NonInvertibleRate(SolverFailure):
     """The exponential-mechanism rate map is not strictly decreasing/invertible."""
 
 
@@ -45,9 +50,9 @@ class EmptyConditional(PuffercalError):
     """No rows matched the requested secret value."""
 
 
-class IntegrationFailure(PuffercalError):
+class IntegrationFailure(SolverFailure):
     """Adaptive quadrature failed to converge."""
 
 
-class InfeasibleEvenAtInfinity(PuffercalError):
+class InfeasibleEvenAtInfinity(SolverFailure):
     """Internal consistency guard: the sub-unit-order condition cannot hold."""

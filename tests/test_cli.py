@@ -128,19 +128,20 @@ def test_huge_range_is_refused_before_it_is_built(capsys):
     # refusal allocates (almost) nothing.
     import tracemalloc
 
-    from puffercal.cli import MAX_RANGE_VALUES, _ConfigError, _parse_grid
+    from puffercal.cli import MAX_RANGE_VALUES, _parse_grid
+    from puffercal.errors import InvalidValue
 
     tracemalloc.start()
     try:
-        with pytest.raises(_ConfigError, match=f"more than {MAX_RANGE_VALUES} values"):
+        with pytest.raises(InvalidValue, match=f"more than {MAX_RANGE_VALUES} values"):
             _parse_grid("1:1e12:1e-3", "--alpha")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    with pytest.raises(_ConfigError, match="more than"):
+    with pytest.raises(InvalidValue, match="more than"):
         _parse_grid(f"0:{MAX_RANGE_VALUES}:1", "--epsilon")
-    with pytest.raises(_ConfigError, match="more than"):
+    with pytest.raises(InvalidValue, match="more than"):
         _parse_grid("-1e308:1e308:1e-300", "--alpha")
     code, _, err = run_cli(
         capsys, "calibrate", "--scenario", "point-mass", "--alpha", "1:1e12:1e-3",
@@ -1353,3 +1354,107 @@ def test_subnormal_epsilon_at_finite_alpha_is_a_solver_failure(
         f"solver failure: mechanism={kind} alpha={float(alpha)!r} epsilon=1e-310: "
         f"pair 'point-mass': {reason}\n"
     )
+
+
+def test_calibrate_failure_reraises_the_pair_labelled_error(capsys):
+    # The cell label is added by re-raising the pair-labelled error's own
+    # class, so the kind of failure, and so the exit code, is the class's.
+    from puffercal import cli
+    from puffercal.errors import NoRoot
+
+    reason = "no finite laplace parameter: the seed bracket (2.8853900817779268, inf) overflows"
+    code, out, err = run_cli(
+        capsys, "calibrate", "--scenario", "point-mass", "--alpha", "2", "--epsilon", "1e-310",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"solver failure: mechanism=laplace alpha=2.0 epsilon=1e-310: pair 'point-mass': {reason}\n"
+    )
+    scenarios = cli._resolve_scenarios("point-mass", Path("data"))
+    with pytest.raises(NoRoot) as raised:
+        next(cli._calibrated(scenarios, "laplace", [(2.0, 1e-310)], 1e-9))
+    cause = raised.value.__cause__
+    assert type(cause) is NoRoot
+    assert str(cause) == f"pair 'point-mass': {reason}"
+    assert str(raised.value) == f"mechanism=laplace alpha=2.0 epsilon=1e-310: {cause}"
+
+
+def _error_classes():
+    from puffercal import errors
+
+    return [value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.PuffercalError)]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda error: error.__name__)
+def test_error_class_decides_the_exit_code(capsys, monkeypatch, error):
+    from puffercal import cli
+    from puffercal.errors import SolverFailure
+
+    def handler(args):
+        raise error("the reason")
+
+    monkeypatch.setattr(cli, "cmd_verify", handler)
+    code, out, err = run_cli(capsys, "verify", "--scenario", "point-mass")
+    if issubclass(error, SolverFailure):
+        assert (code, out, err) == (3, "", "solver failure: the reason\n")
+    else:
+        assert (code, out, err) == (2, "", "configuration error: the reason\n")
+
+
+def test_solver_failures_are_the_six_no_answer_errors():
+    from puffercal.errors import SolverFailure
+
+    assert {error.__name__ for error in _error_classes() if issubclass(error, SolverFailure)} == {
+        "SolverFailure", "NoRoot", "NotMonotone", "NonInvertibleRate", "NonNormalizable",
+        "IntegrationFailure", "InfeasibleEvenAtInfinity",
+    }
+    assert len(SolverFailure.__subclasses__()) == 6
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("verify", "--alpha", "-1e-300"),
+        ("calibrate", "--alpha", "-1E+3,2"),
+        ("verify", "--epsilon", "-1e-3"),
+        ("sweep", "--epsilon", "-.5e-3"),
+        ("verify", "--parameter", "-1e-3"),
+        ("breach", "--parameter", "-2.5e1"),
+        ("calibrate", "--tol", "-1e-3"),
+        ("breach", "--tol", "-1.5"),
+    ],
+)
+def test_signed_value_after_a_space_reads_as_with_equals(capsys, command, option, value):
+    # argparse alone reads -1e-300 as an option name ("expected one
+    # argument"); both spellings must end in the same error line.
+    tail = ("--n", "1000") if command == "breach" else ()
+    spaced = run_cli(capsys, command, "--scenario", "point-mass", *tail, option, value)
+    joined = run_cli(capsys, command, "--scenario", "point-mass", *tail, f"{option}={value}")
+    assert spaced == joined
+    assert spaced[0] == 2
+    assert spaced[2].startswith("configuration error: ")
+
+
+def test_option_name_after_a_signed_option_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["verify", "--scenario", "point-mass", "--alpha", "--epsilon", "1"])
+    assert raised.value.code == 2
+    assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "breach"])
+def test_negative_zero_parameter_prints_as_zero(capsys, tmp_path, command):
+    tail = ("--n", "1000") if command == "breach" else ()
+    outputs = []
+    for spelling in ("0", "-0.0"):
+        out_dir = tmp_path / spelling
+        code, out, err = run_cli(
+            capsys, command, "--scenario", "point-mass", "--alpha", "2", *tail,
+            "--parameter", spelling, "--out", str(out_dir),
+        )
+        outputs.append((code, out, err, (out_dir / f"{command}.csv").read_text()))
+    assert outputs[0] == outputs[1]
+    (row,) = parse_csv(outputs[1][1])
+    assert row["parameter"] == "0.0"
+    assert outputs[1][3] == outputs[1][1]

@@ -11,7 +11,8 @@ N_BOUNDS in turn, and must exit as listed there.
 
 The full product is 6,138 commands (about 45 s with its reruns on a
 2-core VM); every STRIDE-th of them (1,023, and 64 reruns, about 4.5 s)
-runs here, plus REPROS, the commands that once crashed or warned.
+runs here, plus REPROS, the commands that once crashed, warned or
+were misread.
 STRIDE = 1 runs the full product. A hypothesis variant applies the same
 rules to random finite floats.
 """
@@ -54,7 +55,7 @@ EXTREME_SCENARIOS = {
 EXTREME_ALPHAS = ("0.5", "2", "inf")
 EXTREME_PARAMETERS = (None, "1e-12", "1e6")
 
-# (command, scenario, kind, alpha, epsilon, parameter)
+# (command, scenario, kind, alpha, epsilon, parameter[, spaced])
 REPROS = (
     # sigma = 1e300: the quadrature's per-segment tolerance overflowed.
     ("verify", "point-mass", "gaussian", "2", "1", "1e300"),
@@ -77,6 +78,12 @@ REPROS = (
     ("verify", "shared-ends", "laplace", "inf", "1", "1e-12"),
     ("verify", "shared-ends", "gaussian", "inf", "1", "1e-12"),
     ("verify", "subnormal-gaps", "gaussian", "inf", "1", "1e-12"),
+    # Values with a minus sign and an exponent after a space, which argparse
+    # read as options (a usage error, where the = spelling gave the CLI's).
+    ("verify", "point-mass", "laplace", "-1e-300", "1", None, True),
+    ("verify", "point-mass", "laplace", "2", "-1e-3", None, True),
+    ("breach", "point-mass", "laplace", "2", "1", "-1e-3", True),
+    ("calibrate", "point-mass", "gaussian", "-1e-300", "-1e-3", None, True),
 )
 
 
@@ -111,12 +118,13 @@ def scenario_paths(tmp_path_factory):
             for name, pair in EXTREME_SCENARIOS.items()}
 
 
-def _argv(command, scenario, kind, alpha, epsilon, parameter, n="1000"):
-    # The = spelling hands a value such as -1e-300, which argparse would
-    # read as an option, through as a value.
-    argv = [command, "--scenario", scenario, "--mechanism", kind, f"--alpha={alpha}", f"--epsilon={epsilon}"]
-    if parameter is not None:
-        argv += [f"--parameter={parameter}"]
+def _argv(command, scenario, kind, alpha, epsilon, parameter, spaced=False, n="1000"):
+    # Values are spelled --alpha=-1e-300, or --alpha -1e-300 when spaced;
+    # cli.main reads both alike (argparse alone reads -1e-300 as an option).
+    argv = [command, "--scenario", scenario, "--mechanism", kind]
+    for option, value in (("--alpha", alpha), ("--epsilon", epsilon), ("--parameter", parameter)):
+        if value is not None:
+            argv += [option, value] if spaced else [f"{option}={value}"]
     if command == "breach":
         argv += ["--n", n]
     return argv
@@ -153,7 +161,7 @@ def test_every_command_ends_in_rows_or_error_lines(command, scenario_paths):
         if fault is None and command == "breach" and code == 0:
             if rows % STRIDE == 0:
                 n, expected = N_BOUNDS[rows // STRIDE % len(N_BOUNDS)]
-                argv = _argv(*case, n)
+                argv = _argv(*case, n=n)
                 code, fault = _outcome(argv)
                 if fault is None and code != expected:
                     fault = f"exit {code}, expected {expected}"
