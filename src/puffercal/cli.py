@@ -581,16 +581,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined_signed_values(argv: list[str]) -> list[str]:
-    """argv with each _SIGNED_OPTIONS value that starts with '-' and a digit
-    or '.' joined to its option, as in --alpha=-1e-300.
+    """argv with each signed value joined to its _SIGNED_OPTIONS option, as in --alpha=-1e-300.
 
-    argparse reads such a value as an option unless it looks like -1 or
-    -1.5, so --alpha -1e-300 would be a usage error.
+    argparse reads a value that starts with '-' as an option unless it
+    looks like -1 or -1.5, so --alpha -1e-300 or --alpha -inf would be a
+    usage error. A signed value starts with '-' and a digit or '.', or is
+    -inf, -infinity or -nan in any case, as float() reads them. The option
+    may be abbreviated, as --alp: no other option of any command starts
+    with the letter of a _SIGNED_OPTIONS name, so argparse expands every
+    such prefix to that name, or, where the command lacks it, reads both
+    spellings as the same usage error.
     """
     joined: list[str] = []
     for token in argv:
-        signed = token[:1] == "-" and token[1:2] in tuple("0123456789.")
-        if signed and joined and joined[-1] in _SIGNED_OPTIONS:
+        signed = token[:1] == "-" and (
+            token[1:2] in tuple("0123456789.") or token[1:].lower() in ("inf", "infinity", "nan")
+        )
+        option = joined[-1] if joined else ""
+        if signed and len(option) > 2 and any(name.startswith(option) for name in _SIGNED_OPTIONS):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -557,7 +557,7 @@ def gaussian_tilted_log_sum(
         reach = atoms[None, :] - centers[rows, None]
         reach /= sigma
         # At a tiny sigma the squares overflow and the results are inf or
-        # nan; verify._log_ratio_bounds' margin is then inf, so they certify
+        # nan; certify._log_ratio_bounds' margin is then inf, so they certify
         # nothing.
         with np.errstate(over="ignore", invalid="ignore"):
             base = np.square(reach)

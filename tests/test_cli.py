@@ -1037,8 +1037,7 @@ class TestBreachCommand:
         # bytes whether the three pairs' chunks run inline or interleaved on
         # 2, 3 or 8 workers; 70000 draws take two chunks, and the grid has
         # two cells. On the mixed tables only the indices are drawn.
-        from puffercal import cli
-        from puffercal import verify as ver
+        from puffercal import breach, cli
 
         scenario = self.GOLDEN
         if mixed:
@@ -1047,7 +1046,7 @@ class TestBreachCommand:
             def forbidden(*args):
                 raise AssertionError("noise drawn on a per-atom table")
 
-            monkeypatch.setattr(ver, "sample_noise", forbidden)
+            monkeypatch.setattr(breach, "sample_noise", forbidden)
         outputs = {}
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -1423,11 +1422,20 @@ def test_solver_failures_are_the_six_no_answer_errors():
         ("breach", "--parameter", "-2.5e1"),
         ("calibrate", "--tol", "-1e-3"),
         ("breach", "--tol", "-1.5"),
+        ("verify", "--alpha", "-inf"),
+        ("verify", "--alpha", "-nan"),
+        ("sweep", "--epsilon", "-Infinity"),
+        ("breach", "--parameter", "-NaN"),
+        ("verify", "--alp", "-1e-3"),
+        ("calibrate", "--e", "-INF"),
+        ("breach", "--para", "-2.5e1"),
+        ("sweep", "--t", "-1e-3"),
     ],
 )
 def test_signed_value_after_a_space_reads_as_with_equals(capsys, command, option, value):
-    # argparse alone reads -1e-300 as an option name ("expected one
-    # argument"); both spellings must end in the same error line.
+    # argparse alone reads -1e-300, -inf or -nan as an option name
+    # ("expected one argument"), after an option or a prefix of one that
+    # it expands; both spellings must end in the same error line.
     tail = ("--n", "1000") if command == "breach" else ()
     spaced = run_cli(capsys, command, "--scenario", "point-mass", *tail, option, value)
     joined = run_cli(capsys, command, "--scenario", "point-mass", *tail, f"{option}={value}")

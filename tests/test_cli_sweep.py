@@ -7,7 +7,7 @@ JSON scenarios at the ends of the float range, on a smaller grid. Each
 command must exit 0, 2, 3 or 4, raise no exception and emit no warning,
 and its stderr may hold only the CLI's own error lines. Every STRIDE-th
 breach command that ends in rows at --n 1000 is run again at one of
-N_BOUNDS in turn, and must exit as listed there.
+the --n bounds in turn, and must exit as listed with them.
 
 The full product is 6,138 commands (about 45 s with its reruns on a
 2-core VM); every STRIDE-th of them (1,023, and 64 reruns, about 4.5 s)
@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from puffercal import cli
-from puffercal.verify import _DRAW_CHUNK
 
 GOLDEN = str(Path(__file__).parent / "data" / "golden_scenario.json")
 KINDS = ("laplace", "gaussian", "exponential", "winf", "baseline-laplace", "baseline-gaussian")
@@ -39,10 +38,6 @@ EPSILONS = ("1e-300", "1e-12", "1", "700", "1e300")
 PARAMETERS = (None, "1e-300", "1e-12", "1e6", "1e300")
 STRIDE = 6
 ERROR_LINES = ("configuration error:", "solver failure:", "verification failed")
-# --n at its bounds, and the exit code of a breach command that ends in rows
-# at --n 1000: fewer than 1000 draws, and more indices than fit in memory,
-# are configuration errors; one draw past a chunk gives rows.
-N_BOUNDS = (("999", 2), (str(_DRAW_CHUNK + 1), 0), (str(10**18), 2))
 
 # One-pair scenarios: (p, q) as {atom: mass}. Atoms at +-1e300 (an atom span
 # past half the float range, and their gaps in noise scales past all of it),
@@ -84,6 +79,10 @@ REPROS = (
     ("verify", "point-mass", "laplace", "2", "-1e-3", None, True),
     ("breach", "point-mass", "laplace", "2", "1", "-1e-3", True),
     ("calibrate", "point-mass", "gaussian", "-1e-300", "-1e-3", None, True),
+    # Signed infinities and nans after a space, read as options likewise.
+    ("verify", "point-mass", "gaussian", "-inf", "1", None, True),
+    ("verify", "point-mass", "laplace", "-nan", "1", None, True),
+    ("breach", "point-mass", "laplace", "2", "-INF", "-nan", True),
 )
 
 
@@ -150,6 +149,14 @@ def _outcome(argv):
 
 @pytest.mark.parametrize("command", ["calibrate", "sweep", "verify", "breach"])
 def test_every_command_ends_in_rows_or_error_lines(command, scenario_paths):
+    # Imported here: scripts/compare_stdout.py imports this module's
+    # product under older trees, where the Monte Carlo code lived in verify.
+    from puffercal.breach import _DRAW_CHUNK
+
+    # --n at its bounds, and the exit code of a breach command that ends in
+    # rows at --n 1000: fewer than 1000 draws, and more indices than fit in
+    # memory, are configuration errors; one draw past a chunk gives rows.
+    n_bounds = (("999", 2), (str(_DRAW_CHUNK + 1), 0), (str(10**18), 2))
     cases = [case for case in itertools.islice(_product(), 0, None, STRIDE) if case[0] == command]
     cases += [case for case in REPROS if case[0] == command and case not in cases]
     faults = []
@@ -160,7 +167,7 @@ def test_every_command_ends_in_rows_or_error_lines(command, scenario_paths):
         code, fault = _outcome(argv)
         if fault is None and command == "breach" and code == 0:
             if rows % STRIDE == 0:
-                n, expected = N_BOUNDS[rows // STRIDE % len(N_BOUNDS)]
+                n, expected = n_bounds[rows // STRIDE % len(n_bounds)]
                 argv = _argv(*case, n=n)
                 code, fault = _outcome(argv)
                 if fault is None and code != expected:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from puffercal import (
     build_empirical,
     monotone_coupling,
+    renyi_divergence_numeric,
 )
 from puffercal.dist import (
     DiscreteDistribution,
@@ -133,10 +134,10 @@ def test_laplace_infinite_order_matches_grid_search(p, q, scale):
     # tails read off a dense grid beyond the extreme atoms: it agrees to
     # 1e-12 and never reads below the grid's own maximum, so the verifier
     # cannot under-report.
-    import puffercal.verify as verify
+    import puffercal.certify as certify
 
     mech = LaplaceParams(scale)
-    closed = verify.renyi_divergence_numeric(p, q, mech, math.inf)
+    closed = renyi_divergence_numeric(p, q, mech, math.inf)
     knots = sorted(set(p.atoms) | set(q.atoms))
 
     def dense_ratios(ys):
@@ -145,9 +146,9 @@ def test_laplace_infinite_order_matches_grid_search(p, q, scale):
         )
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "posterior_log_density_many", posterior_log_density_dense)
-        ys = verify._dense_grid(mech, knots)
-        searched = verify._grid_max_log_ratio(p, q, mech, ys, verify._log_ratio(p, q, mech, ys))
+        patch.setattr(certify, "posterior_log_density_many", posterior_log_density_dense)
+        ys = certify._dense_grid(mech, knots)
+        searched = certify._grid_max_log_ratio(p, q, mech, ys, certify._log_ratio(p, q, mech, ys))
     grid = np.linspace(knots[0] - 40.0 * scale, knots[-1] + 40.0 * scale, 20001)
     grid_max = float(np.max(dense_ratios(grid)))
     tails = np.concatenate([
@@ -191,24 +192,24 @@ def test_gaussian_infinite_order_is_certified_against_grid_search(pair, sigma):
     # grid's best point y: at sigma = 1/64 the grid read 6.5e-12 above the
     # true supremum log 5 of (0 vs -12, 0, 3), so that rounding, doubled,
     # is added to the tolerance.
-    import puffercal.verify as verify
+    import puffercal.certify as certify
 
     p, q = pair
     mech = GaussianParams(sigma)
     for a, b in ((p, q), (q, p)):
-        sup, bound = verify._gaussian_sup(a, b, mech)
+        sup, bound = certify._gaussian_sup(a, b, mech)
         if a.max_atom > b.max_atom or a.min_atom < b.min_atom:
             assert sup == bound == math.inf
             continue
         knots = sorted(set(a.atoms) | set(b.atoms))
-        ys = verify._dense_grid(mech, knots)
-        best = verify._grid_max_log_ratio(a, b, mech, ys, verify._log_ratio(a, b, mech, ys))
+        ys = certify._dense_grid(mech, knots)
+        best = certify._grid_max_log_ratio(a, b, mech, ys, certify._log_ratio(a, b, mech, ys))
         limits = [
             math.log(a.masses[k]) - math.log(b.masses[k])
             for k in (0, -1) if a.atoms[k] == b.atoms[k]
         ]
         grid = max(best, *limits, 0.0)
-        y = ys[int(np.argmax(verify._log_ratio(a, b, mech, ys)))]
+        y = ys[int(np.argmax(certify._log_ratio(a, b, mech, ys)))]
         z2 = sum(min((y - atom) ** 2 for atom in prior.atoms) for prior in (a, b)) / sigma**2
         tol = 1e-12 * max(1.0, abs(grid)) + 16 * 2.0**-53 * (z2 + 40.0)
         assert math.isfinite(sup)

@@ -1,6 +1,10 @@
-"""Every name puffercal exports has a caller, and README's Library example runs."""
+"""Every name puffercal exports has a caller, and README's Library example runs.
+
+Each of the verifier's modules compiles below calibrate.py's memory peak.
+"""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import puffercal
@@ -56,3 +60,28 @@ def test_every_exported_name_has_a_caller():
 def test_readme_library_example_runs(capsys):
     exec(compile(_library_example(), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _compile_peak(path: Path) -> int:
+    """Peak bytes of Python allocations while compiling the file's source."""
+    source = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verifier_modules_compile_below_the_calibrator():
+    # Without bytecode files (PYTHONDONTWRITEBYTECODE=1) every CLI process
+    # compiles the package, and the largest module's compile sets the
+    # import's memory high-water mark. Each verifier module stays below
+    # calibrate.py's peak on the same interpreter, so none of them sets it.
+    package = ROOT / "src" / "puffercal"
+    ceiling = _compile_peak(package / "calibrate.py")
+    peaks = {
+        name: _compile_peak(package / f"{name}.py")
+        for name in ("certify", "quadrature", "breach", "verify")
+    }
+    assert max(peaks.values()) < ceiling, (ceiling, peaks)

@@ -21,38 +21,69 @@ from puffercal import (
     scenario_set,
     verify_rpp,
 )
+from puffercal.certify import _NEGATIVE_FLOOR, _floor_rounding
 from puffercal.dist import (
     posterior_log_density_dense,
     posterior_log_density_many,
     truncation_halfwidth,
 )
 from puffercal.errors import IntegrationFailure, InvalidValue
-from puffercal.verify import (
-    _NEGATIVE_FLOOR,
-    PASS_SLACK,
-    _bisect_quadrature,
-    _floor_rounding,
-    renyi_divergence_both_ways,
-)
+from puffercal.quadrature import _bisect_quadrature
+from puffercal.verify import PASS_SLACK, renyi_divergence_both_ways
 
 from conftest import point_mass, random_pair, sample_atoms
 
 
 def test_verifier_does_not_import_the_calibrator():
-    # The verifier must stay a code path independent of the calibrator.
+    # The verifier must stay a code path independent of the calibrator:
+    # neither verify.py nor any package module it imports, directly or
+    # through another, imports calibrate.
     import ast
 
     import puffercal.verify
 
-    tree = ast.parse(Path(puffercal.verify.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not {".calibrate", "calibrate", "puffercal.calibrate"} & imported, imported
+    package = Path(puffercal.verify.__file__).parent
+    seen, todo = set(), ["verify"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+                imported.update(alias.name for alias in node.names)
+                if node.level == 1:
+                    modules = [node.module] if node.module else [a.name for a in node.names]
+                    todo.extend(m for m in modules if (package / f"{m}.py").exists())
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {".calibrate", "calibrate", "puffercal.calibrate"} & imported, (name, imported)
+    assert {"verify", "certify", "quadrature", "breach"} <= seen, seen
+
+
+def test_cli_import_loads_every_verifier_module():
+    # The verifier's modules compile when the CLI is imported, not lazily
+    # inside a command: a fresh interpreter that only imports puffercal.cli
+    # holds all of them.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import puffercal
+
+    src = str(Path(puffercal.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    script = "import json, sys, puffercal.cli; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    verifier = {"puffercal.certify", "puffercal.quadrature", "puffercal.breach", "puffercal.verify"}
+    assert verifier <= set(json.loads(run.stdout))
 
 
 class TestRenyiDivergenceNumeric:
@@ -177,17 +208,17 @@ class TestRenyiDivergenceNumeric:
         # sum is taken relative to that largest t, whether the peak lies far
         # below 700 (where an overflow guard used to raise), 0.1 either side
         # of it, or far above. All meet the closed form.
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         shifts = []
-        real = verify._bisect_quadrature
+        real = quadrature._bisect_quadrature
 
         def recorded(*args):
             integrals = real(*args)
             shifts.append([shift for _, shift in integrals])
             return integrals
 
-        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
+        monkeypatch.setattr(quadrature, "_bisect_quadrature", recorded)
         pair = (point_mass(0.0), point_mass(1.0))
         mech = LaplaceParams(scale=1.0)
         offsets = (-699.0, -0.1, 0.1, 1300.0)
@@ -246,12 +277,12 @@ class TestRenyiDivergenceNumeric:
     def test_laplace_infinite_order_needs_no_search(self, monkeypatch, mech):
         # Laplace alpha = inf is the largest ratio at the atoms: no grid, no
         # bounded scalar search.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
         def forbidden(*args, **kwargs):
             raise AssertionError("grid search called for Laplace alpha = inf")
 
-        monkeypatch.setattr(verify, "_grid_max_log_ratio", forbidden)
+        monkeypatch.setattr(certify, "_grid_max_log_ratio", forbidden)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         for pair in ((p, q), (q, p), (point_mass(0.0), point_mass(1.0))):
@@ -260,13 +291,13 @@ class TestRenyiDivergenceNumeric:
     def test_gaussian_infinite_order_needs_no_grid(self, monkeypatch):
         # Gaussian alpha = inf is a branch and bound on certified bounds: no
         # dense grid, no bounded scalar search.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
         def forbidden(*args, **kwargs):
             raise AssertionError("grid search called for Gaussian alpha = inf")
 
-        monkeypatch.setattr(verify, "_dense_grid", forbidden)
-        monkeypatch.setattr(verify, "_grid_max_log_ratio", forbidden)
+        monkeypatch.setattr(certify, "_dense_grid", forbidden)
+        monkeypatch.setattr(certify, "_grid_max_log_ratio", forbidden)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.0, 2.0, 2.5), masses=(0.6, 0.3, 0.1))
         mech = GaussianParams(0.7)
@@ -277,13 +308,13 @@ class TestRenyiDivergenceNumeric:
     @staticmethod
     def _grid_supremum(p, q, mech):
         """The supremum as the grid search found it: grid maximum, refinement, tail limits."""
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
         if p.max_atom > q.max_atom or p.min_atom < q.min_atom:
             return math.inf
         knots = sorted(set(p.atoms) | set(q.atoms))
-        ys = verify._dense_grid(mech, knots)
-        best = verify._grid_max_log_ratio(p, q, mech, ys, verify._log_ratio(p, q, mech, ys))
+        ys = certify._dense_grid(mech, knots)
+        best = certify._grid_max_log_ratio(p, q, mech, ys, certify._log_ratio(p, q, mech, ys))
         limits = [
             math.log(p.masses[k]) - math.log(q.masses[k])
             for k in (0, -1) if p.atoms[k] == q.atoms[k]
@@ -292,7 +323,7 @@ class TestRenyiDivergenceNumeric:
 
     def test_gaussian_infinite_order_atoms_near_1e4_small_sigma(self):
         # Conditioning: exponents up to (1 / 0.01)^2 / 2 = 5000 in the window.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         mech = GaussianParams(0.01)
         p = DiscreteDistribution((1e4, 1e4 + 0.5, 1e4 + 1.0), (0.5, 0.3, 0.2))
@@ -307,7 +338,7 @@ class TestRenyiDivergenceNumeric:
         assert renyi_divergence_numeric(p, q, mech, math.inf) == pytest.approx(625.0, rel=2e-3)
 
     def test_gaussian_infinite_order_larger_extreme_atom_is_infinite(self):
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         mech = GaussianParams(1.5)
         wide = DiscreteDistribution((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))
@@ -324,7 +355,7 @@ class TestRenyiDivergenceNumeric:
         # exp(-0.05 t) - 100 exp(-0.1 t) for sigma = 1, which peaks near
         # t = 106, far past the 12 sigma window; the grid search read the
         # limit log(50.5) there instead.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         mech = GaussianParams(1.0)
         p = DiscreteDistribution((-0.05, 0.0), (0.5, 0.5))
@@ -342,7 +373,7 @@ class TestRenyiDivergenceNumeric:
         # shrinks like e^-2t, faster than the interval bounds' slack, and
         # the branch and bound's certificate stopped 5.2e-4 above it. r is
         # at most the discrete supremum on the whole line, which caps it.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         p = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
         q = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), tuple(m / 7.0 for m in (2, 2, 1, 2)))
@@ -359,7 +390,7 @@ class TestRenyiDivergenceNumeric:
         # largest values of r, not the largest bounds, left the bound 8.9e-7
         # (sigma 13.6) and 3.1e-6 (sigma 40) relative above the largest
         # value found; ranked by bound, it is within 1e-7 of it.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         atoms = tuple(float(a) for a in range(25, 65))
         p_counts = (33, 9, 15, 21, 21, 21, 32, 32, 23, 48, 54, 44, 55, 57, 60, 74, 58, 57, 54, 67,
@@ -377,7 +408,7 @@ class TestRenyiDivergenceNumeric:
         # Below sigma = 1e-150 an interval's upper bound of -inf met a margin
         # of inf, and their sum warned. The nan settles the interval and
         # leaves the certificate at the discrete supremum log 2, its cap.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         p = point_mass(2.0)
         q = DiscreteDistribution((0.0, 2.0, 3.0), (0.3, 0.5, 0.2))
@@ -393,7 +424,7 @@ class TestRenyiDivergenceNumeric:
         # D_inf is the search's certified bound; its largest values found
         # agree to 1e-12 relative, and each bound is within the search's
         # 1e-12 tolerance plus its rounding margin above its own.
-        from puffercal.verify import _gaussian_sup
+        from puffercal.certify import _gaussian_sup
 
         p = DiscreteDistribution((0.0, 1.0, 2.0), (0.5, 0.3, 0.2))
         q = DiscreteDistribution((0.0, 1.5, 2.0), (0.3, 0.3, 0.4))
@@ -422,31 +453,31 @@ class TestRenyiDivergenceNumeric:
         # these pairs they agree exactly, and neither reads below the grid.
         from scipy.optimize import minimize_scalar
 
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
         costs = [lambda z: 0.5 * abs(z), lambda z: abs(z) ** 0.5, lambda z: abs(z) ** 0.75]
         for cost in costs:
             for _ in range(2):
                 p, q = random_pair(rng, max_atoms=5, span=2.0)
                 mech = ExponentialParams(scale=float(rng.uniform(0.5, 2.0)), cost=cost)
-                ys = verify._dense_grid(mech, sorted(set(p.atoms) | set(q.atoms)))
-                ratios = verify._log_ratio(p, q, mech, ys)
+                ys = certify._dense_grid(mech, sorted(set(p.atoms) | set(q.atoms)))
+                ratios = certify._log_ratio(p, q, mech, ys)
                 for a, b, diffs in ((p, q, ratios), (q, p, -ratios)):
                     k = int(np.argmax(diffs))
                     grid_max = float(diffs[k])
                     searched = minimize_scalar(
-                        lambda y: -float(verify._log_ratio(a, b, mech, np.array([y]))[0]),
+                        lambda y: -float(certify._log_ratio(a, b, mech, np.array([y]))[0]),
                         bounds=(float(ys[max(0, k - 1)]), float(ys[min(ys.size - 1, k + 1)])),
                         method="bounded",
                         options={"xatol": 1e-12 * max(1.0, abs(grid_max))},
                     )
                     want = max(grid_max, float(-searched.fun))
-                    got = verify._grid_max_log_ratio(a, b, mech, ys, diffs)
+                    got = certify._grid_max_log_ratio(a, b, mech, ys, diffs)
                     assert got >= grid_max
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_golden_section_finds_an_interior_maximum(self):
-        from puffercal.verify import _golden_section_max
+        from puffercal.certify import _golden_section_max
 
         best = _golden_section_max(lambda y: -((y - 0.3) ** 2), 0.0, 1.0, 1e-12)
         assert -1e-20 <= best <= 0.0
@@ -530,10 +561,10 @@ class TestBisectQuadrature:
                 )
 
     def test_round_cap_raises_and_marks_pair_inconclusive(self, monkeypatch):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         # This pair converges in the first round, so only a cap of 0 forces it.
-        monkeypatch.setattr(verify, "_MAX_ROUNDS", 0)
+        monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 0)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         mech = LaplaceParams(scale=0.7)
@@ -544,11 +575,11 @@ class TestBisectQuadrature:
         assert report.chernoff_bound is None
 
     def test_node_table_is_leggauss(self):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         nodes, weights = np.polynomial.legendre.leggauss(12)
-        np.testing.assert_allclose(verify._GL_NODES, nodes, rtol=0.0, atol=2e-16)
-        np.testing.assert_allclose(verify._GL_WEIGHTS, weights, rtol=0.0, atol=2e-16)
+        np.testing.assert_allclose(quadrature._GL_NODES, nodes, rtol=0.0, atol=2e-16)
+        np.testing.assert_allclose(quadrature._GL_WEIGHTS, weights, rtol=0.0, atol=2e-16)
 
     @pytest.mark.parametrize(
         "mech",
@@ -560,15 +591,15 @@ class TestBisectQuadrature:
         ids=["laplace", "gaussian", "custom-cost"],
     )
     def test_finite_orders_take_only_the_vector_kernel(self, monkeypatch, mech):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
-        real = verify.posterior_log_density_many
+        real = quadrature.posterior_log_density_many
 
         def vector_only(mech, prior, ys):
             assert np.size(ys) > 1, "one-point posterior density call"
             return real(mech, prior, ys)
 
-        monkeypatch.setattr(verify, "posterior_log_density_many", vector_only)
+        monkeypatch.setattr(quadrature, "posterior_log_density_many", vector_only)
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         for alpha in (0.5, 2.0):
@@ -660,11 +691,11 @@ class TestBothWays:
         # each prior once, so the calls alternate between the priors;
         # verify_rpp on the golden scenario makes no call beyond one
         # renyi_divergence_both_ways per pair.
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
         from puffercal.cli import _resolve_scenarios
 
         calls = []
-        real = verify.posterior_log_density_many
+        real = quadrature.posterior_log_density_many
 
         def counting(*args):
             calls.append(args[1])
@@ -675,7 +706,7 @@ class TestBothWays:
             run(*args)
             return len(calls)
 
-        monkeypatch.setattr(verify, "posterior_log_density_many", counting)
+        monkeypatch.setattr(quadrature, "posterior_log_density_many", counting)
         golden = _resolve_scenarios(
             str(Path(__file__).parent / "data" / "golden_scenario.json"), Path(".")
         )
@@ -731,7 +762,7 @@ def _shared_support_pair(rng, offset):
 
 
 class TestCuts:
-    """verify._cuts: Gaussian windows are cut at the noise scale, other noise at every atom."""
+    """certify._cuts: Gaussian windows are cut at the noise scale, other noise at every atom."""
 
     @staticmethod
     def _assert_cut_rule(knots, lo, hi, h, edges):
@@ -747,7 +778,7 @@ class TestCuts:
                 assert edges[k] == a and edges[k + 1] == b, (a, b, h)
 
     def test_clustered_atoms_before_a_wide_gap(self, rng):
-        from puffercal.verify import _cuts
+        from puffercal.certify import _cuts
 
         knots = np.concatenate((np.linspace(0.0, 1.0, 41), [6.0, 6.1, 9.0]))
         edges = _cuts(knots, -5.0, 15.0, 0.3)
@@ -765,28 +796,28 @@ class TestCuts:
             self._assert_cut_rule(knots, lo, hi, h, _cuts(knots, lo, hi, h))
 
     def test_every_atom_when_h_is_within_the_smallest_gap(self, monkeypatch):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         knots = np.array([0.0, 0.5, 1.0, 2.5, 2.75])
         for h in (0.0, 0.1, 0.25):
-            assert verify._cuts(knots, -1.0, 4.0, h).tolist() == [-1.0, *knots.tolist(), 4.0]
+            assert quadrature._cuts(knots, -1.0, 4.0, h).tolist() == [-1.0, *knots.tolist(), 4.0]
         # Atoms 0.5 apart under sigma = 0.45: every cell's cuts are every
         # atom, so its divergences are those of all-atom cuts bit for bit.
         p = DiscreteDistribution(atoms=(0.0, 1.0, 2.5), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         mech = GaussianParams(sigma=0.45)
         widths = []
-        real = verify._cuts
+        real = quadrature._cuts
 
         def recorded(knots, lo, hi, h):
             widths.append(h)
             return real(knots, lo, hi, h)
 
-        monkeypatch.setattr(verify, "_cuts", recorded)
+        monkeypatch.setattr(quadrature, "_cuts", recorded)
         alphas = (0.5, 1.2, 2.0, 5.0)
         cut = [renyi_divergence_both_ways(p, q, mech, alpha) for alpha in alphas]
         assert 0.0 < min(widths) and max(widths) == 0.45
-        monkeypatch.setattr(verify, "_cuts", lambda knots, lo, hi, h: real(knots, lo, hi, 0.0))
+        monkeypatch.setattr(quadrature, "_cuts", lambda knots, lo, hi, h: real(knots, lo, hi, 0.0))
         every = [renyi_divergence_both_ways(p, q, mech, alpha) for alpha in alphas]
         assert [_bits(d) for d in cut] == [_bits(d) for d in every]
 
@@ -796,19 +827,19 @@ class TestCuts:
         ids=["laplace", "custom-cost"],
     )
     def test_kinked_noise_keeps_every_atom(self, monkeypatch, mech):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         p = DiscreteDistribution(atoms=(0.0, 0.01, 0.02, 0.03), masses=(0.4, 0.3, 0.2, 0.1))
         q = DiscreteDistribution(atoms=(0.005, 0.015, 0.04), masses=(0.2, 0.3, 0.5))
         knots = sorted({*p.atoms, *q.atoms})
         edges = []
-        real = verify._bisect_quadrature
+        real = quadrature._bisect_quadrature
 
         def recorded(densities, integrands, cut, tail_scale=None):
             edges.append(cut.tolist())
             return real(densities, integrands, cut, tail_scale)
 
-        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
+        monkeypatch.setattr(quadrature, "_bisect_quadrature", recorded)
         renyi_divergence_both_ways(p, q, mech, 2.0)
         renyi_divergence_both_ways(p, q, GaussianParams(sigma=0.5), 2.0)
         kinked, gaussian = edges
@@ -825,9 +856,9 @@ class TestCuts:
         # same densities and integrands; both meet 1e-10 |I|, and they
         # agree within it. Shared supports keep the density ratio bounded,
         # so no order overflows at the smallest sigma.
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
-        real = verify._bisect_quadrature
+        real = quadrature._bisect_quadrature
         compared = []
 
         def both(densities, integrands, edges, tail_scale=None):
@@ -838,7 +869,7 @@ class TestCuts:
             compared.append((got, every, edges.size < len(knots) + 2))
             return got
 
-        monkeypatch.setattr(verify, "_bisect_quadrature", both)
+        monkeypatch.setattr(quadrature, "_bisect_quadrature", both)
         rng = np.random.default_rng(20261018)
         for offset in (0.0, 0.0, 1e4, 1e4):
             p, q = _shared_support_pair(rng, offset)
@@ -865,16 +896,16 @@ class TestExactTails:
 
     @staticmethod
     def _counted_calls(monkeypatch):
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         calls = []
-        real = verify.posterior_log_density_many
+        real = quadrature.posterior_log_density_many
 
         def counting(mech, prior, ys):
             calls.append(prior)
             return real(mech, prior, ys)
 
-        monkeypatch.setattr(verify, "posterior_log_density_many", counting)
+        monkeypatch.setattr(quadrature, "posterior_log_density_many", counting)
         return calls
 
     @pytest.mark.parametrize("kind", sorted(LAPLACE_TYPE))
@@ -959,7 +990,7 @@ class TestExactTails:
         # The first round's whole segments and halves share one densities
         # call, but each is reduced at the shape a call of its own has, so
         # Gaussian and custom-cost estimates do not move at the same shift.
-        from puffercal.verify import _gauss_legendre
+        from puffercal.quadrature import _gauss_legendre
 
         rng = np.random.default_rng(20261020)
         p, q = random_pair(rng, max_atoms=8, span=3.0)
@@ -1032,17 +1063,17 @@ class TestNarrowPeaks:
         # both peaks: D(p || q) comes out at 0.3285 in place of 1.0217, and
         # D(q || p) at -0.198, far below the rounding floor, so the
         # quadrature fails instead of passing the pair.
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         integrals = []
-        real = verify._bisect_quadrature
+        real = quadrature._bisect_quadrature
 
         def recorded(*args):
             integrals.extend(real(*args))
             return integrals
 
-        monkeypatch.setattr(verify, "_cut_wide_gaps", lambda edges, knots, scale, reach: edges)
-        monkeypatch.setattr(verify, "_bisect_quadrature", recorded)
+        monkeypatch.setattr(quadrature, "_cut_wide_gaps", lambda edges, knots, scale, reach: edges)
+        monkeypatch.setattr(quadrature, "_bisect_quadrature", recorded)
         with pytest.raises(IntegrationFailure, match="negative divergence"):
             renyi_divergence_both_ways(self.P, self.Q, LaplaceParams(1e-4), 2.0)
         (forward, shift), _ = integrals
@@ -1085,7 +1116,7 @@ class TestNarrowPeaks:
         # and the gap of 3 is cut at the given reach from each end. At
         # b = 2e-3 every gap stays whole. An end that is not a knot (the
         # padded Gaussian window's) is never cut.
-        from puffercal.verify import _cut_wide_gaps
+        from puffercal.quadrature import _cut_wide_gaps
 
         edges = np.array([0.0, 1.0, 3.0, 6.0])
         assert _cut_wide_gaps(edges, edges, 1e-3, 0.0625).tolist() == [
@@ -1148,11 +1179,11 @@ class TestNarrowPeaks:
         # At alpha = 0.5 a density of -inf at every node makes both log
         # integrands -inf everywhere: the shift stays -inf, the integrals
         # read 0, and D >= 0 says the nodes missed the integrand.
-        import puffercal.verify as verify
+        import puffercal.quadrature as quadrature
 
         p, q = point_mass(0.0), point_mass(1.0)
         monkeypatch.setattr(
-            verify, "posterior_log_density_many",
+            quadrature, "posterior_log_density_many",
             lambda mech, prior, ys: np.full(ys.shape, -math.inf if prior is p else 0.0),
         )
         with pytest.raises(IntegrationFailure, match="quadrature returned 0.0"):
@@ -1374,7 +1405,7 @@ class TestMonteCarloBreach:
     def test_counts_match_dense_path(self, monkeypatch):
         # The Laplace kernel moves log ratios by ~1e-15 at most, which must
         # not move a count on fixed seeds.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
         from puffercal.dist import posterior_log_density_dense
 
         rng = np.random.default_rng(31)
@@ -1385,7 +1416,7 @@ class TestMonteCarloBreach:
             cases.append((pair, mech, float(rng.uniform(0.2, 1.5)), seed))
         kernel = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
                   for pair, mech, eps, seed in cases]
-        monkeypatch.setattr(verify, "posterior_log_density_many", posterior_log_density_dense)
+        monkeypatch.setattr(certify, "posterior_log_density_many", posterior_log_density_dense)
         dense = [monte_carlo_breach(*pair, mech, eps, 200_000, seed)
                  for pair, mech, eps, seed in cases]
         assert kernel == dense
@@ -1428,7 +1459,7 @@ class TestMonteCarloBreach:
         # The draws come from rng.choice and sample_noise, not from
         # DiscreteDistribution.sample, and each is counted on its own, so a
         # change in what sample draws shows here.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
         from puffercal.dist import sample_noise
 
         rng, n = np.random.default_rng(57), 100_000
@@ -1451,7 +1482,7 @@ class TestMonteCarloBreach:
                 ratios = np.array([log_ratio[x] for x in xs.tolist()])
             else:
                 mech = noise(float(rng.uniform(0.3, 2.0)))
-                ratios = verify._log_ratio(p, q, mech, xs + sample_noise(mech, draws, n))
+                ratios = certify._log_ratio(p, q, mech, xs + sample_noise(mech, draws, n))
             expected = np.count_nonzero(ratios > eps) / n
             estimate, _ = monte_carlo_breach(p, q, mech, eps, n, seed)
             assert estimate == expected
@@ -1467,7 +1498,7 @@ class TestStreamedBreach:
     def test_count_is_the_per_draw_count(self, noise, n):
         # The reference holds every draw at once, as p.sample then one
         # sample_noise call make them, and takes the ratio at each.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
         from puffercal.dist import sample_noise
 
         rng = np.random.default_rng(n)
@@ -1475,7 +1506,7 @@ class TestStreamedBreach:
         mech, eps = noise(float(rng.uniform(0.3, 1.5))), float(rng.uniform(0.1, 0.8))
         draws = np.random.default_rng(17)
         ys = sample_atoms(p, draws, n) + sample_noise(mech, draws, n)
-        expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
+        expected = np.count_nonzero(certify._log_ratio(p, q, mech, ys) > eps) / n
         assert monte_carlo_breach(p, q, mech, eps, n, 17)[0] == expected
 
     @pytest.mark.parametrize("atoms", [5, 300])
@@ -1484,7 +1515,7 @@ class TestStreamedBreach:
         # A second generator of the same seed, drawn from chunk by chunk,
         # gives the indices of one sample_indices call, and the generator
         # advanced past their n uniforms draws the noise that follows them.
-        from puffercal.verify import _DRAW_CHUNK
+        from puffercal.breach import _DRAW_CHUNK
 
         masses = np.random.default_rng(atoms).uniform(0.5, 1.5, atoms)
         masses = tuple((masses / masses.sum()).tolist())
@@ -1510,7 +1541,7 @@ class TestStreamedBreach:
         # chunk buffer (a chunk's indices take 64 KB, its draws 512 KB).
         import tracemalloc
 
-        from puffercal.verify import _DRAW_CHUNK, monte_carlo_breach_steps
+        from puffercal.breach import _DRAW_CHUNK, monte_carlo_breach_steps
 
         p, q = TestBreachClassification.far_apart()
         mech, eps = {
@@ -1563,16 +1594,17 @@ class TestStreamedBreach:
         # 1.84 of it, inside an interval certified by its own mass ratio, so
         # the count comes from the per-atom table; it is the count of the
         # reference that holds every draw.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
+        import puffercal.certify as certify
         from puffercal.dist import sample_noise
 
         p, q = TestBreachClassification.far_apart()
         mech, eps = LaplaceParams(0.05), 0.5
         draws = np.random.default_rng(5)
         ys = sample_atoms(p, draws, n) + sample_noise(mech, draws, n)
-        expected = np.count_nonzero(verify._log_ratio(p, q, mech, ys) > eps) / n
-        intervals = verify._breach_intervals(p, q, mech, eps, n)
-        assert verify._settled_breach_table(p, mech, intervals).tolist() == [True, False, False]
+        expected = np.count_nonzero(certify._log_ratio(p, q, mech, ys) > eps) / n
+        intervals = breach._breach_intervals(p, q, mech, eps, n)
+        assert breach._settled_breach_table(p, mech, intervals).tolist() == [True, False, False]
         assert monte_carlo_breach(p, q, mech, eps, n, 5)[0] == expected
 
     def test_table_path_peak_memory(self, monkeypatch):
@@ -1593,12 +1625,12 @@ class TestStreamedBreach:
         assert peak < 8 * 2**20
 
     def test_intervals_need_no_draws_and_join_alike_neighbours(self):
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         for mech in (LaplaceParams(0.6), GaussianParams(0.6)):
-            starts, ends, above = verify._breach_intervals(p, q, mech, 0.4, 10**6)
+            starts, ends, above = breach._breach_intervals(p, q, mech, 0.4, 10**6)
             # Disjoint and joined: alike neighbours merge, and neighbours
             # certified differently cannot share an edge.
             assert np.all(starts < ends) and np.all(ends[:-1] < starts[1:])
@@ -1625,14 +1657,14 @@ class TestConstantBreachTable:
 
     @staticmethod
     def _forbid_draws(monkeypatch):
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         def forbidden(*args, **kwargs):
             raise AssertionError("drawn on a constant per-atom table")
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         monkeypatch.setattr(DiscreteDistribution, "sample_indices", forbidden)
-        monkeypatch.setattr(verify, "sample_noise", forbidden)
+        monkeypatch.setattr(breach, "sample_noise", forbidden)
 
     @pytest.mark.parametrize("case", ["wide-laplace", "zero-noise-above", "zero-noise-below"])
     @pytest.mark.parametrize("n", [1000, 65537, 150001])
@@ -1681,26 +1713,26 @@ class TestConstantBreachTable:
 
 def _count_every_draw(p_i, p_j, mech, epsilon, intervals, ys):
     """The count monte_carlo_breach made before interval classification; intervals are ignored."""
-    import puffercal.verify as verify
+    import puffercal.certify as certify
 
-    return int(np.count_nonzero(verify._log_ratio(p_i, p_j, mech, ys) > epsilon))
+    return int(np.count_nonzero(certify._log_ratio(p_i, p_j, mech, ys) > epsilon))
 
 
 def _take_every_draw(monkeypatch):
     """Make monte_carlo_breach draw all its noise and take the log ratio at every draw."""
-    import puffercal.verify as verify
+    import puffercal.breach as breach
 
-    monkeypatch.setattr(verify, "_settled_breach_table", lambda p_i, mech, intervals: None)
-    monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+    monkeypatch.setattr(breach, "_settled_breach_table", lambda p_i, mech, intervals: None)
+    monkeypatch.setattr(breach, "_count_breaches", _count_every_draw)
 
 
 def _forbid_noise(monkeypatch):
-    import puffercal.verify as verify
+    import puffercal.breach as breach
 
     def forbidden(*args):
         raise AssertionError("noise drawn on the per-atom table path")
 
-    monkeypatch.setattr(verify, "sample_noise", forbidden)
+    monkeypatch.setattr(breach, "sample_noise", forbidden)
 
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -1728,7 +1760,7 @@ def test_laplace_sampler_reach_is_pinned():
     # numpy's farthest draws, 53 ln 2 and 52 ln 2 from 0. The per-atom breach
     # table relies on no draw passing _LAPLACE_REACH scales; a numpy that
     # widens the support fails here rather than miscounting breaches.
-    from puffercal.verify import _LAPLACE_REACH
+    from puffercal.breach import _LAPLACE_REACH
 
     top, bottom = 2**64 - 1, 2**11
     assert _generator_whose_next_word_is(top).random() == 1.0 - 2.0**-53
@@ -1768,7 +1800,7 @@ class TestGaussianIntervalBounds:
         # points, the 50-digit ratio lies within the bounds plus margin;
         # inside the window, where breach compares draws with certified
         # intervals, the float ratio does too.
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
         getcontext().prec = 50
         rng = np.random.default_rng(2024)
@@ -1790,13 +1822,13 @@ class TestGaussianIntervalBounds:
             # Mirror the padding and far intervals onto the left side.
             ends += [lo + hi - e[::-1] for e in ends[1:]]
             a, b = np.array([e[0] for e in ends]), np.array([e[1] for e in ends])
-            lower, upper, margin, _, _ = verify._log_ratio_bounds(p, q, mech, a, b)
+            lower, upper, margin, _, _ = certify._log_ratio_bounds(p, q, mech, a, b)
             for k in range(a.size):
                 ys = np.unique(np.clip(
                     [a[k], 0.5 * (a[k] + b[k]), b[k], *rng.uniform(a[k], b[k], 2)], a[k], b[k]
                 ))
                 in_window = lo - 12.0 * sigma <= a[k] and b[k] <= hi + 12.0 * sigma
-                floats = verify._log_ratio(p, q, mech, ys) if in_window else [None] * ys.size
+                floats = certify._log_ratio(p, q, mech, ys) if in_window else [None] * ys.size
                 for y, value in zip(ys.tolist(), floats):
                     r = _decimal_log_density(p, sigma, y) - _decimal_log_density(q, sigma, y)
                     low = Decimal(float(lower[k])) - Decimal(float(margin[k]))
@@ -1815,18 +1847,16 @@ class TestBreachClassification:
         # At sigma = 3.2e-150, 12 sigma is below the float spacing at 1: the
         # window's cuts give the interval [1, 1], which was certified, and
         # every draw from the atom 1 landed on its edge and crashed the count.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         p, q = point_mass(1.0), point_mass(0.0)
         mech = GaussianParams(3.2e-150)
-        starts, ends, _ = verify._breach_intervals(p, q, mech, 1e300, 1000)
+        starts, ends, _ = breach._breach_intervals(p, q, mech, 1e300, 1000)
         assert np.all(starts < ends)
         assert monte_carlo_breach(p, q, mech, 1e300, 1000, 0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("noise", [LaplaceParams, GaussianParams, ExponentialParams])
     def test_counts_match_log_ratio_path(self, monkeypatch, noise):
-        import puffercal.verify as verify
-
         rng = np.random.default_rng(41)
         cases = []
         for seed in range(6):
@@ -1844,13 +1874,13 @@ class TestBreachClassification:
     def test_gaussian_oracle_over_certified_intervals(self):
         # P(Y in [A, B]) for Y = X + N(0, sigma^2), X ~ p, is
         # sum_i m_i [Phi((B - a_i)/sigma) - Phi((A - a_i)/sigma)].
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
         mech, eps, n, seed = GaussianParams(0.8), 0.4, 400_000, 3
         estimate, half_width = monte_carlo_breach(p, q, mech, eps, n, seed)
-        starts, ends, above = verify._breach_intervals(p, q, mech, eps, n)
+        starts, ends, above = breach._breach_intervals(p, q, mech, eps, n)
 
         def phi(z):
             return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -1869,14 +1899,14 @@ class TestBreachClassification:
         # m_k - e^eps m'_k along the merged atoms; it has at most as many
         # real zeros as those signs change. Runs of intervals certified
         # above, separated by one certified below, need two zeros apiece.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         most = 0
         for _ in range(20):
             p, q = random_pair(rng, max_atoms=6, min_atoms=2, span=3.0)
             mech = GaussianParams(float(rng.uniform(0.15, 0.6)))
             eps = float(rng.uniform(0.1, 1.0))
-            _, _, above = verify._breach_intervals(p, q, mech, eps, 100_000)
+            _, _, above = breach._breach_intervals(p, q, mech, eps, 100_000)
             runs = int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[:1].sum())
             masses_p, masses_q = dict(zip(p.atoms, p.masses)), dict(zip(q.atoms, q.masses))
             signs = [
@@ -1893,8 +1923,6 @@ class TestBreachClassification:
         # Conditioning regression: exponents tilted about the interval
         # midpoint hold (a - c)/sigma; untilted ones would hold
         # y a / sigma^2 ~ 1e12 and lose every digit of the bound.
-        import puffercal.verify as verify
-
         p = DiscreteDistribution(
             atoms=tuple(10000.0 + d for d in (0.0, 0.013, 0.05, 0.07)),
             masses=(0.1, 0.4, 0.3, 0.2),
@@ -1912,9 +1940,9 @@ class TestBreachClassification:
 
     def test_thousand_atom_pair_counts_match_every_draw(self, monkeypatch):
         # Gaussian classification starts from the draw range cut at the
-        # noise scale (verify._cuts with h = sigma), not at each of the
+        # noise scale (certify._cuts with h = sigma), not at each of the
         # pair's ~1800 atoms; the counts stay those of the per-draw ratio.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         def prior(rng, n, lo, hi):
             atoms = np.unique(np.round(rng.uniform(lo, hi, n), 4))
@@ -1926,20 +1954,20 @@ class TestBreachClassification:
         rng = np.random.default_rng(1000)
         p, q = prior(rng, 1000, 5.0, 45.0), prior(rng, 800, 7.0, 50.0)
         first_round = []
-        bounds = verify._log_ratio_bounds
+        bounds = breach._log_ratio_bounds
 
         def recorded(*args):
             first_round.append(args[3].size)
             return bounds(*args)
 
-        monkeypatch.setattr(verify, "_log_ratio_bounds", recorded)
+        monkeypatch.setattr(breach, "_log_ratio_bounds", recorded)
         cases = [(GaussianParams(0.05), 1.0), (GaussianParams(3.0), 0.5)]
         classified = []
         for mech, eps in cases:
             del first_round[:]
             classified.append(monte_carlo_breach(p, q, mech, eps, 5_000, 9))
             assert first_round[0] < len(p.atoms)
-        monkeypatch.setattr(verify, "_count_breaches", _count_every_draw)
+        monkeypatch.setattr(breach, "_count_breaches", _count_every_draw)
         every = [monte_carlo_breach(p, q, mech, eps, 5_000, 9) for mech, eps in cases]
         assert classified == every
         assert all(estimate > 0.0 for estimate, _ in classified)
@@ -1949,14 +1977,15 @@ class TestBreachClassification:
         # on all of y < 0, and the log ratio rounds to a few values next to
         # it there. With epsilon at each of them, no interval of the tail
         # can be certified, and its draws take the log ratio.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
+        import puffercal.certify as certify
 
         pair, mech, n, seed = (point_mass(0.0), point_mass(1.0)), LaplaceParams(2.0), 100_000, 4
         ys = _sorted_draws(pair[0], mech, n, seed)
-        tail = np.unique(verify._log_ratio(*pair, mech, ys[ys < 0.0]))
+        tail = np.unique(certify._log_ratio(*pair, mech, ys[ys < 0.0]))
         assert tail.size > 1 and np.all(np.abs(tail - 0.5) < 1e-14)
         rounds = []
-        bounds = verify._log_ratio_bounds
+        bounds = breach._log_ratio_bounds
 
         def counted(*args):
             rounds.append(args[3].size)
@@ -1964,10 +1993,10 @@ class TestBreachClassification:
 
         for eps in tail.tolist():
             rounds.clear()
-            monkeypatch.setattr(verify, "_log_ratio_bounds", counted)
+            monkeypatch.setattr(breach, "_log_ratio_bounds", counted)
             classified = monte_carlo_breach(*pair, mech, eps, n, seed)
-            assert 0 < len(rounds) <= verify._CLASSIFY_ROUNDS
-            starts, _, _ = verify._breach_intervals(*pair, mech, eps, n)
+            assert 0 < len(rounds) <= certify._CLASSIFY_ROUNDS
+            starts, _, _ = breach._breach_intervals(*pair, mech, eps, n)
             assert not np.any(starts < 0.0)
             _take_every_draw(monkeypatch)
             assert classified == monte_carlo_breach(*pair, mech, eps, n, seed)
@@ -1993,7 +2022,7 @@ class TestBreachClassification:
         # two comparisons, counts what the log ratio at every draw counts.
         # With every label flipped, only the draws strictly inside an
         # interval take its label, and draws on an edge take the log ratio.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         p = DiscreteDistribution(atoms=(0.0, 1.0, 3.0), masses=(0.5, 0.3, 0.2))
         q = DiscreteDistribution(atoms=(0.5, 2.0), masses=(0.6, 0.4))
@@ -2003,7 +2032,7 @@ class TestBreachClassification:
             "gaussian-three": ((p, q), GaussianParams(0.6), 0.4, 3),
             "laplace-integers": (self._integer_pair(), LaplaceParams(0.05), 0.3, 40),
         }[case]
-        starts, ends, above = intervals = verify._breach_intervals(*pair, mech, eps, 10**6)
+        starts, ends, above = intervals = breach._breach_intervals(*pair, mech, eps, 10**6)
         assert starts.size == size
         edges = np.concatenate((starts, ends))
         ys = np.concatenate((
@@ -2019,12 +2048,12 @@ class TestBreachClassification:
         flipped = int(np.count_nonzero(inside[:, ~above])) + _count_every_draw(
             *pair, mech, eps, None, ys[~inside.any(axis=1)]
         )
-        widest = verify._settled_interval(starts, ends)
+        widest = breach._settled_interval(starts, ends)
         assert ends[widest] - starts[widest] == np.max(ends - starts)
         for k in range(starts.size):
-            monkeypatch.setattr(verify, "_settled_interval", lambda starts, ends: k)
-            assert verify._count_breaches(*pair, mech, eps, intervals, ys.copy()) == expected
-            assert verify._count_breaches(
+            monkeypatch.setattr(breach, "_settled_interval", lambda starts, ends: k)
+            assert breach._count_breaches(*pair, mech, eps, intervals, ys.copy()) == expected
+            assert breach._count_breaches(
                 *pair, mech, eps, (starts, ends, ~above), ys.copy()
             ) == flipped
 
@@ -2058,12 +2087,12 @@ class TestBreachClassification:
         "declines-gaussian",
     ])
     def test_table_counts_what_every_draw_counts(self, monkeypatch, case):
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         pair, mech, eps, table = self._table_case(case)
         n, seed = 200_000, 8
-        intervals = verify._breach_intervals(*pair, mech, eps, n)
-        got = verify._settled_breach_table(pair[0], mech, intervals)
+        intervals = breach._breach_intervals(*pair, mech, eps, n)
+        got = breach._settled_breach_table(pair[0], mech, intervals)
         assert (None if got is None else got.tolist()) == table
         if table is not None:
             _forbid_noise(monkeypatch)
@@ -2078,13 +2107,13 @@ class TestBreachClassification:
         # A point mass at 0 under Laplace(1) reaches R = _LAPLACE_REACH: an
         # interval ending at R, or one ulp short of it, declines the table,
         # and one ending one ulp past R settles it.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
-        reach = verify._LAPLACE_REACH
+        reach = breach._LAPLACE_REACH
         for end, settled in ((reach, False), (np.nextafter(reach, 0.0), False),
                              (np.nextafter(reach, np.inf), True)):
             intervals = (np.array([-50.0]), np.array([end]), np.array([True]))
-            table = verify._settled_breach_table(point_mass(0.0), LaplaceParams(1.0), intervals)
+            table = breach._settled_breach_table(point_mass(0.0), LaplaceParams(1.0), intervals)
             assert (table is not None) == settled, end
 
     def test_refine_halves_the_highest_ranked_at_its_cap(self, monkeypatch):
@@ -2093,16 +2122,16 @@ class TestBreachClassification:
         # round 7: the 36 highest are halved and the 28 lowest returned as
         # they are, and so again in round 8 of 8, after which the 72 halves
         # still open are returned too. Together they tile [0, 1].
-        import puffercal.verify as verify
+        import puffercal.certify as certify
 
-        monkeypatch.setattr(verify, "_CLASSIFY_ROUNDS", 8)
+        monkeypatch.setattr(certify, "_CLASSIFY_ROUNDS", 8)
         calls = []
 
         def settle(a, b, mids):
             calls.append(a.size)
             return mids
 
-        a, b = verify._refine(np.array([0.0]), np.array([1.0]),
+        a, b = certify._refine(np.array([0.0]), np.array([1.0]),
                               lambda a, b: (0.5 * (a + b),), settle)
         assert calls == [1, 2, 4, 8, 16, 32, 64, 72]
         order = np.argsort(a)
@@ -2113,7 +2142,7 @@ class TestBreachClassification:
         assert np.all(widths[28:64] == 1 / 128) and a[64] == 28 / 64 + 36 / 128
         assert np.all(widths[64:] == 1 / 256) and widths.size == 28 + 36 + 72
         # Intervals ranked -inf are closed, and not returned.
-        closed = verify._refine(np.array([0.0]), np.array([1.0]), lambda a, b: (a,),
+        closed = certify._refine(np.array([0.0]), np.array([1.0]), lambda a, b: (a,),
                                 lambda a, b, _: np.full(a.size, -np.inf))
         assert closed[0].size == closed[1].size == 0
 
@@ -2123,12 +2152,12 @@ class TestBreachClassification:
         # decide only intervals narrower than about 1e-3 |r - epsilon|: the
         # open intervals reach _refine's cap, and those it leaves open take
         # the log ratio at their draws.
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         p = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.1, 0.4, 0.3, 0.2))
         q = DiscreteDistribution((0.0, 1.0, 2.0, 3.0), (0.3, 0.2, 0.2, 0.3))
         mech, eps, n, seed = noise(0.5), 0.3, 100_000, 3
-        bounds = verify._log_ratio_bounds
+        bounds = breach._log_ratio_bounds
         sizes = []
 
         def loose(p_i, p_j, mech, a, b):
@@ -2136,7 +2165,7 @@ class TestBreachClassification:
             sizes.append(a.size)
             return lower - 1e3 * (b - a), upper + 1e3 * (b - a), margin, log_density, value
 
-        monkeypatch.setattr(verify, "_log_ratio_bounds", loose)
+        monkeypatch.setattr(breach, "_log_ratio_bounds", loose)
         classified = monte_carlo_breach(p, q, mech, eps, n, seed)
         assert max(sizes) == 4 * (sizes[0] + 1) + 64
         monkeypatch.undo()
@@ -2145,12 +2174,12 @@ class TestBreachClassification:
         assert 0.0 < classified[0] < 1.0
 
     def test_custom_cost_takes_the_log_ratio_path(self, monkeypatch):
-        import puffercal.verify as verify
+        import puffercal.breach as breach
 
         def forbidden(*args):
             raise AssertionError("custom cost classified by intervals")
 
-        monkeypatch.setattr(verify, "_breach_intervals", forbidden)
+        monkeypatch.setattr(breach, "_breach_intervals", forbidden)
         mech = ExponentialParams(1.0, cost=lambda z: 2.0 * abs(z))
         estimate, _ = monte_carlo_breach(point_mass(0.0), point_mass(1.0), mech, 0.5, 2000, 3)
         assert 0.0 < estimate < 1.0
